@@ -18,10 +18,10 @@ import sys
 from dataclasses import dataclass
 
 from . import corpus
-from .expr import NormalForm, normalize, pow_int
+from .expr import UnsupportedFormError, normalize
 from .fluxes import FluxSpec, ReconstructionError, reconstruct
-from .jets import expand_epsilon
-from .multipliers import AnsatzSpec, solve_multipliers
+from .jets import EpsilonSeries, expand_epsilon
+from .multipliers import parse_ansatz, solve_multipliers
 from .parser import ParseError, parse
 from .printer import print_poly
 from .problem import PdeProblem, ProblemError, load_problem_file
@@ -76,36 +76,9 @@ class RunConfig:
         return cls(**{k: v for k, v in vars(args).items() if k in fields})
 
 
-def _single_atom(text, table):
-    nf = normalize(parse(text.strip(), table))
-    terms = list(nf.terms())
-    if len(terms) != 1 or terms[0][0] != 1 or len(terms[0][1]) != 1 or terms[0][1][0][1] != 1:
-        raise CliError(f"{text.strip()!r} is not a single generator atom")
-    return terms[0][1][0][0]
-
-
 def _ansatz_from_args(args, problem):
-    if args.mult_deps:
-        gens = [_single_atom(g, problem.table) for g in args.mult_deps.split(",")]
-    else:
-        gens = list(problem.table.indep) + [
-            problem.table.jet(name, 0) for name in problem.table.dep_names
-        ]
-    laurent = {}
-    if args.laurent:
-        for item in args.laurent.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            atom_txt, _, lo = item.partition(":")
-            laurent[_single_atom(atom_txt, problem.table)] = int(lo) if lo else -2
-    return AnsatzSpec(
-        tuple(gens),
-        args.mult_degree,
-        args.mult_xdegree,
-        laurent,
-        allow_leading=args.allow_leading,
-    )
+    return parse_ansatz(problem.table, args.mult_deps, args.mult_degree, args.mult_xdegree,
+                        args.laurent, allow_leading=args.allow_leading)
 
 
 def _mult_json(cm, table, index, style="machine"):
@@ -119,10 +92,7 @@ def _mult_json(cm, table, index, style="machine"):
         if not hierarchy:
             # eps-series methods admit a combined rendering; approach-b slots
             # are the exact per-hierarchy-member multipliers
-            series = NormalForm({})
-            for k, slot in enumerate(row):
-                series = series + (slot if k == 0 else slot * pow_int(table.eps, k))
-            comp["combined"] = print_poly(series, table, style)
+            comp["combined"] = print_poly(_series(row).reconstruct(), table, style)
         comps.append(comp)
     return {
         "index": index,
@@ -237,15 +207,15 @@ def run_compare(args) -> tuple[dict, int]:
     for i, claw in cons_laws:
         for j, alaw in a_laws:
             try:
-                am = [expand_epsilon(_series_poly(row, table), problem.p).coeffs
+                am = [expand_epsilon(_series(row).reconstruct(), problem.p).coeffs
                       for row in alaw.mult.slots]
-            except Exception:
+            except UnsupportedFormError:
                 continue
             if all(
                 all((a == b) for a, b in zip(am[nu], claw.mult.slots[nu]))
                 for nu in range(problem.q)
             ):
-                af = [expand_epsilon(_series_poly(row, table), problem.p).coeffs
+                af = [expand_epsilon(_series(row).reconstruct(), problem.p).coeffs
                       for row in alaw.fluxes]
                 same = all(
                     all((a == b) for a, b in zip(af[d], claw.fluxes[d]))
@@ -261,29 +231,17 @@ def run_compare(args) -> tuple[dict, int]:
     return report, code
 
 
-def _series_poly(row, table):
-    out = NormalForm({})
-    for k, slot in enumerate(row):
-        out = out + (slot if k == 0 else slot * pow_int(table.eps, k))
-    return out
+def _series(row) -> EpsilonSeries:
+    """A row of eps-series slots as the series sum_k eps^k row[k]."""
+    return EpsilonSeries(len(row) - 1, list(row))
 
 
 def run_verify(args) -> tuple[dict, int]:
     pf = load_problem_file(args.input)
     problem = pf.problem
-    table = problem.table
     if not pf.expected:
         raise CliError(f"{args.input}: no multiplier/flux blocks to verify")
-    entry_like = corpus.CorpusEntry(
-        "user", problem, pf.method,
-        [corpus.CorpusLaw(str(e.index), corpus._law_from_expected(problem, pf.method, e),
-                          e.status or "identity") for e in pf.expected],
-    )
-    for n in pf.epsilon_shifts:
-        base = next(cl for cl in entry_like.laws if cl.label == str(n))
-        entry_like.laws.append(
-            corpus.CorpusLaw(f"{n}*eps", base.law.eps_shifted(), base.expected_status)
-        )
+    laws = corpus.recorded_laws(pf)
     report = {
         "command": "verify",
         "problem": _problem_json(pf, problem),
@@ -291,7 +249,7 @@ def run_verify(args) -> tuple[dict, int]:
         "laws": [],
     }
     code = OK
-    for cl in entry_like.laws:
+    for cl in laws:
         ver = _report_verification(problem, cl.law, args.trials, args.seed)
         entry = {
             "label": cl.label,

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from ..expr import NormalForm, normalize
+from ..expr import NormalForm
 from ..fluxes import ConservationLaw
-from ..multipliers import AnsatzSpec, MultiplierSet
-from ..parser import parse
-from ..problem import PdeProblem, parse_problem_text
+from ..multipliers import AnsatzSpec, MultiplierSet, parse_ansatz
+from ..problem import PdeProblem, ProblemFile, parse_problem_text
 from ..verify import DEFAULT_SEED, full_report
 
 ENTRY_IDS = [
@@ -55,29 +54,6 @@ def _entry_text(entry_id: str) -> str:
     return res.read_text(encoding="utf-8")
 
 
-def _parse_hint(problem: PdeProblem, hints: dict) -> AnsatzSpec | None:
-    if "mult_deps" not in hints:
-        return None
-    gens = []
-    for txt in hints["mult_deps"].split(","):
-        nf = normalize(parse(txt.strip(), problem.table))
-        terms = list(nf.terms())
-        assert len(terms) == 1 and len(terms[0][1]) == 1 and terms[0][1][0][1] == 1
-        gens.append(terms[0][1][0][0])
-    degree = int(hints.get("mult_degree", 1))
-    xdegree = int(hints["mult_xdegree"]) if "mult_xdegree" in hints else None
-    laurent = {}
-    for item in hints.get("laurent", "").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        atom_txt, _, lo = item.partition(":")
-        nf = normalize(parse(atom_txt.strip(), problem.table))
-        atom = list(nf.terms())[0][1][0][0]
-        laurent[atom] = int(lo) if lo else -2
-    return AnsatzSpec(tuple(gens), degree, xdegree, laurent)
-
-
 def _law_from_expected(problem: PdeProblem, method: str, exp) -> ConservationLaw:
     p = problem.p
     nslots = 1 if method == "approach_b" else p + 1
@@ -93,29 +69,33 @@ def _law_from_expected(problem: PdeProblem, method: str, exp) -> ConservationLaw
     return ConservationLaw(mult, tuple(flux))
 
 
+def recorded_laws(pf: ProblemFile) -> list:
+    """The laws a problem file records, in index order, followed by the
+    eps-multiples its ``epsilon_shifts`` line declares."""
+    laws = [
+        CorpusLaw(str(exp.index), _law_from_expected(pf.problem, pf.method, exp),
+                  exp.status or "identity")
+        for exp in pf.expected
+    ]
+    by_label = {cl.label: cl for cl in laws}
+    for n in pf.epsilon_shifts:
+        base = by_label[str(n)]
+        laws.append(CorpusLaw(f"{n}*eps", base.law.eps_shifted(), base.expected_status))
+    return laws
+
+
 def load(entry_id: str) -> CorpusEntry:
     """Parse one corpus entry; raises on unknown ids or malformed fixtures."""
     if entry_id not in ENTRY_IDS:
         raise KeyError(f"unknown corpus entry {entry_id!r}")
     pf = parse_problem_text(_entry_text(entry_id), source=entry_id)
-    laws = []
-    for exp in pf.expected:
-        law = _law_from_expected(pf.problem, pf.method, exp)
-        laws.append(CorpusLaw(str(exp.index), law, exp.status or "identity"))
-    by_label = {cl.label: cl for cl in laws}
-    for n in pf.epsilon_shifts:
-        base = by_label[str(n)]
-        laws.append(
-            CorpusLaw(f"{n}*eps", base.law.eps_shifted(), base.expected_status)
-        )
-    return CorpusEntry(
-        entry_id,
-        pf.problem,
-        pf.method,
-        laws,
-        ansatz_hint=_parse_hint(pf.problem, pf.hints),
-        notes=pf.notes,
-    )
+    hints = pf.hints
+    hint = None
+    if "mult_deps" in hints:
+        hint = parse_ansatz(pf.problem.table, hints["mult_deps"], hints.get("mult_degree", 1),
+                            hints.get("mult_xdegree"), hints.get("laurent"))
+    return CorpusEntry(entry_id, pf.problem, pf.method, recorded_laws(pf),
+                       ansatz_hint=hint, notes=pf.notes)
 
 
 def load_all() -> list:

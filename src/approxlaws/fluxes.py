@@ -20,7 +20,7 @@ from .atoms import FuncAtom, INDEP, Jet, atom_at, intern, mono_atoms, mono_sort_
 from .expr import NormalForm, as_poly, atoms_of, normalize
 from .jets import total_derivative
 from .multipliers import MultiplierSet, contraction, euler_residuals
-from .problem import InconclusiveReduction, PdeProblem, trunc_eps
+from .problem import InconclusiveReduction, PdeProblem
 
 
 class ReconstructionError(Exception):
@@ -74,8 +74,6 @@ class ConservationLaw:
             for i, row in enumerate(self.fluxes):
                 kernel.poly_iadd(acc, as_poly(total_derivative(row[k], i)))
             out.append(NormalForm(acc))
-        if self.method == "approach_a":
-            out = [trunc_eps(s, problem.p) for s in out]
         return out
 
     def eps_shifted(self) -> "ConservationLaw":
@@ -270,34 +268,23 @@ def _invert_block(block, problem: PdeProblem, bounds: _Bounds, max_rounds: int =
                         next_frontier.append(m2)
         if not new_cands:
             return None
-        sol = _solve_block(block, cands, images, seen_block)
+        sol = _solve_block(block, cands, images)
         if sol is not None:
             return sol
         frontier = next_frontier
     return None
 
 
-def _solve_block(block, cands, images, seen_block):
+def _solve_block(block, cands, images):
     """Undetermined coefficients: sum_i D_i Phi^i = target on this block."""
-    n = len(cands)
-    unknowns = []
-    for i in range(n):
-        unknowns.extend((i, m) for m in sorted(cands[i], key=mono_sort_key))
-    col_of = {u: j for j, u in enumerate(unknowns)}
-    block_monos = sorted(seen_block, key=mono_sort_key)
-    mono_row = {m: r for r, m in enumerate(block_monos)}
-    rows = [dict() for _ in block_monos]
-    for (i, m), j in col_of.items():
-        for m2, c in images[(i, m)].items():
-            rows[mono_row[m2]][j] = c
-    rhs = {mono_row[m]: c for m, c in block.items()}
-    sol = linalg.solve_particular(rows, rhs, len(unknowns))
+    unknowns = [(i, m) for i, cs in enumerate(cands) for m in sorted(cs, key=mono_sort_key)]
+    sol = linalg.in_span([images[u] for u in unknowns], block)
     if sol is None:
         return None
-    fluxes = [dict() for _ in range(n)]
-    for (i, m), j in col_of.items():
-        if sol[j]:
-            fluxes[i][m] = sol[j]
+    fluxes = [dict() for _ in cands]
+    for (i, m), v in zip(unknowns, sol):
+        if v:
+            fluxes[i][m] = v
     return fluxes
 
 
@@ -314,8 +301,6 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
                 "fluxes exist only for multipliers"
             )
     targets = contraction(problem, mult)
-    if mult.method == "approach_a":
-        targets = [trunc_eps(t, problem.p) for t in targets]
     s = 0
     for row in mult.slots:
         for slot in row:
@@ -349,8 +334,8 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
             flux_slots[i].append(NormalForm(acc[i]))
 
     law = ConservationLaw(mult, tuple(tuple(col) for col in flux_slots))
-    residuals = identity_residuals(problem, law)
-    assert all(r.is_zero() for r in residuals), "reconstruction produced a non-identity"
+    if not all(r.is_zero() for r in identity_residuals(problem, law)):
+        raise ReconstructionError("reconstruction produced a non-identity")
     law.status = "identity-verified"
     return law
 
@@ -359,8 +344,6 @@ def identity_residuals(problem: PdeProblem, law: ConservationLaw) -> list:
     """Per-slot residual of the divergence identity (contraction minus
     divergence); all-zero means the law is identity-verified."""
     targets = contraction(problem, law.mult)
-    if law.method == "approach_a":
-        targets = [trunc_eps(t, problem.p) for t in targets]
     divs = law.divergence_slots(problem)
     return [NormalForm(kernel.poly_add(as_poly(t), kernel.poly_scale(as_poly(d), -1)))
             for t, d in zip(targets, divs)]

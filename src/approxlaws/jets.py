@@ -66,7 +66,10 @@ class EpsilonSeries:
     coeffs: list
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.order + 1
+        if len(self.coeffs) != self.order + 1:
+            raise ValueError(
+                f"an order-{self.order} series needs {self.order + 1} slots, got {len(self.coeffs)}"
+            )
 
     def reconstruct(self) -> NormalForm:
         out = {}

@@ -1,26 +1,157 @@
-"""Kernel backend selection.
+"""Normal-form arithmetic kernel.
 
-Prefers the compiled extension ``approxlaws._poly_c`` and falls back to the
-pure-Python twin.  ``APPROXLAWS_PURE=1`` forces the fallback (used by the
-benchmark and by tests that exercise both backends).
+A polynomial (normal form) is a dict mapping a monomial key to a nonzero
+exact rational coefficient (int where integral, fractions.Fraction
+otherwise).  A monomial key is a flat tuple ``(id0, e0, id1, e1, ...)`` of
+atom-id/exponent pairs sorted by atom id, with no zero exponents; the empty
+tuple is the constant monomial.
+
+These functions are the hot inner loop of the whole engine.  Callers use
+them as ``kernel.<fn>(...)`` so that the module's bindings stay the single
+place to instrument them.
 """
 
-import os
 
-if os.environ.get("APPROXLAWS_PURE"):
-    from . import _poly_py as _impl
-else:
-    try:
-        from . import _poly_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _poly_py as _impl
+def mono_mul(m1, m2):
+    """Merge two monomial keys, summing exponents and dropping zeros."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    n1 = len(m1)
+    n2 = len(m2)
+    out = []
+    i = j = 0
+    while i < n1 and j < n2:
+        a = m1[i]
+        b = m2[j]
+        if a == b:
+            e = m1[i + 1] + m2[j + 1]
+            if e:
+                out.append(a)
+                out.append(e)
+            i += 2
+            j += 2
+        elif a < b:
+            out.append(a)
+            out.append(m1[i + 1])
+            i += 2
+        else:
+            out.append(b)
+            out.append(m2[j + 1])
+            j += 2
+    if i < n1:
+        out.extend(m1[i:])
+    elif j < n2:
+        out.extend(m2[j:])
+    return tuple(out)
 
-BACKEND = _impl.BACKEND
 
-mono_mul = _impl.mono_mul
-poly_iadd = _impl.poly_iadd
-poly_add = _impl.poly_add
-poly_scale = _impl.poly_scale
-poly_mul_mono = _impl.poly_mul_mono
-poly_mul = _impl.poly_mul
-derive = _impl.derive
+def poly_iadd(acc, p, c=1):
+    """In-place ``acc += c * p``; drops cancelled terms."""
+    if not c:
+        return acc
+    if c == 1:
+        for m, v in p.items():
+            w = acc.get(m)
+            if w is None:
+                acc[m] = v
+            else:
+                w = w + v
+                if w:
+                    acc[m] = w
+                else:
+                    del acc[m]
+    else:
+        for m, v in p.items():
+            w = acc.get(m)
+            if w is None:
+                acc[m] = c * v
+            else:
+                w = w + c * v
+                if w:
+                    acc[m] = w
+                else:
+                    del acc[m]
+    return acc
+
+
+def poly_add(p1, p2):
+    out = dict(p1)
+    poly_iadd(out, p2)
+    return out
+
+
+def poly_scale(p, c):
+    if not c:
+        return {}
+    if c == 1:
+        return dict(p)
+    return {m: c * v for m, v in p.items()}
+
+
+def poly_mul_mono(p, mono, c):
+    """``c * mono * p`` as a new dict."""
+    if not c:
+        return {}
+    if not mono:
+        return poly_scale(p, c)
+    if c == 1:
+        return {mono_mul(m, mono): v for m, v in p.items()}
+    return {mono_mul(m, mono): c * v for m, v in p.items()}
+
+
+def poly_mul(p1, p2):
+    if not p1 or not p2:
+        return {}
+    if len(p1) < len(p2):
+        p1, p2 = p2, p1
+    out = {}
+    for m2, c2 in p2.items():
+        if m2:
+            for m1, c1 in p1.items():
+                key = mono_mul(m1, m2)
+                v = out.get(key)
+                if v is None:
+                    out[key] = c1 * c2
+                else:
+                    v = v + c1 * c2
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        else:
+            poly_iadd(out, p1, c2)
+    return out
+
+
+def derive(p, images):
+    """Extend the atom map ``images`` (atom id -> polynomial dict) to a
+    derivation of the whole algebra by the Leibniz rule and apply it to
+    ``p``.  Atoms absent from ``images`` derive to zero.  Total derivatives,
+    formal partials and the series recursion operator are all instances."""
+    out = {}
+    for mono, c in p.items():
+        n = len(mono)
+        for i in range(0, n, 2):
+            img = images.get(mono[i])
+            if not img:
+                continue
+            e = mono[i + 1]
+            if e == 1:
+                rest = mono[:i] + mono[i + 2:]
+            else:
+                rest = mono[:i] + (mono[i], e - 1) + mono[i + 2:]
+            ce = c * e
+            for m2, c2 in img.items():
+                key = mono_mul(rest, m2)
+                v = out.get(key)
+                if v is None:
+                    out[key] = ce * c2
+                else:
+                    v = v + ce * c2
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+    return out

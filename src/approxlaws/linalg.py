@@ -97,18 +97,19 @@ def solve_particular(rows, rhs: dict, ncols: int):
     return tuple(x)
 
 
-def in_span(basis_vecs, target, ncols: int):
-    """Coefficients expressing ``target`` in the span of ``basis_vecs`` (as
-    a tuple), or None.  Deterministic."""
-    rows = []
-    rhs = {}
-    for c in range(ncols):
-        row = {}
-        for j, v in enumerate(basis_vecs):
-            if v[c]:
-                row[j] = v[c]
-        t = target[c] if c < len(target) else 0
-        if row or t:
-            rhs[len(rows)] = t
-            rows.append(row)
-    return solve_particular(rows, rhs, len(basis_vecs))
+def in_span(columns, target):
+    """Coefficients expressing ``target`` as a combination of ``columns`` (a
+    tuple, free coefficients zero), or None.  Columns and target are sparse
+    maps from a row key to a coefficient; keys need only be hashable.  The
+    canonical RREF is unique, so the order of the rows cannot change the
+    answer."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            if v:
+                rows.setdefault(key, {})[j] = v
+    for key in target:
+        rows.setdefault(key, {})
+    keys = list(rows)
+    rhs = {i: target[key] for i, key in enumerate(keys) if target.get(key)}
+    return solve_particular([rows[key] for key in keys], rhs, len(columns))

@@ -25,6 +25,7 @@ from .jets import (
     recursion_R,
     unexpanded_euler,
 )
+from .parser import parse
 from .problem import PdeProblem, ProblemError, _multiset_contains
 
 METHODS = ("consistent", "approach_a", "approach_b")
@@ -69,6 +70,44 @@ class AnsatzSpec:
     @property
     def xdeg(self) -> int:
         return self.degree if self.xdegree is None else self.xdegree
+
+
+def _ansatz_int(text, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise AnsatzError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _generator_atom(text: str, table):
+    terms = list(normalize(parse(text.strip(), table)).terms())
+    if len(terms) != 1 or terms[0][0] != 1 or len(terms[0][1]) != 1 or terms[0][1][0][1] != 1:
+        raise AnsatzError(f"{text.strip()!r} is not a single generator atom")
+    return terms[0][1][0][0]
+
+
+def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
+                 laurent: str | None = None, allow_leading: bool = False) -> AnsatzSpec:
+    """An ansatz from its text form, as the CLI flags and the problem-file
+    hints write it: comma-separated generator atoms (default: every
+    independent variable and order-0 dependent coordinate) and Laurent items
+    ``atom:min`` (``min`` defaults to -2).  Degree bounds may be text."""
+    if mult_deps:
+        gens = [_generator_atom(g, table) for g in mult_deps.split(",")]
+    else:
+        gens = list(table.indep) + [table.jet(name, 0) for name in table.dep_names]
+    bounds = {}
+    for item in (laurent or "").split(","):
+        atom_txt, _, lo = item.strip().partition(":")
+        if atom_txt:
+            bounds[_generator_atom(atom_txt, table)] = _ansatz_int(lo, "a Laurent bound") if lo else -2
+    return AnsatzSpec(
+        tuple(gens),
+        _ansatz_int(degree, "the multiplier degree"),
+        None if xdegree is None else _ansatz_int(xdegree, "the multiplier x-degree"),
+        bounds,
+        allow_leading=allow_leading,
+    )
 
 
 @dataclass
@@ -274,6 +313,10 @@ def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     nu, l <= k of slots[nu][l] * (equation slot k-l), k = 0..p.  Approach B:
     a single exact contraction sum over nu, k of slots[nu][k] * (expanded
     equation slot k).
+
+    These are the targets a law's flux divergence must equal, for every
+    method.  Multiplier slots and equation slots are eps-free (the slot index
+    carries the power), so the slots need no further eps truncation.
     """
     p = problem.p
     if mult.method == "approach_b":
@@ -467,16 +510,19 @@ class SolveResult:
     classified: list
 
 
-def _slot_coefficient_rows(mult: MultiplierSet, upto: int):
-    """Rows keyed by (nu, k<=upto, monomial) -> coefficient, for matching."""
-    out = {}
-    for nu, row in enumerate(mult.slots):
-        for k, slot in enumerate(row):
-            if k > upto:
-                break
-            for mono, c in as_poly(slot).items():
-                out[(nu, k, mono)] = c
-    return out
+def _keyed_coefficients(slots: dict) -> dict:
+    """Flatten ``{(nu, k): polynomial}`` into ``{(nu, k, monomial): coefficient}``."""
+    return {(nu, k, mono): c for (nu, k), pol in slots.items() for mono, c in pol.items()}
+
+
+def _slot_coefficients(mult: MultiplierSet, upto: int | None = None) -> dict:
+    """The multiplier's coefficients keyed by (nu, k, monomial), slots k <= upto."""
+    return _keyed_coefficients({
+        (nu, k): as_poly(slot)
+        for nu, row in enumerate(mult.slots)
+        for k, slot in enumerate(row)
+        if upto is None or k <= upto
+    })
 
 
 def classify(result_basis, ansatz: MultiplierSet, unknowns, problem: PdeProblem) -> list:
@@ -489,7 +535,7 @@ def classify(result_basis, ansatz: MultiplierSet, unknowns, problem: PdeProblem)
         trivial = m.is_trivial()
         shift = False
         if trivial and not m.is_zero() and m.method != "approach_b":
-            shift = _is_eps_shift(m, mults, problem)
+            shift = _is_eps_shift(m, mults)
         # the stability notion (the order-0 part survives the perturbation)
         # belongs to the eps-series methods
         stable = not trivial and m.method != "approach_b"
@@ -498,37 +544,15 @@ def classify(result_basis, ansatz: MultiplierSet, unknowns, problem: PdeProblem)
     return [classified[i] for i in order]
 
 
-def _is_eps_shift(m: MultiplierSet, space: list, problem: PdeProblem) -> bool:
+def _is_eps_shift(m: MultiplierSet, space: list) -> bool:
     """Is there a space member whose eps-multiple equals m (slotwise, the last
     slot of the member being beyond truncation)?"""
     p = m.p
     # unshift: candidate slots k = m slots k+1 for k < p; match against
     # combinations of the basis on slots 0..p-1.
-    target = {}
-    for nu, row in enumerate(m.slots):
-        for k in range(p):
-            for mono, c in as_poly(row[k + 1]).items():
-                target[(nu, k, mono)] = c
-    keys = set(target)
-    cols = []
-    for member in space:
-        rows = _slot_coefficient_rows(member, p - 1)
-        keys |= set(rows)
-        cols.append(rows)
-    key_list = sorted(keys, key=lambda key: (key[0], key[1], mono_sort_key(key[2])))
-    rows = []
-    rhs = {}
-    for i, key in enumerate(key_list):
-        row = {}
-        for j, colmap in enumerate(cols):
-            v = colmap.get(key)
-            if v:
-                row[j] = v
-        b = target.get(key, 0)
-        if row or b:
-            rhs[len(rows)] = b
-            rows.append(row)
-    return linalg.solve_particular(rows, rhs, len(cols)) is not None
+    target = {(nu, k - 1, mono): c for (nu, k, mono), c in _slot_coefficients(m).items() if k}
+    columns = [_slot_coefficients(member, p - 1) for member in space]
+    return linalg.in_span(columns, target) is not None
 
 
 def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> SolveResult:
@@ -543,32 +567,5 @@ def coefficient_vector(mult: MultiplierSet, ansatz: MultiplierSet, unknowns) -> 
     """Express a concrete multiplier set in the ansatz coefficient space, or
     None if it does not fit (used for span-membership tests)."""
     _, contrib = _decompose_by_unknown(ansatz)
-    keys = set()
-    colmaps = []
-    for s in unknowns:
-        cm = {}
-        for (nu, k), pol in contrib[s].items():
-            for mono, c in pol.items():
-                cm[(nu, k, mono)] = c
-        colmaps.append(cm)
-        keys |= set(cm)
-    target = {}
-    for nu, row in enumerate(mult.slots):
-        for k, slot in enumerate(row):
-            for mono, c in as_poly(slot).items():
-                target[(nu, k, mono)] = c
-    keys |= set(target)
-    key_list = sorted(keys, key=lambda key: (key[0], key[1], mono_sort_key(key[2])))
-    rows = []
-    rhs = {}
-    for key in key_list:
-        row = {}
-        for j, cm in enumerate(colmaps):
-            v = cm.get(key)
-            if v:
-                row[j] = v
-        b = target.get(key, 0)
-        if row or b:
-            rhs[len(rows)] = b
-            rows.append(row)
-    return linalg.solve_particular(rows, rhs, len(unknowns))
+    columns = [_keyed_coefficients(contrib[s]) for s in unknowns]
+    return linalg.in_span(columns, _slot_coefficients(mult))

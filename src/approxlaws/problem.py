@@ -225,11 +225,6 @@ def _trunc_eps(p: dict, pmax: int) -> dict:
     return out
 
 
-def trunc_eps(e, pmax: int) -> NormalForm:
-    """Drop terms with eps-power above ``pmax``."""
-    return NormalForm(_trunc_eps(as_poly(e), pmax))
-
-
 # --- problem-file format -----------------------------------------------------
 
 
@@ -255,6 +250,13 @@ class ProblemFile:
 
 def _split_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ProblemError(f"{where}: expected an integer, got {text!r}") from None
 
 
 def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
@@ -308,7 +310,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                     raise ProblemError(f"{where}: unknown method {value!r}")
                 method = value
             elif key == "order":
-                order = int(value)
+                order = _int(value, where)
             elif key == "equation":
                 eqn_texts.append(value)
             elif key == "leading":
@@ -325,7 +327,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                     raise ProblemError(f"{where}: leading must be a single jet coordinate")
                 leading.append(terms[0][1][0][0])
             elif key == "epsilon_shifts":
-                shifts = [int(v) for v in _split_list(value)]
+                shifts = [_int(v, where) for v in _split_list(value)]
             elif key == "note":
                 notes.append(value)
             elif key.startswith("hint."):
@@ -333,10 +335,10 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             elif key.startswith("multiplier."):
                 parts = key.split(".")
                 if len(parts) == 3:
-                    n, k = int(parts[1]), int(parts[2])
+                    n, k = _int(parts[1], where), _int(parts[2], where)
                     nu = 0
                 elif len(parts) == 4:
-                    n, nu, k = int(parts[1]), int(parts[2]) - 1, int(parts[3])
+                    n, nu, k = _int(parts[1], where), _int(parts[2], where) - 1, _int(parts[3], where)
                 else:
                     raise ProblemError(f"{where}: malformed multiplier key")
                 law(n).mult[(nu, k)] = normalize(parse(value, table))
@@ -344,11 +346,11 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                 parts = key.split(".")
                 if len(parts) != 4:
                     raise ProblemError(f"{where}: malformed flux key")
-                n, var, k = int(parts[1]), parts[2], int(parts[3])
+                n, var, k = _int(parts[1], where), parts[2], _int(parts[3], where)
                 i = table.indep_index(var)
                 if i is None:
                     raise ProblemError(f"{where}: {var!r} is not an independent variable")
-                law(n).flux[(i, int(k))] = normalize(parse(value, table))
+                law(n).flux[(i, k)] = normalize(parse(value, table))
             elif key.startswith("expected."):
                 parts = key.split(".")
                 if len(parts) != 3 or parts[2] != "status":
@@ -356,7 +358,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                 status = value
                 if status not in ("identity", "onsolution"):
                     raise ProblemError(f"{where}: unknown status {status!r}")
-                law(int(parts[1])).status = status
+                law(_int(parts[1], where)).status = status
             else:
                 raise ProblemError(f"{where}: unknown key {key!r}")
         except ParseError as exc:
@@ -373,6 +375,11 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
         except ParseError as exc:
             raise ProblemError(f"{source}: {exc}") from exc
     problem = PdeProblem(table, eqns, leading, order, name=name)
+    for n in shifts:
+        if n not in expected:
+            raise ProblemError(f"{source}: epsilon_shifts names law {n}, which the file does not record")
+    if shifts and method == "approach_b":
+        raise ProblemError(f"{source}: approach-b laws carry no eps series to shift")
     laws = [expected[n] for n in sorted(expected)]
     return ProblemFile(problem, method, laws, shifts, hints, notes)
 

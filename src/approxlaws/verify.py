@@ -17,7 +17,7 @@ from .atoms import FuncAtom, Jet, Sym, mono_atoms
 from .expr import EvalError, NormalForm, atoms_of, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
 from .multipliers import MultiplierSet, contraction, euler_residuals
-from .problem import InconclusiveReduction, PdeProblem, trunc_eps
+from .problem import InconclusiveReduction, PdeProblem
 
 DEFAULT_SEED = 2023
 
@@ -128,8 +128,6 @@ def spot_check(problem: PdeProblem, law: ConservationLaw, trials: int = 20,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     targets = contraction(problem, law.mult)
-    if law.method == "approach_a":
-        targets = [trunc_eps(t, problem.p) for t in targets]
     divs = law.divergence_slots(problem)
     exprs = list(targets) + list(divs)
     checks = []

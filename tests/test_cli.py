@@ -230,3 +230,40 @@ def test_byte_identical_reports(tmp_path):
             )
             outs.append(res.stdout)
         assert outs[0] == outs[1] and outs[0]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("epsilon_shifts = 1, 2", "epsilon_shifts = 9"),
+        ("epsilon_shifts = 1, 2", "epsilon_shifts = 1.0"),
+        ("method = consistent", "method = approach_b"),
+        ("order = 1", "order = two"),
+        ("multiplier.1.0 = 1", "multiplier.one.0 = 1"),
+        ("flux.1.t.0 = u[0]", "flux.1.t.zero = u[0]"),
+        ("expected.1.status", "expected.one.status"),
+    ],
+)
+def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
+    # malformed problem files are input errors (exit 2), never tracebacks
+    bad = tmp_path / "bad.prob"
+    text = open(fixture_path("diffusion-consistent")).read()
+    assert old in text
+    bad.write_text(text.replace(old, new))
+    code, _, err = run_cli(capsys, "verify", str(bad), "--trials", "1")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--laurent", "u[0]:x"],
+        ["--mult-deps", "t,2*x"],
+    ],
+)
+def test_malformed_ansatz_flags_exit_code(capsys, flags):
+    code, _, err = run_cli(capsys, "solve", fixture_path("diffusion-consistent"), *flags,
+                           "--mult-degree", "1", "--trials", "1")
+    assert code == 2
+    assert err.startswith("error: ")

@@ -176,3 +176,11 @@ def test_approach_b_reconstruction(diffusion):
     law = reconstruct(diffusion, m)
     assert law.status == "identity-verified"
     assert len(law.fluxes[0]) == 1
+
+
+def test_non_identity_reconstruction_is_a_typed_error(diffusion, monkeypatch):
+    import approxlaws.fluxes as fluxes
+
+    monkeypatch.setattr(fluxes, "identity_residuals", lambda problem, law: [normalize(1)])
+    with pytest.raises(ReconstructionError, match="non-identity"):
+        reconstruct(diffusion, mult(diffusion, "1", "0"))

@@ -3,6 +3,7 @@
 import pytest
 
 from approxlaws import (
+    EpsilonSeries,
     UnsupportedFormError,
     collect_eps,
     consistent_euler,
@@ -152,3 +153,9 @@ def test_series_reconstruct(P, table):
     s = expand_epsilon(e, 2)
     direct = P("u[0]^2 + 2*eps*u[0]*u[1] + eps^2*(u[1]^2 + 2*u[0]*u[2]) - eps*u[0] - eps^2*u[1]")
     assert s.reconstruct() == direct
+
+
+def test_series_slot_count_checked(P):
+    # a typed error, not an assert, so that it holds under python -O
+    with pytest.raises(ValueError):
+        EpsilonSeries(2, [P("u[0]")])

@@ -1,5 +1,6 @@
 """Exact rational linear algebra."""
 
+import random
 from fractions import Fraction
 
 from approxlaws.linalg import in_span, nullspace, rref, solve_particular
@@ -51,6 +52,25 @@ def test_solve_rational_pivots():
 
 
 def test_in_span():
-    basis = [(1, 0, 2), (0, 1, -1)]
-    assert in_span(basis, (2, 3, 1), 3) == (2, 3)
-    assert in_span(basis, (0, 0, 1), 3) is None
+    basis = [{0: 1, 2: 2}, {1: 1, 2: -1}]
+    assert in_span(basis, {0: 2, 1: 3, 2: 1}) == (2, 3)
+    assert in_span(basis, {2: 1}) is None
+
+
+def test_in_span_ignores_row_order():
+    # rows are taken in dict order, unsorted: the canonical RREF makes the
+    # particular solution independent of it
+    rng = random.Random(7)
+    for _ in range(50):
+        keys = [("k", i) for i in range(6)]
+        columns = [
+            {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in rng.sample(keys, 3)}
+            for _ in range(4)
+        ]
+        target = {k: sum(c.get(k, 0) * w for c, w in zip(columns, (1, 0, 2, -1))) for k in keys}
+        answer = in_span(columns, target)
+        assert answer is not None
+        for _ in range(3):
+            order = rng.sample(keys, len(keys))
+            shuffled = [{k: col[k] for k in order if k in col} for col in columns]
+            assert in_span(shuffled, {k: target[k] for k in order}) == answer

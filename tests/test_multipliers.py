@@ -12,9 +12,15 @@ from approxlaws.multipliers import (
     build_ansatz,
     coefficient_vector,
     determining_system,
+    parse_ansatz,
     solve_multipliers,
 )
 from approxlaws.problem import parse_problem_text
+
+
+def span_of_vectors(basis, vec):
+    """``in_span`` for coefficient tuples: component i is row key i."""
+    return in_span([dict(enumerate(b)) for b in basis], dict(enumerate(vec)))
 
 
 def spec_for(problem, gens, degree, xdegree=None):
@@ -95,7 +101,7 @@ def test_diffusion_consistent_nullspace(diffusion):
     for m in published:
         vec = coefficient_vector(m, res.ansatz, res.system.unknowns)
         assert vec is not None
-        assert in_span(res.basis, vec, len(res.system.unknowns)) is not None
+        assert span_of_vectors(res.basis, vec) is not None
     # canonical basis reproduces the published non-trivial multipliers verbatim
     nontrivial = [cm for cm in res.classified if not cm.trivial]
     assert [cm.mult.slots for cm in nontrivial] == [m.slots for m in published[:2]]
@@ -131,7 +137,7 @@ def test_diffusion_approach_b(diffusion):
         m = MultiplierSet("approach_b", slots)
         vec = coefficient_vector(m, res.ansatz, res.system.unknowns)
         assert vec is not None
-        assert in_span(res.basis, vec, len(res.system.unknowns)) is not None
+        assert span_of_vectors(res.basis, vec) is not None
 
 
 def test_slots_must_be_eps_free(diffusion):
@@ -188,14 +194,13 @@ def test_kdv_trivial_but_independent(kdv):
 def test_eps_closure_property(diffusion):
     spec = spec_for(diffusion, ["t", "x", "u[0]"], 2)
     res = solve_multipliers(diffusion, spec, "consistent")
-    n = len(res.system.unknowns)
     for cm in res.classified:
         shifted = cm.mult.eps_shifted()
         if shifted.is_zero():
             continue
         vec = coefficient_vector(shifted, res.ansatz, res.system.unknowns)
         assert vec is not None
-        assert in_span(res.basis, vec, n) is not None
+        assert span_of_vectors(res.basis, vec) is not None
 
 
 def test_stability_order_zero_slots_solve_unperturbed(diffusion):
@@ -232,3 +237,22 @@ def test_determinism(diffusion):
     b = solve_multipliers(diffusion, spec, "consistent")
     assert a.basis == b.basis
     assert [cm.mult.slots for cm in a.classified] == [cm.mult.slots for cm in b.classified]
+
+
+def test_parse_ansatz_text_forms(diffusion):
+    tab = diffusion.table
+    spec = parse_ansatz(tab, "t, x, u[0]", "2", None, "u[0]:-1, x")
+    assert spec.generators == (tab.indep[0], tab.indep[1], tab.jet("u", 0))
+    assert spec.degree == 2 and spec.laurent == {tab.jet("u", 0): -1, tab.indep[1]: -2}
+    default = parse_ansatz(tab, None, 1)
+    assert default.generators == spec.generators
+    for bad in (
+        dict(mult_deps="t, 2*x", degree=1),
+        dict(mult_deps="u[0]^2", degree=1),
+        dict(mult_deps="t", degree="two"),
+        dict(mult_deps="t", degree=1, xdegree="1.5"),
+        dict(mult_deps="t", degree=1, laurent="u[0]:x"),
+        dict(mult_deps="t", degree=1, laurent="t + x:-1"),
+    ):
+        with pytest.raises(AnsatzError):
+            parse_ansatz(tab, **bad)
