@@ -3,7 +3,7 @@
 Three kinds of atoms occur in normal forms:
 
 * :class:`Sym` -- independent variables, named parameters, the small
-  parameter, unknown ansatz coefficients, and bare function symbols;
+  parameter, and unknown ansatz coefficients;
 * :class:`Jet` -- derivative coordinates ``u[k]_J`` of a dependent variable
   (``k`` is the perturbation order, ``None`` meaning "not yet expanded");
 * :class:`FuncAtom` -- an uninterpreted function application ``f''(u[0])``
@@ -24,7 +24,6 @@ INDEP = "indep"
 PARAM = "param"
 EPS = "eps"
 COEFF = "coeff"
-FUNC = "func"
 
 _KIND_RANK = {INDEP: 0, PARAM: 1, EPS: 2, COEFF: 3}
 
@@ -121,10 +120,6 @@ def intern(atom) -> int:
 
 def atom_at(i: int):
     return _atoms[i]
-
-
-def is_eps(atom) -> bool:
-    return isinstance(atom, Sym) and atom.kind == EPS
 
 
 def mono_atoms(mono):

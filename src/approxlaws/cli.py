@@ -24,7 +24,7 @@ from .jets import EpsilonSeries, expand_epsilon
 from .multipliers import parse_ansatz, solve_multipliers
 from .parser import ParseError, parse
 from .printer import print_poly
-from .problem import PdeProblem, ProblemError, load_problem_file
+from .problem import METHODS, PdeProblem, ProblemError, load_problem_file
 from .verify import DEFAULT_SEED, full_report
 
 OK, INPUT_ERROR, INCOMPLETE, VERIFY_FAILED = 0, 2, 3, 4
@@ -51,7 +51,6 @@ class RunConfig:
     mult_xdegree: int | None = None
     flux_degree: int | None = None
     laurent: str | None = None
-    allow_leading: bool = False
     format: str = "text"
     seed: int = DEFAULT_SEED
     out: str | None = None
@@ -78,7 +77,7 @@ class RunConfig:
 
 def _ansatz_from_args(args, problem):
     return parse_ansatz(problem.table, args.mult_deps, args.mult_degree, args.mult_xdegree,
-                        args.laurent, allow_leading=args.allow_leading)
+                        args.laurent)
 
 
 def _mult_json(cm, table, index, style="machine"):
@@ -177,7 +176,7 @@ def run_compare(args) -> tuple[dict, int]:
     }
     results = {}
     code = OK
-    for method in ("consistent", "approach_a", "approach_b"):
+    for method in METHODS:
         result = solve_multipliers(problem, spec, method)
         results[method] = result
         block = {
@@ -204,19 +203,20 @@ def run_compare(args) -> tuple[dict, int]:
     except ReconstructionError as exc:
         report["reconstruction_failures"] = [str(exc)]
         return report, INCOMPLETE
+    # an approach-a law that does not expand has no consistent counterpart
+    a_expanded = []
+    for j, alaw in a_laws:
+        try:
+            a_expanded.append((j, [_expand_row(row, problem.p) for row in alaw.mult.slots],
+                               [_expand_row(row, problem.p) for row in alaw.fluxes]))
+        except UnsupportedFormError:
+            continue
     for i, claw in cons_laws:
-        for j, alaw in a_laws:
-            try:
-                am = [expand_epsilon(_series(row).reconstruct(), problem.p).coeffs
-                      for row in alaw.mult.slots]
-            except UnsupportedFormError:
-                continue
+        for j, am, af in a_expanded:
             if all(
                 all((a == b) for a, b in zip(am[nu], claw.mult.slots[nu]))
                 for nu in range(problem.q)
             ):
-                af = [expand_epsilon(_series(row).reconstruct(), problem.p).coeffs
-                      for row in alaw.fluxes]
                 same = all(
                     all((a == b) for a, b in zip(af[d], claw.fluxes[d]))
                     for d in range(len(claw.fluxes))
@@ -234,6 +234,11 @@ def run_compare(args) -> tuple[dict, int]:
 def _series(row) -> EpsilonSeries:
     """A row of eps-series slots as the series sum_k eps^k row[k]."""
     return EpsilonSeries(len(row) - 1, list(row))
+
+
+def _expand_row(row, p: int) -> list:
+    """The expansion slots of an approach-a row of eps-series slots."""
+    return expand_epsilon(_series(row).reconstruct(), p).coeffs
 
 
 def run_verify(args) -> tuple[dict, int]:
@@ -269,7 +274,10 @@ def run_expand(args) -> tuple[dict, int]:
     if not args.expr:
         raise CliError("expand requires --expr")
     p = args.order or problem.p
-    series = expand_epsilon(parse(args.expr, problem.table), p)
+    try:
+        series = expand_epsilon(parse(args.expr, problem.table), p)
+    except UnsupportedFormError as exc:
+        raise CliError(f"--expr: {exc}") from exc
     table = problem.table
     style = "human" if args.format == "text" else "machine"
     report = {
@@ -448,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mult-xdegree", type=int, default=None)
         p.add_argument("--flux-degree", type=int, default=None)
         p.add_argument("--laurent", default=None, help="Laurent generators, e.g. 'u[0]:-2'")
-        p.add_argument("--allow-leading", action="store_true",
-                       help="permit ansatz dependence on leading derivatives")
 
     p = sub.add_parser("solve", help="find multipliers and reconstruct fluxes")
     common(p)

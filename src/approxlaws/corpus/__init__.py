@@ -17,7 +17,7 @@ from importlib import resources
 from ..expr import NormalForm
 from ..fluxes import ConservationLaw
 from ..multipliers import AnsatzSpec, MultiplierSet, parse_ansatz
-from ..problem import PdeProblem, ProblemFile, parse_problem_text
+from ..problem import PdeProblem, ProblemError, ProblemFile, parse_problem_text
 from ..verify import DEFAULT_SEED, full_report
 
 ENTRY_IDS = [
@@ -72,11 +72,13 @@ def _law_from_expected(problem: PdeProblem, method: str, exp) -> ConservationLaw
 def recorded_laws(pf: ProblemFile) -> list:
     """The laws a problem file records, in index order, followed by the
     eps-multiples its ``epsilon_shifts`` line declares."""
-    laws = [
-        CorpusLaw(str(exp.index), _law_from_expected(pf.problem, pf.method, exp),
-                  exp.status or "identity")
-        for exp in pf.expected
-    ]
+    laws = []
+    for exp in pf.expected:
+        try:
+            law = _law_from_expected(pf.problem, pf.method, exp)
+        except ValueError as exc:  # a slot outside the method's coordinate language
+            raise ProblemError(f"law {exp.index}: {exc}") from exc
+        laws.append(CorpusLaw(str(exp.index), law, exp.status or "identity"))
     by_label = {cl.label: cl for cl in laws}
     for n in pf.epsilon_shifts:
         base = by_label[str(n)]
@@ -96,10 +98,6 @@ def load(entry_id: str) -> CorpusEntry:
                             hints.get("mult_xdegree"), hints.get("laurent"))
     return CorpusEntry(entry_id, pf.problem, pf.method, recorded_laws(pf),
                        ansatz_hint=hint, notes=pf.notes)
-
-
-def load_all() -> list:
-    return [load(eid) for eid in ENTRY_IDS]
 
 
 @dataclass

@@ -111,12 +111,6 @@ class NormalForm(Expr):
             pairs = sorted(mono_atoms(mono), key=lambda ae: ae[0].sort_key())
             yield Fraction(self._p[mono]), pairs
 
-    def coefficient_map(self):
-        """Mapping from canonically-sorted atom tuples to coefficients."""
-        return {
-            tuple(pairs): c for c, pairs in ((c, tuple(p)) for c, p in self.terms())
-        }
-
     def __len__(self):
         return len(self._p)
 

@@ -65,7 +65,7 @@ class ConservationLaw:
     def method(self) -> str:
         return self.mult.method
 
-    def divergence_slots(self, problem: PdeProblem) -> list:
+    def divergence_slots(self) -> list:
         """Slots of sum_i D_i Phi^i, matching the contraction slots."""
         out = []
         nslots = len(self.fluxes[0])
@@ -128,14 +128,6 @@ def _mono_edit(mono, *changes):
         delta.append(aid)
         delta.append(de)
     return kernel.mono_mul(mono, tuple(delta))
-
-
-def _max_jet_order(mono) -> int:
-    top = 0
-    for a, _ in mono_atoms(mono):
-        if isinstance(a, Jet):
-            top = max(top, len(a.deriv))
-    return top
 
 
 def _mono_degree(mono) -> int:
@@ -294,13 +286,12 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
     order by order.  Raises :class:`ReconstructionError` when the basis
     ceiling is reached."""
     spec = fluxspec or FluxSpec()
-    for kind, k, res in euler_residuals(problem, mult):
-        if not res.is_zero():
-            raise ReconstructionError(
-                "multiplier set fails the Euler-annihilation check; "
-                "fluxes exist only for multipliers"
-            )
     targets = contraction(problem, mult)
+    if not all(res.is_zero() for _, _, res in euler_residuals(problem, mult.method, targets)):
+        raise ReconstructionError(
+            "multiplier set fails the Euler-annihilation check; "
+            "fluxes exist only for multipliers"
+        )
     s = 0
     for row in mult.slots:
         for slot in row:
@@ -344,7 +335,7 @@ def identity_residuals(problem: PdeProblem, law: ConservationLaw) -> list:
     """Per-slot residual of the divergence identity (contraction minus
     divergence); all-zero means the law is identity-verified."""
     targets = contraction(problem, law.mult)
-    divs = law.divergence_slots(problem)
+    divs = law.divergence_slots()
     return [NormalForm(kernel.poly_add(as_poly(t), kernel.poly_scale(as_poly(d), -1)))
             for t, d in zip(targets, divs)]
 
@@ -369,7 +360,7 @@ def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem,
             for ra, rb in zip(a.fluxes, b.fluxes)
         ),
     )
-    divs = diff.divergence_slots(problem)
+    divs = diff.divergence_slots()
     if all(d.is_zero() for d in divs):
         return "equivalent"
     expanded = a.method != "approach_a"

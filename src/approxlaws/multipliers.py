@@ -3,10 +3,13 @@
 The unknown multiplier coefficient functions are realized as bounded-degree
 polynomials over a generator set (independent variables and order-0 jet
 coordinates, optionally Laurent in designated atoms) with unknown rational
-coefficients.  Applying the Euler operators to the truncated contraction of
-the ansatz with the equations and collecting coefficients of the free jet
-monomials turns the determining conditions into one homogeneous exact linear
-system; its nullspace basis is the solution space.
+coefficients.  A multiplier set is one whose truncated contraction with the
+equations the Euler operators annihilate.  The ansatz is linear in its
+unknowns, so the determining system is the Euler residuals of each unknown's
+contraction: column j holds those of unknown j, one row per (operator,
+slot, free jet monomial).  Its nullspace basis is the solution space.
+The same contraction and Euler residuals certify a concrete multiplier set
+and give the targets of flux reconstruction.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from .jets import (
     unexpanded_euler,
 )
 from .parser import parse
-from .problem import PdeProblem, ProblemError, _multiset_contains
-
-METHODS = ("consistent", "approach_a", "approach_b")
+from .problem import METHODS, PdeProblem, ProblemError
 
 
 class AnsatzError(ProblemError):
@@ -36,7 +37,7 @@ class AnsatzError(ProblemError):
 
 
 class SingularAnsatzError(AnsatzError):
-    """Generators depend on a declared leading derivative."""
+    """The ansatz depends on a declared leading derivative."""
 
 
 @dataclass
@@ -54,7 +55,6 @@ class AnsatzSpec:
     degree: int
     xdegree: int | None = None
     laurent: dict = field(default_factory=dict)
-    allow_leading: bool = False
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -87,7 +87,7 @@ def _generator_atom(text: str, table):
 
 
 def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
-                 laurent: str | None = None, allow_leading: bool = False) -> AnsatzSpec:
+                 laurent: str | None = None) -> AnsatzSpec:
     """An ansatz from its text form, as the CLI flags and the problem-file
     hints write it: comma-separated generator atoms (default: every
     independent variable and order-0 dependent coordinate) and Laurent items
@@ -106,7 +106,6 @@ def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
         _ansatz_int(degree, "the multiplier degree"),
         None if xdegree is None else _ansatz_int(xdegree, "the multiplier x-degree"),
         bounds,
-        allow_leading=allow_leading,
     )
 
 
@@ -204,19 +203,6 @@ def shape_generators(generators, method: str, p: int):
     return tuple(gens)
 
 
-def _guard_leading(problem: PdeProblem, gens, allow_leading: bool):
-    if allow_leading:
-        return
-    for g in gens:
-        if isinstance(g, Jet):
-            for lead in problem.leading:
-                if g.dep == lead.dep and _multiset_contains(g.deriv, lead.deriv):
-                    raise SingularAnsatzError(
-                        f"generator depends on the leading derivative of equation "
-                        f"{problem.leading.index(lead) + 1} (pass allow_leading to override)"
-                    )
-
-
 def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict) -> list:
     """Deterministic monomial basis: jet-part total degree <= degree (Laurent
     exponents counted by absolute value), independent-part <= xdegree."""
@@ -275,7 +261,6 @@ def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consisten
         raise ValueError(f"unknown method {method!r}")
     p = problem.p
     gens = shape_generators(spec.generators, method, p)
-    _guard_leading(problem, gens, spec.allow_leading)
     basis = enumerate_basis(gens, spec.degree, spec.xdeg, spec.laurent)
     rows = []
     for nu in range(problem.q):
@@ -306,39 +291,40 @@ def _linear_combo(basis, syms):
 # --- contraction and Euler residuals -----------------------------------------
 
 
-def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
-    """The truncated product of the multiplier set with the equations.
+def _contract(problem: PdeProblem, method: str, slots: dict) -> list:
+    """The truncated product of multiplier slots ``{(nu, k): polynomial}``
+    with the equations.
 
     Consistent / approach A: the Cauchy-product slots T_k = sum over
-    nu, l <= k of slots[nu][l] * (equation slot k-l), k = 0..p.  Approach B:
-    a single exact contraction sum over nu, k of slots[nu][k] * (expanded
+    nu, l <= k of slots[(nu, l)] * (equation slot k-l), k = 0..p.  Approach B:
+    a single exact contraction sum over nu, k of slots[(nu, k)] * (expanded
     equation slot k).
+    """
+    p = problem.p
+    if method == "approach_b":
+        out = {}
+        for (nu, k), a_poly in slots.items():
+            dsl = problem.expanded_slots(nu)
+            kernel.poly_iadd(out, kernel.poly_mul(as_poly(a_poly), as_poly(dsl[k])))
+        return [NormalForm(out)]
+    parts = [{} for _ in range(p + 1)]
+    for (nu, ell), a_poly in slots.items():
+        dsl = problem.expanded_slots(nu) if method == "consistent" else problem.unexpanded_slots(nu)
+        for k in range(ell, p + 1):
+            kernel.poly_iadd(parts[k], kernel.poly_mul(as_poly(a_poly), as_poly(dsl[k - ell])))
+    return [NormalForm(part) for part in parts]
+
+
+def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
+    """The truncated product of the multiplier set with the equations.
 
     These are the targets a law's flux divergence must equal, for every
     method.  Multiplier slots and equation slots are eps-free (the slot index
     carries the power), so the slots need no further eps truncation.
     """
-    p = problem.p
-    if mult.method == "approach_b":
-        out = {}
-        for nu in range(problem.q):
-            dsl = problem.expanded_slots(nu)
-            for k in range(p + 1):
-                kernel.poly_iadd(out, as_poly(mult.slots[nu][k] * dsl[k]))
-        return [NormalForm(out)]
-    slots = []
-    for k in range(p + 1):
-        out = {}
-        for nu in range(problem.q):
-            dsl = (
-                problem.expanded_slots(nu)
-                if mult.method == "consistent"
-                else problem.unexpanded_slots(nu)
-            )
-            for ell in range(k + 1):
-                kernel.poly_iadd(out, as_poly(mult.slots[nu][ell] * dsl[k - ell]))
-        slots.append(NormalForm(out))
-    return slots
+    return _contract(problem, mult.method, {
+        (nu, k): slot for nu, row in enumerate(mult.slots) for k, slot in enumerate(row)
+    })
 
 
 def euler_kinds(problem: PdeProblem, method: str) -> list[EulerKind]:
@@ -350,15 +336,13 @@ def euler_kinds(problem: PdeProblem, method: str) -> list[EulerKind]:
     return [per_order_euler(a, k) for a in range(m) for k in range(problem.p + 1)]
 
 
-def euler_residuals(problem: PdeProblem, mult: MultiplierSet) -> list:
-    """Euler-operator images of the contraction; all must vanish for ``mult``
-    to be a multiplier set.  Returns (kind, slot index, residual) triples."""
-    parts = contraction(problem, mult)
-    out = []
-    for kind in euler_kinds(problem, mult.method):
-        for k, part in enumerate(parts):
-            out.append((kind, k, euler(part, kind)))
-    return out
+def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
+    """Euler-operator images of the contraction slots ``parts``; all must
+    vanish for a multiplier set.  Returns (kind, slot index, residual)
+    triples."""
+    return [(kind, k, euler(part, kind))
+            for kind in euler_kinds(problem, method)
+            for k, part in enumerate(parts)]
 
 
 # --- determining system -------------------------------------------------------
@@ -407,81 +391,47 @@ def _decompose_by_unknown(mult: MultiplierSet):
 
 def determining_system(problem: PdeProblem, ansatz: MultiplierSet, method: str | None = None) -> LinearSystem:
     """Assemble the homogeneous linear system whose solutions are the
-    multiplier sets: apply every Euler operator of the method's family to the
-    truncated contraction and collect coefficients of each free monomial."""
+    multiplier sets: the Euler residuals of each unknown's contraction,
+    one row per (Euler operator, slot, free monomial)."""
     method = method or ansatz.method
     if method != ansatz.method:
         raise ValueError("ansatz shape does not match the requested method")
     for row in ansatz.slots:
         for slot in row:
             for a in atoms_of(slot):
-                if isinstance(a, Jet) and problem._is_leading_like(a):
+                nu = problem._leading_equation(a) if isinstance(a, Jet) else None
+                if nu is not None:
                     raise SingularAnsatzError(
-                        "ansatz depends on a leading derivative; multipliers would be "
-                        "singular on solutions"
+                        f"ansatz depends on the leading derivative of equation {nu + 1}; "
+                        "multipliers would be singular on solutions"
                     )
-    p = problem.p
     unknowns, contrib = _decompose_by_unknown(ansatz)
-    uindex = {s: j for j, s in enumerate(unknowns)}
-    kinds = euler_kinds(problem, method)
-
+    kind_index = {kind: i for i, kind in enumerate(euler_kinds(problem, method))}
     rows_by_key: dict = {}
-    for sym in unknowns:
-        j = uindex[sym]
-        pieces = contrib[sym]
-        if method == "approach_b":
-            targets = {}
-            for (nu, k), a_poly in pieces.items():
-                dsl = problem.expanded_slots(nu)
-                kernel.poly_iadd(targets.setdefault(0, {}), kernel.poly_mul(a_poly, as_poly(dsl[k])))
-        else:
-            targets = {}
-            for (nu, ell), a_poly in pieces.items():
-                dsl = (
-                    problem.expanded_slots(nu)
-                    if method == "consistent"
-                    else problem.unexpanded_slots(nu)
-                )
-                for k in range(ell, p + 1):
-                    kernel.poly_iadd(
-                        targets.setdefault(k, {}),
-                        kernel.poly_mul(a_poly, as_poly(dsl[k - ell])),
-                    )
-        for kind in kinds:
-            for k, tgt in sorted(targets.items()):
-                res = euler(NormalForm(tgt), kind)
-                for mono, c in as_poly(res).items():
-                    key = (kinds.index(kind), k, mono)
-                    rows_by_key.setdefault(key, {})[j] = c
+    for j, sym in enumerate(unknowns):
+        parts = _contract(problem, method, contrib[sym])
+        for kind, k, res in euler_residuals(problem, method, parts):
+            for mono, c in as_poly(res).items():
+                rows_by_key.setdefault((kind_index[kind], k, mono), {})[j] = c
 
     labels = sorted(rows_by_key, key=lambda key: (key[0], key[1], mono_sort_key(key[2])))
     rows = [rows_by_key[key] for key in labels]
     return LinearSystem(unknowns, rows, labels)
 
 
-def instantiate(ansatz: MultiplierSet, unknowns, vector) -> MultiplierSet:
-    """Substitute a coefficient vector into the ansatz."""
-    values = dict(zip(unknowns, vector))
-    rows = []
-    for row in ansatz.slots:
-        new_row = []
-        for slot in row:
-            out = {}
-            for mono, c in as_poly(slot).items():
-                rest = []
-                v = c
-                for j in range(0, len(mono), 2):
-                    a = atom_at(mono[j])
-                    if isinstance(a, Sym) and a.kind == COEFF:
-                        v = v * values.get(a, 0)
-                    else:
-                        rest.append(mono[j])
-                        rest.append(mono[j + 1])
-                if v:
-                    kernel.poly_iadd(out, {tuple(rest): v})
-            new_row.append(NormalForm(out))
-        rows.append(tuple(new_row))
-    return MultiplierSet(ansatz.method, tuple(rows))
+def instantiate(ansatz: MultiplierSet, unknowns, vectors) -> list:
+    """Substitute each coefficient vector into the ansatz: the multiplier set
+    is the linear combination of the per-unknown pieces."""
+    _, contrib = _decompose_by_unknown(ansatz)
+    out = []
+    for vector in vectors:
+        slots = [[{} for _ in row] for row in ansatz.slots]
+        for sym, v in zip(unknowns, vector):
+            for (nu, k), piece in contrib[sym].items():
+                kernel.poly_iadd(slots[nu][k], piece, v)
+        rows = tuple(tuple(NormalForm(s) for s in row) for row in slots)
+        out.append(MultiplierSet(ansatz.method, rows))
+    return out
 
 
 # --- solve + classify ----------------------------------------------------------
@@ -525,11 +475,11 @@ def _slot_coefficients(mult: MultiplierSet, upto: int | None = None) -> dict:
     })
 
 
-def classify(result_basis, ansatz: MultiplierSet, unknowns, problem: PdeProblem) -> list:
+def classify(result_basis, ansatz: MultiplierSet, unknowns) -> list:
     """Annotate basis multipliers: trivial (vanishing order-0 part), eps-shift
     duplicates of space members, stability of the order-0 part; non-trivial
     sets are ordered first."""
-    mults = [instantiate(ansatz, unknowns, v) for v in result_basis]
+    mults = instantiate(ansatz, unknowns, result_basis)
     classified = []
     for vec, m in zip(result_basis, mults):
         trivial = m.is_trivial()
@@ -559,7 +509,7 @@ def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "cons
     ansatz = build_ansatz(problem, spec, method)
     system = determining_system(problem, ansatz, method)
     basis = system.nullspace()
-    classified = classify(basis, ansatz, system.unknowns, problem)
+    classified = classify(basis, ansatz, system.unknowns)
     return SolveResult(problem, method, ansatz, system, basis, classified)
 
 

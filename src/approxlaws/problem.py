@@ -40,11 +40,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .atoms import Jet, Sym, SymbolTable
-from .expr import NormalForm, as_poly, atoms_of, normalize, partial, pow_int, substitute
+from .expr import (
+    NormalForm,
+    UnsupportedFormError,
+    as_poly,
+    atoms_of,
+    normalize,
+    partial,
+    pow_int,
+    substitute,
+)
 from .jets import collect_eps, expand_epsilon, total_derivative_chain
 from .parser import ParseError, parse
 
 MAX_ORDER = 3  # configuration cap on the truncation order
+METHODS = ("consistent", "approach_a", "approach_b")
 
 
 class ProblemError(Exception):
@@ -111,7 +121,7 @@ class PdeProblem:
         # Cauchy-Kovalevskaya: every rest free of all leading jets and their derivatives
         for nu, rest in enumerate(self._rest):
             for a in atoms_of(rest):
-                if isinstance(a, Jet) and self._is_leading_like(a):
+                if isinstance(a, Jet) and self._leading_equation(a) is not None:
                     raise ProblemError(
                         f"equation {nu + 1} is not in Cauchy-Kovalevskaya form: "
                         f"remainder contains a leading-derived coordinate"
@@ -136,11 +146,13 @@ class PdeProblem:
                     r = max(r, len(a.deriv))
         return r
 
-    def _is_leading_like(self, jet: Jet) -> bool:
-        for lead in self.leading:
+    def _leading_equation(self, jet: Jet) -> int | None:
+        """Index of the first equation whose leading derivative ``jet`` is,
+        or is a derivative of; None if there is none."""
+        for nu, lead in enumerate(self.leading):
             if jet.dep == lead.dep and _multiset_contains(jet.deriv, lead.deriv):
-                return True
-        return False
+                return nu
+        return None
 
     def expanded_slots(self, nu: int) -> list:
         """Slots of the expansion of equation ``nu`` at the problem order."""
@@ -283,7 +295,10 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
         funcs.append((fname.strip(), arg.strip()))
     if not decls["independent"] or not decls["dependent"]:
         raise ProblemError(f"{source}: independent and dependent variables are required")
-    table = SymbolTable(decls["independent"], decls["dependent"], decls["parameters"], funcs)
+    try:
+        table = SymbolTable(decls["independent"], decls["dependent"], decls["parameters"], funcs)
+    except ValueError as exc:
+        raise ProblemError(f"{source}: {exc}") from exc
 
     name = ""
     method = "consistent"
@@ -306,7 +321,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             elif key == "name":
                 name = value
             elif key == "method":
-                if value not in ("consistent", "approach_a", "approach_b"):
+                if value not in METHODS:
                     raise ProblemError(f"{where}: unknown method {value!r}")
                 method = value
             elif key == "order":
@@ -361,7 +376,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                 law(_int(parts[1], where)).status = status
             else:
                 raise ProblemError(f"{where}: unknown key {key!r}")
-        except ParseError as exc:
+        except (ParseError, UnsupportedFormError) as exc:
             raise ProblemError(f"{where}: {exc}") from exc
 
     if order is None:
@@ -372,7 +387,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
     for txt in eqn_texts:
         try:
             eqns.append(normalize(parse(txt, table)))
-        except ParseError as exc:
+        except (ParseError, UnsupportedFormError) as exc:
             raise ProblemError(f"{source}: {exc}") from exc
     problem = PdeProblem(table, eqns, leading, order, name=name)
     for n in shifts:
@@ -380,6 +395,15 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             raise ProblemError(f"{source}: epsilon_shifts names law {n}, which the file does not record")
     if shifts and method == "approach_b":
         raise ProblemError(f"{source}: approach-b laws carry no eps series to shift")
+    nslots = 1 if method == "approach_b" else problem.p + 1
+    for n, exp in expected.items():
+        for (nu, k) in exp.mult:
+            if not (0 <= nu < problem.q and 0 <= k <= problem.p):
+                raise ProblemError(f"{source}: multiplier {n} names equation {nu + 1}, slot {k}, "
+                                   "outside the problem")
+        for (_, k) in exp.flux:
+            if not 0 <= k < nslots:
+                raise ProblemError(f"{source}: flux {n} names slot {k}, outside the problem")
     laws = [expected[n] for n in sorted(expected)]
     return ProblemFile(problem, method, laws, shifts, hints, notes)
 

@@ -59,7 +59,7 @@ def verify_euler(problem: PdeProblem, mult: MultiplierSet) -> VerificationReport
     """Every Euler operator of the multiplier's method annihilates the
     truncated contraction."""
     checks = []
-    for kind, k, res in euler_residuals(problem, mult):
+    for kind, k, res in euler_residuals(problem, mult.method, contraction(problem, mult)):
         label = f"euler[{kind.family}:{kind.alpha}" + (
             f":{kind.order}" if kind.order is not None else ""
         ) + f", slot {k}]"
@@ -73,7 +73,7 @@ def verify_on_solutions(problem: PdeProblem, law: ConservationLaw, depth: int = 
     depth), slot by slot."""
     expanded = law.method != "approach_a"
     checks = []
-    for k, div in enumerate(law.divergence_slots(problem)):
+    for k, div in enumerate(law.divergence_slots()):
         try:
             red = problem.reduce_on_solutions(div, expanded=expanded, depth=depth)
             checks.append(CheckResult(f"on-solutions[{k}]", red.is_zero(), residual=red))
@@ -128,7 +128,7 @@ def spot_check(problem: PdeProblem, law: ConservationLaw, trials: int = 20,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     targets = contraction(problem, law.mult)
-    divs = law.divergence_slots(problem)
+    divs = law.divergence_slots()
     exprs = list(targets) + list(divs)
     checks = []
     for trial in range(trials):

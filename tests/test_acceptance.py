@@ -202,7 +202,7 @@ def test_criterion_3_kdv_burgers():
             for ra, rb in zip(mine4.fluxes, laws["4"].fluxes)
         ),
     )
-    assert all(d.is_zero() for d in combo.divergence_slots(pb))
+    assert all(d.is_zero() for d in combo.divergence_slots())
 
     elapsed = time.monotonic() - t0
     assert elapsed < 120

@@ -164,6 +164,12 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text("independent = t, x\ndependent = u\norder = 1\nequation = u_t + w\nleading = u_t\n")
     code, _, err = run_cli(capsys, "solve", str(bad))
     assert code == 2
+    code, _, err = run_cli(capsys, "expand", fixture_path("wave"), "--expr", "1/(u+1)")
+    assert code == 2 and err.startswith("error: ")
+    # an ansatz on a leading derivative is singular on solutions
+    code, _, err = run_cli(capsys, "solve", fixture_path("kdv-burgers"),
+                           "--mult-deps", "u[0],u[0]_t", "--mult-degree", "1")
+    assert code == 2 and "leading derivative of equation 1" in err
 
 
 def test_reconstruction_failure_exit_code(tmp_path, capsys):
@@ -242,6 +248,14 @@ def test_byte_identical_reports(tmp_path):
         ("multiplier.1.0 = 1", "multiplier.one.0 = 1"),
         ("flux.1.t.0 = u[0]", "flux.1.t.zero = u[0]"),
         ("expected.1.status", "expected.one.status"),
+        ("equation = u_t - u^-2*u_xx", "equation = u_t - 1/(u+1) - u^-2*u_xx"),
+        ("dependent = u", "dependent = u, u"),
+        ("independent = t, x", "independent = t, eps"),
+        ("name = diffusion-consistent", "functions = f(v)"),
+        ("multiplier.1.0 = 1", "multiplier.1.0 = eps"),
+        ("multiplier.1.0 = 1", "multiplier.1.0 = u"),
+        ("multiplier.1.1 = 0", "multiplier.1.9 = 1"),
+        ("flux.1.t.1 = u[1]", "flux.1.t.9 = u[1]"),
     ],
 )
 def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
