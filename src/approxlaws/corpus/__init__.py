@@ -65,7 +65,7 @@ def _law_from_expected(problem: PdeProblem, method: str, exp) -> ConservationLaw
     for i in range(problem.table.n_indep):
         row = [exp.flux.get((i, k), NormalForm({})) for k in range(nslots)]
         flux.append(tuple(row))
-    mult = MultiplierSet(method, tuple(mult_slots), provenance="corpus")
+    mult = MultiplierSet(method, tuple(mult_slots))
     return ConservationLaw(mult, tuple(flux))
 
 
@@ -77,7 +77,7 @@ def recorded_laws(pf: ProblemFile) -> list:
         try:
             law = _law_from_expected(pf.problem, pf.method, exp)
         except ValueError as exc:  # a slot outside the method's coordinate language
-            raise ProblemError(f"law {exp.index}: {exc}") from exc
+            raise ProblemError(f"{pf.source}: law {exp.index}: {exc}") from exc
         laws.append(CorpusLaw(str(exp.index), law, exp.status or "identity"))
     by_label = {cl.label: cl for cl in laws}
     for n in pf.epsilon_shifts:
@@ -106,7 +106,6 @@ class LawAudit:
     label: str
     expected: str
     achieved: str
-    reports: dict
 
     @property
     def certified(self) -> bool:
@@ -126,5 +125,5 @@ def audit(entry_ids=None, trials: int = 3, seed: int = DEFAULT_SEED) -> list:
         entry = load(eid)
         for cl in entry.laws:
             fr = full_report(entry.problem, cl.law, trials=trials, seed=seed)
-            out.append(LawAudit(eid, cl.label, cl.expected_status, fr["status"], fr["reports"]))
+            out.append(LawAudit(eid, cl.label, cl.expected_status, fr["status"]))
     return out

@@ -19,7 +19,7 @@ from . import kernel, linalg
 from .atoms import FuncAtom, INDEP, Jet, atom_at, intern, mono_atoms, mono_sort_key
 from .expr import NormalForm, as_poly, atoms_of, normalize
 from .jets import total_derivative
-from .multipliers import MultiplierSet, contraction, euler_residuals
+from .multipliers import MultiplierSet, _check_slot_language, contraction, euler_residuals
 from .problem import InconclusiveReduction, PdeProblem
 
 
@@ -54,8 +54,6 @@ class ConservationLaw:
     status: str = "unverified"
 
     def __post_init__(self):
-        from .multipliers import _check_slot_language
-
         self.fluxes = tuple(tuple(normalize(f) for f in row) for row in self.fluxes)
         for row in self.fluxes:
             for slot in row:
@@ -188,6 +186,11 @@ class _Bounds:
     laurent_floor: dict
     nd_cap: int
 
+    def relaxed(self, slack: int, k_slot: int | None) -> "_Bounds":
+        """These bounds for series slot ``k_slot``, each widened by ``slack``."""
+        floors = {aid: e - slack for aid, e in self.laurent_floor.items()}
+        return _Bounds(self.jet_cap + slack, k_slot, self.degree_cap, floors, self.nd_cap + slack)
+
     def admits(self, mono) -> bool:
         if self.degree_cap is not None and _mono_degree(mono) > self.degree_cap:
             return False
@@ -211,7 +214,9 @@ class _Bounds:
         return True
 
 
-def _target_bounds(targets, jet_cap, k_slot, degree_cap, slack: int = 0) -> _Bounds:
+def _target_bounds(targets, jet_cap, degree_cap) -> _Bounds:
+    """A reconstruction's bounds from one scan of its targets: Laurent floors one
+    below their lowest jet exponents, and their largest function-derivative count."""
     floors: dict = {}
     nd = 0
     for tgt in targets:
@@ -223,8 +228,7 @@ def _target_bounds(targets, jet_cap, k_slot, degree_cap, slack: int = 0) -> _Bou
                     floors[mono[j]] = min(floors.get(mono[j], 0), e)
                 elif isinstance(a, FuncAtom):
                     nd = max(nd, a.nd)
-    floors = {aid: e - 1 - slack for aid, e in floors.items()}
-    return _Bounds(jet_cap + slack, k_slot, degree_cap, floors, nd + slack)
+    return _Bounds(jet_cap, None, degree_cap, {aid: e - 1 for aid, e in floors.items()}, nd)
 
 
 def _invert_block(block, problem: PdeProblem, bounds: _Bounds, max_rounds: int = 12):
@@ -300,6 +304,7 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
                     s = max(s, len(a.deriv))
     base_cap = spec.jet_order if spec.jet_order is not None else max(s, problem.r - 1)
     n = problem.table.n_indep
+    bounds = _target_bounds(targets, base_cap, spec.degree)
 
     flux_slots = [[] for _ in range(n)]
     for k, tgt in enumerate(targets):
@@ -310,8 +315,7 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
             block = blocks[grade_key]
             solved = None
             for slack in range(spec.escalations + 1):
-                bounds = _target_bounds(targets, base_cap, k_slot, spec.degree, slack)
-                solved = _invert_block(block, problem, bounds)
+                solved = _invert_block(block, problem, bounds.relaxed(slack, k_slot))
                 if solved is not None:
                     break
             if solved is None:
@@ -325,17 +329,16 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
             flux_slots[i].append(NormalForm(acc[i]))
 
     law = ConservationLaw(mult, tuple(tuple(col) for col in flux_slots))
-    if not all(r.is_zero() for r in identity_residuals(problem, law)):
+    if not all(r.is_zero() for r in identity_residuals(targets, law.divergence_slots())):
         raise ReconstructionError("reconstruction produced a non-identity")
     law.status = "identity-verified"
     return law
 
 
-def identity_residuals(problem: PdeProblem, law: ConservationLaw) -> list:
-    """Per-slot residual of the divergence identity (contraction minus
-    divergence); all-zero means the law is identity-verified."""
-    targets = contraction(problem, law.mult)
-    divs = law.divergence_slots()
+def identity_residuals(targets, divs) -> list:
+    """Per-slot residual of the divergence identity, a law's contraction
+    ``targets`` minus its divergence ``divs``; all-zero means the law is
+    identity-verified."""
     return [NormalForm(kernel.poly_add(as_poly(t), kernel.poly_scale(as_poly(d), -1)))
             for t, d in zip(targets, divs)]
 

@@ -121,7 +121,6 @@ class MultiplierSet:
 
     method: str
     slots: tuple
-    provenance: str = "solver"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -131,7 +130,6 @@ class MultiplierSet:
         for row in self.slots:
             for slot in row:
                 _check_slot_language(slot, unexpanded)
-
 
     @property
     def q(self) -> int:
@@ -159,7 +157,7 @@ class MultiplierSet:
         rows = tuple(
             (NormalForm({}),) + tuple(row[:-1]) for row in self.slots
         )
-        return MultiplierSet(self.method, rows, provenance=self.provenance)
+        return MultiplierSet(self.method, rows)
 
 
 def _check_slot_language(slot, unexpanded: bool):
@@ -444,10 +442,6 @@ class ClassifiedMultiplier:
     trivial: bool
     eps_shift: bool
     stable: bool
-
-    @property
-    def nontrivial(self) -> bool:
-        return not self.trivial
 
 
 @dataclass

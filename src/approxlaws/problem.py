@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atoms import Jet, Sym, SymbolTable
+from .atoms import EPS_SYM, Jet, Sym, SymbolTable, intern
 from .expr import (
     NormalForm,
     UnsupportedFormError,
@@ -126,9 +126,12 @@ class PdeProblem:
                         f"equation {nu + 1} is not in Cauchy-Kovalevskaya form: "
                         f"remainder contains a leading-derived coordinate"
                     )
+        self._eps_slots = []
         for nu, eqn in enumerate(self.eqns):
-            if len(collect_eps(eqn)) - 1 > self.p:
+            slots = [NormalForm(s) for s in collect_eps(eqn)]
+            if len(slots) - 1 > self.p:
                 raise ProblemError(f"equation {nu + 1} has eps-degree above the truncation order")
+            self._eps_slots.append(slots + [NormalForm({})] * (self.p + 1 - len(slots)))
 
     # -- basic facts -------------------------------------------------------
 
@@ -164,9 +167,7 @@ class PdeProblem:
 
     def unexpanded_slots(self, nu: int) -> list:
         """eps-power slots of equation ``nu`` without expanding variables."""
-        slots = collect_eps(self.eqns[nu], self.p)
-        slots += [{} for _ in range(self.p + 1 - len(slots))]
-        return [NormalForm(s) for s in slots]
+        return self._eps_slots[nu]
 
     # -- on-solution reduction ----------------------------------------------
 
@@ -213,7 +214,7 @@ class PdeProblem:
                     break
             if target is None:
                 if not expanded:
-                    return NormalForm({m: c for m, c in _trunc_eps(as_poly(cur), self.p).items()})
+                    return NormalForm(_trunc_eps(as_poly(cur), self.p))
                 return cur
             cur = substitute(cur, {target[0]: target[1]})
             if not expanded:
@@ -222,8 +223,6 @@ class PdeProblem:
 
 
 def _trunc_eps(p: dict, pmax: int) -> dict:
-    from .atoms import EPS_SYM, intern
-
     eid = intern(EPS_SYM)
     out = {}
     for mono, c in p.items():
@@ -252,6 +251,7 @@ class ExpectedLaw:
 
 @dataclass
 class ProblemFile:
+    source: str
     problem: PdeProblem
     method: str = "consistent"
     expected: list = field(default_factory=list)
@@ -389,7 +389,10 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             eqns.append(normalize(parse(txt, table)))
         except (ParseError, UnsupportedFormError) as exc:
             raise ProblemError(f"{source}: {exc}") from exc
-    problem = PdeProblem(table, eqns, leading, order, name=name)
+    try:
+        problem = PdeProblem(table, eqns, leading, order, name=name)
+    except (ProblemError, UnsupportedFormError) as exc:
+        raise ProblemError(f"{source}: {exc}") from exc
     for n in shifts:
         if n not in expected:
             raise ProblemError(f"{source}: epsilon_shifts names law {n}, which the file does not record")
@@ -405,7 +408,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             if not 0 <= k < nslots:
                 raise ProblemError(f"{source}: flux {n} names slot {k}, outside the problem")
     laws = [expected[n] for n in sorted(expected)]
-    return ProblemFile(problem, method, laws, shifts, hints, notes)
+    return ProblemFile(source, problem, method, laws, shifts, hints, notes)
 
 
 def load_problem_file(path) -> ProblemFile:

@@ -4,7 +4,8 @@ Four checks, in decreasing strength: the symbolic divergence identity, the
 Euler-annihilation conditions on the multipliers alone, on-solution
 vanishing of the divergence after leading-derivative elimination, and exact
 numeric spot checks at random rational jet points.  Identity implies
-on-solution implies spot-check success.
+on-solution implies spot-check success.  The checks read a law's contraction
+targets and flux divergence, which :func:`full_report` computes once per law.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .atoms import FuncAtom, Jet, Sym, mono_atoms
 from .expr import EvalError, NormalForm, atoms_of, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
-from .multipliers import MultiplierSet, contraction, euler_residuals
+from .multipliers import contraction, euler_residuals
 from .problem import InconclusiveReduction, PdeProblem
 
 DEFAULT_SEED = 2023
@@ -36,7 +37,6 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: list
-    epsilon_order: int
 
     @property
     def passed(self) -> bool:
@@ -46,40 +46,39 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_identity(problem: PdeProblem, law: ConservationLaw) -> VerificationReport:
-    """The truncated contraction equals the divergence of the fluxes, slot by
-    slot, as normal forms."""
+def verify_identity(targets, divs) -> VerificationReport:
+    """The truncated contraction ``targets`` equals the flux divergence
+    ``divs``, slot by slot, as normal forms."""
     checks = []
-    for k, res in enumerate(identity_residuals(problem, law)):
+    for k, res in enumerate(identity_residuals(targets, divs)):
         checks.append(CheckResult(f"identity[{k}]", res.is_zero(), residual=res))
-    return VerificationReport(checks, problem.p)
+    return VerificationReport(checks)
 
 
-def verify_euler(problem: PdeProblem, mult: MultiplierSet) -> VerificationReport:
-    """Every Euler operator of the multiplier's method annihilates the
-    truncated contraction."""
+def verify_euler(problem: PdeProblem, method: str, targets) -> VerificationReport:
+    """Every Euler operator of ``method`` annihilates the truncated
+    contraction ``targets``."""
     checks = []
-    for kind, k, res in euler_residuals(problem, mult.method, contraction(problem, mult)):
-        label = f"euler[{kind.family}:{kind.alpha}" + (
-            f":{kind.order}" if kind.order is not None else ""
-        ) + f", slot {k}]"
-        checks.append(CheckResult(label, res.is_zero(), residual=res))
-    return VerificationReport(checks, problem.p)
+    for kind, k, res in euler_residuals(problem, method, targets):
+        order = f":{kind.order}" if kind.order is not None else ""
+        checks.append(CheckResult(f"euler[{kind.family}:{kind.alpha}{order}, slot {k}]",
+                                  res.is_zero(), residual=res))
+    return VerificationReport(checks)
 
 
-def verify_on_solutions(problem: PdeProblem, law: ConservationLaw, depth: int = 2) -> VerificationReport:
-    """The flux divergence vanishes after substituting the leading
-    derivatives (and their differential consequences up to the prolongation
-    depth), slot by slot."""
-    expanded = law.method != "approach_a"
+def verify_on_solutions(problem: PdeProblem, method: str, divs, depth: int = 2) -> VerificationReport:
+    """The flux divergence ``divs`` of a ``method`` law vanishes after
+    substituting the leading derivatives (and their differential
+    consequences up to the prolongation depth), slot by slot."""
+    expanded = method != "approach_a"
     checks = []
-    for k, div in enumerate(law.divergence_slots()):
+    for k, div in enumerate(divs):
         try:
             red = problem.reduce_on_solutions(div, expanded=expanded, depth=depth)
             checks.append(CheckResult(f"on-solutions[{k}]", red.is_zero(), residual=red))
         except InconclusiveReduction as exc:
             checks.append(CheckResult(f"on-solutions[{k}]", False, witness=str(exc)))
-    return VerificationReport(checks, problem.p)
+    return VerificationReport(checks)
 
 
 def _rand_rational(rng: random.Random, nonzero: bool) -> Fraction:
@@ -120,15 +119,14 @@ def _sample_point(exprs, rng: random.Random):
     return point, fvals
 
 
-def spot_check(problem: PdeProblem, law: ConservationLaw, trials: int = 20,
-               seed: int = DEFAULT_SEED, max_retries: int = 5) -> VerificationReport:
-    """Evaluate both sides of the divergence identity at random rational jet
+def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
+               max_retries: int = 5) -> VerificationReport:
+    """Evaluate both sides of the divergence identity, the contraction
+    ``targets`` and the flux divergence ``divs``, at random rational jet
     points; exact equality required.  Seeded and reproducible; evaluation
     singularities are resampled a bounded number of times."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    targets = contraction(problem, law.mult)
-    divs = law.divergence_slots()
     exprs = list(targets) + list(divs)
     checks = []
     for trial in range(trials):
@@ -157,7 +155,7 @@ def spot_check(problem: PdeProblem, law: ConservationLaw, trials: int = 20,
             ok = False
             witness = "evaluation singularity persisted across retries"
         checks.append(CheckResult(f"spot[{trial}]", ok, witness=witness))
-    return VerificationReport(checks, problem.p)
+    return VerificationReport(checks)
 
 
 def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = 5,
@@ -165,14 +163,16 @@ def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = 5,
     """All four checks; on-solution is attempted only when identity fails
     (identity success implies it).  Returns a dict of reports plus the
     certification outcome: 'identity', 'onsolution', or 'fail'."""
+    targets = contraction(problem, law.mult)
+    divs = law.divergence_slots()
     reports = {
-        "identity": verify_identity(problem, law),
-        "euler": verify_euler(problem, law.mult),
-        "spot": spot_check(problem, law, trials=trials, seed=seed),
+        "identity": verify_identity(targets, divs),
+        "euler": verify_euler(problem, law.method, targets),
+        "spot": spot_check(targets, divs, trials=trials, seed=seed),
     }
     if reports["identity"].passed:
         status = "identity"
     else:
-        reports["onsolution"] = verify_on_solutions(problem, law, depth=depth)
+        reports["onsolution"] = verify_on_solutions(problem, law.method, divs, depth=depth)
         status = "onsolution" if reports["onsolution"].passed else "fail"
     return {"status": status, "reports": reports}

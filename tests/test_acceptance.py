@@ -30,12 +30,14 @@ from approxlaws.multipliers import (
     AnsatzSpec,
     MultiplierSet,
     coefficient_vector,
+    contraction,
     solve_multipliers,
 )
 from approxlaws.verify import spot_check, verify_euler, verify_identity
 
 from test_multipliers import span_of_vectors
 from test_properties import TABLE, rand_poly
+from test_verify import law_slots
 
 
 def _gens(problem, names):
@@ -173,7 +175,7 @@ def test_criterion_3_kdv_burgers():
 
     # all four published multipliers pass the Euler conditions
     for label in ("1", "2", "3", "4"):
-        assert verify_euler(pb, laws[label].mult).passed, label
+        assert verify_euler(pb, laws[label].mult.method, contraction(pb, laws[label].mult)).passed, label
 
     spec = AnsatzSpec(_gens(pb, ["t", "x", "u[0]", "u[0]_x", "u[0]_xx"]), 3)
     res = solve_multipliers(pb, spec, "consistent")
@@ -213,8 +215,8 @@ def test_criterion_4_wave():
     entry = corpus.load("wave")
     pb = entry.problem
     for cl in entry.laws:
-        assert verify_euler(pb, cl.law.mult).passed, cl.label
-        rep = verify_identity(pb, cl.law)
+        assert verify_euler(pb, cl.law.mult.method, contraction(pb, cl.law.mult)).passed, cl.label
+        rep = verify_identity(*law_slots(pb, cl.law))
         assert rep.passed, cl.label  # identically in c, lambda and f
     print("\nPASS criterion 4 (wave equation, identities exact in c, lambda, f)")
 
@@ -243,7 +245,7 @@ def test_criterion_6_eps_shift_in_solution_space():
             continue
         for cl in entry.laws:
             shifted = cl.law.mult.eps_shifted()
-            assert verify_euler(entry.problem, shifted).passed, (eid, cl.label)
+            assert verify_euler(entry.problem, shifted.method, contraction(entry.problem, shifted)).passed, (eid, cl.label)
     # explicit nullspace membership where the solver bounds admit the shift
     for eid, gens, deg in (
         ("diffusion-consistent", ["t", "x", "u[0]"], 2),
@@ -314,7 +316,7 @@ def test_criterion_7d_spot_checks_on_corpus():
     for eid in corpus.ENTRY_IDS:
         entry = corpus.load(eid)
         for cl in entry.laws:
-            rep = spot_check(entry.problem, cl.law, trials=5, seed=2023)
+            rep = spot_check(*law_slots(entry.problem, cl.law), trials=5, seed=2023)
             if cl.expected_status == "identity":
                 assert rep.passed, (eid, cl.label)
             else:
@@ -357,7 +359,7 @@ def test_criterion_7e_mutation_testing():
                 mutated[mono] = mutated[mono] + 1
                 fluxes[i][k] = NormalForm(mutated)
                 bad = ConservationLaw(cl.law.mult, tuple(tuple(r) for r in fluxes))
-                rep = verify_identity(entry.problem, bad)
+                rep = verify_identity(*law_slots(entry.problem, bad))
                 assert not rep.passed, (eid, cl.label, i, k)
     print("\nPASS criterion 7e (single-coefficient mutations always detected)")
 

@@ -197,6 +197,7 @@ def test_json_expressions_roundtrip(capsys):
     pb = parse_problem_text(open(fixture_path("diffusion-consistent")).read()).problem
     from approxlaws.fluxes import ConservationLaw, identity_residuals
     from approxlaws.multipliers import MultiplierSet
+    from test_verify import law_slots
 
     P = lambda s: normalize(parse(s, pb.table))
     laws = {law["multiplier_index"]: law for law in data["laws"]}
@@ -206,7 +207,7 @@ def test_json_expressions_roundtrip(capsys):
         law = laws[m["index"]]
         fluxes = tuple(tuple(P(s) for s in law["fluxes"][var]) for var in ("t", "x"))
         rebuilt = ConservationLaw(mult, fluxes)
-        assert all(r.is_zero() for r in identity_residuals(pb, rebuilt))
+        assert all(r.is_zero() for r in identity_residuals(*law_slots(pb, rebuilt)))
 
 
 def test_run_config_validation():
@@ -256,6 +257,9 @@ def test_byte_identical_reports(tmp_path):
         ("multiplier.1.0 = 1", "multiplier.1.0 = u"),
         ("multiplier.1.1 = 0", "multiplier.1.9 = 1"),
         ("flux.1.t.1 = u[1]", "flux.1.t.9 = u[1]"),
+        ("order = 1", "order = 7"),
+        ("equation = u_t - u^-2*u_xx", "equation = -u^-2*u_xx"),
+        ("equation = u_t - u^-2*u_xx", "equation = u_t - eps^-1*u - u^-2*u_xx"),
     ],
 )
 def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
@@ -267,6 +271,7 @@ def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
     code, _, err = run_cli(capsys, "verify", str(bad), "--trials", "1")
     assert code == 2
     assert err.startswith("error: ")
+    assert str(bad) in err
 
 
 @pytest.mark.parametrize(

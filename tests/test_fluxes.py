@@ -17,6 +17,7 @@ from approxlaws.fluxes import (
 from approxlaws.jets import total_derivative
 from approxlaws.multipliers import AnsatzSpec, MultiplierSet, solve_multipliers
 from approxlaws.problem import parse_problem_text
+from test_verify import law_slots
 
 
 def mult(problem, *slot_texts):
@@ -84,7 +85,7 @@ def test_kdv_unit_multiplier_equivalent_to_canonical(kdv):
             (P("u[0]^2/2 + u[0]_xx"), P("u[0]*u[1] + u[1]_xx - u[0]_x")),
         ),
     )
-    assert all(r.is_zero() for r in identity_residuals(kdv, canonical))
+    assert all(r.is_zero() for r in identity_residuals(*law_slots(kdv, canonical)))
     assert equivalent(law, canonical, kdv) == "equivalent"
 
 
@@ -106,7 +107,7 @@ def test_equivalent_self_and_curl(diffusion):
                 tuple(f - total_derivative(h, 0) for f in law.fluxes[1]),
             ),
         )
-        assert all(r.is_zero() for r in identity_residuals(diffusion, gauged))
+        assert all(r.is_zero() for r in identity_residuals(*law_slots(diffusion, gauged)))
         assert equivalent(law, gauged, diffusion) == "equivalent"
 
 
@@ -127,7 +128,7 @@ def test_round_trip_on_solver_results(diffusion, kdv):
         for cm in res.classified:
             law = reconstruct(pb, cm.mult)
             assert law.status == "identity-verified"
-            assert all(r.is_zero() for r in identity_residuals(pb, law))
+            assert all(r.is_zero() for r in identity_residuals(*law_slots(pb, law)))
 
 
 def test_order_consistency_of_flux_slots(kdv):
@@ -158,7 +159,7 @@ def test_second_order_truncation_end_to_end():
     law = reconstruct(pb, unit.mult)
     assert law.status == "identity-verified"
     assert len(law.fluxes[0]) == 3
-    assert all(r.is_zero() for r in identity_residuals(pb, law))
+    assert all(r.is_zero() for r in identity_residuals(*law_slots(pb, law)))
 
 
 def test_approach_a_reconstruction(diffusion):
@@ -181,6 +182,6 @@ def test_approach_b_reconstruction(diffusion):
 def test_non_identity_reconstruction_is_a_typed_error(diffusion, monkeypatch):
     import approxlaws.fluxes as fluxes
 
-    monkeypatch.setattr(fluxes, "identity_residuals", lambda problem, law: [normalize(1)])
+    monkeypatch.setattr(fluxes, "identity_residuals", lambda targets, divs: [normalize(1)])
     with pytest.raises(ReconstructionError, match="non-identity"):
         reconstruct(diffusion, mult(diffusion, "1", "0"))

@@ -11,6 +11,7 @@ from approxlaws.multipliers import (
     SingularAnsatzError,
     build_ansatz,
     coefficient_vector,
+    contraction,
     determining_system,
     parse_ansatz,
     solve_multipliers,
@@ -226,7 +227,7 @@ def test_soundness_every_nullspace_member_annihilated(diffusion, kdv):
         for method in ("consistent", "approach_a", "approach_b"):
             res = solve_multipliers(pb, spec, method)
             for cm in res.classified:
-                assert verify_euler(pb, cm.mult).passed, method
+                assert verify_euler(pb, cm.mult.method, contraction(pb, cm.mult)).passed, method
 
 
 def test_determinism(diffusion):

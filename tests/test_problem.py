@@ -3,9 +3,10 @@
 import pytest
 
 from approxlaws import normalize, parse
-from approxlaws.jets import total_derivative
+from approxlaws.jets import EpsilonSeries, total_derivative
 from approxlaws.problem import (
     InconclusiveReduction,
+    PdeProblem,
     ProblemError,
     parse_problem_text,
 )
@@ -20,6 +21,16 @@ def test_expanded_slots_match_hand_expansion(diffusion):
         "u[1]_t + 2*u[0]^-3*u[1]*u[0]_xx - u[0]^-2*u[1]_xx"
         " - 6*u[0]^-4*u[1]*u[0]_x^2 + 4*u[0]^-3*u[0]_x*u[1]_x - (u[0]^-2 + 1)*u[0]_x"
     )
+
+
+def test_unexpanded_slots_recombine_to_the_equation(diffusion, kdv):
+    for pb in (diffusion, kdv):
+        assert EpsilonSeries(pb.p, pb.unexpanded_slots(0)).reconstruct() == pb.eqns[0]
+    # at a higher truncation order the slots above the eps-degree are zero
+    pb2 = PdeProblem(kdv.table, kdv.eqns, kdv.leading, 2)
+    slots = pb2.unexpanded_slots(0)
+    assert len(slots) == 3 and slots[2].is_zero()
+    assert EpsilonSeries(2, slots).reconstruct() == kdv.eqns[0]
 
 
 def test_missing_leading_rejected():

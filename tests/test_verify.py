@@ -3,7 +3,7 @@
 from approxlaws import normalize, parse
 from approxlaws.expr import NormalForm
 from approxlaws.fluxes import ConservationLaw
-from approxlaws.multipliers import MultiplierSet
+from approxlaws.multipliers import MultiplierSet, contraction
 from approxlaws.verify import (
     full_report,
     spot_check,
@@ -20,29 +20,34 @@ def law_of(entry_id, label):
     return entry.problem, cl.law
 
 
+def law_slots(pb, law):
+    """A law's contraction targets and flux divergence, the slots the checks read."""
+    return contraction(pb, law.mult), law.divergence_slots()
+
+
 def test_diffusion_law2_identity():
     pb, law = law_of("diffusion-consistent", "2")
-    assert verify_identity(pb, law).passed
+    assert verify_identity(*law_slots(pb, law)).passed
 
 
 def test_mutated_flux_fails():
     pb, law = law_of("diffusion-consistent", "2")
     bad_row = (law.fluxes[0][0] + normalize(parse("u[0]", pb.table)), law.fluxes[0][1])
     bad = ConservationLaw(law.mult, (bad_row, law.fluxes[1]))
-    rep = verify_identity(pb, bad)
+    rep = verify_identity(*law_slots(pb, bad))
     assert not rep.passed
     assert any(c.residual is not None and not c.residual.is_zero() for c in rep.failures())
 
 
 def test_wave_identity_in_symbolic_parameters():
     pb, law = law_of("wave", "3")
-    assert verify_identity(pb, law).passed
-    assert verify_euler(pb, law.mult).passed
+    assert verify_identity(*law_slots(pb, law)).passed
+    assert verify_euler(pb, law.mult.method, contraction(pb, law.mult)).passed
 
 
 def test_euler_diffusion_unit():
     pb, law = law_of("diffusion-consistent", "1")
-    assert verify_euler(pb, law.mult).passed
+    assert verify_euler(pb, law.mult.method, contraction(pb, law.mult)).passed
 
 
 def test_euler_rejects_time_derivative_multiplier(diffusion):
@@ -51,17 +56,17 @@ def test_euler_rejects_time_derivative_multiplier(diffusion):
         "consistent",
         ((normalize(parse("u[0]_t", tab)), NormalForm({})),),
     )
-    assert not verify_euler(diffusion, m).passed
+    assert not verify_euler(diffusion, m.method, contraction(diffusion, m)).passed
 
 
 def test_euler_zero_multiplier_vacuous(diffusion):
     m = MultiplierSet("consistent", ((NormalForm({}), NormalForm({})),))
-    assert verify_euler(diffusion, m).passed
+    assert verify_euler(diffusion, m.method, contraction(diffusion, m)).passed
 
 
 def test_on_solutions_from_identity():
     pb, law = law_of("diffusion-consistent", "2")
-    assert verify_on_solutions(pb, law).passed
+    assert verify_on_solutions(pb, law.method, law.divergence_slots()).passed
 
 
 def test_on_solutions_canonical_kdv(kdv):
@@ -75,7 +80,7 @@ def test_on_solutions_canonical_kdv(kdv):
             (P("u[0]^2/2 + u[0]_xx"), P("u[0]*u[1] + u[1]_xx - u[0]_x")),
         ),
     )
-    assert verify_on_solutions(kdv, law).passed
+    assert verify_on_solutions(kdv, law.method, law.divergence_slots()).passed
 
 
 def test_on_solutions_not_conserved(kdv):
@@ -83,12 +88,12 @@ def test_on_solutions_not_conserved(kdv):
     P = lambda s: normalize(parse(s, tab))
     m = MultiplierSet("consistent", ((P("1"), P("0")),))
     law = ConservationLaw(m, ((P("u[0]"), P("u[1]")), (NormalForm({}), NormalForm({}))))
-    assert not verify_on_solutions(kdv, law).passed
+    assert not verify_on_solutions(kdv, law.method, law.divergence_slots()).passed
 
 
 def test_spot_check_exact_zeros():
     pb, law = law_of("diffusion-consistent", "1")
-    rep = spot_check(pb, law, trials=20, seed=11)
+    rep = spot_check(*law_slots(pb, law), trials=20, seed=11)
     assert rep.passed and len(rep.checks) == 20
 
 
@@ -96,22 +101,22 @@ def test_spot_check_finds_witness():
     pb, law = law_of("diffusion-consistent", "1")
     bad_row = (law.fluxes[0][0] + normalize(parse("u[0]^2", pb.table)), law.fluxes[0][1])
     bad = ConservationLaw(law.mult, (bad_row, law.fluxes[1]))
-    rep = spot_check(pb, bad, trials=3, seed=11)
+    rep = spot_check(*law_slots(pb, bad), trials=3, seed=11)
     assert not rep.passed
     assert any(c.witness for c in rep.failures())
 
 
 def test_spot_check_deterministic():
     pb, law = law_of("wave", "1")
-    a = spot_check(pb, law, trials=4, seed=5)
-    b = spot_check(pb, law, trials=4, seed=5)
+    a = spot_check(*law_slots(pb, law), trials=4, seed=5)
+    b = spot_check(*law_slots(pb, law), trials=4, seed=5)
     assert [c.passed for c in a.checks] == [c.passed for c in b.checks]
     # distinct seeds explore distinct points: compare recorded witnesses via a
     # mutated law
     bad_row = (law.fluxes[0][0] + normalize(parse("u[0]", pb.table)), law.fluxes[0][1])
     bad = ConservationLaw(law.mult, (bad_row, law.fluxes[1]))
-    wa = spot_check(pb, bad, trials=2, seed=5)
-    wb = spot_check(pb, bad, trials=2, seed=5)
+    wa = spot_check(*law_slots(pb, bad), trials=2, seed=5)
+    wb = spot_check(*law_slots(pb, bad), trials=2, seed=5)
     assert [c.witness for c in wa.checks] == [c.witness for c in wb.checks]
 
 
@@ -120,10 +125,38 @@ def test_implication_chain_on_corpus():
     for eid in ("diffusion-consistent", "wave", "nls2"):
         entry = corpus.load(eid)
         for cl in entry.laws:
-            idrep = verify_identity(entry.problem, cl.law)
+            idrep = verify_identity(*law_slots(entry.problem, cl.law))
             if idrep.passed:
-                assert verify_on_solutions(entry.problem, cl.law).passed
-                assert spot_check(entry.problem, cl.law, trials=2).passed
+                assert verify_on_solutions(entry.problem, cl.law.method, cl.law.divergence_slots()).passed
+                assert spot_check(*law_slots(entry.problem, cl.law), trials=2).passed
+
+
+def test_contraction_and_divergence_computed_once_per_law(monkeypatch):
+    import approxlaws.fluxes as fluxes
+    import approxlaws.verify as verify
+    from approxlaws.fluxes import reconstruct
+
+    calls = {"contraction": 0, "divergence_slots": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (fluxes, verify):
+        monkeypatch.setattr(module, "contraction", counted("contraction", contraction))
+    monkeypatch.setattr(ConservationLaw, "divergence_slots",
+                        counted("divergence_slots", ConservationLaw.divergence_slots))
+    for entry_id, label, status in (("diffusion-consistent", "2", "identity"),
+                                    ("kdv-burgers", "4", "onsolution")):
+        pb, law = law_of(entry_id, label)
+        calls.update(contraction=0, divergence_slots=0)
+        reconstruct(pb, law.mult)
+        assert calls["contraction"] == 1
+        calls.update(contraction=0, divergence_slots=0)
+        assert full_report(pb, law, trials=2)["status"] == status
+        assert calls == {"contraction": 1, "divergence_slots": 1}
 
 
 def test_full_report_statuses(kdv):
