@@ -10,7 +10,6 @@ hierarchy method (approach B).  All arithmetic is exact rational.
 from .atoms import FuncAtom, Jet, Sym, SymbolTable, coeff_sym
 from .expr import (
     EvalError,
-    Expr,
     ExprError,
     NormalForm,
     UnsupportedFormError,
@@ -49,7 +48,6 @@ __all__ = [
     "EpsilonSeries",
     "EulerKind",
     "EvalError",
-    "Expr",
     "ExprError",
     "FuncAtom",
     "Jet",

@@ -15,16 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import corpus
-from .expr import UnsupportedFormError, normalize
+from .expr import UnsupportedFormError
 from .fluxes import FluxSpec, ReconstructionError, reconstruct
 from .jets import EpsilonSeries, expand_epsilon
 from .multipliers import parse_ansatz, solve_multipliers
 from .parser import ParseError, parse
 from .printer import print_poly
-from .problem import METHODS, PdeProblem, ProblemError, load_problem_file
+from .problem import MAX_ORDER, METHODS, PdeProblem, ProblemError, load_problem_file
 from .verify import DEFAULT_SEED, full_report
 
 OK, INPUT_ERROR, INCOMPLETE, VERIFY_FAILED = 0, 2, 3, 4
@@ -38,41 +37,26 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    """One invocation's validated settings."""
+def _check_args(args):
+    """Reject flag values argparse's types let through (exit 2)."""
+    order = getattr(args, "order", None)
+    if order is not None and not 1 <= order <= MAX_ORDER:
+        raise CliError(f"--order must be in 1..{MAX_ORDER}")
+    for name in ("mult_degree", "mult_xdegree", "flux_degree"):
+        v = getattr(args, name, None)
+        if v is not None and v < 0:
+            raise CliError(f"--{name.replace('_', '-')} must be nonnegative")
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
 
-    command: str
-    input: str | None = None
-    method: str = "consistent"
-    order: int | None = None
-    mult_deps: str | None = None
-    mult_degree: int = 2
-    mult_xdegree: int | None = None
-    flux_degree: int | None = None
-    laurent: str | None = None
-    format: str = "text"
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    trials: int = 5
-    expr: str | None = None
-    entries: tuple = ()
-    func: object = None
 
-    def __post_init__(self):
-        if self.order is not None and self.order < 1:
-            raise CliError("--order must be at least 1")
-        for name in ("mult_degree", "mult_xdegree", "flux_degree"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise CliError(f"--{name.replace('_', '-')} must be nonnegative")
-        if self.trials < 1:
-            raise CliError("--trials must be at least 1")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        fields = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in vars(args).items() if k in fields})
+def _load_problem(args):
+    """The problem file and its problem, truncated at ``--order`` if given."""
+    pf = load_problem_file(args.input)
+    problem = pf.problem
+    if args.order and args.order != problem.p:
+        problem = PdeProblem(problem.table, problem.eqns, problem.leading, args.order, name=problem.name)
+    return pf, problem
 
 
 def _ansatz_from_args(args, problem):
@@ -118,10 +102,7 @@ def _report_verification(problem, law, trials, seed):
 
 
 def run_solve(args) -> tuple[dict, int]:
-    pf = load_problem_file(args.input)
-    problem = pf.problem
-    if args.order and args.order != problem.p:
-        problem = PdeProblem(problem.table, problem.eqns, problem.leading, args.order, name=problem.name)
+    pf, problem = _load_problem(args)
     method = _METHOD_FLAGS[args.method]
     spec = _ansatz_from_args(args, problem)
     result = solve_multipliers(problem, spec, method)
@@ -132,7 +113,7 @@ def run_solve(args) -> tuple[dict, int]:
         "problem": _problem_json(pf, problem),
         "method": method,
         "ansatz": {
-            "generators": [print_poly(normalize(g), table) for g in spec.generators],
+            "generators": [print_poly(g, table) for g in spec.generators],
             "degree": spec.degree,
             "xdegree": spec.xdeg,
         },
@@ -161,10 +142,7 @@ def run_solve(args) -> tuple[dict, int]:
 
 
 def run_compare(args) -> tuple[dict, int]:
-    pf = load_problem_file(args.input)
-    problem = pf.problem
-    if args.order and args.order != problem.p:
-        problem = PdeProblem(problem.table, problem.eqns, problem.leading, args.order, name=problem.name)
+    pf, problem = _load_problem(args)
     table = problem.table
     spec = _ansatz_from_args(args, problem)
     style = "human" if args.format == "text" else "machine"
@@ -331,7 +309,7 @@ def _problem_json(pf, problem) -> dict:
         "functions": [f"{f}({table.dep_names[d]})" for f, d in table.funcs.items()],
         "order": problem.p,
         "equations": [print_poly(e, table) for e in problem.eqns],
-        "leading": [print_poly(normalize(lead), table) for lead in problem.leading],
+        "leading": [print_poly(lead, table) for lead in problem.leading],
     }
 
 
@@ -402,21 +380,19 @@ def _render_text(report) -> str:
         for fail in report["reconstruction_failures"]:
             lines.append(f"  reconstruction failed for multiplier {fail['multiplier_index']}: {fail['error']}")
         return "\n".join(lines) + "\n"
-    if cmd == "compare":
-        lines.append(f"compare {report['problem']['name'] or 'problem'}")
-        for method, block in report["blocks"].items():
-            lines.append(f"  == {method}: dimension {block['solution_dimension']}, "
-                         f"{block['nontrivial']} non-trivial")
-            for m in block["multipliers"]:
-                mult_block(m)
-        for note in report["expansion_notes"]:
-            rel = "are the expansion of" if note["fluxes_are_expansion"] else "differ from the expansion of"
-            lines.append(
-                f"  consistent law {note['consistent_index']} fluxes {rel} "
-                f"approach-a law {note['approach_a_index']} fluxes"
-            )
-        return "\n".join(lines) + "\n"
-    return json.dumps(report, sort_keys=True) + "\n"
+    lines.append(f"compare {report['problem']['name'] or 'problem'}")
+    for method, block in report["blocks"].items():
+        lines.append(f"  == {method}: dimension {block['solution_dimension']}, "
+                     f"{block['nontrivial']} non-trivial")
+        for m in block["multipliers"]:
+            mult_block(m)
+    for note in report["expansion_notes"]:
+        rel = "are the expansion of" if note["fluxes_are_expansion"] else "differ from the expansion of"
+        lines.append(
+            f"  consistent law {note['consistent_index']} fluxes {rel} "
+            f"approach-a law {note['approach_a_index']} fluxes"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _emit(report, code, args):
@@ -488,15 +464,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        report, code = cfg.func(cfg)
+        _check_args(args)
+        report, code = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (ProblemError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    return _emit(report, code, cfg)
+    return _emit(report, code, args)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
-"""Expression values and their canonical normal form.
+"""Expressions as canonical normal forms.
 
-An :class:`Expr` is an immutable tree over rational literals, atoms, sums,
-products and integer powers.  :func:`normalize` expands any expression into a
-:class:`NormalForm`: a finite sum of monomials, each a rational coefficient
-times integer (possibly negative) powers of atoms.  Normal forms are
-themselves expressions, and all engine operations accept either
-representation and return normal forms.
+Every expression is a :class:`NormalForm`: a finite sum of monomials, each a
+rational coefficient times integer (possibly negative) powers of atoms.  The
+parser builds normal forms directly; :func:`normalize` lifts an atom or a
+rational to one.  Engine operations accept normal forms, atoms and rationals
+and return normal forms.
 
 Laurent (negative) exponents are permitted on symbols and jet coordinates
 only; negative powers of sums or of function applications are rejected as
@@ -14,7 +13,6 @@ unsupported forms (none occur in practice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
@@ -33,8 +31,13 @@ class EvalError(ExprError):
     pass
 
 
-class Expr:
-    __slots__ = ()
+class NormalForm:
+    """Canonical monomial sum; the empty sum is the zero expression."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p=None):
+        self._p = {} if p is None else p
 
     def __add__(self, other):
         return add(self, other)
@@ -59,47 +62,12 @@ class Expr:
         return pow_int(self, n)
 
     def __eq__(self, other):
-        if isinstance(other, (Expr, int, Fraction, Sym, Jet, FuncAtom)):
-            return normalize(self)._p == normalize(other)._p
+        if isinstance(other, (NormalForm, int, Fraction, Sym, Jet, FuncAtom)):
+            return self._p == as_poly(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(normalize(self)._p.items()))
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Rat(Expr):
-    value: Fraction
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class AtomRef(Expr):
-    atom: object
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Add(Expr):
-    args: tuple
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Mul(Expr):
-    args: tuple
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Pow(Expr):
-    base: object
-    exp: int
-
-
-class NormalForm(Expr):
-    """Canonical monomial sum; the empty sum is the zero expression."""
-
-    __slots__ = ("_p",)
-
-    def __init__(self, p=None):
-        self._p = {} if p is None else p
+        return hash(frozenset(self._p.items()))
 
     def is_zero(self) -> bool:
         return not self._p
@@ -150,7 +118,8 @@ def const_poly(c):
 
 
 def as_poly(x) -> dict:
-    """Normal-form dict of any expression-like value (shared, do not mutate)."""
+    """Normal-form dict of a normal form, an atom or a rational (shared, do
+    not mutate)."""
     if isinstance(x, NormalForm):
         return x._p
     if isinstance(x, dict):
@@ -159,22 +128,6 @@ def as_poly(x) -> dict:
         return atom_poly(x)
     if isinstance(x, (int, Fraction)):
         return const_poly(x)
-    if isinstance(x, Rat):
-        return const_poly(x.value)
-    if isinstance(x, AtomRef):
-        return atom_poly(x.atom)
-    if isinstance(x, Add):
-        out = {}
-        for a in x.args:
-            kernel.poly_iadd(out, as_poly(a))
-        return out
-    if isinstance(x, Mul):
-        out = {(): 1}
-        for a in x.args:
-            out = kernel.poly_mul(out, as_poly(a))
-        return out
-    if isinstance(x, Pow):
-        return poly_pow(as_poly(x.base), x.exp)
     raise UnsupportedFormError(f"cannot normalize {x!r}")
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import kernel, linalg
 from .atoms import COEFF, INDEP, FuncAtom, Jet, Sym, atom_at, coeff_sym, intern, mono_sort_key
-from .expr import NormalForm, as_poly, atoms_of, normalize
+from .expr import NormalForm, UnsupportedFormError, as_poly, atoms_of, normalize
 from .jets import (
     EulerKind,
     consistent_euler,
@@ -28,7 +28,7 @@ from .jets import (
     recursion_R,
     unexpanded_euler,
 )
-from .parser import parse
+from .parser import parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
 
 
@@ -80,10 +80,14 @@ def _ansatz_int(text, what: str) -> int:
 
 
 def _generator_atom(text: str, table):
-    terms = list(normalize(parse(text.strip(), table)).terms())
-    if len(terms) != 1 or terms[0][0] != 1 or len(terms[0][1]) != 1 or terms[0][1][0][1] != 1:
-        raise AnsatzError(f"{text.strip()!r} is not a single generator atom")
-    return terms[0][1][0][0]
+    text = text.strip()
+    try:
+        atom = single_atom(parse(text, table))
+    except UnsupportedFormError as exc:
+        raise AnsatzError(f"{text!r}: {exc}") from exc
+    if atom is None:
+        raise AnsatzError(f"{text!r} is not a single generator atom")
+    return atom
 
 
 def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
@@ -387,13 +391,12 @@ def _decompose_by_unknown(mult: MultiplierSet):
     return unknowns, contrib
 
 
-def determining_system(problem: PdeProblem, ansatz: MultiplierSet, method: str | None = None) -> LinearSystem:
+def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSystem:
     """Assemble the homogeneous linear system whose solutions are the
-    multiplier sets: the Euler residuals of each unknown's contraction,
-    one row per (Euler operator, slot, free monomial)."""
-    method = method or ansatz.method
-    if method != ansatz.method:
-        raise ValueError("ansatz shape does not match the requested method")
+    multiplier sets of the ansatz's method: the Euler residuals of each
+    unknown's contraction, one row per (Euler operator, slot, free
+    monomial)."""
+    method = ansatz.method
     for row in ansatz.slots:
         for slot in row:
             for a in atoms_of(slot):
@@ -501,7 +504,7 @@ def _is_eps_shift(m: MultiplierSet, space: list) -> bool:
 
 def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> SolveResult:
     ansatz = build_ansatz(problem, spec, method)
-    system = determining_system(problem, ansatz, method)
+    system = determining_system(problem, ansatz)
     basis = system.nullspace()
     classified = classify(basis, ansatz, system.unknowns)
     return SolveResult(problem, method, ansatz, system, basis, classified)

@@ -10,16 +10,18 @@
     functions     f(u), f'(u), f''(u) for a declared function symbol
     eps           reserved small-parameter symbol
 
-Parsing resolves every derivative notation to jet atoms; the result is an
-expression tree (not yet normalized).
+Parsing resolves every derivative notation to jet atoms and builds the
+canonical normal form while it descends: sums, products and powers are
+combined with the kernel as soon as their operands are parsed.  Forms
+outside the normal-form language, such as ``1/(u+1)`` or ``x/0``, raise
+:class:`UnsupportedFormError` from :func:`parse` itself.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .atoms import FuncAtom, Jet, SymbolTable
-from .expr import Add, AtomRef, Expr, Mul, Pow, Rat
+from . import kernel
+from .atoms import FuncAtom, Jet, SymbolTable, atom_at
+from .expr import NormalForm, as_poly, atom_poly, const_poly, poly_pow
 
 
 class ParseError(Exception):
@@ -102,9 +104,10 @@ class _Parser:
         kind, val, _ = self.peek()
         return kind == _OP and val in ops
 
-    # grammar -------------------------------------------------------------
+    # grammar: each rule returns a normal-form dict that no other value
+    # shares, so a sum can accumulate into its first term in place --------
 
-    def parse(self) -> Expr:
+    def parse(self) -> dict:
         e = self.sum_()
         kind, val, pos = self.peek()
         if kind != _END:
@@ -112,20 +115,19 @@ class _Parser:
         return e
 
     def sum_(self):
-        terms = [self.product()]
+        out = self.product()
         while self.at_op("+", "-"):
             _, op, _ = self.next()
-            t = self.product()
-            terms.append(t if op == "+" else Mul((Rat(Fraction(-1)), t)))
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+            kernel.poly_iadd(out, self.product(), 1 if op == "+" else -1)
+        return out
 
     def product(self):
-        factors = [self.unary()]
+        out = self.unary()
         while self.at_op("*", "/"):
             _, op, _ = self.next()
             f = self.unary()
-            factors.append(f if op == "*" else Pow(f, -1))
-        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+            out = kernel.poly_mul(out, f if op == "*" else poly_pow(f, -1))
+        return out
 
     def unary(self):
         sign = 1
@@ -134,14 +136,13 @@ class _Parser:
             if op == "-":
                 sign = -sign
         e = self.power()
-        return e if sign == 1 else Mul((Rat(Fraction(-1)), e))
+        return e if sign == 1 else kernel.poly_scale(e, -1)
 
     def power(self):
         base = self.primary()
         if self.at_op("^"):
             self.next()
-            n = self.exponent()
-            return Pow(base, n)
+            return poly_pow(base, self.exponent())
         return base
 
     def exponent(self) -> int:
@@ -172,7 +173,7 @@ class _Parser:
     def primary(self):
         kind, val, pos = self.next()
         if kind == _NUM:
-            return Rat(Fraction(val))
+            return const_poly(val)
         if kind == _OP and val == "(":
             e = self.sum_()
             self.expect_op(")")
@@ -184,7 +185,7 @@ class _Parser:
     def named(self, name, pos):
         t = self.table
         if name == "eps":
-            return AtomRef(t.eps)
+            return atom_poly(t.eps)
         if name == "der":
             return self.der(pos)
         if name in t.funcs:
@@ -202,18 +203,17 @@ class _Parser:
                 raise ParseError(
                     f"function {name} was declared on {t.dep_names[t.funcs[name]]!r}", pos, self.text
                 )
-            return AtomRef(FuncAtom(name, nd, arg))
+            return atom_poly(FuncAtom(name, nd, arg))
         if t.dep_index(name) is not None:
-            jet = self.jetref(name, pos)
-            return AtomRef(jet)
+            return atom_poly(self.jetref(name, pos))
         i = t.indep_index(name)
         if i is not None:
             self.no_suffix(name, pos)
-            return AtomRef(t.indep[i])
+            return atom_poly(t.indep[i])
         p = t.param(name)
         if p is not None:
             self.no_suffix(name, pos)
-            return AtomRef(p)
+            return atom_poly(p)
         kind, val, pos2 = self.peek()
         if kind == _SUFFIX:
             raise ParseError(f"derivative of a non-dependent symbol {name!r}", pos2, self.text)
@@ -255,7 +255,7 @@ class _Parser:
             self.expect_op("]")
         return self.table.jet(val, order, ())
 
-    def der(self, pos) -> Expr:
+    def der(self, pos) -> dict:
         self.expect_op("(")
         jet = self.depref("der() subject")
         names = []
@@ -271,10 +271,22 @@ class _Parser:
         out = jet
         for n in names:
             out = out.lifted(self.table.indep_index(n))
-        return AtomRef(out)
+        return atom_poly(out)
 
 
-def parse(text: str, table: SymbolTable) -> Expr:
-    """Parse ``text`` against the declared symbols; raises :class:`ParseError`
-    with a position on malformed input or undeclared identifiers."""
-    return _Parser(text, table).parse()
+def parse(text: str, table: SymbolTable) -> NormalForm:
+    """The normal form of ``text`` over the declared symbols; raises
+    :class:`ParseError` with a position on malformed input or undeclared
+    identifiers, and :class:`UnsupportedFormError` on forms outside the
+    normal-form language."""
+    return NormalForm(_Parser(text, table).parse())
+
+
+def single_atom(e: NormalForm):
+    """The atom ``a`` if ``e`` is exactly ``a`` (one term, coefficient 1,
+    exponent 1), else None."""
+    if len(e) == 1:
+        ((mono, c),) = as_poly(e).items()
+        if c == 1 and len(mono) == 2 and mono[1] == 1:
+            return atom_at(mono[0])
+    return None

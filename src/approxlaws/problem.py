@@ -51,7 +51,7 @@ from .expr import (
     substitute,
 )
 from .jets import collect_eps, expand_epsilon, total_derivative_chain
-from .parser import ParseError, parse
+from .parser import ParseError, parse, single_atom
 
 MAX_ORDER = 3  # configuration cap on the truncation order
 METHODS = ("consistent", "approach_a", "approach_b")
@@ -329,18 +329,10 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             elif key == "equation":
                 eqn_texts.append(value)
             elif key == "leading":
-                nf = normalize(parse(value, table))
-                terms = list(nf.terms())
-                ok = (
-                    len(terms) == 1
-                    and terms[0][0] == 1
-                    and len(terms[0][1]) == 1
-                    and terms[0][1][0][1] == 1
-                    and isinstance(terms[0][1][0][0], Jet)
-                )
-                if not ok:
+                lead = single_atom(parse(value, table))
+                if not isinstance(lead, Jet):
                     raise ProblemError(f"{where}: leading must be a single jet coordinate")
-                leading.append(terms[0][1][0][0])
+                leading.append(lead)
             elif key == "epsilon_shifts":
                 shifts = [_int(v, where) for v in _split_list(value)]
             elif key == "note":
@@ -356,7 +348,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                     n, nu, k = _int(parts[1], where), _int(parts[2], where) - 1, _int(parts[3], where)
                 else:
                     raise ProblemError(f"{where}: malformed multiplier key")
-                law(n).mult[(nu, k)] = normalize(parse(value, table))
+                law(n).mult[(nu, k)] = parse(value, table)
             elif key.startswith("flux."):
                 parts = key.split(".")
                 if len(parts) != 4:
@@ -365,7 +357,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                 i = table.indep_index(var)
                 if i is None:
                     raise ProblemError(f"{where}: {var!r} is not an independent variable")
-                law(n).flux[(i, k)] = normalize(parse(value, table))
+                law(n).flux[(i, k)] = parse(value, table)
             elif key.startswith("expected."):
                 parts = key.split(".")
                 if len(parts) != 3 or parts[2] != "status":
@@ -386,7 +378,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
     eqns = []
     for txt in eqn_texts:
         try:
-            eqns.append(normalize(parse(txt, table)))
+            eqns.append(parse(txt, table))
         except (ParseError, UnsupportedFormError) as exc:
             raise ProblemError(f"{source}: {exc}") from exc
     try:

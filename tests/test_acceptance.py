@@ -133,17 +133,17 @@ def test_criterion_2_diffusion_compare():
     # compare mode itself emits the three blocks side by side
     from importlib import resources
 
-    from approxlaws.cli import RunConfig, run_compare
+    from approxlaws.cli import build_parser, run_compare
 
-    cfg = RunConfig(
-        command="compare",
-        input=str(resources.files("approxlaws.corpus").joinpath("data", "diffusion-consistent.prob")),
-        mult_deps="t,x,u[0]",
-        mult_degree=2,
-        format="json",
-        trials=1,
-    )
-    report, code = run_compare(cfg)
+    args = build_parser().parse_args([
+        "compare",
+        str(resources.files("approxlaws.corpus").joinpath("data", "diffusion-consistent.prob")),
+        "--mult-deps", "t,x,u[0]",
+        "--mult-degree", "2",
+        "--format", "json",
+        "--trials", "1",
+    ])
+    report, code = run_compare(args)
     assert code == 0
     assert report["blocks"]["approach_a"]["nontrivial"] == 2
     assert report["blocks"]["approach_b"]["nontrivial"] == 4

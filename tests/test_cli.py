@@ -166,6 +166,8 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "expand", fixture_path("wave"), "--expr", "1/(u+1)")
     assert code == 2 and err.startswith("error: ")
+    code, _, err = run_cli(capsys, "expand", fixture_path("wave"), "--expr", "u", "--order", "4")
+    assert code == 2 and err.startswith("error: ")
     # an ansatz on a leading derivative is singular on solutions
     code, _, err = run_cli(capsys, "solve", fixture_path("kdv-burgers"),
                            "--mult-deps", "u[0],u[0]_t", "--mult-degree", "1")
@@ -210,15 +212,14 @@ def test_json_expressions_roundtrip(capsys):
         assert all(r.is_zero() for r in identity_residuals(*law_slots(pb, rebuilt)))
 
 
-def test_run_config_validation():
-    from approxlaws.cli import CliError, RunConfig
+def test_run_config_validation(capsys):
+    from approxlaws.cli import build_parser
 
-    with pytest.raises(CliError):
-        RunConfig(command="solve", order=0)
-    with pytest.raises(CliError):
-        RunConfig(command="solve", mult_degree=-1)
-    cfg = RunConfig(command="solve")
-    assert cfg.seed == 2023 and cfg.format == "text"
+    for flags in (["--order", "0"], ["--mult-degree", "-1"]):
+        code, _, err = run_cli(capsys, "solve", fixture_path("wave"), *flags)
+        assert code == 2 and err.startswith("error: ")
+    args = build_parser().parse_args(["solve", fixture_path("wave")])
+    assert args.seed == 2023 and args.format == "text"
 
 
 def test_byte_identical_reports(tmp_path):
@@ -279,6 +280,9 @@ def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
     [
         ["--laurent", "u[0]:x"],
         ["--mult-deps", "t,2*x"],
+        ["--mult-deps", "1/(u+1)"],
+        ["--mult-deps", "x/0"],
+        ["--laurent", "1/(u+1):-1"],
     ],
 )
 def test_malformed_ansatz_flags_exit_code(capsys, flags):

@@ -248,6 +248,7 @@ def test_parse_ansatz_text_forms(diffusion):
     for bad in (
         dict(mult_deps="t, 2*x", degree=1),
         dict(mult_deps="u[0]^2", degree=1),
+        dict(mult_deps="1/(u+1)", degree=1),
         dict(mult_deps="t", degree="two"),
         dict(mult_deps="t", degree=1, xdegree="1.5"),
         dict(mult_deps="t", degree=1, laurent="u[0]:x"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from approxlaws import SymbolTable, normalize, parse
+from approxlaws import NormalForm, SymbolTable, UnsupportedFormError, normalize, parse
 from approxlaws.parser import ParseError
 
 
@@ -33,6 +33,12 @@ def test_expansion_components(table):
 def test_function_primes(table):
     f2 = table.func_atom("f", 2)
     assert normalize(parse("f''(u)", table)) == normalize(f2)
+
+
+def test_parse_builds_normal_forms(table):
+    assert isinstance(parse("u*(u + 1) - 2/4", table), NormalForm)
+    with pytest.raises(UnsupportedFormError):
+        parse("1/(u+1)", table)
 
 
 def test_eps_reserved():

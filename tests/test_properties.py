@@ -21,6 +21,7 @@ from approxlaws import (
     partial,
     per_order_euler,
     pow_int,
+    print_poly,
     recursion_R,
     substitute,
     total_derivative,
@@ -106,6 +107,12 @@ def test_ring_laws(a, b, c):
 def test_normalize_idempotent_and_congruent(e):
     assert normalize(normalize(e)) == normalize(e)
     assert pow_int(e, 2) == e * e
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs())
+def test_print_parse_roundtrip(e):
+    assert parse(print_poly(e, TABLE), TABLE) == e
 
 
 # --- seeded bulk properties ---------------------------------------------------
