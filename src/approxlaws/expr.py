@@ -151,6 +151,8 @@ def poly_pow(p, n: int) -> dict:
     if n == 0:
         return {(): 1}
     if n < 0:
+        if not p:
+            raise UnsupportedFormError("division by zero")
         if len(p) != 1:
             raise UnsupportedFormError(
                 "negative powers are only supported on atomic (single-monomial) bases"

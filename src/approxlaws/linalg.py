@@ -3,7 +3,9 @@
 Rows are dicts column-index -> nonzero coefficient (int or Fraction).  The
 reduced row echelon form is unique for a given row space, so results do not
 depend on row input order; columns are processed in their numeric order,
-which callers arrange to be the canonical unknown order.
+which callers arrange to be the canonical unknown order.  Elimination takes
+the rows sparsest first: short rows become pivots that reduce the longer
+rows cheaply, where dense rows first would fill in every later row.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def rref(rows) -> dict:
     """Reduced row echelon form of the row space; returns a map from pivot
     column to its (fully reduced, pivot coefficient 1) row."""
     pivots: dict[int, dict] = {}
-    for r0 in rows:
+    for r0 in sorted(rows, key=len):
         r = dict(r0)
         while r:
             lead = min(r)

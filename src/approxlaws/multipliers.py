@@ -4,12 +4,12 @@ The unknown multiplier coefficient functions are realized as bounded-degree
 polynomials over a generator set (independent variables and order-0 jet
 coordinates, optionally Laurent in designated atoms) with unknown rational
 coefficients.  A multiplier set is one whose truncated contraction with the
-equations the Euler operators annihilate.  The ansatz is linear in its
-unknowns, so the determining system is the Euler residuals of each unknown's
-contraction: column j holds those of unknown j, one row per (operator,
-slot, free jet monomial).  Its nullspace basis is the solution space.
-The same contraction and Euler residuals certify a concrete multiplier set
-and give the targets of flux reconstruction.
+equations the Euler operators annihilate.  The determining system is
+``verify_euler``'s residuals of the symbolic ansatz, split by unknown: each
+residual monomial holds one unknown (the column) times a free jet monomial
+(with the operator and slot, the row).  Its nullspace basis is the solution
+space.  The same contraction and Euler residuals certify a concrete
+multiplier set and give the targets of flux reconstruction.
 """
 
 from __future__ import annotations
@@ -293,40 +293,31 @@ def _linear_combo(basis, syms):
 # --- contraction and Euler residuals -----------------------------------------
 
 
-def _contract(problem: PdeProblem, method: str, slots: dict) -> list:
-    """The truncated product of multiplier slots ``{(nu, k): polynomial}``
-    with the equations.
+def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
+    """The truncated product of the multiplier set with the equations: the
+    targets a law's flux divergence must equal.
 
-    Consistent / approach A: the Cauchy-product slots T_k = sum over
-    nu, l <= k of slots[(nu, l)] * (equation slot k-l), k = 0..p.  Approach B:
-    a single exact contraction sum over nu, k of slots[(nu, k)] * (expanded
-    equation slot k).
+    Consistent / approach A: the Cauchy-product slots T_k = sum over nu,
+    l <= k of (multiplier slot l) * (equation slot k-l), k = 0..p.  Approach
+    B: one exact contraction sum over nu, k of (multiplier slot k) *
+    (expanded equation slot k).  All slots are eps-free (the slot index
+    carries the power), so no further eps truncation is needed.
     """
     p = problem.p
-    if method == "approach_b":
+    if mult.method == "approach_b":
         out = {}
-        for (nu, k), a_poly in slots.items():
+        for nu, row in enumerate(mult.slots):
             dsl = problem.expanded_slots(nu)
-            kernel.poly_iadd(out, kernel.poly_mul(as_poly(a_poly), as_poly(dsl[k])))
+            for k, a in enumerate(row):
+                kernel.poly_iadd(out, kernel.poly_mul(as_poly(a), as_poly(dsl[k])))
         return [NormalForm(out)]
     parts = [{} for _ in range(p + 1)]
-    for (nu, ell), a_poly in slots.items():
-        dsl = problem.expanded_slots(nu) if method == "consistent" else problem.unexpanded_slots(nu)
-        for k in range(ell, p + 1):
-            kernel.poly_iadd(parts[k], kernel.poly_mul(as_poly(a_poly), as_poly(dsl[k - ell])))
+    for nu, row in enumerate(mult.slots):
+        dsl = problem.expanded_slots(nu) if mult.method == "consistent" else problem.unexpanded_slots(nu)
+        for ell, a in enumerate(row):
+            for k in range(ell, p + 1):
+                kernel.poly_iadd(parts[k], kernel.poly_mul(as_poly(a), as_poly(dsl[k - ell])))
     return [NormalForm(part) for part in parts]
-
-
-def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
-    """The truncated product of the multiplier set with the equations.
-
-    These are the targets a law's flux divergence must equal, for every
-    method.  Multiplier slots and equation slots are eps-free (the slot index
-    carries the power), so the slots need no further eps truncation.
-    """
-    return _contract(problem, mult.method, {
-        (nu, k): slot for nu, row in enumerate(mult.slots) for k, slot in enumerate(row)
-    })
 
 
 def euler_kinds(problem: PdeProblem, method: str) -> list[EulerKind]:
@@ -356,47 +347,47 @@ class LinearSystem:
 
     unknowns: list
     rows: list
-    labels: list
 
     def nullspace(self) -> list[tuple]:
         return linalg.nullspace(self.rows, len(self.unknowns))
 
 
-def _decompose_by_unknown(mult: MultiplierSet):
-    """Split each slot, linear in the coefficient symbols, into per-unknown
-    contribution polynomials.  Returns (ordered unknowns, contrib) with
-    contrib[sym][(nu, k)] a plain polynomial dict."""
+def _split_unknown(mono) -> tuple:
+    """Split a monomial linear in the coefficient symbols into its one
+    coefficient symbol and the rest of the monomial."""
+    csym = None
+    rest = []
+    for j in range(0, len(mono), 2):
+        a = atom_at(mono[j])
+        if isinstance(a, Sym) and a.kind == COEFF:
+            if csym is not None or mono[j + 1] != 1:
+                raise AnsatzError("ansatz is not linear in its unknowns")
+            csym = a
+        else:
+            rest.append(mono[j])
+            rest.append(mono[j + 1])
+    if csym is None:
+        raise AnsatzError("ansatz term without an unknown coefficient")
+    return csym, tuple(rest)
+
+
+def _decompose_by_unknown(mult: MultiplierSet) -> dict:
+    """Split each slot into per-unknown contribution polynomials:
+    contrib[sym][(nu, k)] is a plain polynomial dict."""
     contrib: dict = {}
-    syms = set()
     for nu, row in enumerate(mult.slots):
         for k, slot in enumerate(row):
             for mono, c in as_poly(slot).items():
-                csym = None
-                rest = []
-                for j in range(0, len(mono), 2):
-                    a = atom_at(mono[j])
-                    if isinstance(a, Sym) and a.kind == COEFF:
-                        if csym is not None or mono[j + 1] != 1:
-                            raise AnsatzError("ansatz is not linear in its unknowns")
-                        csym = a
-                    else:
-                        rest.append(mono[j])
-                        rest.append(mono[j + 1])
-                if csym is None:
-                    raise AnsatzError("ansatz term without an unknown coefficient")
-                syms.add(csym)
-                bucket = contrib.setdefault(csym, {})
-                kernel.poly_iadd(bucket.setdefault((nu, k), {}), {tuple(rest): c})
-    unknowns = sorted(syms, key=lambda s: s.tag)
-    return unknowns, contrib
+                csym, rest = _split_unknown(mono)
+                contrib.setdefault(csym, {}).setdefault((nu, k), {})[rest] = c
+    return contrib
 
 
 def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSystem:
-    """Assemble the homogeneous linear system whose solutions are the
-    multiplier sets of the ansatz's method: the Euler residuals of each
-    unknown's contraction, one row per (Euler operator, slot, free
-    monomial)."""
-    method = ansatz.method
+    """The homogeneous linear system whose solutions are the multiplier sets
+    of the ansatz's method: the Euler residuals of the ansatz's contraction,
+    split by unknown, one row per (Euler operator, slot, free monomial)."""
+    syms = set()
     for row in ansatz.slots:
         for slot in row:
             for a in atoms_of(slot):
@@ -406,24 +397,22 @@ def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSyst
                         f"ansatz depends on the leading derivative of equation {nu + 1}; "
                         "multipliers would be singular on solutions"
                     )
-    unknowns, contrib = _decompose_by_unknown(ansatz)
-    kind_index = {kind: i for i, kind in enumerate(euler_kinds(problem, method))}
+                if isinstance(a, Sym) and a.kind == COEFF:
+                    syms.add(a)
+    unknowns = sorted(syms, key=lambda s: s.tag)
+    column = {s: j for j, s in enumerate(unknowns)}
     rows_by_key: dict = {}
-    for j, sym in enumerate(unknowns):
-        parts = _contract(problem, method, contrib[sym])
-        for kind, k, res in euler_residuals(problem, method, parts):
-            for mono, c in as_poly(res).items():
-                rows_by_key.setdefault((kind_index[kind], k, mono), {})[j] = c
-
-    labels = sorted(rows_by_key, key=lambda key: (key[0], key[1], mono_sort_key(key[2])))
-    rows = [rows_by_key[key] for key in labels]
-    return LinearSystem(unknowns, rows, labels)
+    for kind, k, res in euler_residuals(problem, ansatz.method, contraction(problem, ansatz)):
+        for mono, c in as_poly(res).items():
+            csym, rest = _split_unknown(mono)
+            rows_by_key.setdefault((kind, k, rest), {})[column[csym]] = c
+    return LinearSystem(unknowns, list(rows_by_key.values()))
 
 
 def instantiate(ansatz: MultiplierSet, unknowns, vectors) -> list:
     """Substitute each coefficient vector into the ansatz: the multiplier set
     is the linear combination of the per-unknown pieces."""
-    _, contrib = _decompose_by_unknown(ansatz)
+    contrib = _decompose_by_unknown(ansatz)
     out = []
     for vector in vectors:
         slots = [[{} for _ in row] for row in ansatz.slots]
@@ -513,6 +502,6 @@ def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "cons
 def coefficient_vector(mult: MultiplierSet, ansatz: MultiplierSet, unknowns) -> tuple | None:
     """Express a concrete multiplier set in the ansatz coefficient space, or
     None if it does not fit (used for span-membership tests)."""
-    _, contrib = _decompose_by_unknown(ansatz)
+    contrib = _decompose_by_unknown(ansatz)
     columns = [_keyed_coefficients(contrib[s]) for s in unknowns]
     return linalg.in_span(columns, _slot_coefficients(mult))

@@ -45,9 +45,9 @@ def _tokenize(text):
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append((_NUM, int(text[i:j]), i))
             i = j
@@ -180,7 +180,8 @@ class _Parser:
             return e
         if kind == _NAME:
             return self.named(val, pos)
-        raise ParseError(f"unexpected {val!r}", pos, self.text)
+        raise ParseError("unexpected end of input" if kind == _END else f"unexpected {val!r}",
+                         pos, self.text)
 
     def named(self, name, pos):
         t = self.table
@@ -279,7 +280,11 @@ def parse(text: str, table: SymbolTable) -> NormalForm:
     :class:`ParseError` with a position on malformed input or undeclared
     identifiers, and :class:`UnsupportedFormError` on forms outside the
     normal-form language."""
-    return NormalForm(_Parser(text, table).parse())
+    try:
+        return NormalForm(_Parser(text, table).parse())
+    except RecursionError:
+        # parentheses and exponent towers nest by recursion
+        raise ParseError("expression nested too deeply") from None
 
 
 def single_atom(e: NormalForm):

@@ -290,3 +290,20 @@ def test_malformed_ansatz_flags_exit_code(capsys, flags):
                            "--mult-degree", "1", "--trials", "1")
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", fixture_path("wave"), "--mult-deps", "u +"],
+         "error: unexpected end of input (at position 3)\n"),
+        (["solve", fixture_path("kdv-burgers"), "--mult-deps", "x/0"],
+         "error: 'x/0': division by zero\n"),
+        (["expand", fixture_path("wave"), "--expr", "(" * 3000 + "u" + ")" * 3000],
+         "error: expression nested too deeply\n"),
+    ],
+    ids=["end-of-input", "division-by-zero", "deep-nesting"],
+)
+def test_parser_input_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message)

@@ -74,3 +74,67 @@ def test_in_span_ignores_row_order():
             order = rng.sample(keys, len(keys))
             shuffled = [{k: col[k] for k in order if k in col} for col in columns]
             assert in_span(shuffled, {k: target[k] for k in order}) == answer
+
+
+def _dense_rref(matrix, ncols):
+    """Dense Gauss-Jordan over Fraction: the nonzero rows of the reduced
+    row echelon form, with their pivot columns."""
+    mat = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def _dense_nullspace(rows, ncols):
+    reduced, pivots = _dense_rref([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    canon, _ = _dense_rref(basis, ncols)
+    return [tuple(v) for v in canon]
+
+
+def _random_sparse_system(rng):
+    """Sparse rational rows plus planted singleton rows (each forces an
+    unknown to zero), empty rows, and duplicates, some of them rescaled."""
+    ncols = rng.randint(1, 12)
+
+    def coeff():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+
+    rows = [
+        {c: coeff() for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+        for _ in range(rng.randint(0, 10))
+    ]
+    rows += [{rng.randrange(ncols): coeff()} for _ in range(rng.randint(0, 3))]
+    rows += [{} for _ in range(rng.randint(0, 1))]
+    for _ in range(rng.randint(0, 4)):
+        if rows:
+            row, scale = rng.choice(rows), rng.choice([1, 1, coeff()])
+            rows.append({c: v * scale for c, v in row.items()})
+    return rows, ncols
+
+
+def test_nullspace_matches_dense_oracle_under_row_shuffles():
+    rng = random.Random(2023)
+    for _ in range(300):
+        rows, ncols = _random_sparse_system(rng)
+        expected = _dense_nullspace(rows, ncols)
+        for _ in range(4):
+            assert nullspace(rng.sample(rows, len(rows)), ncols) == expected

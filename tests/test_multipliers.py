@@ -1,8 +1,11 @@
 """Ansatz construction, determining systems, nullspace, classification."""
 
+from collections import Counter
+
 import pytest
 
 from approxlaws import coeff_sym, normalize, parse, partial
+from approxlaws.expr import as_poly
 from approxlaws.linalg import in_span
 from approxlaws.multipliers import (
     AnsatzError,
@@ -13,6 +16,8 @@ from approxlaws.multipliers import (
     coefficient_vector,
     contraction,
     determining_system,
+    euler_residuals,
+    instantiate,
     parse_ansatz,
     solve_multipliers,
 )
@@ -62,6 +67,37 @@ def test_ansatz_covers_kdv_second_multiplier(kdv):
     )
     sys = determining_system(kdv, ansatz)
     assert coefficient_vector(target, ansatz, sys.unknowns) is not None
+
+
+@pytest.mark.parametrize(
+    "name, gens, method",
+    [
+        ("diffusion", ["t", "x", "u[0]"], "consistent"),
+        ("diffusion", ["t", "x", "u[0]"], "approach_a"),
+        ("diffusion", ["t", "x", "u[0]"], "approach_b"),
+        ("kdv", ["t", "x", "u[0]", "u[0]_x", "u[0]_xx"], "consistent"),
+        ("wave", ["t", "x", "u[0]", "u[0]_t", "u[0]_x"], "consistent"),
+    ],
+)
+def test_determining_system_columns_are_unit_multiplier_residuals(request, name, gens, method):
+    # oracle: column j holds the Euler residuals of the contraction of the
+    # ansatz instantiated at the unit vector e_j, one row per (Euler
+    # operator, slot, monomial); rows carry no labels, so the two matrices
+    # are compared up to row order
+    pb = request.getfixturevalue(name)
+    ansatz = build_ansatz(pb, spec_for(pb, gens, 1), method)
+    system = determining_system(pb, ansatz)
+    n = len(system.unknowns)
+    columns: dict = {}
+    for j in range(n):
+        (mult,) = instantiate(ansatz, system.unknowns, [tuple(int(i == j) for i in range(n))])
+        for kind, k, res in euler_residuals(pb, method, contraction(pb, mult)):
+            for mono, c in as_poly(res).items():
+                columns.setdefault((kind, k, mono), {})[j] = c
+    assert system.rows and all(system.rows)
+    assert Counter(frozenset(r.items()) for r in system.rows) == Counter(
+        frozenset(r.items()) for r in columns.values()
+    )
 
 
 def test_empty_generators_with_positive_degree():

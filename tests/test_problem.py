@@ -1,8 +1,11 @@
 """Problem loading, Cauchy-Kovalevskaya validation, on-solution reduction."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from approxlaws import normalize, parse
+from approxlaws.parser import ParseError
 from approxlaws.jets import EpsilonSeries, total_derivative
 from approxlaws.problem import (
     InconclusiveReduction,
@@ -130,3 +133,32 @@ def test_multi_equation_expected_blocks():
     law = pf.expected[0]
     assert (0, 0) in law.mult and (1, 0) in law.mult
     assert (0, 0) in law.flux and (1, 0) in law.flux
+
+
+_HEADER = "independent = t, x\ndependent = u, v\nparameters = c\nfunctions = f(u)\norder = 1\n"
+_KEYS = (
+    "name", "method", "independent", "dependent", "parameters", "functions", "order",
+    "equation", "leading", "epsilon_shifts", "note", "hint.mult_deps", "multiplier.1.0",
+    "multiplier.1.2.1", "multiplier.x", "flux.1.x.0", "flux.1.y.0", "expected.1.status",
+)
+_TOKENS = (
+    "u", "v", "t", "x", "c", "w", "u_t", "u_x", "v_xx", "u_y", "eps", "f(u)", "f'(v)", "f(",
+    "der(u, x)", "der(u)", "der(", "u[0]", "u[1]_x", "u[", "[2]", "+", "-", "*", "/", "^",
+    "0", "2", "-1", "7", "(", ")", " ", ",", ":", "_", "'", "#", "=", "consistent", "identity",
+)
+_values = st.one_of(st.text(max_size=20), st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join))
+_lines = st.one_of(
+    st.text(max_size=30),
+    st.tuples(st.one_of(st.sampled_from(_KEYS), st.text(max_size=8)), _values).map(" = ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(_lines, max_size=8))
+@example(True, ["equation = u^\u00b2"])  # a digit int() rejects
+def test_problem_text_fuzz_raises_only_input_errors(header, lines):
+    text = (_HEADER if header else "") + "\n".join(lines)
+    try:
+        parse_problem_text(text)
+    except (ProblemError, ParseError):
+        pass
