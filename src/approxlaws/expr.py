@@ -13,6 +13,7 @@ unsupported forms (none occur in practice).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import kernel
@@ -255,25 +256,52 @@ def eval_rational(e, point: dict, fvals: dict | None = None) -> Fraction:
     ``point`` binds every symbol/jet atom to a rational; ``fvals`` binds
     ``(function-name, derivative-count, argument-value)`` triples.  Laurent
     exponents require nonzero base values.
+
+    The arithmetic is on integers: each (atom, exponent) power occurring in
+    ``e`` is resolved once per call to a (numerator, denominator) pair, and
+    every monomial contributes an integer numerator over an integer
+    denominator.  Numerators are summed per distinct denominator, and the
+    sums meet over their least common multiple, so one ``Fraction`` (one
+    gcd) is built per call.
     """
     p = as_poly(e)
-    total = Fraction(0)
+    powers = {}  # (atom id, exponent) -> (numerator, denominator)
+    # denominator -> sum of numerators over it; a negative base under a
+    # negative exponent leaves a negative denominator, which math.lcm absorbs
+    sums = {}
     for mono, c in p.items():
-        v = Fraction(c)
-        for a, exp in mono_atoms(mono):
-            if isinstance(a, FuncAtom):
-                if a.arg not in point:
-                    raise EvalError(f"unbound atom {a.arg!r}")
-                key = (a.fname, a.nd, Fraction(point[a.arg]))
-                if fvals is None or key not in fvals:
-                    raise EvalError(f"no value for function sample {key}")
-                base = Fraction(fvals[key])
-            else:
-                if a not in point:
-                    raise EvalError(f"unbound atom {a!r}")
-                base = Fraction(point[a])
-            if exp < 0 and base == 0:
-                raise EvalError(f"zero base for negative exponent on {a!r}")
-            v *= base**exp
-        total += v
-    return total
+        if type(c) is int:
+            n, d = c, 1
+        else:
+            n, d = c.numerator, c.denominator
+        for j in range(0, len(mono), 2):
+            key = mono[j : j + 2]
+            pw = powers.get(key)
+            if pw is None:
+                pw = powers[key] = _atom_power(atom_at(mono[j]), mono[j + 1], point, fvals)
+            n *= pw[0]
+            d *= pw[1]
+        sums[d] = sums.get(d, 0) + n
+    den = math.lcm(*sums)
+    return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
+
+
+def _atom_power(a, exp, point, fvals):
+    """``value(a)**exp`` as an integer pair (numerator, nonzero denominator)."""
+    if isinstance(a, FuncAtom):
+        if a.arg not in point:
+            raise EvalError(f"unbound atom {a.arg!r}")
+        key = (a.fname, a.nd, Fraction(point[a.arg]))
+        if fvals is None or key not in fvals:
+            raise EvalError(f"no value for function sample {key}")
+        base = Fraction(fvals[key])
+    else:
+        if a not in point:
+            raise EvalError(f"unbound atom {a!r}")
+        base = Fraction(point[a])
+    n, d = base.numerator, base.denominator
+    if exp < 0:
+        if n == 0:
+            raise EvalError(f"zero base for negative exponent on {a!r}")
+        n, d, exp = d, n, -exp
+    return n**exp, d**exp

@@ -80,19 +80,33 @@ class EpsilonSeries:
         return NormalForm(out)
 
 
+# (atom id, i) -> D_i image of the atom ({} when it derives to zero).  Atoms
+# are interned for the life of the process, so the memo holds at most one
+# entry per atom and independent variable.
+_total_images: dict = {}
+
+
+def _total_image(aid: int, i: int) -> dict:
+    a = atom_at(aid)
+    if isinstance(a, Jet):
+        return atom_poly(a.lifted(i))
+    if isinstance(a, FuncAtom):
+        chain = FuncAtom(a.fname, a.nd + 1, a.arg)
+        return {kernel.mono_mul((intern(chain), 1), (intern(a.arg.lifted(i)), 1)): 1}
+    if a.kind == INDEP and a.pos == i:
+        return {(): 1}
+    return {}
+
+
 def total_derivative(e, i: int) -> NormalForm:
     """D_i: partial in x_i plus threading through all jet coordinates."""
     p = as_poly(e)
     images = {}
     for aid in poly_atom_ids(p):
-        a = atom_at(aid)
-        if isinstance(a, Jet):
-            images[aid] = atom_poly(a.lifted(i))
-        elif isinstance(a, FuncAtom):
-            chain = FuncAtom(a.fname, a.nd + 1, a.arg)
-            images[aid] = {kernel.mono_mul((intern(chain), 1), (intern(a.arg.lifted(i)), 1)): 1}
-        elif a.kind == INDEP and a.pos == i:
-            images[aid] = {(): 1}
+        img = _total_images.get((aid, i))
+        if img is None:
+            img = _total_images[(aid, i)] = _total_image(aid, i)
+        images[aid] = img
     return NormalForm(kernel.derive(p, images))
 
 
@@ -355,7 +369,15 @@ def per_order_euler(alpha: int, k: int) -> EulerKind:
 def euler(e, kind: EulerKind, r: int | None = None) -> NormalForm:
     """E(e) = sum over multi-indices J of (-D)_J (de/dv_J) for the variable
     family of ``kind``.  The depth is the maximum derivative order present in
-    the operand unless ``r`` restricts it."""
+    the operand unless ``r`` restricts it.
+
+    One scan splits the operand into the monomials holding each family
+    coordinate v_J (or a function application of v), so each partial
+    derivative reads only its part.  The total derivatives are folded
+    Horner-style over the prefix trie of the multi-indices:
+    A_J = de/dv_J - sum over children J+i of D_i A_(J+i), and E = A_().
+    Each trie edge costs one D_i, where the sum as written costs |J| per J.
+    """
     p = as_poly(e)
     if kind.family == "consistent":
         want = 0
@@ -363,18 +385,26 @@ def euler(e, kind: EulerKind, r: int | None = None) -> NormalForm:
         want = None
     else:
         want = kind.order
-    multi_indices = set()
+    family = {}  # atom id -> multi-index J of the family coordinate it holds
     for aid in poly_atom_ids(p):
         a = atom_at(aid)
         if isinstance(a, FuncAtom):
             a = a.arg  # the chain rule makes f(u) depend on u
         if isinstance(a, Jet) and a.dep == kind.alpha and a.order == want:
             if r is None or len(a.deriv) <= r:
-                multi_indices.add(a.deriv)
-    out = {}
-    nf = NormalForm(p)
-    for J in sorted(multi_indices):
-        term = partial(nf, Jet(kind.alpha, want, J))
-        term = total_derivative_chain(term, J)
-        kernel.poly_iadd(out, as_poly(term), -1 if len(J) % 2 else 1)
-    return NormalForm(out)
+                family[aid] = a.deriv
+    parts = {J: {} for J in family.values()}
+    for mono, c in p.items():
+        for j in range(0, len(mono), 2):
+            J = family.get(mono[j])
+            if J is not None:
+                parts[J][mono] = c
+    acc = {J[:k]: {} for J in parts for k in range(len(J) + 1)}
+    acc[()] = {}
+    for J, part in parts.items():
+        acc[J] = as_poly(partial(part, Jet(kind.alpha, want, J)))
+    # deepest first: each A_J is complete before it is folded into its parent
+    for J in sorted(acc, key=len, reverse=True):
+        if J:
+            kernel.poly_iadd(acc[J[:-1]], as_poly(total_derivative(acc.pop(J), J[-1])), -1)
+    return NormalForm(acc[()])

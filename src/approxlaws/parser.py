@@ -3,7 +3,8 @@
     identifiers   [A-Za-z][A-Za-z0-9]*
     numbers       integer literals; rationals via the `/` operator
     operators     + - * / ^   (standard precedence, ^ binds an integer
-                  literal exponent only, right-associative)
+                  literal exponent only, right-associative; the value of
+                  an exponent tower such as 2^3^2 is at most MAX_EXPONENT)
     derivatives   u_tx  == der(u, t, x) for a declared dependent u and
                   single-letter independents; explicit form der(u, t, x)
     expansions    u[0], u[1], with derivatives u[1]_x / der(u[1], x)
@@ -22,6 +23,12 @@ from __future__ import annotations
 from . import kernel
 from .atoms import FuncAtom, Jet, SymbolTable, atom_at
 from .expr import NormalForm, as_poly, atom_poly, const_poly, poly_pow
+
+
+# Bound on the value of an exponent tower such as 2^3^2, far above the
+# corpus's largest exponent (4): a tower's value grows so fast that an
+# unbounded one makes the parser hang.
+MAX_EXPONENT = 1000
 
 
 class ParseError(Exception):
@@ -163,10 +170,14 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal", pos, self.text)
             n = sign * val
         if self.at_op("^"):
-            self.next()
+            pos = self.next()[2]
             m = self.exponent()
             if m < 0 or (n == 0 and m == 0):
                 raise ParseError("unsupported exponent tower", self.peek()[2], self.text)
+            # |n| >= 2 passes the bound once m reaches its bit length, so
+            # n**m is computed only when it is small
+            if abs(n) > 1 and (m >= MAX_EXPONENT.bit_length() or abs(n) ** m > MAX_EXPONENT):
+                raise ParseError(f"exponent tower exceeds {MAX_EXPONENT}", pos, self.text)
             n = n**m
         return n
 

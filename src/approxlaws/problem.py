@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atoms import EPS_SYM, Jet, Sym, SymbolTable, intern
+from .atoms import EPS_SYM, FuncAtom, Jet, Sym, SymbolTable, intern
 from .expr import (
     NormalForm,
     UnsupportedFormError,
@@ -102,6 +102,8 @@ class PdeProblem:
             if not isinstance(lead, Jet) or lead.order is not None:
                 raise ProblemError("leading derivatives are unexpanded jet coordinates")
             for a in atoms_of(eqn):
+                if isinstance(a, FuncAtom):
+                    a = a.arg
                 if isinstance(a, Jet) and a.order is not None:
                     raise ProblemError("equations are written over unexpanded variables")
             q = partial(eqn, lead)

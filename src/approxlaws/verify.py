@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atoms import FuncAtom, Jet, Sym, mono_atoms
-from .expr import EvalError, NormalForm, atoms_of, eval_rational
+from .atoms import FuncAtom, Jet, Sym, atom_at
+from .expr import EvalError, NormalForm, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
 from .multipliers import contraction, euler_residuals
 from .problem import InconclusiveReduction, PdeProblem
@@ -88,31 +88,36 @@ def _rand_rational(rng: random.Random, nonzero: bool) -> Fraction:
     return Fraction(num, den)
 
 
-def _sample_point(exprs, rng: random.Random):
-    """Random rational values for every atom across ``exprs``; Laurent bases
-    and function arguments get nonzero values; function samples are drawn per
-    (name, derivative count) at the argument's value."""
-    atoms = set()
+def _sample_atoms(exprs):
+    """The atoms across ``exprs`` in canonical order, and the set of those
+    that occur under a negative exponent (Laurent bases)."""
+    ids = set()
     laurent = set()
     for e in exprs:
-        atoms |= atoms_of(e)
         for mono in e._p:
-            for a, exp in mono_atoms(mono):
-                if exp < 0:
-                    laurent.add(a)
+            for j in range(0, len(mono), 2):
+                ids.add(mono[j])
+                if mono[j + 1] < 0:
+                    laurent.add(atom_at(mono[j]))
+    return sorted((atom_at(i) for i in ids), key=lambda a: a.sort_key()), laurent
+
+
+def _sample_point(atoms, laurent, rng: random.Random):
+    """Random rational values for ``atoms`` (canonically ordered); Laurent
+    bases and function arguments get nonzero values; function samples are
+    drawn per (name, derivative count) at the argument's value."""
     point = {}
     fsamples = []
-    for a in sorted(atoms, key=lambda a: a.sort_key()):
+    for a in atoms:
         if isinstance(a, FuncAtom):
             fsamples.append(a)
-            atoms_arg = a.arg
-            if atoms_arg not in point:
-                point[atoms_arg] = _rand_rational(rng, True)
+            if a.arg not in point:
+                point[a.arg] = _rand_rational(rng, True)
         elif isinstance(a, (Sym, Jet)):
             if a not in point:
                 point[a] = _rand_rational(rng, a in laurent)
     fvals = {}
-    for a in sorted(fsamples, key=lambda a: a.sort_key()):
+    for a in fsamples:
         key = (a.fname, a.nd, Fraction(point[a.arg]))
         if key not in fvals:
             fvals[key] = _rand_rational(rng, False)
@@ -124,10 +129,13 @@ def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
     """Evaluate both sides of the divergence identity, the contraction
     ``targets`` and the flux divergence ``divs``, at random rational jet
     points; exact equality required.  Seeded and reproducible; evaluation
-    singularities are resampled a bounded number of times."""
+    singularities are resampled a bounded number of times.  The atoms to
+    sample are collected once per call; every trial draws their values in
+    canonical atom order and evaluates with :func:`eval_rational`'s integer
+    arithmetic."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    exprs = list(targets) + list(divs)
+    atoms, laurent = _sample_atoms(list(targets) + list(divs))
     checks = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
@@ -135,7 +143,7 @@ def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
         witness = None
         for attempt in range(max_retries):
             try:
-                point, fvals = _sample_point(exprs, rng)
+                point, fvals = _sample_point(atoms, laurent, rng)
                 for k, (t, d) in enumerate(zip(targets, divs)):
                     lhs = eval_rational(t, point, fvals)
                     rhs = eval_rational(d, point, fvals)

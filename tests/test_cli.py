@@ -261,6 +261,7 @@ def test_byte_identical_reports(tmp_path):
         ("order = 1", "order = 7"),
         ("equation = u_t - u^-2*u_xx", "equation = -u^-2*u_xx"),
         ("equation = u_t - u^-2*u_xx", "equation = u_t - eps^-1*u - u^-2*u_xx"),
+        ("equation = u_t - u^-2*u_xx", "functions = f(u)\nequation = u_t + f(u[0])*u_x - u^-2*u_xx"),
     ],
 )
 def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
@@ -301,8 +302,10 @@ def test_malformed_ansatz_flags_exit_code(capsys, flags):
          "error: 'x/0': division by zero\n"),
         (["expand", fixture_path("wave"), "--expr", "(" * 3000 + "u" + ")" * 3000],
          "error: expression nested too deeply\n"),
+        (["expand", fixture_path("wave"), "--expr", "u^7^7^7"],
+         "error: exponent tower exceeds 1000 (at position 5)\n"),
     ],
-    ids=["end-of-input", "division-by-zero", "deep-nesting"],
+    ids=["end-of-input", "division-by-zero", "deep-nesting", "exponent-tower"],
 )
 def test_parser_input_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -27,8 +27,9 @@ from approxlaws import (
     total_derivative,
     unexpanded_euler,
 )
-from approxlaws.atoms import FuncAtom
-from approxlaws.expr import NormalForm, atoms_of
+from approxlaws import kernel
+from approxlaws.atoms import INDEP, FuncAtom, Jet, atom_at, intern, mono_atoms
+from approxlaws.expr import EvalError, NormalForm, atoms_of, poly_atom_ids
 
 TABLE = SymbolTable(["t", "x"], ["u", "v"], ["c"], [("f", "u")])
 
@@ -257,3 +258,157 @@ def test_eval_ring_morphism():
             point[atom] = Fraction(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 9))
         ev = lambda e: eval_rational(e, point)
         assert ev(a * b + c) == ev(a) * ev(b) + ev(c)
+
+
+# --- oracles for the integer evaluation and the Horner-folded Euler operator --
+
+
+def _eval_fraction_by_fraction(e, point, fvals=None):
+    """eval_rational as the plain loop: Fraction arithmetic per monomial."""
+    total = Fraction(0)
+    for mono, c in e._p.items():
+        v = Fraction(c)
+        for a, exp in mono_atoms(mono):
+            if isinstance(a, FuncAtom):
+                if a.arg not in point:
+                    raise EvalError(f"unbound atom {a.arg!r}")
+                key = (a.fname, a.nd, Fraction(point[a.arg]))
+                if fvals is None or key not in fvals:
+                    raise EvalError(f"no value for function sample {key}")
+                base = Fraction(fvals[key])
+            else:
+                if a not in point:
+                    raise EvalError(f"unbound atom {a!r}")
+                base = Fraction(point[a])
+            if exp < 0 and base == 0:
+                raise EvalError(f"zero base for negative exponent on {a!r}")
+            v *= base**exp
+        total += v
+    return total
+
+
+def _outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except EvalError as exc:
+        return ("error", str(exc))
+
+
+def test_eval_rational_matches_fraction_oracle_400():
+    rng = random.Random(43)
+    u0, v1 = TABLE.jet("u", 0), TABLE.jet("v", 1)
+    errors = set()
+    for trial in range(400):
+        e = rand_poly(rng, terms=6, laurent_atoms=(u0, v1, TABLE.indep[1]))
+        point = {}
+        for atom in sorted(atoms_of(e), key=lambda s: s.sort_key()):
+            target = atom.arg if isinstance(atom, FuncAtom) else atom
+            # negative values, so negative bases meet negative exponents
+            point[target] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        fvals = {(a.fname, a.nd, point[a.arg]): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                 for a in atoms_of(e) if isinstance(a, FuncAtom)}
+        case = trial % 4
+        if case == 1 and point:  # an unbound atom
+            del point[rng.choice(sorted(point, key=lambda s: s.sort_key()))]
+        elif case == 2:  # a zero base, under a negative exponent when there is one
+            point[rng.choice((u0, v1, TABLE.indep[1]))] = Fraction(0)
+        elif case == 3 and fvals:  # a missing function sample
+            del fvals[rng.choice(sorted(fvals))]
+        got = _outcome(eval_rational, e, point, fvals)
+        assert got == _outcome(_eval_fraction_by_fraction, e, point, fvals)
+        if got[0] == "error":
+            errors.add(got[1].split(" ")[0])
+    assert errors == {"unbound", "zero", "no"}
+
+
+# total derivatives of jets, function applications and the independent
+# variables; branching multi-indices (t, tx, xx, xxx) share trie prefixes
+_BRANCHING_DERIVS = ((), ("t",), ("x",), ("t", "x"), ("x", "x"), ("x", "x", "x"), ("t", "t"))
+
+
+def _branching_pool(order):
+    tab = TABLE
+    orders = (None,) if order is None else (0, 1)
+    pool = [tab.indep[0], tab.indep[1], tab.params[0]]
+    for dep in ("u", "v"):
+        for k in orders:
+            pool += [tab.jet(dep, k, d) for d in _BRANCHING_DERIVS]
+    arg = tab.jet("u", None if order is None else 0)
+    pool += [FuncAtom("f", 0, arg), FuncAtom("f", 1, arg)]
+    return pool
+
+
+def _branching_poly(rng, order, terms=5):
+    pool = _branching_pool(order)
+    laurent = {TABLE.jet("u", None if order is None else 0)}
+    acc = NormalForm({})
+    for _ in range(rng.randint(1, terms)):
+        mono = normalize(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 3)):
+            a = rng.choice(pool)
+            e = -rng.randint(1, 2) if a in laurent and rng.random() < 0.3 else rng.randint(1, 3)
+            mono = mul(mono, pow_int(a, e))
+        acc = acc + mono
+    return acc
+
+
+def _total_derivative_uncached(e, i):
+    """D_i with every atom's image built afresh."""
+    p = e._p
+    images = {}
+    for aid in poly_atom_ids(p):
+        a = atom_at(aid)
+        if isinstance(a, Jet):
+            images[aid] = {(intern(a.lifted(i)), 1): 1}
+        elif isinstance(a, FuncAtom):
+            chain = FuncAtom(a.fname, a.nd + 1, a.arg)
+            images[aid] = {kernel.mono_mul((intern(chain), 1), (intern(a.arg.lifted(i)), 1)): 1}
+        elif a.kind == INDEP and a.pos == i:
+            images[aid] = {(): 1}
+    return NormalForm(kernel.derive(p, images))
+
+
+def _euler_per_multi_index(e, kind, r=None):
+    """The Euler operator as written: sum over J of (-1)^|J| D_J d/dv_J, one
+    partial derivative of the whole operand and one D-chain per J."""
+    want = {"consistent": 0, "unexpanded": None}.get(kind.family, kind.order)
+    multi_indices = set()
+    for a in atoms_of(e):
+        if isinstance(a, FuncAtom):
+            a = a.arg
+        if isinstance(a, Jet) and a.dep == kind.alpha and a.order == want:
+            if r is None or len(a.deriv) <= r:
+                multi_indices.add(a.deriv)
+    out = NormalForm({})
+    for J in sorted(multi_indices):
+        term = partial(e, Jet(kind.alpha, want, J))
+        for i in J:
+            term = _total_derivative_uncached(term, i)
+        out = out + (-term if len(J) % 2 else term)
+    return out
+
+
+def test_total_derivative_matches_uncached_images_200():
+    rng = random.Random(47)
+    for trial in range(200):
+        e = _branching_poly(rng, (None, 0)[trial % 2])
+        for i in (0, 1):
+            assert total_derivative(e, i) == _total_derivative_uncached(e, i)
+
+
+def test_horner_euler_matches_per_multi_index_sum():
+    rng = random.Random(53)
+    kinds = [
+        (consistent_euler, 0),
+        (unexpanded_euler, None),
+        (lambda a: per_order_euler(a, 0), 0),
+        (lambda a: per_order_euler(a, 1), 0),
+    ]
+    for mk, order in kinds:
+        for _ in range(30):
+            e = _branching_poly(rng, order)
+            e = e + _branching_poly(rng, order) * total_derivative(_branching_poly(rng, order), 1)
+            for alpha in (0, 1):
+                for r in (None, 0, 1, 2):
+                    kind = mk(alpha)
+                    assert euler(e, kind, r) == _euler_per_multi_index(e, kind, r), (kind, r)
