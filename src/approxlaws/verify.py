@@ -3,7 +3,8 @@
 Four checks, in decreasing strength: the symbolic divergence identity, the
 Euler-annihilation conditions on the multipliers alone, on-solution
 vanishing of the divergence after leading-derivative elimination, and exact
-numeric spot checks at random rational jet points.  Identity implies
+numeric spot checks at random rational jet points, evaluated in integer
+arithmetic (:func:`~approxlaws.expr.eval_rational`).  Identity implies
 on-solution implies spot-check success.  The checks read a law's contraction
 targets and flux divergence, which :func:`full_report` computes once per law.
 """

@@ -321,8 +321,8 @@ def test_eval_rational_matches_fraction_oracle_400():
     assert errors == {"unbound", "zero", "no"}
 
 
-# total derivatives of jets, function applications and the independent
-# variables; branching multi-indices (t, tx, xx, xxx) share trie prefixes
+# multi-indices that branch in the Euler fold's prefix trie: t, tt and tx
+# share t; x, xx and xxx share x
 _BRANCHING_DERIVS = ((), ("t",), ("x",), ("t", "x"), ("x", "x"), ("x", "x", "x"), ("t", "t"))
 
 
