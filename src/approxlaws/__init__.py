@@ -24,13 +24,13 @@ from .expr import (
     substitute,
 )
 from .jets import (
-    EpsilonSeries,
     EulerKind,
     collect_eps,
     consistent_euler,
     euler,
     expand_epsilon,
     expand_epsilon_recursive,
+    join_eps,
     per_order_euler,
     recursion_R,
     total_derivative,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "python"
 
 __all__ = [
-    "EpsilonSeries",
     "EulerKind",
     "EvalError",
     "ExprError",
@@ -66,6 +65,7 @@ __all__ = [
     "eval_rational",
     "expand_epsilon",
     "expand_epsilon_recursive",
+    "join_eps",
     "mul",
     "negate",
     "normalize",

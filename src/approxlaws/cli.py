@@ -18,8 +18,8 @@ import sys
 
 from . import corpus
 from .expr import UnsupportedFormError
-from .fluxes import FluxSpec, ReconstructionError, reconstruct
-from .jets import EpsilonSeries, expand_epsilon
+from .fluxes import ReconstructionError, reconstruct
+from .jets import expand_epsilon, join_eps
 from .multipliers import parse_ansatz, solve_multipliers
 from .parser import ParseError, parse
 from .printer import print_poly
@@ -75,7 +75,7 @@ def _mult_json(cm, table, index, style="machine"):
         if not hierarchy:
             # eps-series methods admit a combined rendering; approach-b slots
             # are the exact per-hierarchy-member multipliers
-            comp["combined"] = print_poly(_series(row).reconstruct(), table, style)
+            comp["combined"] = print_poly(join_eps(row), table, style)
         comps.append(comp)
     return {
         "index": index,
@@ -123,11 +123,10 @@ def run_solve(args) -> tuple[dict, int]:
         "reconstruction_failures": [],
     }
     code = OK
-    fluxspec = FluxSpec(degree=args.flux_degree)
     for i, cm in enumerate(result.classified, 1):
         report["multipliers"].append(_mult_json(cm, table, i, style))
         try:
-            law = reconstruct(problem, cm.mult, fluxspec)
+            law = reconstruct(problem, cm.mult, args.flux_degree)
         except ReconstructionError as exc:
             report["reconstruction_failures"].append({"multiplier_index": i, "error": str(exc)})
             code = INCOMPLETE
@@ -166,15 +165,14 @@ def run_compare(args) -> tuple[dict, int]:
         }
         report["blocks"][method] = block
     # which consistent laws are expansions of approach-a laws
-    fluxspec = FluxSpec(degree=args.flux_degree)
     try:
         cons_laws = [
-            (i, reconstruct(problem, cm.mult, fluxspec))
+            (i, reconstruct(problem, cm.mult, args.flux_degree))
             for i, cm in enumerate(results["consistent"].classified, 1)
             if not cm.trivial
         ]
         a_laws = [
-            (j, reconstruct(problem, cm.mult, fluxspec))
+            (j, reconstruct(problem, cm.mult, args.flux_degree))
             for j, cm in enumerate(results["approach_a"].classified, 1)
             if not cm.trivial
         ]
@@ -185,8 +183,8 @@ def run_compare(args) -> tuple[dict, int]:
     a_expanded = []
     for j, alaw in a_laws:
         try:
-            a_expanded.append((j, [_expand_row(row, problem.p) for row in alaw.mult.slots],
-                               [_expand_row(row, problem.p) for row in alaw.fluxes]))
+            a_expanded.append((j, [expand_epsilon(join_eps(row), problem.p) for row in alaw.mult.slots],
+                               [expand_epsilon(join_eps(row), problem.p) for row in alaw.fluxes]))
         except UnsupportedFormError:
             continue
     for i, claw in cons_laws:
@@ -207,16 +205,6 @@ def run_compare(args) -> tuple[dict, int]:
                     }
                 )
     return report, code
-
-
-def _series(row) -> EpsilonSeries:
-    """A row of eps-series slots as the series sum_k eps^k row[k]."""
-    return EpsilonSeries(len(row) - 1, list(row))
-
-
-def _expand_row(row, p: int) -> list:
-    """The expansion slots of an approach-a row of eps-series slots."""
-    return expand_epsilon(_series(row).reconstruct(), p).coeffs
 
 
 def run_verify(args) -> tuple[dict, int]:
@@ -253,7 +241,7 @@ def run_expand(args) -> tuple[dict, int]:
         raise CliError("expand requires --expr")
     p = args.order or problem.p
     try:
-        series = expand_epsilon(parse(args.expr, problem.table), p)
+        slots = expand_epsilon(parse(args.expr, problem.table), p)
     except UnsupportedFormError as exc:
         raise CliError(f"--expr: {exc}") from exc
     table = problem.table
@@ -262,8 +250,8 @@ def run_expand(args) -> tuple[dict, int]:
         "command": "expand",
         "expression": args.expr,
         "order": p,
-        "slots": [print_poly(c, table, style) for c in series.coeffs],
-        "expansion": print_poly(series.reconstruct(), table, style),
+        "slots": [print_poly(c, table, style) for c in slots],
+        "expansion": print_poly(join_eps(slots), table, style),
     }
     return report, OK
 

@@ -28,16 +28,9 @@ class ReconstructionError(Exception):
     generated basis."""
 
 
-@dataclass
-class FluxSpec:
-    """Bounds for the reconstruction basis.  ``jet_order`` caps the
-    derivative order of flux jets (default max(multiplier order, r - 1));
-    ``degree`` optionally caps candidate monomial total degree;
-    ``escalations`` is how many times the jet-order cap may be raised."""
-
-    jet_order: int | None = None
-    degree: int | None = None
-    escalations: int = 1
+# How many times reconstruction may raise the jet-order cap of the flux basis
+# (default max(multiplier order, r - 1)) by one before it gives up.
+ESCALATIONS = 1
 
 
 @dataclass
@@ -284,12 +277,12 @@ def _solve_block(block, cands, images):
     return fluxes
 
 
-def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | None = None) -> ConservationLaw:
+def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = None) -> ConservationLaw:
     """Invert the divergence: find flux components whose total divergence
     equals the truncated contraction of ``mult`` with the equations,
-    order by order.  Raises :class:`ReconstructionError` when the basis
-    ceiling is reached."""
-    spec = fluxspec or FluxSpec()
+    order by order.  ``degree`` optionally caps the total degree of
+    candidate flux monomials.  Raises :class:`ReconstructionError` when the
+    basis ceiling is reached."""
     targets = contraction(problem, mult)
     if not all(res.is_zero() for _, _, res in euler_residuals(problem, mult.method, targets)):
         raise ReconstructionError(
@@ -302,9 +295,9 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
             for a in atoms_of(slot):
                 if isinstance(a, Jet):
                     s = max(s, len(a.deriv))
-    base_cap = spec.jet_order if spec.jet_order is not None else max(s, problem.r - 1)
+    base_cap = max(s, problem.r - 1)
     n = problem.table.n_indep
-    bounds = _target_bounds(targets, base_cap, spec.degree)
+    bounds = _target_bounds(targets, base_cap, degree)
 
     flux_slots = [[] for _ in range(n)]
     for k, tgt in enumerate(targets):
@@ -314,13 +307,13 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, fluxspec: FluxSpec | N
         for grade_key in sorted(blocks):
             block = blocks[grade_key]
             solved = None
-            for slack in range(spec.escalations + 1):
+            for slack in range(ESCALATIONS + 1):
                 solved = _invert_block(block, problem, bounds.relaxed(slack, k_slot))
                 if solved is not None:
                     break
             if solved is None:
                 raise ReconstructionError(
-                    f"no flux over jets of order <= {base_cap + spec.escalations} "
+                    f"no flux over jets of order <= {base_cap + ESCALATIONS} "
                     f"for series slot {k}; the flux needs terms outside the generator set"
                 )
             for i in range(n):
@@ -366,12 +359,10 @@ def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem,
     divs = diff.divergence_slots()
     if all(d.is_zero() for d in divs):
         return "equivalent"
-    expanded = a.method != "approach_a"
     try:
         for row in diff.fluxes:
-            for slot in row:
-                if not problem.reduce_on_solutions(slot, expanded=expanded, depth=depth).is_zero():
-                    return "distinct"
+            if not all(r.is_zero() for r in problem.reduce_series_on_solutions(row, a.method, depth)):
+                return "distinct"
     except InconclusiveReduction:
         return "distinct-with-warning"
     return "equivalent"

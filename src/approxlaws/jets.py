@@ -6,6 +6,12 @@ variables into truncated series over order-tagged coordinates, the recursion
 operator generates slot k+1 of such a series from slot k, and the three
 Euler-operator families annihilate total divergences in their respective
 variable sets.
+
+A series truncated at order p is the list of its p+1 eps-free slots, slot k
+the coefficient of eps^k.  This module alone converts between slots and the
+eps atom: :func:`collect_eps` splits an expression into its slots and
+:func:`join_eps` joins them; the Cauchy product of two slot lists is
+:func:`_series_mul`.
 """
 
 from __future__ import annotations
@@ -57,29 +63,6 @@ class EulerKind:
             raise ValueError("per-order Euler kind needs an order")
 
 
-@dataclass
-class EpsilonSeries:
-    """Truncated expansion sum_k eps^k coeffs[k] + O(eps^(order+1));
-    slot k contains jets of perturbation order at most k."""
-
-    order: int
-    coeffs: list
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"an order-{self.order} series needs {self.order + 1} slots, got {len(self.coeffs)}"
-            )
-
-    def reconstruct(self) -> NormalForm:
-        out = {}
-        eid = intern(EPS_SYM)
-        for k, c in enumerate(self.coeffs):
-            mono = () if k == 0 else (eid, k)
-            kernel.poly_iadd(out, kernel.poly_mul_mono(as_poly(c), mono, 1))
-        return NormalForm(out)
-
-
 # (atom id, i) -> D_i image of the atom ({} when it derives to zero).  Atoms
 # are interned for the life of the process, so the memo holds at most one
 # entry per atom and independent variable.
@@ -121,6 +104,8 @@ def total_derivative_chain(e, idxs) -> NormalForm:
 
 
 def _series_mul(s1, s2, p):
+    """Cauchy product of two slot lists of plain polynomial dicts, truncated
+    at order ``p``."""
     out = [dict() for _ in range(p + 1)]
     for i, a in enumerate(s1):
         if not a:
@@ -187,13 +172,11 @@ def _func_series(fa: FuncAtom, p: int):
     return out
 
 
-def collect_eps(e, pmax: int | None = None) -> list:
-    """Split by powers of eps: slot k = coefficient polynomial of eps^k.
-    Truncates above ``pmax`` when given; negative powers of eps are
-    rejected."""
-    slots: dict[int, dict] = {}
+def eps_powers(e) -> dict:
+    """Split by powers of eps, of either sign: ``{k: coefficient polynomial
+    of eps^k}``."""
     eid = intern(EPS_SYM)
-    top = 0
+    out: dict[int, dict] = {}
     for mono, c in as_poly(e).items():
         k = 0
         rest = []
@@ -203,15 +186,28 @@ def collect_eps(e, pmax: int | None = None) -> list:
             else:
                 rest.append(mono[j])
                 rest.append(mono[j + 1])
-        if k < 0:
-            raise UnsupportedFormError("negative power of eps")
-        if pmax is not None and k > pmax:
-            continue
-        slots.setdefault(k, {})[tuple(rest)] = c
-        top = max(top, k)
-    if pmax is not None:
-        top = pmax
-    return [slots.get(k, {}) for k in range(top + 1)]
+        out.setdefault(k, {})[tuple(rest)] = c
+    return out
+
+
+def collect_eps(e, pmax: int | None = None) -> list:
+    """Split a series into its slot list: slot k = coefficient polynomial of
+    eps^k.  Truncates above ``pmax`` when given; negative powers of eps are
+    rejected."""
+    powers = eps_powers(e)
+    if any(k < 0 for k in powers):
+        raise UnsupportedFormError("negative power of eps")
+    top = max(powers, default=0) if pmax is None else pmax
+    return [powers.get(k, {}) for k in range(top + 1)]
+
+
+def join_eps(slots) -> NormalForm:
+    """Join a slot list into the series sum_k eps^k slots[k]."""
+    out = {}
+    eid = intern(EPS_SYM)
+    for k, slot in enumerate(slots):
+        kernel.poly_iadd(out, kernel.poly_mul_mono(as_poly(slot), () if k == 0 else (eid, k), 1))
+    return NormalForm(out)
 
 
 def _scan_expansion_state(p):
@@ -231,56 +227,48 @@ def _scan_expansion_state(p):
     return has_unexp, has_exp
 
 
-def expand_epsilon(e, p: int) -> EpsilonSeries:
+def expand_epsilon(e, p: int) -> list:
     """Substitute the power-series expansion of every unexpanded dependent
     variable, Taylor-expand function applications, collect by powers of eps,
-    and truncate at order ``p``.
+    and truncate at order ``p``: the p+1 slots of the series.
 
-    Expressions over already-expanded coordinates are collected only (their
-    slots must respect the order invariant); mixing expanded and unexpanded
-    atoms in one expression is rejected.
+    Expressions over already-expanded coordinates are collected only (slot
+    k may hold coordinates of perturbation order at most k); mixing expanded
+    and unexpanded atoms in one expression is rejected.
     """
     poly = as_poly(e)
     has_unexp, has_exp = _scan_expansion_state(poly)
     if has_unexp and has_exp:
         raise UnsupportedFormError("expression mixes expanded and unexpanded dependent variables")
     if not has_unexp:
-        slots = collect_eps(poly, p)
-        series = EpsilonSeries(p, [NormalForm(s) for s in slots])
-        _check_order_invariant(series)
-        return series
-    eid = intern(EPS_SYM)
+        slots = [NormalForm(s) for s in collect_eps(poly, p)]
+        _check_order_invariant(slots)
+        return slots
     out = [dict() for _ in range(p + 1)]
-    for mono, c in poly.items():
-        shift = 0
-        factors = []
-        plain = []
-        for j in range(0, len(mono), 2):
-            aid, exp = mono[j], mono[j + 1]
-            a = atom_at(aid)
-            if aid == eid:
-                if exp < 0:
-                    raise UnsupportedFormError("negative power of eps")
-                shift = exp
-            elif isinstance(a, Jet):
-                factors.append(_jet_series_pow(a, exp, p))
-            elif isinstance(a, FuncAtom):
-                factors.append(_series_pow(_func_series(a, p), exp, p))
-            else:
-                plain.append(aid)
-                plain.append(exp)
-        if shift > p:
-            continue
-        s = [{tuple(plain): c}] + [dict() for _ in range(p)]
-        for f in factors:
-            s = _series_mul(s, f, p)
-        for k in range(p + 1 - shift):
-            kernel.poly_iadd(out[k + shift], s[k])
-    return EpsilonSeries(p, [NormalForm(d) for d in out])
+    for shift, part in enumerate(collect_eps(poly, p)):
+        for mono, c in part.items():
+            factors = []
+            plain = []
+            for j in range(0, len(mono), 2):
+                aid, exp = mono[j], mono[j + 1]
+                a = atom_at(aid)
+                if isinstance(a, Jet):
+                    factors.append(_jet_series_pow(a, exp, p))
+                elif isinstance(a, FuncAtom):
+                    factors.append(_series_pow(_func_series(a, p), exp, p))
+                else:
+                    plain.append(aid)
+                    plain.append(exp)
+            s = [{tuple(plain): c}] + [dict() for _ in range(p)]
+            for f in factors:
+                s = _series_mul(s, f, p)
+            for k in range(p + 1 - shift):
+                kernel.poly_iadd(out[k + shift], s[k])
+    return [NormalForm(d) for d in out]
 
 
-def _check_order_invariant(series: EpsilonSeries):
-    for k, slot in enumerate(series.coeffs):
+def _check_order_invariant(slots):
+    for k, slot in enumerate(slots):
         for aid in poly_atom_ids(as_poly(slot)):
             a = atom_at(aid)
             o = None
@@ -322,12 +310,11 @@ def recursion_R(e) -> NormalForm:
     return NormalForm(kernel.derive(p, images))
 
 
-def expand_epsilon_recursive(e, p: int) -> EpsilonSeries:
+def expand_epsilon_recursive(e, p: int) -> list:
     """Expansion built by the recursion operator instead of substitution:
     slot 0 is e at eps=0 with variables replaced by their order-0
     coordinates, and slot k+1 = R[slot k]/(k+1).  Explicit eps content is
     collected first and shifted in."""
-    parts = collect_eps(as_poly(e))
     out = [dict() for _ in range(p + 1)]
     subs0 = {}
 
@@ -340,15 +327,13 @@ def expand_epsilon_recursive(e, p: int) -> EpsilonSeries:
                 subs0[a] = FuncAtom(a.fname, a.nd, a.arg.with_order(0))
         return substitute(NormalForm(poly), subs0)
 
-    for shift, part in enumerate(parts):
-        if shift > p:
-            break
+    for shift, part in enumerate(collect_eps(e, p)):
         slot = order0(part)
         kernel.poly_iadd(out[shift], as_poly(slot))
         for k in range(p - shift):
             slot = NormalForm(kernel.poly_scale(as_poly(recursion_R(slot)), Fraction(1, k + 1)))
             kernel.poly_iadd(out[shift + k + 1], as_poly(slot))
-    return EpsilonSeries(p, [NormalForm(d) for d in out])
+    return [NormalForm(d) for d in out]
 
 
 # --- Euler operators --------------------------------------------------------

@@ -22,6 +22,7 @@ from .atoms import COEFF, INDEP, FuncAtom, Jet, Sym, atom_at, coeff_sym, intern,
 from .expr import NormalForm, UnsupportedFormError, as_poly, atoms_of, normalize
 from .jets import (
     EulerKind,
+    _series_mul,
     consistent_euler,
     euler,
     per_order_euler,
@@ -62,6 +63,8 @@ class AnsatzSpec:
             raise AnsatzError("degree bounds must be nonnegative")
         if not self.generators and self.degree > 0:
             raise AnsatzError("empty generator set with a positive degree bound")
+        if any(v > 0 for v in self.laurent.values()):
+            raise AnsatzError("Laurent floors must be nonpositive")
         self.laurent = {
             (k.with_order(0) if isinstance(k, Jet) else k): v
             for k, v in self.laurent.items()
@@ -218,9 +221,8 @@ def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict) -> list:
             new = []
             for combo in out:
                 used = sum(abs(e) for _, e in combo)
-                for e in range(lo, bound - used + 1):
-                    if abs(e) + used <= bound:
-                        new.append(combo + ((g, e),) if e else combo)
+                for e in range(max(lo, used - bound), bound - used + 1):
+                    new.append(combo + ((g, e),) if e else combo)
             out = _dedup(new)
         return out
 
@@ -297,7 +299,8 @@ def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     """The truncated product of the multiplier set with the equations: the
     targets a law's flux divergence must equal.
 
-    Consistent / approach A: the Cauchy-product slots T_k = sum over nu,
+    Consistent / approach A: the Cauchy product of each multiplier row with
+    its equation's slots, summed over the equations: T_k = sum over nu,
     l <= k of (multiplier slot l) * (equation slot k-l), k = 0..p.  Approach
     B: one exact contraction sum over nu, k of (multiplier slot k) *
     (expanded equation slot k).  All slots are eps-free (the slot index
@@ -314,9 +317,8 @@ def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     parts = [{} for _ in range(p + 1)]
     for nu, row in enumerate(mult.slots):
         dsl = problem.expanded_slots(nu) if mult.method == "consistent" else problem.unexpanded_slots(nu)
-        for ell, a in enumerate(row):
-            for k in range(ell, p + 1):
-                kernel.poly_iadd(parts[k], kernel.poly_mul(as_poly(a), as_poly(dsl[k - ell])))
+        for part, term in zip(parts, _series_mul([as_poly(a) for a in row], [as_poly(d) for d in dsl], p)):
+            kernel.poly_iadd(part, term)
     return [NormalForm(part) for part in parts]
 
 

@@ -4,7 +4,8 @@
     numbers       integer literals; rationals via the `/` operator
     operators     + - * / ^   (standard precedence, ^ binds an integer
                   literal exponent only, right-associative; the value of
-                  an exponent tower such as 2^3^2 is at most MAX_EXPONENT)
+                  an exponent tower such as 2^3^2 is at most MAX_EXPONENT;
+                  a product or power expands to at most MAX_TERMS terms)
     derivatives   u_tx  == der(u, t, x) for a declared dependent u and
                   single-letter independents; explicit form der(u, t, x)
     expansions    u[0], u[1], with derivatives u[1]_x / der(u[1], x)
@@ -20,6 +21,8 @@ outside the normal-form language, such as ``1/(u+1)`` or ``x/0``, raise
 
 from __future__ import annotations
 
+import math
+
 from . import kernel
 from .atoms import FuncAtom, Jet, SymbolTable, atom_at
 from .expr import NormalForm, as_poly, atom_poly, const_poly, poly_pow
@@ -29,6 +32,12 @@ from .expr import NormalForm, as_poly, atom_poly, const_poly, poly_pow
 # corpus's largest exponent (4): a tower's value grows so fast that an
 # unbounded one makes the parser hang.
 MAX_EXPONENT = 1000
+
+# Bound on the terms one product or power may expand to, far above the
+# corpus's largest product (16 terms): a product of sums, or a power of a
+# k-term sum to the n with C(n+k-1, k-1) terms, grows so fast that an
+# unbounded one makes the parser hang.  Checked before the kernel expands.
+MAX_TERMS = 1000
 
 
 class ParseError(Exception):
@@ -131,9 +140,13 @@ class _Parser:
     def product(self):
         out = self.unary()
         while self.at_op("*", "/"):
-            _, op, _ = self.next()
+            _, op, pos = self.next()
             f = self.unary()
-            out = kernel.poly_mul(out, f if op == "*" else poly_pow(f, -1))
+            if op == "/":
+                f = poly_pow(f, -1)
+            if len(out) * len(f) > MAX_TERMS:
+                raise ParseError(f"product exceeds {MAX_TERMS} terms", pos, self.text)
+            out = kernel.poly_mul(out, f)
         return out
 
     def unary(self):
@@ -148,8 +161,11 @@ class _Parser:
     def power(self):
         base = self.primary()
         if self.at_op("^"):
-            self.next()
-            return poly_pow(base, self.exponent())
+            pos = self.next()[2]
+            n, k = self.exponent(), len(base)
+            if n > 1 and k > 1 and math.comb(n + k - 1, k - 1) > MAX_TERMS:
+                raise ParseError(f"power exceeds {MAX_TERMS} terms", pos, self.text)
+            return poly_pow(base, n)
         return base
 
     def exponent(self) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .atoms import EPS_SYM, FuncAtom, Jet, Sym, SymbolTable, intern, mono_atoms, mono_sort_key
+from .atoms import EPS_SYM, FuncAtom, Jet, Sym, SymbolTable, mono_atoms, mono_sort_key
 from .expr import as_poly
+from .jets import eps_powers
 
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
@@ -85,18 +86,7 @@ def print_poly(e, table: SymbolTable | None = None, style: str = "machine") -> s
     p = as_poly(e)
     if not p:
         return "0"
-    eps_id = intern(EPS_SYM)
-    slots: dict[int, dict] = {}
-    for mono, c in p.items():
-        k = 0
-        rest = []
-        for j in range(0, len(mono), 2):
-            if mono[j] == eps_id:
-                k = mono[j + 1]
-            else:
-                rest.append(mono[j])
-                rest.append(mono[j + 1])
-        slots.setdefault(k, {})[tuple(rest)] = c
+    slots = eps_powers(p)
     items = []
     for k in sorted(slots):
         sub = slots[k]

@@ -1,5 +1,11 @@
 """Problem definition, the problem-file format, and on-solution reduction.
 
+On-solution reduction eliminates leading derivatives.  A series (the list
+of its eps-free slots, see :mod:`approxlaws.jets`) over expanded
+coordinates reduces slot by slot; an approach-A series over unexpanded
+ones reduces as the joined series, truncated at the problem order, since
+the eps terms an elimination brings into slot k belong to later slots.
+
 A problem is a system of equations over unexpanded dependent variables,
 polynomial in the small parameter up to the truncation order, each solved
 with respect to a declared leading derivative (Cauchy-Kovalevskaya form):
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atoms import EPS_SYM, FuncAtom, Jet, Sym, SymbolTable, intern
+from .atoms import FuncAtom, Jet, Sym, SymbolTable
 from .expr import (
     NormalForm,
     UnsupportedFormError,
@@ -50,7 +56,7 @@ from .expr import (
     pow_int,
     substitute,
 )
-from .jets import collect_eps, expand_epsilon, total_derivative_chain
+from .jets import collect_eps, expand_epsilon, join_eps, total_derivative_chain
 from .parser import ParseError, parse, single_atom
 
 MAX_ORDER = 3  # configuration cap on the truncation order
@@ -96,7 +102,6 @@ class PdeProblem:
         if len(self.eqns) != len(self.leading):
             raise ProblemError("one leading derivative per equation is required")
         self.eqns = [normalize(e) for e in self.eqns]
-        self._lead_coeff = []
         self._rest = []
         for nu, (eqn, lead) in enumerate(zip(self.eqns, self.leading)):
             if not isinstance(lead, Jet) or lead.order is not None:
@@ -118,7 +123,6 @@ class PdeProblem:
             if len(as_poly(q)) != 1:
                 raise ProblemError(f"equation {nu + 1}: leading coefficient must be a monomial")
             rest = (q * lead - eqn) * pow_int(q, -1)
-            self._lead_coeff.append(q)
             self._rest.append(rest)
         # Cauchy-Kovalevskaya: every rest free of all leading jets and their derivatives
         for nu, rest in enumerate(self._rest):
@@ -164,7 +168,7 @@ class PdeProblem:
         if not hasattr(self, "_exp_cache"):
             self._exp_cache = {}
         if nu not in self._exp_cache:
-            self._exp_cache[nu] = expand_epsilon(self.eqns[nu], self.p).coeffs
+            self._exp_cache[nu] = expand_epsilon(self.eqns[nu], self.p)
         return self._exp_cache[nu]
 
     def unexpanded_slots(self, nu: int) -> list:
@@ -182,7 +186,7 @@ class PdeProblem:
         rules = []
         for nu in range(self.q):
             if expanded:
-                rest_slots = expand_epsilon(self._rest[nu], self.p).coeffs
+                rest_slots = expand_epsilon(self._rest[nu], self.p)
                 for k in range(self.p + 1):
                     rules.append((self.leading[nu].with_order(k), rest_slots[k]))
             else:
@@ -192,6 +196,8 @@ class PdeProblem:
     def reduce_on_solutions(self, e, expanded: bool = True, depth: int = 2, max_rounds: int = 40) -> NormalForm:
         """Substitute leading derivatives and their differential consequences
         (prolongations up to ``depth`` extra derivatives) until none remain.
+        Unexpanded: ``e`` is a joined series, truncated at the problem order
+        before every round.
 
         Raises :class:`InconclusiveReduction` if a required prolongation
         exceeds the bound or the rewriting does not settle.
@@ -199,6 +205,8 @@ class PdeProblem:
         rules = self.solution_rules(expanded)
         cur = normalize(e)
         for _ in range(max_rounds):
+            if not expanded:
+                cur = join_eps(collect_eps(cur, self.p))
             target = None
             for a in atoms_of(cur):
                 if not isinstance(a, Jet):
@@ -215,27 +223,22 @@ class PdeProblem:
                 if target:
                     break
             if target is None:
-                if not expanded:
-                    return NormalForm(_trunc_eps(as_poly(cur), self.p))
                 return cur
             cur = substitute(cur, {target[0]: target[1]})
-            if not expanded:
-                cur = NormalForm(_trunc_eps(as_poly(cur), self.p))
         raise InconclusiveReduction("rewriting did not settle within the round bound")
 
+    def reduce_series_on_solutions(self, slots, method: str, depth: int = 2) -> list:
+        """The slots of the series ``slots`` of a ``method`` law, reduced on
+        solutions.  Expanded coordinates reduce slot by slot; approach-A
+        slots reduce as the joined series truncated at the problem order, so
+        the eps^j terms an elimination brings into slot k land in slot k+j.
 
-def _trunc_eps(p: dict, pmax: int) -> dict:
-    eid = intern(EPS_SYM)
-    out = {}
-    for mono, c in p.items():
-        keep = True
-        for j in range(0, len(mono), 2):
-            if mono[j] == eid and mono[j + 1] > pmax:
-                keep = False
-                break
-        if keep:
-            out[mono] = c
-    return out
+        Raises :class:`InconclusiveReduction` as :meth:`reduce_on_solutions`.
+        """
+        if method != "approach_a":
+            return [self.reduce_on_solutions(s, depth=depth) for s in slots]
+        red = self.reduce_on_solutions(join_eps(slots), expanded=False, depth=depth)
+        return [NormalForm(s) for s in collect_eps(red, self.p)]
 
 
 # --- problem-file format -----------------------------------------------------

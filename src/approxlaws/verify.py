@@ -2,7 +2,8 @@
 
 Four checks, in decreasing strength: the symbolic divergence identity, the
 Euler-annihilation conditions on the multipliers alone, on-solution
-vanishing of the divergence after leading-derivative elimination, and exact
+vanishing of the divergence after leading-derivative elimination (an
+approach-A divergence is reduced as its joined eps-series), and exact
 numeric spot checks at random rational jet points, evaluated in integer
 arithmetic (:func:`~approxlaws.expr.eval_rational`).  Identity implies
 on-solution implies spot-check success.  The checks read a law's contraction
@@ -70,16 +71,15 @@ def verify_euler(problem: PdeProblem, method: str, targets) -> VerificationRepor
 def verify_on_solutions(problem: PdeProblem, method: str, divs, depth: int = 2) -> VerificationReport:
     """The flux divergence ``divs`` of a ``method`` law vanishes after
     substituting the leading derivatives (and their differential
-    consequences up to the prolongation depth), slot by slot."""
-    expanded = method != "approach_a"
-    checks = []
-    for k, div in enumerate(divs):
-        try:
-            red = problem.reduce_on_solutions(div, expanded=expanded, depth=depth)
-            checks.append(CheckResult(f"on-solutions[{k}]", red.is_zero(), residual=red))
-        except InconclusiveReduction as exc:
-            checks.append(CheckResult(f"on-solutions[{k}]", False, witness=str(exc)))
-    return VerificationReport(checks)
+    consequences up to the prolongation depth), slot by slot; approach-A
+    slots are reduced as their joined series
+    (:meth:`~approxlaws.problem.PdeProblem.reduce_series_on_solutions`)."""
+    try:
+        reds = problem.reduce_series_on_solutions(divs, method, depth=depth)
+    except InconclusiveReduction as exc:
+        return VerificationReport([CheckResult("on-solutions", False, witness=str(exc))])
+    return VerificationReport([CheckResult(f"on-solutions[{k}]", red.is_zero(), residual=red)
+                               for k, red in enumerate(reds)])
 
 
 def _rand_rational(rng: random.Random, nonzero: bool) -> Fraction:

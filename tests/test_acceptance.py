@@ -295,7 +295,7 @@ def test_criterion_7b_recursion_equals_substitution_200():
         p = 1 + trial % 2
         direct = expand_epsilon(e, p)
         rec = expand_epsilon_recursive(e, p)
-        assert all(a == b for a, b in zip(direct.coeffs, rec.coeffs)), trial
+        assert direct == rec, trial
     print("\nPASS criterion 7b (200 recursion-vs-substitution expansions, p in {1,2})")
 
 

@@ -284,6 +284,7 @@ def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
         ["--mult-deps", "1/(u+1)"],
         ["--mult-deps", "x/0"],
         ["--laurent", "1/(u+1):-1"],
+        ["--laurent", "u[0]:3"],
     ],
 )
 def test_malformed_ansatz_flags_exit_code(capsys, flags):
@@ -291,6 +292,24 @@ def test_malformed_ansatz_flags_exit_code(capsys, flags):
                            "--mult-degree", "1", "--trials", "1")
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_laurent_floor_below_the_degree_bound(capsys):
+    # exponents below -degree cannot occur, so a far lower floor gives the
+    # same basis, found without walking the range down to the floor
+    solve = ["solve", fixture_path("kdv-burgers"), "--mult-degree", "1", "--trials", "1"]
+    far = run_cli(capsys, *solve, "--laurent", "u[0]:-1000000000")
+    near = run_cli(capsys, *solve, "--laurent", "u[0]:-1")
+    assert far == near and far[0] == 0
+
+
+# a product of 17 two-term sums of distinct jets expands to 2^17 terms
+_JET_SUM_PRODUCT = (
+    "(u+u_t)*(u_x+u_tt)*(u_tx+u_xx)*(u_ttt+u_ttx)*(u_txx+u_xxx)*(u_tttt+u_tttx)"
+    "*(u_ttxx+u_txxx)*(u_xxxx+u_ttttt)*(u_ttttx+u_tttxx)*(u_ttxxx+u_txxxx)"
+    "*(u_xxxxx+u_tttttt)*(u_tttttx+u_ttttxx)*(u_tttxxx+u_ttxxxx)*(u_txxxxx+u_xxxxxx)"
+    "*(u_ttttttt+u_ttttttx)*(u_tttttxx+u_ttttxxx)*(u_tttxxxx+u_ttxxxxx)"
+)
 
 
 @pytest.mark.parametrize(
@@ -304,8 +323,13 @@ def test_malformed_ansatz_flags_exit_code(capsys, flags):
          "error: expression nested too deeply\n"),
         (["expand", fixture_path("wave"), "--expr", "u^7^7^7"],
          "error: exponent tower exceeds 1000 (at position 5)\n"),
+        (["expand", fixture_path("wave"), "--expr", "(u+u_x+u_xx)^200"],
+         "error: power exceeds 1000 terms (at position 12)\n"),
+        (["expand", fixture_path("wave"), "--expr", _JET_SUM_PRODUCT],
+         "error: product exceeds 1000 terms (at position 125)\n"),
     ],
-    ids=["end-of-input", "division-by-zero", "deep-nesting", "exponent-tower"],
+    ids=["end-of-input", "division-by-zero", "deep-nesting", "exponent-tower", "large-power",
+         "large-product"],
 )
 def test_parser_input_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from approxlaws import normalize, parse
+from approxlaws import corpus, normalize, parse
 from approxlaws.expr import NormalForm
 from approxlaws.fluxes import (
     ConservationLaw,
-    FluxSpec,
     ReconstructionError,
     equivalent,
     identity_residuals,
@@ -56,10 +55,10 @@ def test_non_multiplier_rejected(diffusion):
 
 
 def test_reconstruction_ceiling_reached(diffusion):
-    # the unit multiplier needs a first-order jet in the x flux; a jet-order
-    # ceiling of zero (no escalation) cannot express it
+    # the unit multiplier needs the degree-1 flux u[0] in the t direction; a
+    # degree ceiling of zero cannot express it
     with pytest.raises(ReconstructionError):
-        reconstruct(diffusion, mult(diffusion, "1", "0"), FluxSpec(jet_order=0, escalations=0))
+        reconstruct(diffusion, mult(diffusion, "1", "0"), degree=0)
 
 
 def test_function_advection_flux_uses_time_weighting():
@@ -109,6 +108,24 @@ def test_equivalent_self_and_curl(diffusion):
         )
         assert all(r.is_zero() for r in identity_residuals(*law_slots(diffusion, gauged)))
         assert equivalent(law, gauged, diffusion) == "equivalent"
+
+
+@pytest.mark.parametrize("method, t1, t2", [
+    ("approach_a", "u_t - u_xx", "-u_x"),
+    ("consistent", "u[0]_t - u[0]_xx", "u[1]_t - u[1]_xx - u[0]_x"),
+])
+def test_fluxes_differing_by_the_equation_are_equivalent(method, t1, t2):
+    # law 2's t flux adds the slots of the equation to law 1's zero fluxes;
+    # in approach A the eps*u_x that eliminating u_t leaves in slot 0 cancels
+    # slot 1 only when the slots are reduced as one series
+    pf = parse_problem_text(
+        f"method = {method}\nindependent = t, x\ndependent = u\norder = 1\n"
+        "equation = u_t - u_xx - eps*u_x\nleading = u_t\n"
+        "multiplier.1.0 = 0\nmultiplier.2.0 = 0\n"
+        f"flux.2.t.0 = {t1}\nflux.2.t.1 = {t2}\n"
+    )
+    a, b = (cl.law for cl in corpus.recorded_laws(pf))
+    assert equivalent(a, b, pf.problem) == "equivalent"
 
 
 def test_distinct_laws(diffusion):

@@ -1,9 +1,12 @@
 """Verification checks: identity, Euler, on-solutions, spot checks."""
 
+import pytest
+
 from approxlaws import normalize, parse
 from approxlaws.expr import NormalForm
 from approxlaws.fluxes import ConservationLaw
 from approxlaws.multipliers import MultiplierSet, contraction
+from approxlaws.problem import parse_problem_text
 from approxlaws.verify import (
     full_report,
     spot_check,
@@ -164,3 +167,28 @@ def test_full_report_statuses(kdv):
     pb, law = law_of("kdv-burgers", "4")
     fr = full_report(pb, law, trials=2)
     assert fr["status"] == "onsolution"
+
+
+# The zero multiplier with the fluxes (u_x, -u_xx - eps*u_x) of
+# u_t - u_xx - eps*u_x: the divergence is D_x of the equation, so the law holds
+# on solutions only.  Eliminating u_t from slot 0 of the divergence brings an
+# eps*u_xx term that belongs to slot 1, where it cancels.
+DRIFT_LAW = {
+    "approach_a": ("u_x", "0", "-u_xx", "-u_x"),
+    "consistent": ("u[0]_x", "u[1]_x", "-u[0]_xx", "-u[1]_xx - u[0]_x"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(DRIFT_LAW))
+def test_on_solutions_carries_eps_terms_to_later_slots(method):
+    t0, t1, x0, x1 = DRIFT_LAW[method]
+    pf = parse_problem_text(
+        f"method = {method}\nindependent = t, x\ndependent = u\norder = 1\n"
+        "equation = u_t - u_xx - eps*u_x\nleading = u_t\n"
+        "multiplier.1.0 = 0\nmultiplier.1.1 = 0\n"
+        f"flux.1.t.0 = {t0}\nflux.1.t.1 = {t1}\nflux.1.x.0 = {x0}\nflux.1.x.1 = {x1}\n"
+        "expected.1.status = onsolution\n"
+    )
+    (cl,) = corpus.recorded_laws(pf)
+    assert verify_on_solutions(pf.problem, method, cl.law.divergence_slots()).passed
+    assert full_report(pf.problem, cl.law, trials=1)["status"] == cl.expected_status
