@@ -56,10 +56,10 @@ def rref(rows) -> dict:
     return pivots
 
 
-def nullspace(rows, ncols: int) -> list[tuple]:
-    """Deterministic basis of the solution space of the homogeneous system:
-    the canonical reduced basis (leading entries 1, zero above and below) in
-    the given column order."""
+def kernel_basis(rows, ncols: int) -> list[dict]:
+    """A basis of the solution space of the homogeneous system, one sparse
+    vector (column -> value) per free column: that column 1, the other free
+    columns 0."""
     pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     vecs = []
@@ -70,12 +70,24 @@ def nullspace(rows, ncols: int) -> list[tuple]:
             if v:
                 row[lead] = _q(-v)
         vecs.append(row)
-    # canonicalize the basis itself
+    return vecs
+
+
+def canonical_basis(vecs, ncols: int) -> list[tuple]:
+    """The canonical reduced basis (leading entries 1, zero above and below)
+    of the span of the sparse vectors ``vecs``, in the given column order.
+    It depends on the span only, not on the spanning vectors."""
     canon = rref(vecs)
     return [
         tuple(_q(canon[lead].get(c, 0)) for c in range(ncols))
         for lead in sorted(canon)
     ]
+
+
+def nullspace(rows, ncols: int) -> list[tuple]:
+    """Deterministic basis of the solution space of the homogeneous system:
+    its canonical reduced basis."""
+    return canonical_basis(kernel_basis(rows, ncols), ncols)
 
 
 def solve_particular(rows, rhs: dict, ncols: int):

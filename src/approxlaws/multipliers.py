@@ -10,10 +10,20 @@ residual monomial holds one unknown (the column) times a free jet monomial
 (with the operator and slot, the row).  Its nullspace basis is the solution
 space.  The same contraction and Euler residuals certify a concrete
 multiplier set and give the targets of flux reconstruction.
+
+The eps-series methods (consistent, approach A) solve that system order by
+order, as the multiplier splits into Lambda_0 + eps Lambda_1 + ...: the
+slot-0 rows A_0 over the order-0 unknowns give the exact multipliers of
+the unperturbed system, and each order k lifts the order-(k-1) space
+through the same A_0 (see :class:`StagedSystem`).  Approach B, one exact
+contraction of the hierarchy, is solved in one piece by
+:func:`determining_system`, which for the eps-series methods is the
+monolithic form the staged solve must agree with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -295,7 +305,7 @@ def _linear_combo(basis, syms):
 # --- contraction and Euler residuals -----------------------------------------
 
 
-def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
+def contraction(problem: PdeProblem, mult: MultiplierSet, upto: int | None = None) -> list:
     """The truncated product of the multiplier set with the equations: the
     targets a law's flux divergence must equal.
 
@@ -304,9 +314,10 @@ def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     l <= k of (multiplier slot l) * (equation slot k-l), k = 0..p.  Approach
     B: one exact contraction sum over nu, k of (multiplier slot k) *
     (expanded equation slot k).  All slots are eps-free (the slot index
-    carries the power), so no further eps truncation is needed.
+    carries the power), so no further eps truncation is needed.  ``upto``
+    truncates the series slots lower, at T_upto.
     """
-    p = problem.p
+    p = problem.p if upto is None else upto
     if mult.method == "approach_b":
         out = {}
         for nu, row in enumerate(mult.slots):
@@ -385,10 +396,10 @@ def _decompose_by_unknown(mult: MultiplierSet) -> dict:
     return contrib
 
 
-def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSystem:
-    """The homogeneous linear system whose solutions are the multiplier sets
-    of the ansatz's method: the Euler residuals of the ansatz's contraction,
-    split by unknown, one row per (Euler operator, slot, free monomial)."""
+def _unknowns(problem: PdeProblem, ansatz: MultiplierSet) -> list:
+    """The ansatz's coefficient symbols in tag order (equation, order,
+    index).  Raises SingularAnsatzError, before any assembly, if the ansatz
+    depends on a declared leading derivative."""
     syms = set()
     for row in ansatz.slots:
         for slot in row:
@@ -401,14 +412,101 @@ def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSyst
                     )
                 if isinstance(a, Sym) and a.kind == COEFF:
                     syms.add(a)
-    unknowns = sorted(syms, key=lambda s: s.tag)
-    column = {s: j for j, s in enumerate(unknowns)}
-    rows_by_key: dict = {}
-    for kind, k, res in euler_residuals(problem, ansatz.method, contraction(problem, ansatz)):
+    return sorted(syms, key=lambda s: s.tag)
+
+
+def _euler_rows(problem: PdeProblem, method: str, parts: list, column: dict) -> dict:
+    """The Euler residuals of the symbolic contraction slots ``parts``, split
+    by unknown: one row (column -> coefficient) per (Euler operator, slot,
+    free monomial)."""
+    rows: dict = {}
+    for kind, k, res in euler_residuals(problem, method, parts):
         for mono, c in as_poly(res).items():
             csym, rest = _split_unknown(mono)
-            rows_by_key.setdefault((kind, k, rest), {})[column[csym]] = c
-    return LinearSystem(unknowns, list(rows_by_key.values()))
+            rows.setdefault((kind, k, rest), {})[column[csym]] = c
+    return rows
+
+
+def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSystem:
+    """The homogeneous linear system whose solutions are the multiplier sets
+    of the ansatz's method: the Euler residuals of the ansatz's contraction,
+    split by unknown, one row per (Euler operator, slot, free monomial).
+    Approach B is solved from it; for the eps-series methods it is the
+    monolithic form of :class:`StagedSystem`."""
+    unknowns = _unknowns(problem, ansatz)
+    column = {s: j for j, s in enumerate(unknowns)}
+    rows = _euler_rows(problem, ansatz.method, contraction(problem, ansatz), column)
+    return LinearSystem(unknowns, list(rows.values()))
+
+
+@dataclass
+class StagedSystem:
+    """The determining system of an eps-series ansatz, solved order by order.
+
+    Slot k of the contraction holds the order-k unknowns c_k only through
+    (multiplier slot k) * (equation slot 0), and there c_k multiplies the
+    same basis as c_0 does in slot 0, times 1/k! for the consistent method
+    (slot k is R^k(slot 0)/k!) and times 1 for approach A.  So the system
+    is block lower triangular with one diagonal block, ``a0``: the slot-0
+    rows over the order-0 unknowns, the only rows assembled symbolically.
+    ``build_ansatz`` gives every order the same (equation, basis index)
+    unknowns, so the i-th order-k unknown in tag order is column i of a0.
+    ``nullspace`` solves a0, then for k = 1..p lifts the order-(k-1) space
+    N: its columns are the slot-k Euler residuals of N's multiplier sets
+    (c_k = 0) beside a0 for c_k.
+    """
+
+    problem: PdeProblem
+    ansatz: MultiplierSet
+    unknowns: list
+    a0: dict
+
+    def nullspace(self) -> list[tuple]:
+        """The canonical basis of the solution space, identical to
+        ``determining_system(...).nullspace()``."""
+        problem, ansatz, a0 = self.problem, self.ansatz, self.a0
+        orders = [[] for _ in range(ansatz.p + 1)]
+        for j, s in enumerate(self.unknowns):
+            orders[s.tag[1]].append(j)
+        n0 = len(orders[0])
+        # vectors over the global unknown index
+        space = [{orders[0][i]: v for i, v in vec.items()}
+                 for vec in linalg.kernel_basis(list(a0.values()), n0)]
+        lower = orders[0]
+        for k in range(1, ansatz.p + 1):
+            syms = [self.unknowns[j] for j in lower]
+            mults = instantiate(ansatz, syms, [tuple(vec.get(j, 0) for j in lower) for vec in space])
+            lifted: dict = {}  # keyed as a0's rows: slot k is slot 0 of [T_k]
+            for y, mult in enumerate(mults, n0):
+                for kind, _, res in euler_residuals(problem, ansatz.method, contraction(problem, mult, k)[k:]):
+                    for mono, c in as_poly(res).items():
+                        lifted.setdefault((kind, 0, mono), {})[y] = c
+            rows = [row | lifted.pop(key) if key in lifted else row for key, row in a0.items()]
+            rows.extend(lifted.values())
+            # the c_k rows are a0/k!; a0 itself, shared unscaled, solves
+            # for c_k/k!, so the c_k part is scaled back
+            scale = math.factorial(k) if ansatz.method == "consistent" else 1
+            nxt = []
+            for vec in linalg.kernel_basis(rows, n0 + len(space)):
+                out: dict = {}
+                for i, v in vec.items():
+                    if i < n0:
+                        out[orders[k][i]] = scale * v
+                    else:
+                        kernel.poly_iadd(out, space[i - n0], v)
+                nxt.append(out)
+            space = nxt
+            lower = lower + orders[k]
+        return linalg.canonical_basis(space, len(self.unknowns))
+
+
+def staged_system(problem: PdeProblem, ansatz: MultiplierSet) -> StagedSystem:
+    """The eps-series determining system in staged form: the unknowns and
+    the slot-0 rows over the order-0 unknowns."""
+    unknowns = _unknowns(problem, ansatz)
+    column = {s: j for j, s in enumerate(u for u in unknowns if u.tag[1] == 0)}
+    a0 = _euler_rows(problem, ansatz.method, contraction(problem, ansatz, 0), column)
+    return StagedSystem(problem, ansatz, unknowns, a0)
 
 
 def instantiate(ansatz: MultiplierSet, unknowns, vectors) -> list:
@@ -443,7 +541,7 @@ class SolveResult:
     problem: PdeProblem
     method: str
     ansatz: MultiplierSet
-    system: LinearSystem
+    system: LinearSystem | StagedSystem
     basis: list
     classified: list
 
@@ -469,11 +567,14 @@ def classify(result_basis, ansatz: MultiplierSet, unknowns) -> list:
     sets are ordered first."""
     mults = instantiate(ansatz, unknowns, result_basis)
     classified = []
+    span = None  # the members' slots 0..p-1, built on the first shift check
     for vec, m in zip(result_basis, mults):
         trivial = m.is_trivial()
         shift = False
         if trivial and not m.is_zero() and m.method != "approach_b":
-            shift = _is_eps_shift(m, mults)
+            if span is None:
+                span = [_slot_coefficients(member, m.p - 1) for member in mults]
+            shift = _is_eps_shift(m, span)
         # the stability notion (the order-0 part survives the perturbation)
         # belongs to the eps-series methods
         stable = not trivial and m.method != "approach_b"
@@ -482,20 +583,19 @@ def classify(result_basis, ansatz: MultiplierSet, unknowns) -> list:
     return [classified[i] for i in order]
 
 
-def _is_eps_shift(m: MultiplierSet, space: list) -> bool:
+def _is_eps_shift(m: MultiplierSet, span: list) -> bool:
     """Is there a space member whose eps-multiple equals m (slotwise, the last
-    slot of the member being beyond truncation)?"""
-    p = m.p
+    slot of the member being beyond truncation)?  ``span`` holds the space
+    members' coefficients on slots 0..p-1."""
     # unshift: candidate slots k = m slots k+1 for k < p; match against
     # combinations of the basis on slots 0..p-1.
     target = {(nu, k - 1, mono): c for (nu, k, mono), c in _slot_coefficients(m).items() if k}
-    columns = [_slot_coefficients(member, p - 1) for member in space]
-    return linalg.in_span(columns, target) is not None
+    return linalg.in_span(span, target) is not None
 
 
 def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> SolveResult:
     ansatz = build_ansatz(problem, spec, method)
-    system = determining_system(problem, ansatz)
+    system = (determining_system if method == "approach_b" else staged_system)(problem, ansatz)
     basis = system.nullspace()
     classified = classify(basis, ansatz, system.unknowns)
     return SolveResult(problem, method, ansatz, system, basis, classified)

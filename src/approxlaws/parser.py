@@ -65,7 +65,10 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            toks.append((_NUM, int(text[i:j]), i))
+            try:
+                toks.append((_NUM, int(text[i:j]), i))
+            except ValueError:  # past the interpreter's integer-string limit
+                raise ParseError(f"integer literal of {j - i} digits is too long", i, text) from None
             i = j
         elif c.isalpha():
             j = i

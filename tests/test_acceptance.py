@@ -12,6 +12,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from approxlaws import (
     consistent_euler,
     euler,
@@ -26,6 +28,7 @@ from approxlaws import (
 from approxlaws import corpus
 from approxlaws.expr import NormalForm, as_poly
 from approxlaws.fluxes import ConservationLaw, equivalent, reconstruct
+from approxlaws.linalg import in_span
 from approxlaws.multipliers import (
     AnsatzSpec,
     MultiplierSet,
@@ -262,6 +265,56 @@ def test_criterion_6_eps_shift_in_solution_space():
             assert vec is not None, (eid, cl.label)
             assert span_of_vectors(res.basis, vec) is not None, (eid, cl.label)
     print("\nPASS criterion 6 (eps-shifted multipliers stay in the solution space)")
+
+
+def _coefficients(mult):
+    return {(nu, k, mono): c
+            for nu, row in enumerate(mult.slots)
+            for k, slot in enumerate(row)
+            for mono, c in as_poly(slot).items()}
+
+
+def _hint_span(eid):
+    """Solve an entry from its hint ansatz; return the entry, the solution
+    and a span check: the coordinates of a multiplier set over the solved
+    basis, or None."""
+    entry = corpus.load(eid)
+    res = solve_multipliers(entry.problem, entry.ansatz_hint, entry.method)
+    members = [_coefficients(cm.mult) for cm in res.classified]
+    return entry, res, lambda mult: in_span(members, _coefficients(mult))
+
+
+@pytest.mark.parametrize("eid, dimension", [("nls2", 8), ("kaup-newell", 12)])
+def test_criterion_6b_heavy_entries_rediscovered_from_hints(eid, dimension):
+    # every published law and its eps-shift lies in the space solved from
+    # the hint ansatz at full degree
+    entry, res, coordinates = _hint_span(eid)
+    assert len(res.basis) == dimension
+    for cl in entry.laws:
+        assert coordinates(cl.law.mult) is not None, (eid, cl.label)
+        assert coordinates(cl.law.mult.eps_shifted()) is not None, (eid, cl.label)
+    print(f"\nPASS criterion 6b ({eid} from its hint: dimension {dimension}, every law and shift)")
+
+
+def test_criterion_6c_nls3_from_hint_and_the_parameter_gap():
+    entry, res, coordinates = _hint_span("nls3")
+    assert len(res.basis) == 5
+    laws = {cl.label: cl.law.mult for cl in entry.laws}
+    assert sorted(laws) == ["1", "1*eps", "2", "2*eps", "3", "3*eps", "4", "4*eps"]
+    for label in ("1*eps", "2*eps", "3*eps", "4*eps"):
+        assert coordinates(laws[label]) is not None, label
+    # Known gap, not a pass: nls3 laws 1-4 (b1-b3 in their order-1 slots)
+    # and wave law 3 (c^2 t u_x) have coefficients polynomial in the
+    # parameters, which an ansatz with rational coefficients cannot hold.
+    # A parameter-aware ansatz closes the gap; this pin then fails and goes.
+    for label in ("1", "2", "3", "4"):
+        assert coefficient_vector(laws[label], res.ansatz, res.system.unknowns) is None, label
+    wave, res_w, _ = _hint_span("wave")
+    gap = [cl for cl in wave.laws if cl.label in ("3", "3*eps")]
+    assert len(gap) == 2
+    for cl in gap:
+        assert coefficient_vector(cl.law.mult, res_w.ansatz, res_w.system.unknowns) is None, cl.label
+    print("\nPASS criterion 6c (nls3 from its hint: dimension 5 and the four shifts; gap pinned)")
 
 
 def test_criterion_7a_euler_annihilates_200_divergences():

@@ -327,9 +327,14 @@ _JET_SUM_PRODUCT = (
          "error: power exceeds 1000 terms (at position 12)\n"),
         (["expand", fixture_path("wave"), "--expr", _JET_SUM_PRODUCT],
          "error: product exceeds 1000 terms (at position 125)\n"),
+        # literals past the interpreter's 4,300-digit integer-string limit
+        (["expand", fixture_path("wave"), "--expr", "u^" + "9" * 5000],
+         "error: integer literal of 5000 digits is too long (at position 2)\n"),
+        (["expand", fixture_path("wave"), "--expr", "9" * 5000 + "*u_x"],
+         "error: integer literal of 5000 digits is too long (at position 0)\n"),
     ],
     ids=["end-of-input", "division-by-zero", "deep-nesting", "exponent-tower", "large-power",
-         "large-product"],
+         "large-product", "long-exponent", "long-coefficient"],
 )
 def test_parser_input_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

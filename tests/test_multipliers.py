@@ -3,8 +3,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from approxlaws import coeff_sym, normalize, parse, partial
+from approxlaws import coeff_sym, corpus, normalize, parse, partial
 from approxlaws.expr import as_poly
 from approxlaws.linalg import in_span
 from approxlaws.multipliers import (
@@ -20,8 +22,9 @@ from approxlaws.multipliers import (
     instantiate,
     parse_ansatz,
     solve_multipliers,
+    staged_system,
 )
-from approxlaws.problem import parse_problem_text
+from approxlaws.problem import PdeProblem, parse_problem_text
 
 
 def span_of_vectors(basis, vec):
@@ -292,3 +295,60 @@ def test_parse_ansatz_text_forms(diffusion):
     ):
         with pytest.raises(AnsatzError):
             parse_ansatz(tab, **bad)
+
+
+# --- the staged solve against the monolithic oracle ----------------------------
+
+
+def _at_order(problem, p):
+    return PdeProblem(problem.table, problem.eqns, problem.leading, p, name=problem.name)
+
+
+def _assert_staged_is_monolithic(problem, spec, method):
+    ansatz = build_ansatz(problem, spec, method)
+    oracle = determining_system(problem, ansatz)
+    staged = staged_system(problem, ansatz)
+    assert staged.unknowns == oracle.unknowns
+    assert staged.nullspace() == oracle.nullspace()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("eid", [e for e in corpus.ENTRY_IDS if e != "diffusion-approach-b"])
+def test_staged_basis_is_monolithic_basis_on_corpus(eid, degree, p):
+    # the corpus entries' hint ansatz, degree capped, at truncation orders
+    # 1..3: orders >= 2 exercise the 1/k! of slot k and the lift of a lifted space
+    entry = corpus.load(eid)
+    hint = entry.ansatz_hint
+    spec = AnsatzSpec(hint.generators, min(hint.degree, degree), hint.xdegree, hint.laurent)
+    _assert_staged_is_monolithic(_at_order(entry.problem, p), spec, entry.method)
+
+
+@st.composite
+def _small_ansatz(draw):
+    """A corpus problem (Laurent terms in diffusion, the function f(u) in
+    wave) at order 1..3, with a small random ansatz: some non-leading
+    generators, degree bounds up to 2 and an optional Laurent floor."""
+    eid = draw(st.sampled_from(["diffusion-consistent", "kdv-burgers", "wave"]))
+    problem = _at_order(corpus.load(eid).problem, draw(st.integers(1, 3)))
+    names = ["t", "x", "u[0]", "u[0]_x"] + (["u[0]_t"] if eid == "wave" else [])
+    gens = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    atoms = spec_for(problem, gens, 0).generators
+    laurent = {}
+    if draw(st.booleans()):
+        laurent[draw(st.sampled_from(atoms))] = draw(st.integers(-2, -1))
+    spec = AnsatzSpec(atoms, draw(st.integers(0, 2)), draw(st.sampled_from([None, 0, 1, 2])), laurent)
+    return problem, spec, draw(st.sampled_from(["consistent", "approach_a"]))
+
+
+def _diffusion_order_2():
+    # its order-2 lift needs c_2 != 0, so it tells 1/2! in slot 2 from 1
+    problem = _at_order(corpus.load("diffusion-consistent").problem, 2)
+    return problem, spec_for(problem, ["t", "x"], 0, 2), "consistent"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_ansatz())
+@example(_diffusion_order_2())
+def test_staged_basis_is_monolithic_basis_on_random_ansatze(case):
+    _assert_staged_is_monolithic(*case)
