@@ -250,7 +250,7 @@ def substitute(e, bindings: dict) -> NormalForm:
     return NormalForm(out)
 
 
-def eval_rational(e, point: dict, fvals: dict | None = None) -> Fraction:
+def eval_rational(e, point: dict, fvals: dict | None = None, powers: dict | None = None) -> Fraction:
     """Exact rational value of ``e``.
 
     ``point`` binds every symbol/jet atom to a rational; ``fvals`` binds
@@ -258,14 +258,16 @@ def eval_rational(e, point: dict, fvals: dict | None = None) -> Fraction:
     exponents require nonzero base values.
 
     The arithmetic is on integers: each (atom, exponent) power occurring in
-    ``e`` is resolved once per call to a (numerator, denominator) pair, and
-    every monomial contributes an integer numerator over an integer
+    ``e`` is resolved once to a (numerator, denominator) pair, into
+    ``powers`` when given (evaluations at one point may share the table),
+    and every monomial contributes an integer numerator over an integer
     denominator.  Numerators are summed per distinct denominator, and the
     sums meet over their least common multiple, so one ``Fraction`` (one
     gcd) is built per call.
     """
     p = as_poly(e)
-    powers = {}  # (atom id, exponent) -> (numerator, denominator)
+    if powers is None:
+        powers = {}  # (atom id, exponent) -> (numerator, denominator)
     # denominator -> sum of numerators over it; a negative base under a
     # negative exponent leaves a negative denominator, which math.lcm absorbs
     sums = {}
@@ -286,19 +288,24 @@ def eval_rational(e, point: dict, fvals: dict | None = None) -> Fraction:
     return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
 
 
+def _rational(v):
+    """``v`` as an int or a Fraction; those two are used as they are."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+
+
 def _atom_power(a, exp, point, fvals):
     """``value(a)**exp`` as an integer pair (numerator, nonzero denominator)."""
     if isinstance(a, FuncAtom):
         if a.arg not in point:
             raise EvalError(f"unbound atom {a.arg!r}")
-        key = (a.fname, a.nd, Fraction(point[a.arg]))
+        key = (a.fname, a.nd, _rational(point[a.arg]))
         if fvals is None or key not in fvals:
             raise EvalError(f"no value for function sample {key}")
-        base = Fraction(fvals[key])
+        base = _rational(fvals[key])
     else:
         if a not in point:
             raise EvalError(f"unbound atom {a!r}")
-        base = Fraction(point[a])
+        base = _rational(point[a])
     n, d = base.numerator, base.denominator
     if exp < 0:
         if n == 0:

@@ -13,13 +13,13 @@ jets up to the order cap can be rewritten into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernel, linalg
 from .atoms import FuncAtom, INDEP, Jet, atom_at, intern, mono_atoms, mono_sort_key
 from .expr import NormalForm, as_poly, atoms_of, normalize
-from .jets import total_derivative
-from .multipliers import MultiplierSet, _check_slot_language, contraction, euler_residuals
+from .jets import stripped_jet, total_derivative
+from .multipliers import MultiplierSet, _check_slot_language, certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
 
 
@@ -45,6 +45,8 @@ class ConservationLaw:
     mult: MultiplierSet
     fluxes: tuple
     status: str = "unverified"
+    # the divergence slots, computed on their first read
+    _divs: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.fluxes = tuple(tuple(normalize(f) for f in row) for row in self.fluxes)
@@ -57,21 +59,28 @@ class ConservationLaw:
         return self.mult.method
 
     def divergence_slots(self) -> list:
-        """Slots of sum_i D_i Phi^i, matching the contraction slots."""
-        out = []
-        nslots = len(self.fluxes[0])
-        for k in range(nslots):
-            acc = {}
-            for i, row in enumerate(self.fluxes):
-                kernel.poly_iadd(acc, as_poly(total_derivative(row[k], i)))
-            out.append(NormalForm(acc))
-        return out
+        """Slots of sum_i D_i Phi^i, matching the contraction slots; computed
+        once per law."""
+        if self._divs is None:
+            self._divs = _divergence(self.fluxes)
+        return list(self._divs)
 
     def eps_shifted(self) -> "ConservationLaw":
         shifted_fluxes = tuple(
             (NormalForm({}),) + tuple(row[:-1]) for row in self.fluxes
         )
         return ConservationLaw(self.mult.eps_shifted(), shifted_fluxes, status=self.status)
+
+
+def _divergence(fluxes) -> list:
+    """Slots of sum_i D_i Phi^i of the flux rows ``fluxes``."""
+    out = []
+    for k in range(len(fluxes[0])):
+        acc = {}
+        for i, row in enumerate(fluxes):
+            kernel.poly_iadd(acc, as_poly(total_derivative(row[k], i)))
+        out.append(NormalForm(acc))
+    return out
 
 
 # --- grading ------------------------------------------------------------------
@@ -127,18 +136,15 @@ def _mono_degree(mono) -> int:
 
 def _antiderive_candidates(mono, problem: PdeProblem):
     """Monomials whose D_i image contains ``mono``, per direction i."""
-    n = problem.table.n_indep
     out = []
-    pairs = list(mono_atoms(mono))
-    for a, e in pairs:
+    factors = [(mono[j], atom_at(mono[j]), mono[j + 1]) for j in range(0, len(mono), 2)]
+    for aid, a, e in factors:
         if isinstance(a, Jet) and a.deriv and e >= 1:
             for i in sorted(set(a.deriv)):
-                stripped = Jet(a.dep, a.order, tuple(v for j, v in _drop_one(a.deriv, i)))
-                cand = _mono_edit(mono, (intern(a), -1), (intern(stripped), 1))
-                out.append((i, cand))
+                out.append((i, _mono_edit(mono, (aid, -1), (stripped_jet(aid, i), 1))))
         elif isinstance(a, FuncAtom) and a.nd >= 1 and e >= 1:
             # undo one chain-rule step: f^(d) * u_(0),i  <-  D_i f^(d-1)
-            for b, eb in pairs:
+            for bid, b, eb in factors:
                 if (
                     isinstance(b, Jet)
                     and b.dep == a.arg.dep
@@ -146,25 +152,11 @@ def _antiderive_candidates(mono, problem: PdeProblem):
                     and len(b.deriv) == 1
                     and eb >= 1
                 ):
-                    i = b.deriv[0]
-                    lower = FuncAtom(a.fname, a.nd - 1, a.arg)
-                    cand = _mono_edit(mono, (intern(a), -1), (intern(lower), 1), (intern(b), -1))
-                    out.append((i, cand))
-    for i in range(n):
-        xi = problem.table.indep[i]
+                    lower = intern(FuncAtom(a.fname, a.nd - 1, a.arg))
+                    out.append((b.deriv[0], _mono_edit(mono, (aid, -1), (lower, 1), (bid, -1))))
+    for i, xi in enumerate(problem.table.indep):
         out.append((i, _mono_edit(mono, (intern(xi), 1))))
     return out
-
-
-def _drop_one(deriv: tuple, i: int):
-    dropped = False
-    for j, v in enumerate(deriv):
-        if v == i and not dropped:
-            dropped = True
-            continue
-        yield j, v
-    if not dropped:
-        raise ValueError("direction not present")
 
 
 @dataclass
@@ -282,9 +274,15 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = N
     equals the truncated contraction of ``mult`` with the equations,
     order by order.  ``degree`` optionally caps the total degree of
     candidate flux monomials.  Raises :class:`ReconstructionError` when the
-    basis ceiling is reached."""
-    targets = contraction(problem, mult)
-    if not all(res.is_zero() for _, _, res in euler_residuals(problem, mult.method, targets)):
+    basis ceiling is reached.
+
+    The contraction and its Euler residuals come from
+    :func:`~approxlaws.multipliers.certified_contraction`, so a later
+    :func:`~approxlaws.verify.full_report` of the same multiplier set reads
+    them again instead of recomputing them; the law's divergence, computed
+    here for the identity check, is kept on the law the same way."""
+    targets, residuals = certified_contraction(problem, mult)
+    if not all(res.is_zero() for _, _, res in residuals):
         raise ReconstructionError(
             "multiplier set fails the Euler-annihilation check; "
             "fluxes exist only for multipliers"

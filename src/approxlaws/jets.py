@@ -63,10 +63,27 @@ class EulerKind:
             raise ValueError("per-order Euler kind needs an order")
 
 
-# (atom id, i) -> D_i image of the atom ({} when it derives to zero).  Atoms
+# i -> {atom id: D_i image of the atom ({} when it derives to zero)}.  Atoms
 # are interned for the life of the process, so the memo holds at most one
 # entry per atom and independent variable.
 _total_images: dict = {}
+
+# (atom id, i) -> id of the jet with one derivative in direction i fewer:
+# the jet whose D_i image is the given one, which flux inversion asks for
+# once per candidate.
+_stripped_jets: dict = {}
+
+
+def stripped_jet(aid: int, i: int) -> int:
+    """The id of jet ``aid`` with one derivative in direction ``i`` taken
+    off; raises ValueError if it has none in that direction."""
+    sid = _stripped_jets.get((aid, i))
+    if sid is None:
+        a = atom_at(aid)
+        deriv = list(a.deriv)
+        deriv.remove(i)
+        sid = _stripped_jets[(aid, i)] = intern(Jet(a.dep, a.order, tuple(deriv)))
+    return sid
 
 
 def _total_image(aid: int, i: int) -> dict:
@@ -82,14 +99,17 @@ def _total_image(aid: int, i: int) -> dict:
 
 
 def total_derivative(e, i: int) -> NormalForm:
-    """D_i: partial in x_i plus threading through all jet coordinates."""
+    """D_i: partial in x_i plus threading through all jet coordinates.  One
+    scan of the operand adds the images of atoms not yet met to the D_i
+    memo, which is then the derivation's atom map."""
     p = as_poly(e)
-    images = {}
-    for aid in poly_atom_ids(p):
-        img = _total_images.get((aid, i))
-        if img is None:
-            img = _total_images[(aid, i)] = _total_image(aid, i)
-        images[aid] = img
+    images = _total_images.get(i)
+    if images is None:
+        images = _total_images[i] = {}
+    for mono in p:
+        for j in range(0, len(mono), 2):
+            if mono[j] not in images:
+                images[mono[j]] = _total_image(mono[j], i)
     return NormalForm(kernel.derive(p, images))
 
 

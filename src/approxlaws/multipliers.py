@@ -138,6 +138,11 @@ class MultiplierSet:
 
     method: str
     slots: tuple
+    # work on this set read by more than one caller, done once per object:
+    # "certified" holds (problem, contraction, Euler residuals) from the
+    # first certification; an ansatz keeps "pieces", its per-unknown
+    # decomposition, and "columns", their keyed coefficients
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -333,6 +338,21 @@ def contraction(problem: PdeProblem, mult: MultiplierSet, upto: int | None = Non
     return [NormalForm(part) for part in parts]
 
 
+def certified_contraction(problem: PdeProblem, mult: MultiplierSet) -> tuple:
+    """The contraction of ``mult`` with the equations and its Euler
+    residuals, the pair that both flux reconstruction and certification
+    read.  The set keeps the pair from its first computation and hands it
+    out again for the same problem object; another problem gets its own
+    pair, computed afresh."""
+    memo = mult._memo.get("certified")
+    if memo is not None and memo[0] is problem:
+        return memo[1], memo[2]
+    targets = contraction(problem, mult)
+    residuals = euler_residuals(problem, mult.method, targets)
+    mult._memo.setdefault("certified", (problem, targets, residuals))
+    return targets, residuals
+
+
 def euler_kinds(problem: PdeProblem, method: str) -> list[EulerKind]:
     m = problem.table.n_dep
     if method == "consistent":
@@ -386,13 +406,16 @@ def _split_unknown(mono) -> tuple:
 
 def _decompose_by_unknown(mult: MultiplierSet) -> dict:
     """Split each slot into per-unknown contribution polynomials:
-    contrib[sym][(nu, k)] is a plain polynomial dict."""
-    contrib: dict = {}
-    for nu, row in enumerate(mult.slots):
-        for k, slot in enumerate(row):
-            for mono, c in as_poly(slot).items():
-                csym, rest = _split_unknown(mono)
-                contrib.setdefault(csym, {}).setdefault((nu, k), {})[rest] = c
+    contrib[sym][(nu, k)] is a plain polynomial dict.  Computed once per
+    ansatz; callers read it and do not mutate it."""
+    contrib = mult._memo.get("pieces")
+    if contrib is None:
+        contrib = mult._memo["pieces"] = {}
+        for nu, row in enumerate(mult.slots):
+            for k, slot in enumerate(row):
+                for mono, c in as_poly(slot).items():
+                    csym, rest = _split_unknown(mono)
+                    contrib.setdefault(csym, {}).setdefault((nu, k), {})[rest] = c
     return contrib
 
 
@@ -604,6 +627,9 @@ def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "cons
 def coefficient_vector(mult: MultiplierSet, ansatz: MultiplierSet, unknowns) -> tuple | None:
     """Express a concrete multiplier set in the ansatz coefficient space, or
     None if it does not fit (used for span-membership tests)."""
-    contrib = _decompose_by_unknown(ansatz)
-    columns = [_keyed_coefficients(contrib[s]) for s in unknowns]
-    return linalg.in_span(columns, _slot_coefficients(mult))
+    columns = ansatz._memo.get("columns")
+    if columns is None:
+        columns = ansatz._memo["columns"] = {
+            s: _keyed_coefficients(pieces) for s, pieces in _decompose_by_unknown(ansatz).items()
+        }
+    return linalg.in_span([columns[s] for s in unknowns], _slot_coefficients(mult))

@@ -5,7 +5,8 @@
     operators     + - * / ^   (standard precedence, ^ binds an integer
                   literal exponent only, right-associative; the value of
                   an exponent tower such as 2^3^2 is at most MAX_EXPONENT;
-                  a product or power expands to at most MAX_TERMS terms)
+                  a product or power expands to at most MAX_TERMS terms;
+                  a coefficient has at most MAX_DIGITS digits)
     derivatives   u_tx  == der(u, t, x) for a declared dependent u and
                   single-letter independents; explicit form der(u, t, x)
     expansions    u[0], u[1], with derivatives u[1]_x / der(u[1], x)
@@ -39,6 +40,16 @@ MAX_EXPONENT = 1000
 # unbounded one makes the parser hang.  Checked before the kernel expands.
 MAX_TERMS = 1000
 
+# Bound on the decimal digits of a coefficient's numerator or denominator,
+# below the interpreter's 4,300-digit integer-string limit, past which a
+# coefficient can be neither read nor printed.  Before the kernel
+# multiplies, a product is checked on its operands' summed coefficient bit
+# lengths and a power on the bit length times the exponent; literals and
+# the parsed result are checked digit for digit.
+MAX_DIGITS = 4000
+_DIGITS_BOUND = 10**MAX_DIGITS
+_MAX_LOG2 = int(MAX_DIGITS * math.log2(10))  # 2**(_MAX_LOG2 + 1) > _DIGITS_BOUND
+
 
 class ParseError(Exception):
     def __init__(self, msg, pos=None, text=None):
@@ -65,10 +76,9 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            try:
-                toks.append((_NUM, int(text[i:j]), i))
-            except ValueError:  # past the interpreter's integer-string limit
-                raise ParseError(f"integer literal of {j - i} digits is too long", i, text) from None
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal of {j - i} digits is too long", i, text)
+            toks.append((_NUM, int(text[i:j]), i))
             i = j
         elif c.isalpha():
             j = i
@@ -97,6 +107,19 @@ def _tokenize(text):
             raise ParseError(f"unexpected character {c!r}", i, text)
     toks.append((_END, None, n))
     return toks
+
+
+def _coeff_bits(p: dict) -> int:
+    """The largest bit length of a numerator or denominator in ``p``, less
+    one: the floor of its log2, so that a unit coefficient counts zero and
+    summed over the factors of an integer product it bounds the product's
+    bit length from below."""
+    bits = 1
+    for c in p.values():
+        b = c.bit_length() if type(c) is int else max(c.numerator.bit_length(), c.denominator.bit_length())
+        if b > bits:
+            bits = b
+    return bits - 1
 
 
 class _Parser:
@@ -131,6 +154,11 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != _END:
             raise ParseError(f"unexpected {val!r}", pos, self.text)
+        # a sum's coefficients, and those of a product of fractions
+        # collected over one monomial, can outgrow the bounds of their parts
+        for c in e.values():
+            if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
+                raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits")
         return e
 
     def sum_(self):
@@ -142,6 +170,7 @@ class _Parser:
 
     def product(self):
         out = self.unary()
+        bits = None  # the factors' summed coefficient bit lengths
         while self.at_op("*", "/"):
             _, op, pos = self.next()
             f = self.unary()
@@ -149,6 +178,9 @@ class _Parser:
                 f = poly_pow(f, -1)
             if len(out) * len(f) > MAX_TERMS:
                 raise ParseError(f"product exceeds {MAX_TERMS} terms", pos, self.text)
+            bits = (_coeff_bits(out) if bits is None else bits) + _coeff_bits(f)
+            if bits > _MAX_LOG2:
+                raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos, self.text)
             out = kernel.poly_mul(out, f)
         return out
 
@@ -168,6 +200,8 @@ class _Parser:
             n, k = self.exponent(), len(base)
             if n > 1 and k > 1 and math.comb(n + k - 1, k - 1) > MAX_TERMS:
                 raise ParseError(f"power exceeds {MAX_TERMS} terms", pos, self.text)
+            if abs(n) > 1 and abs(n) * _coeff_bits(base) > _MAX_LOG2:
+                raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos, self.text)
             return poly_pow(base, n)
         return base
 

@@ -7,7 +7,13 @@ approach-A divergence is reduced as its joined eps-series), and exact
 numeric spot checks at random rational jet points, evaluated in integer
 arithmetic (:func:`~approxlaws.expr.eval_rational`).  Identity implies
 on-solution implies spot-check success.  The checks read a law's contraction
-targets and flux divergence, which :func:`full_report` computes once per law.
+targets, their Euler residuals and the flux divergence, and each is computed
+once per law: the contraction and residuals once per multiplier set
+(:func:`~approxlaws.multipliers.certified_contraction`, shared with flux
+reconstruction), the divergence once per law
+(:meth:`~approxlaws.fluxes.ConservationLaw.divergence_slots`).  A spot
+check resolves each atom power once per sample point, for every slot of
+both sides.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 from .atoms import FuncAtom, Jet, Sym, atom_at
 from .expr import EvalError, NormalForm, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
-from .multipliers import contraction, euler_residuals
+from .multipliers import certified_contraction, euler_residuals
 from .problem import InconclusiveReduction, PdeProblem
 
 DEFAULT_SEED = 2023
@@ -60,8 +66,14 @@ def verify_identity(targets, divs) -> VerificationReport:
 def verify_euler(problem: PdeProblem, method: str, targets) -> VerificationReport:
     """Every Euler operator of ``method`` annihilates the truncated
     contraction ``targets``."""
+    return _euler_report(euler_residuals(problem, method, targets))
+
+
+def _euler_report(residuals) -> VerificationReport:
+    """One check per (kind, slot, residual) triple of
+    :func:`~approxlaws.multipliers.euler_residuals`."""
     checks = []
-    for kind, k, res in euler_residuals(problem, method, targets):
+    for kind, k, res in residuals:
         order = f":{kind.order}" if kind.order is not None else ""
         checks.append(CheckResult(f"euler[{kind.family}:{kind.alpha}{order}, slot {k}]",
                                   res.is_zero(), residual=res))
@@ -119,7 +131,7 @@ def _sample_point(atoms, laurent, rng: random.Random):
                 point[a] = _rand_rational(rng, a in laurent)
     fvals = {}
     for a in fsamples:
-        key = (a.fname, a.nd, Fraction(point[a.arg]))
+        key = (a.fname, a.nd, point[a.arg])
         if key not in fvals:
             fvals[key] = _rand_rational(rng, False)
     return point, fvals
@@ -133,7 +145,8 @@ def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
     singularities are resampled a bounded number of times.  The atoms to
     sample are collected once per call; every trial draws their values in
     canonical atom order and evaluates with :func:`eval_rational`'s integer
-    arithmetic."""
+    arithmetic, all slots of both sides sharing one table of the point's
+    atom powers."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     atoms, laurent = _sample_atoms(list(targets) + list(divs))
@@ -145,9 +158,10 @@ def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
         for attempt in range(max_retries):
             try:
                 point, fvals = _sample_point(atoms, laurent, rng)
+                powers = {}
                 for k, (t, d) in enumerate(zip(targets, divs)):
-                    lhs = eval_rational(t, point, fvals)
-                    rhs = eval_rational(d, point, fvals)
+                    lhs = eval_rational(t, point, fvals, powers)
+                    rhs = eval_rational(d, point, fvals, powers)
                     if lhs != rhs:
                         ok = False
                         witness = {
@@ -171,12 +185,17 @@ def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = 5,
                 seed: int = DEFAULT_SEED, depth: int = 2) -> dict:
     """All four checks; on-solution is attempted only when identity fails
     (identity success implies it).  Returns a dict of reports plus the
-    certification outcome: 'identity', 'onsolution', or 'fail'."""
-    targets = contraction(problem, law.mult)
+    certification outcome: 'identity', 'onsolution', or 'fail'.
+
+    The contraction, its Euler residuals and the divergence are read from
+    the multiplier set and the law, which compute each once; after
+    :func:`~approxlaws.fluxes.reconstruct` of the same multiplier set none
+    of them is computed again."""
+    targets, residuals = certified_contraction(problem, law.mult)
     divs = law.divergence_slots()
     reports = {
         "identity": verify_identity(targets, divs),
-        "euler": verify_euler(problem, law.method, targets),
+        "euler": _euler_report(residuals),
         "spot": spot_check(targets, divs, trials=trials, seed=seed),
     }
     if reports["identity"].passed:

@@ -332,9 +332,20 @@ _JET_SUM_PRODUCT = (
          "error: integer literal of 5000 digits is too long (at position 2)\n"),
         (["expand", fixture_path("wave"), "--expr", "9" * 5000 + "*u_x"],
          "error: integer literal of 5000 digits is too long (at position 0)\n"),
+        # coefficients past parser.MAX_DIGITS, refused before the kernel
+        # multiplies (a product or power) or once the sum is parsed
+        (["expand", fixture_path("wave"), "--expr", "9" * 3000 + "^2*u"],
+         "error: coefficient exceeds 4000 digits (at position 3000)\n"),
+        (["expand", fixture_path("wave"), "--expr", "(" + "9" * 1000 + "*u)^999"],
+         "error: coefficient exceeds 4000 digits (at position 1004)\n"),
+        (["expand", fixture_path("wave"), "--expr", "9" * 3000 + "*" + "9" * 3000 + "*u"],
+         "error: coefficient exceeds 4000 digits (at position 3000)\n"),
+        (["expand", fixture_path("wave"), "--expr", "u/2^7000 + u/3^5000"],
+         "error: coefficient exceeds 4000 digits\n"),
     ],
     ids=["end-of-input", "division-by-zero", "deep-nesting", "exponent-tower", "large-power",
-         "large-product", "long-exponent", "long-coefficient"],
+         "large-product", "long-exponent", "long-coefficient", "huge-power-coefficient",
+         "huge-power-of-product", "huge-product-coefficient", "huge-sum-coefficient"],
 )
 def test_parser_input_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -82,3 +82,19 @@ def test_function_argument_validation(table):
         parse("f(u[1])", table)
     with pytest.raises(ParseError):
         parse("f(u_x)", table)
+
+
+def test_coefficient_digit_bound(table):
+    # a coefficient of MAX_DIGITS digits parses and prints; one digit more,
+    # or a power or product that reaches it, is a ParseError
+    from approxlaws import print_poly
+    from approxlaws.parser import MAX_DIGITS
+
+    top = "9" * MAX_DIGITS
+    for text in (top + "*u", "u/" + top, "(" + top + ")^1", "2^13287*u", "(1/2)^13287*u"):
+        e = parse(text, table)
+        assert parse(print_poly(e, table), table) == e
+    for text in ("9" * (MAX_DIGITS + 1) + "*u", "2^13288*u", top + "*10", "(" + top + "*u)^2",
+                 "u/" + top + " + u/" + "7" * MAX_DIGITS):
+        with pytest.raises(ParseError):
+            parse(text, table)

@@ -28,8 +28,10 @@ from approxlaws import (
     unexpanded_euler,
 )
 from approxlaws import kernel
-from approxlaws.atoms import INDEP, FuncAtom, Jet, atom_at, intern, mono_atoms
+from approxlaws.atoms import INDEP, FuncAtom, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
 from approxlaws.expr import EvalError, NormalForm, atoms_of, poly_atom_ids
+from approxlaws.fluxes import _antiderive_candidates, _mono_edit
+from approxlaws.verify import CheckResult, _rand_rational, _sample_atoms, spot_check
 
 TABLE = SymbolTable(["t", "x"], ["u", "v"], ["c"], [("f", "u")])
 
@@ -412,3 +414,158 @@ def test_horner_euler_matches_per_multi_index_sum():
                 for r in (None, 0, 1, 2):
                     kind = mk(alpha)
                     assert euler(e, kind, r) == _euler_per_multi_index(e, kind, r), (kind, r)
+
+
+# --- oracles for the certification layer's shared work ------------------------
+
+
+def _sample_point_per_call(atoms, laurent, rng):
+    """verify._sample_point as it was: every function-sample key wraps the
+    argument's value in a new Fraction."""
+    point = {}
+    fsamples = []
+    for a in atoms:
+        if isinstance(a, FuncAtom):
+            fsamples.append(a)
+            if a.arg not in point:
+                point[a.arg] = _rand_rational(rng, True)
+        elif isinstance(a, (Sym, Jet)):
+            if a not in point:
+                point[a] = _rand_rational(rng, a in laurent)
+    fvals = {}
+    for a in fsamples:
+        key = (a.fname, a.nd, Fraction(point[a.arg]))
+        if key not in fvals:
+            fvals[key] = _rand_rational(rng, False)
+    return point, fvals
+
+
+def _spot_check_per_call(targets, divs, trials, seed, max_retries, retries):
+    """spot_check as the loop it replaces: each slot of each side evaluated
+    by its own eval_rational call, which resolves its own atom powers.
+    Counts the evaluation singularities in ``retries``."""
+    atoms, laurent = _sample_atoms(list(targets) + list(divs))
+    checks = []
+    for trial in range(trials):
+        rng = random.Random(f"{seed}:{trial}")
+        ok, witness = True, None
+        for _ in range(max_retries):
+            try:
+                point, fvals = _sample_point_per_call(atoms, laurent, rng)
+                for k, (t, d) in enumerate(zip(targets, divs)):
+                    lhs = eval_rational(t, point, fvals)
+                    rhs = eval_rational(d, point, fvals)
+                    if lhs != rhs:
+                        ok = False
+                        witness = {
+                            "slot": k, "lhs": lhs, "rhs": rhs,
+                            "point": {repr(a): v for a, v in sorted(point.items(), key=lambda av: av[0].sort_key())},
+                        }
+                        break
+                break
+            except EvalError:
+                retries.append(trial)
+                continue
+        else:
+            ok, witness = False, "evaluation singularity persisted across retries"
+        checks.append(CheckResult(f"spot[{trial}]", ok, witness=witness))
+    return checks
+
+
+def _laurent_function_slots(rng):
+    """Two slot lists over f, f' and f'' of u[0] under negative exponents:
+    a function sample of zero is an evaluation singularity."""
+    u0 = TABLE.jet("u", 0)
+    funcs = [intern(FuncAtom("f", nd, u0)) for nd in range(3)]
+    sides = []
+    for _ in range(2):
+        slots = []
+        for _ in range(2):
+            poly = dict(rand_poly(rng, laurent_atoms=(u0,))._p)
+            for _ in range(rng.randint(1, 3)):
+                mono = kernel.mono_mul(rng.choice(list(poly) or [()]), (rng.choice(funcs), -rng.randint(1, 2)))
+                poly[mono] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            slots.append(NormalForm(poly))
+        sides.append(slots)
+    return sides
+
+
+def test_spot_check_matches_per_call_evaluation():
+    from approxlaws import corpus
+    from approxlaws.multipliers import contraction
+
+    cases = []
+    for entry_id in corpus.ENTRY_IDS:
+        entry = corpus.load(entry_id)
+        for cl in entry.laws:
+            targets, divs = contraction(entry.problem, cl.law.mult), cl.law.divergence_slots()
+            cases.append((targets, divs))
+            # a perturbed divergence: the target's first monomial added again
+            k = max(range(len(targets)), key=lambda k: len(targets[k]))
+            mono = min(targets[k]._p, key=mono_sort_key)
+            bad = list(divs)
+            bad[k] = bad[k] + NormalForm({mono: 1})
+            cases.append((targets, bad))
+    rng = random.Random(59)
+    cases += [tuple(_laurent_function_slots(rng)) for _ in range(40)]
+    retries = []
+    persisted = witnessed = 0
+    for n, (targets, divs) in enumerate(cases):
+        for max_retries in (1, 5):
+            got = spot_check(targets, divs, trials=3, seed=n, max_retries=max_retries).checks
+            assert got == _spot_check_per_call(targets, divs, 3, n, max_retries, retries), n
+            persisted += sum(c.witness == "evaluation singularity persisted across retries" for c in got)
+            witnessed += sum(isinstance(c.witness, dict) for c in got)
+    assert retries and persisted and witnessed
+
+
+def _antiderive_candidates_as_built(mono, problem):
+    """fluxes._antiderive_candidates as it was: atoms read as (atom,
+    exponent) pairs, every edited atom interned afresh."""
+    def drop_one(deriv, i):
+        dropped = False
+        for j, v in enumerate(deriv):
+            if v == i and not dropped:
+                dropped = True
+                continue
+            yield j, v
+        if not dropped:
+            raise ValueError("direction not present")
+
+    out = []
+    pairs = list(mono_atoms(mono))
+    for a, e in pairs:
+        if isinstance(a, Jet) and a.deriv and e >= 1:
+            for i in sorted(set(a.deriv)):
+                stripped = Jet(a.dep, a.order, tuple(v for j, v in drop_one(a.deriv, i)))
+                out.append((i, _mono_edit(mono, (intern(a), -1), (intern(stripped), 1))))
+        elif isinstance(a, FuncAtom) and a.nd >= 1 and e >= 1:
+            for b, eb in pairs:
+                if (isinstance(b, Jet) and b.dep == a.arg.dep and b.order == a.arg.order
+                        and len(b.deriv) == 1 and eb >= 1):
+                    lower = FuncAtom(a.fname, a.nd - 1, a.arg)
+                    out.append((b.deriv[0], _mono_edit(mono, (intern(a), -1), (intern(lower), 1), (intern(b), -1))))
+    for i in range(problem.table.n_indep):
+        out.append((i, _mono_edit(mono, (intern(problem.table.indep[i]), 1))))
+    return out
+
+
+def test_antiderive_candidates_match_construction_on_corpus_targets():
+    # every target monomial of the corpus laws, and the next frontier of the
+    # inversion closure: the D_i images of their candidates, where mixed
+    # derivatives such as u_tx can be stripped in either direction
+    from approxlaws import corpus
+    from approxlaws.multipliers import contraction
+
+    mixed = 0
+    for entry_id in corpus.ENTRY_IDS:
+        entry = corpus.load(entry_id)
+        monos = {mono for cl in entry.laws
+                 for target in contraction(entry.problem, cl.law.mult) for mono in target._p}
+        frontier = {m for mono in monos for i, cand in _antiderive_candidates_as_built(mono, entry.problem)
+                    for m in total_derivative(NormalForm({cand: 1}), i)._p}
+        for mono in sorted(monos | frontier):
+            got = _antiderive_candidates(mono, entry.problem)
+            assert got == _antiderive_candidates_as_built(mono, entry.problem), mono
+            mixed += any(isinstance(a, Jet) and len(set(a.deriv)) > 1 for a, _ in mono_atoms(mono))
+    assert mixed

@@ -4,8 +4,8 @@ import pytest
 
 from approxlaws import normalize, parse
 from approxlaws.expr import NormalForm
-from approxlaws.fluxes import ConservationLaw
-from approxlaws.multipliers import MultiplierSet, contraction
+from approxlaws.fluxes import ConservationLaw, reconstruct
+from approxlaws.multipliers import MultiplierSet, certified_contraction, contraction, euler_residuals
 from approxlaws.problem import parse_problem_text
 from approxlaws.verify import (
     full_report,
@@ -135,11 +135,13 @@ def test_implication_chain_on_corpus():
 
 
 def test_contraction_and_divergence_computed_once_per_law(monkeypatch):
+    # reconstruct and full_report of one multiplier set share its contraction
+    # and Euler residuals; a law's divergence is computed once however often
+    # it is read
     import approxlaws.fluxes as fluxes
-    import approxlaws.verify as verify
-    from approxlaws.fluxes import reconstruct
+    import approxlaws.multipliers as multipliers
 
-    calls = {"contraction": 0, "divergence_slots": 0}
+    calls = {"contraction": 0, "euler_residuals": 0, "divergence": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -147,19 +149,57 @@ def test_contraction_and_divergence_computed_once_per_law(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (fluxes, verify):
-        monkeypatch.setattr(module, "contraction", counted("contraction", contraction))
-    monkeypatch.setattr(ConservationLaw, "divergence_slots",
-                        counted("divergence_slots", ConservationLaw.divergence_slots))
+    for name in ("contraction", "euler_residuals"):
+        monkeypatch.setattr(multipliers, name, counted(name, getattr(multipliers, name)))
+    monkeypatch.setattr(fluxes, "_divergence", counted("divergence", fluxes._divergence))
     for entry_id, label, status in (("diffusion-consistent", "2", "identity"),
                                     ("kdv-burgers", "4", "onsolution")):
         pb, law = law_of(entry_id, label)
-        calls.update(contraction=0, divergence_slots=0)
-        reconstruct(pb, law.mult)
-        assert calls["contraction"] == 1
-        calls.update(contraction=0, divergence_slots=0)
+        mult = MultiplierSet(law.mult.method, law.mult.slots)  # nothing computed yet
+        law = ConservationLaw(mult, law.fluxes)
+        calls.update(contraction=0, euler_residuals=0, divergence=0)
+        rebuilt = reconstruct(pb, mult)
+        rebuilt.divergence_slots()
+        assert calls == {"contraction": 1, "euler_residuals": 1, "divergence": 1}
         assert full_report(pb, law, trials=2)["status"] == status
-        assert calls == {"contraction": 1, "divergence_slots": 1}
+        assert full_report(pb, rebuilt, trials=2)["status"] == "identity"
+        law.divergence_slots()
+        assert calls == {"contraction": 1, "euler_residuals": 1, "divergence": 2}
+
+
+def _report_digest(fr):
+    return fr["status"], {
+        name: [(c.name, c.passed, c.residual, c.witness) for c in rep.checks]
+        for name, rep in fr["reports"].items()
+    }
+
+
+def test_full_report_after_reconstruct_equals_fresh_report():
+    # the shared contraction and residuals are exactly what a fresh multiplier
+    # set computes: every check's name, pass flag, residual and witness agree
+    for entry_id in corpus.ENTRY_IDS:
+        entry = corpus.load(entry_id)
+        for cl in entry.laws:
+            mult = cl.law.mult
+            fresh = ConservationLaw(MultiplierSet(mult.method, mult.slots), cl.law.fluxes)
+            reconstruct(entry.problem, mult)
+            shared = full_report(entry.problem, cl.law, trials=2)
+            assert _report_digest(shared) == _report_digest(full_report(entry.problem, fresh, trials=2))
+
+
+def test_one_multiplier_set_certified_against_two_problems():
+    # the set keeps the first problem's contraction; the second problem
+    # still gets its own targets
+    p1 = parse_problem_text("independent = t, x\ndependent = u\norder = 1\n"
+                            "equation = u_t - u_xx - eps*u_x\nleading = u_t\n").problem
+    p2 = parse_problem_text("independent = t, x\ndependent = u\norder = 1\n"
+                            "equation = u_t - u_xx - eps*u^2\nleading = u_t\n").problem
+    m = MultiplierSet("consistent", ((normalize(parse("u[0]", p1.table)), NormalForm({})),))
+    for pb in (p1, p2, p1, p2):
+        targets, residuals = certified_contraction(pb, m)
+        assert targets == contraction(pb, m)
+        assert [r for _, _, r in residuals] == [r for _, _, r in euler_residuals(pb, m.method, targets)]
+    assert certified_contraction(p1, m)[0] != certified_contraction(p2, m)[0]
 
 
 def test_full_report_statuses(kdv):
