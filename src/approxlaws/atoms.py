@@ -9,15 +9,19 @@ Three kinds of atoms occur in normal forms:
 * :class:`FuncAtom` -- an uninterpreted function application ``f''(u[0])``
   carrying a formal derivative count.
 
-Atoms are immutable and interned into a process-wide registry; normal forms
-store integer atom ids only.  The registry is append-only (guarded by a lock
-during problem loading) so expressions can be shared freely between threads.
+Atoms are immutable named tuples, interned into a process-wide registry;
+normal forms store integer atom ids only.  An atom hashes and compares as the
+tuple of its fields, in C, so interning costs no Python-level method call.
+No two atoms of different types are equal: a :class:`Sym` has four fields,
+and a :class:`Jet` starts with an integer where a :class:`FuncAtom` starts
+with a name.  The registry is append-only (guarded by a lock during problem
+loading) so expressions can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 # Sym.kind values
 INDEP = "indep"
@@ -28,16 +32,12 @@ COEFF = "coeff"
 _KIND_RANK = {INDEP: 0, PARAM: 1, EPS: 2, COEFF: 3}
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
+class Sym(namedtuple("Sym", "name kind pos tag", defaults=(0, ()))):
     """A named scalar symbol.  ``pos`` is the declaration position within its
     kind and fixes the canonical ordering; ansatz coefficients instead carry a
     (equation, perturbation-order, monomial-index) ``tag``."""
 
-    name: str
-    kind: str
-    pos: int = 0
-    tag: tuple = field(default=())
+    __slots__ = ()
 
     def sort_key(self):
         if self.kind == COEFF:
@@ -48,20 +48,16 @@ class Sym:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Jet:
+class Jet(namedtuple("Jet", "dep order deriv")):
     """Derivative coordinate of dependent variable ``dep`` (an index into the
     problem's dependent list).  ``order`` is the perturbation order, ``None``
     for an unexpanded variable.  ``deriv`` is the multi-index as a sorted
     tuple of independent-variable indices (mixed partials commute)."""
 
-    dep: int
-    order: int | None
-    deriv: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if tuple(sorted(self.deriv)) != self.deriv:
-            object.__setattr__(self, "deriv", tuple(sorted(self.deriv)))
+    def __new__(cls, dep: int, order: int | None, deriv):
+        return tuple.__new__(cls, (dep, order, tuple(sorted(deriv))))
 
     def sort_key(self):
         k = -1 if self.order is None else self.order
@@ -69,7 +65,7 @@ class Jet:
 
     def lifted(self, i: int) -> "Jet":
         """The coordinate with one more derivative in direction ``i``."""
-        return Jet(self.dep, self.order, tuple(sorted(self.deriv + (i,))))
+        return Jet(self.dep, self.order, self.deriv + (i,))
 
     def with_order(self, k: int | None) -> "Jet":
         return Jet(self.dep, k, self.deriv)
@@ -80,14 +76,11 @@ class Jet:
         return f"<jet d{self.dep}{o}{d}>"
 
 
-@dataclass(frozen=True, slots=True)
-class FuncAtom:
+class FuncAtom(namedtuple("FuncAtom", "fname nd arg")):
     """``nd``-th formal derivative of function symbol ``fname`` applied to a
     plain (underived) dependent-variable coordinate."""
 
-    fname: str
-    nd: int
-    arg: Jet
+    __slots__ = ()
 
     def sort_key(self):
         return (5, self.fname, self.nd, self.arg.sort_key())
@@ -211,7 +204,7 @@ class SymbolTable:
             if i is None:
                 raise ValueError(f"{n!r} is not an independent variable")
             idxs.append(i)
-        return Jet(d, order, tuple(sorted(idxs)))
+        return Jet(d, order, idxs)
 
     def func_atom(self, fname, nd=0, order=None):
         d = self.funcs.get(fname)

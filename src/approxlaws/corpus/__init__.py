@@ -11,12 +11,12 @@ erratum candidate, never silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from importlib import resources
 
 from ..expr import NormalForm
 from ..fluxes import ConservationLaw
-from ..multipliers import AnsatzSpec, MultiplierSet, parse_ansatz
+from ..multipliers import MultiplierSet, parse_ansatz
 from ..problem import PdeProblem, ProblemError, ProblemFile, parse_problem_text
 from ..verify import DEFAULT_SEED, full_report
 
@@ -32,21 +32,10 @@ ENTRY_IDS = [
 ]
 
 
-@dataclass
-class CorpusLaw:
-    label: str
-    law: ConservationLaw
-    expected_status: str = "identity"
+CorpusLaw = namedtuple("CorpusLaw", "label law expected_status")
 
-
-@dataclass
-class CorpusEntry:
-    id: str
-    problem: PdeProblem
-    method: str
-    laws: list
-    ansatz_hint: AnsatzSpec | None = None
-    notes: list = field(default_factory=list)
+# ``ansatz_hint`` is the AnsatzSpec of the file's hint.* lines, or None
+CorpusEntry = namedtuple("CorpusEntry", "id problem method laws ansatz_hint notes")
 
 
 def _entry_text(entry_id: str) -> str:
@@ -96,16 +85,17 @@ def load(entry_id: str) -> CorpusEntry:
     if "mult_deps" in hints:
         hint = parse_ansatz(pf.problem.table, hints["mult_deps"], hints.get("mult_degree", 1),
                             hints.get("mult_xdegree"), hints.get("laurent"))
-    return CorpusEntry(entry_id, pf.problem, pf.method, recorded_laws(pf),
-                       ansatz_hint=hint, notes=pf.notes)
+    return CorpusEntry(entry_id, pf.problem, pf.method, recorded_laws(pf), hint, pf.notes)
 
 
-@dataclass
 class LawAudit:
-    entry_id: str
-    label: str
-    expected: str
-    achieved: str
+    __slots__ = ("entry_id", "label", "expected", "achieved")
+
+    def __init__(self, entry_id: str, label: str, expected: str, achieved: str):
+        self.entry_id = entry_id
+        self.label = label
+        self.expected = expected
+        self.achieved = achieved
 
     @property
     def certified(self) -> bool:

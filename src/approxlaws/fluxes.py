@@ -13,8 +13,6 @@ jets up to the order cap can be rewritten into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import kernel, linalg
 from .atoms import FuncAtom, INDEP, Jet, atom_at, intern, mono_atoms, mono_sort_key
 from .expr import NormalForm, as_poly, atoms_of, normalize
@@ -33,7 +31,6 @@ class ReconstructionError(Exception):
 ESCALATIONS = 1
 
 
-@dataclass
 class ConservationLaw:
     """A multiplier set with per-direction flux components.
 
@@ -42,17 +39,16 @@ class ConservationLaw:
     unverified, identity-verified, on-solution-verified.
     """
 
-    mult: MultiplierSet
-    fluxes: tuple
-    status: str = "unverified"
-    # the divergence slots, computed on their first read
-    _divs: list | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("mult", "fluxes", "status", "_divs")
 
-    def __post_init__(self):
-        self.fluxes = tuple(tuple(normalize(f) for f in row) for row in self.fluxes)
+    def __init__(self, mult: MultiplierSet, fluxes, status: str = "unverified"):
+        self.mult = mult
+        self.fluxes = tuple(tuple(normalize(f) for f in row) for row in fluxes)
+        self.status = status
         for row in self.fluxes:
             for slot in row:
-                _check_slot_language(slot, self.mult.method == "approach_a")
+                _check_slot_language(slot, mult.method == "approach_a")
+        self._divs = None  # the divergence slots, computed on their first read
 
     @property
     def method(self) -> str:
@@ -159,17 +155,20 @@ def _antiderive_candidates(mono, problem: PdeProblem):
     return out
 
 
-@dataclass
 class _Bounds:
     """Finiteness bounds for the candidate closure, derived from the target:
     without them the inverse closure runs away through Laurent descent
     (u^-n), chain-rule ascent (f^(n)), or coordinate-degree growth."""
 
-    jet_cap: int
-    k_slot: int | None
-    degree_cap: int | None
-    laurent_floor: dict
-    nd_cap: int
+    __slots__ = ("jet_cap", "k_slot", "degree_cap", "laurent_floor", "nd_cap")
+
+    def __init__(self, jet_cap: int, k_slot: int | None, degree_cap: int | None, laurent_floor: dict,
+                 nd_cap: int):
+        self.jet_cap = jet_cap
+        self.k_slot = k_slot
+        self.degree_cap = degree_cap
+        self.laurent_floor = laurent_floor
+        self.nd_cap = nd_cap
 
     def relaxed(self, slack: int, k_slot: int | None) -> "_Bounds":
         """These bounds for series slot ``k_slot``, each widened by ``slack``."""

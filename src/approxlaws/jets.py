@@ -17,7 +17,7 @@ eps atom: :func:`collect_eps` splits an expression into its slots and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernel
@@ -43,8 +43,7 @@ from .expr import (
 )
 
 
-@dataclass(frozen=True)
-class EulerKind:
+class EulerKind(namedtuple("EulerKind", "family alpha order")):
     """Which variational-derivative family to apply.
 
     ``consistent``: d/du_(0)alpha with total derivatives running over all
@@ -52,15 +51,14 @@ class EulerKind:
     ``per-order``: d/du_(k)alpha for one fixed order k.
     """
 
-    family: str
-    alpha: int
-    order: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("consistent", "unexpanded", "per-order"):
-            raise ValueError(f"unknown Euler family {self.family!r}")
-        if self.family == "per-order" and self.order is None:
+    def __new__(cls, family: str, alpha: int, order: int | None = None):
+        if family not in ("consistent", "unexpanded", "per-order"):
+            raise ValueError(f"unknown Euler family {family!r}")
+        if family == "per-order" and order is None:
             raise ValueError("per-order Euler kind needs an order")
+        return tuple.__new__(cls, (family, alpha, order))
 
 
 # i -> {atom id: D_i image of the atom ({} when it derives to zero)}.  Atoms

@@ -24,7 +24,7 @@ monolithic form the staged solve must agree with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernel, linalg
@@ -39,7 +39,7 @@ from .jets import (
     recursion_R,
     unexpanded_euler,
 )
-from .parser import parse, single_atom
+from .parser import MAX_UNKNOWNS, parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
 
 
@@ -51,7 +51,6 @@ class SingularAnsatzError(AnsatzError):
     """The ansatz depends on a declared leading derivative."""
 
 
-@dataclass
 class AnsatzSpec:
     """Polynomial multiplier ansatz shape.
 
@@ -62,22 +61,22 @@ class AnsatzSpec:
     absolute value towards the jet degree.
     """
 
-    generators: tuple
-    degree: int
-    xdegree: int | None = None
-    laurent: dict = field(default_factory=dict)
+    __slots__ = ("generators", "degree", "xdegree", "laurent")
 
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
-        if self.degree < 0 or (self.xdegree is not None and self.xdegree < 0):
+    def __init__(self, generators, degree: int, xdegree: int | None = None, laurent: dict | None = None):
+        self.generators = tuple(generators)
+        self.degree = degree
+        self.xdegree = xdegree
+        if degree < 0 or (xdegree is not None and xdegree < 0):
             raise AnsatzError("degree bounds must be nonnegative")
-        if not self.generators and self.degree > 0:
+        if not self.generators and degree > 0:
             raise AnsatzError("empty generator set with a positive degree bound")
-        if any(v > 0 for v in self.laurent.values()):
+        laurent = laurent or {}
+        if any(v > 0 for v in laurent.values()):
             raise AnsatzError("Laurent floors must be nonpositive")
         self.laurent = {
             (k.with_order(0) if isinstance(k, Jet) else k): v
-            for k, v in self.laurent.items()
+            for k, v in laurent.items()
         }
 
     @property
@@ -126,7 +125,6 @@ def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
     )
 
 
-@dataclass
 class MultiplierSet:
     """Per-equation series slots of one multiplier set.
 
@@ -136,22 +134,22 @@ class MultiplierSet:
     the multiplier of hierarchy member k.
     """
 
-    method: str
-    slots: tuple
-    # work on this set read by more than one caller, done once per object:
-    # "certified" holds (problem, contraction, Euler residuals) from the
-    # first certification; an ansatz keeps "pieces", its per-unknown
-    # decomposition, and "columns", their keyed coefficients
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("method", "slots", "_memo")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        self.slots = tuple(tuple(normalize(s) for s in row) for row in self.slots)
-        unexpanded = self.method == "approach_a"
+    def __init__(self, method: str, slots):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        self.method = method
+        self.slots = tuple(tuple(normalize(s) for s in row) for row in slots)
+        unexpanded = method == "approach_a"
         for row in self.slots:
             for slot in row:
                 _check_slot_language(slot, unexpanded)
+        # work on this set read by more than one caller, done once per
+        # object: "certified" holds (problem, contraction, Euler residuals)
+        # from the first certification; an ansatz keeps "pieces", its
+        # per-unknown decomposition, and "columns", their keyed coefficients
+        self._memo = {}
 
     @property
     def q(self) -> int:
@@ -251,6 +249,33 @@ def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict) -> list:
     return sorted(monos, key=mono_sort_key)
 
 
+def basis_size_bound(gens, degree: int, xdegree: int, laurent: dict) -> int:
+    """An upper bound on ``len(enumerate_basis(...))``, counted without
+    building a monomial: the same per-generator recursion, with the
+    combinations counted by the degree they use.  Every combination takes
+    at least one step, so counting stops just past MAX_UNKNOWNS however
+    large the degree bounds are."""
+
+    def count(gen_list, bound):
+        by_used = {0: 1}
+        for g in gen_list:
+            lo = laurent.get(g, laurent.get(_order0(g), 0))
+            new: dict = {}
+            total = 0
+            for used, n in by_used.items():
+                for e in range(max(lo, used - bound), bound - used + 1):
+                    k = used + abs(e)
+                    new[k] = new.get(k, 0) + n
+                    total += n
+                    if total > MAX_UNKNOWNS:
+                        return total
+            by_used = new
+        return sum(by_used.values())
+
+    return (count([g for g in gens if isinstance(g, Sym)], xdegree)
+            * count([g for g in gens if not isinstance(g, Sym)], degree))
+
+
 def _order0(g):
     return g.with_order(0) if isinstance(g, Jet) else g
 
@@ -280,6 +305,9 @@ def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consisten
         raise ValueError(f"unknown method {method!r}")
     p = problem.p
     gens = shape_generators(spec.generators, method, p)
+    if basis_size_bound(gens, spec.degree, spec.xdeg, spec.laurent) * problem.q * (p + 1) > MAX_UNKNOWNS:
+        raise AnsatzError(f"the ansatz has more than {MAX_UNKNOWNS} unknowns "
+                          "(basis size x equations x series slots); lower its degree or drop generators")
     basis = enumerate_basis(gens, spec.degree, spec.xdeg, spec.laurent)
     rows = []
     for nu in range(problem.q):
@@ -374,12 +402,14 @@ def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
 # --- determining system -------------------------------------------------------
 
 
-@dataclass
 class LinearSystem:
     """Homogeneous exact linear system over the ansatz coefficients."""
 
-    unknowns: list
-    rows: list
+    __slots__ = ("unknowns", "rows")
+
+    def __init__(self, unknowns: list, rows: list):
+        self.unknowns = unknowns
+        self.rows = rows
 
     def nullspace(self) -> list[tuple]:
         return linalg.nullspace(self.rows, len(self.unknowns))
@@ -462,7 +492,6 @@ def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSyst
     return LinearSystem(unknowns, list(rows.values()))
 
 
-@dataclass
 class StagedSystem:
     """The determining system of an eps-series ansatz, solved order by order.
 
@@ -479,10 +508,13 @@ class StagedSystem:
     (c_k = 0) beside a0 for c_k.
     """
 
-    problem: PdeProblem
-    ansatz: MultiplierSet
-    unknowns: list
-    a0: dict
+    __slots__ = ("problem", "ansatz", "unknowns", "a0")
+
+    def __init__(self, problem: PdeProblem, ansatz: MultiplierSet, unknowns: list, a0: dict):
+        self.problem = problem
+        self.ansatz = ansatz
+        self.unknowns = unknowns
+        self.a0 = a0
 
     def nullspace(self) -> list[tuple]:
         """The canonical basis of the solution space, identical to
@@ -550,23 +582,10 @@ def instantiate(ansatz: MultiplierSet, unknowns, vectors) -> list:
 # --- solve + classify ----------------------------------------------------------
 
 
-@dataclass
-class ClassifiedMultiplier:
-    mult: MultiplierSet
-    vector: tuple
-    trivial: bool
-    eps_shift: bool
-    stable: bool
+ClassifiedMultiplier = namedtuple("ClassifiedMultiplier", "mult vector trivial eps_shift stable")
 
-
-@dataclass
-class SolveResult:
-    problem: PdeProblem
-    method: str
-    ansatz: MultiplierSet
-    system: LinearSystem | StagedSystem
-    basis: list
-    classified: list
+# ``system`` is the LinearSystem (approach B) or StagedSystem solved
+SolveResult = namedtuple("SolveResult", "problem method ansatz system basis classified")
 
 
 def _keyed_coefficients(slots: dict) -> dict:

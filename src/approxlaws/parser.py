@@ -40,12 +40,22 @@ MAX_EXPONENT = 1000
 # unbounded one makes the parser hang.  Checked before the kernel expands.
 MAX_TERMS = 1000
 
+# Bound on the unknowns of a multiplier ansatz (basis size x equations x
+# series slots), checked before the basis is built: assembly and
+# elimination of the determining system grow with it, so an oversized
+# ansatz would run for hours instead of failing.  nls2 at order 3 has
+# 11,088 unknowns from its hint and solves in ~6 s; at degree 6 and
+# x-degree 2 it has 44,352 and solves in ~32 s, peaking at ~360 MB (one
+# core of a 2-core Xeon VM).
+MAX_UNKNOWNS = 50000
+
 # Bound on the decimal digits of a coefficient's numerator or denominator,
 # below the interpreter's 4,300-digit integer-string limit, past which a
-# coefficient can be neither read nor printed.  Before the kernel
-# multiplies, a product is checked on its operands' summed coefficient bit
-# lengths and a power on the bit length times the exponent; literals and
-# the parsed result are checked digit for digit.
+# coefficient can be neither read nor printed.  A power is checked before
+# the kernel expands it, on its base's coefficient bit length times the
+# exponent.  A product, whose fractions may cancel, is checked digit for
+# digit once formed: its factors are within the bound, so forming it is
+# cheap.  Literals and the parsed result are checked digit for digit too.
 MAX_DIGITS = 4000
 _DIGITS_BOUND = 10**MAX_DIGITS
 _MAX_LOG2 = int(MAX_DIGITS * math.log2(10))  # 2**(_MAX_LOG2 + 1) > _DIGITS_BOUND
@@ -112,14 +122,19 @@ def _tokenize(text):
 def _coeff_bits(p: dict) -> int:
     """The largest bit length of a numerator or denominator in ``p``, less
     one: the floor of its log2, so that a unit coefficient counts zero and
-    summed over the factors of an integer product it bounds the product's
-    bit length from below."""
+    times an exponent it bounds the power's bit length from below."""
     bits = 1
     for c in p.values():
         b = c.bit_length() if type(c) is int else max(c.numerator.bit_length(), c.denominator.bit_length())
         if b > bits:
             bits = b
     return bits - 1
+
+
+def _check_digits(p: dict, pos=None, text=None):
+    for c in p.values():
+        if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
+            raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos, text)
 
 
 class _Parser:
@@ -154,11 +169,8 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != _END:
             raise ParseError(f"unexpected {val!r}", pos, self.text)
-        # a sum's coefficients, and those of a product of fractions
-        # collected over one monomial, can outgrow the bounds of their parts
-        for c in e.values():
-            if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
-                raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits")
+        # a sum's coefficients can outgrow the bounds of their terms
+        _check_digits(e)
         return e
 
     def sum_(self):
@@ -170,7 +182,6 @@ class _Parser:
 
     def product(self):
         out = self.unary()
-        bits = None  # the factors' summed coefficient bit lengths
         while self.at_op("*", "/"):
             _, op, pos = self.next()
             f = self.unary()
@@ -178,10 +189,8 @@ class _Parser:
                 f = poly_pow(f, -1)
             if len(out) * len(f) > MAX_TERMS:
                 raise ParseError(f"product exceeds {MAX_TERMS} terms", pos, self.text)
-            bits = (_coeff_bits(out) if bits is None else bits) + _coeff_bits(f)
-            if bits > _MAX_LOG2:
-                raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos, self.text)
             out = kernel.poly_mul(out, f)
+            _check_digits(out, pos, self.text)
         return out
 
     def unary(self):

@@ -43,7 +43,7 @@ slot expressions use unexpanded ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .atoms import FuncAtom, Jet, Sym, SymbolTable
 from .expr import (
@@ -88,20 +88,20 @@ def _multiset_diff(big: tuple, small: tuple) -> tuple:
     return tuple(rest)
 
 
-@dataclass
 class PdeProblem:
-    table: SymbolTable
-    eqns: list
-    leading: list
-    p: int
-    name: str = ""
+    __slots__ = ("table", "eqns", "leading", "p", "name", "_rest", "_eps_slots", "_exp_cache")
 
-    def __post_init__(self):
-        if not (1 <= self.p <= MAX_ORDER):
+    def __init__(self, table: SymbolTable, eqns: list, leading: list, p: int, name: str = ""):
+        if not (1 <= p <= MAX_ORDER):
             raise ProblemError(f"truncation order must be in 1..{MAX_ORDER}")
-        if len(self.eqns) != len(self.leading):
+        if len(eqns) != len(leading):
             raise ProblemError("one leading derivative per equation is required")
-        self.eqns = [normalize(e) for e in self.eqns]
+        self.table = table
+        self.eqns = [normalize(e) for e in eqns]
+        self.leading = leading
+        self.p = p
+        self.name = name
+        self._exp_cache = {}
         self._rest = []
         for nu, (eqn, lead) in enumerate(zip(self.eqns, self.leading)):
             if not isinstance(lead, Jet) or lead.order is not None:
@@ -165,8 +165,6 @@ class PdeProblem:
 
     def expanded_slots(self, nu: int) -> list:
         """Slots of the expansion of equation ``nu`` at the problem order."""
-        if not hasattr(self, "_exp_cache"):
-            self._exp_cache = {}
         if nu not in self._exp_cache:
             self._exp_cache[nu] = expand_epsilon(self.eqns[nu], self.p)
         return self._exp_cache[nu]
@@ -244,25 +242,19 @@ class PdeProblem:
 # --- problem-file format -----------------------------------------------------
 
 
-@dataclass
 class ExpectedLaw:
     """Raw expected-result block from a problem file."""
 
-    index: int
-    mult: dict = field(default_factory=dict)   # (nu, k) -> NormalForm
-    flux: dict = field(default_factory=dict)   # (direction index, k) -> NormalForm
-    status: str | None = None
+    __slots__ = ("index", "mult", "flux", "status")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.mult = {}   # (nu, k) -> NormalForm
+        self.flux = {}   # (direction index, k) -> NormalForm
+        self.status = None
 
 
-@dataclass
-class ProblemFile:
-    source: str
-    problem: PdeProblem
-    method: str = "consistent"
-    expected: list = field(default_factory=list)
-    epsilon_shifts: list = field(default_factory=list)
-    hints: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+ProblemFile = namedtuple("ProblemFile", "source problem method expected epsilon_shifts hints notes")
 
 
 def _split_list(value: str) -> list[str]:

@@ -19,7 +19,6 @@ both sides.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import FuncAtom, Jet, Sym, atom_at
@@ -31,20 +30,28 @@ from .problem import InconclusiveReduction, PdeProblem
 DEFAULT_SEED = 2023
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    residual: NormalForm | None = None
-    witness: object = None
+    __slots__ = ("name", "passed", "residual", "witness")
+
+    def __init__(self, name: str, passed: bool, residual: NormalForm | None = None, witness=None):
+        self.name = name
+        self.passed = passed
+        self.residual = residual
+        self.witness = witness
 
     def __bool__(self):
         return self.passed
 
+    def __eq__(self, other):
+        return isinstance(other, CheckResult) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
-@dataclass
+
 class VerificationReport:
-    checks: list
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -1,0 +1,76 @@
+"""Atoms and Euler kinds: immutable named tuples, hashed as their fields, and
+a start-up that generates no class code."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import approxlaws
+from approxlaws.atoms import COEFF, EPS, INDEP, PARAM, FuncAtom, Jet, Sym, intern
+from approxlaws.jets import EulerKind
+
+U = Jet(0, None, ())
+ATOMS = [
+    Sym("x", INDEP, 1),
+    Sym("x", PARAM, 1),
+    Sym("eps", EPS),
+    Sym("a1o0n0", COEFF, 0, (0, 0, 0)),
+    U,
+    Jet(0, 0, ()),
+    Jet(1, 0, (0, 1)),
+    FuncAtom("f", 0, U),
+    FuncAtom("f", 2, U),
+]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    env = dict(os.environ, PYTHONPATH=str(Path(approxlaws.__file__).parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, approxlaws.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert res.stdout == "[]\n"
+
+
+def test_jet_sorts_its_multi_index():
+    assert Jet(0, 1, (1, 0, 1)).deriv == (0, 1, 1)
+    assert Jet(0, 1, [1, 0]) == Jet(0, 1, (0, 1))
+    assert Jet(0, 1, (1,)).lifted(0).deriv == (0, 1)
+
+
+@pytest.mark.parametrize("value", ATOMS + [EulerKind("per-order", 0, 1)], ids=repr)
+def test_fields_are_read_only(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+
+
+def test_hash_is_the_field_tuple_hash():
+    # as under a frozen dataclass, so set iteration orders do not move
+    assert hash(Sym("x", INDEP, 1)) == hash(("x", INDEP, 1, ()))
+    assert hash(Jet(1, 0, (1, 0))) == hash((1, 0, (0, 1)))
+    assert hash(FuncAtom("f", 2, U)) == hash(("f", 2, (0, None, ())))
+    for a in ATOMS:
+        assert hash(a) == hash(tuple(getattr(a, name) for name in a._fields))
+
+
+def test_atoms_of_different_types_differ():
+    # a Sym has four fields; a Jet starts with an integer, a FuncAtom with a name
+    for i, a in enumerate(ATOMS):
+        for j, b in enumerate(ATOMS):
+            assert (a == b) == (i == j)
+    assert len({intern(a) for a in ATOMS}) == len(ATOMS)
+
+
+def test_euler_kind_validation():
+    assert EulerKind("consistent", 0) == EulerKind("consistent", 0, None)
+    with pytest.raises(ValueError, match="unknown Euler family"):
+        EulerKind("total", 0)
+    with pytest.raises(ValueError, match="needs an order"):
+        EulerKind("per-order", 0)

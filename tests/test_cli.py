@@ -333,7 +333,7 @@ _JET_SUM_PRODUCT = (
         (["expand", fixture_path("wave"), "--expr", "9" * 5000 + "*u_x"],
          "error: integer literal of 5000 digits is too long (at position 0)\n"),
         # coefficients past parser.MAX_DIGITS, refused before the kernel
-        # multiplies (a product or power) or once the sum is parsed
+        # expands a power, once a product is formed, or once the sum is parsed
         (["expand", fixture_path("wave"), "--expr", "9" * 3000 + "^2*u"],
          "error: coefficient exceeds 4000 digits (at position 3000)\n"),
         (["expand", fixture_path("wave"), "--expr", "(" + "9" * 1000 + "*u)^999"],
@@ -342,11 +342,28 @@ _JET_SUM_PRODUCT = (
          "error: coefficient exceeds 4000 digits (at position 3000)\n"),
         (["expand", fixture_path("wave"), "--expr", "u/2^7000 + u/3^5000"],
          "error: coefficient exceeds 4000 digits\n"),
+        (["expand", fixture_path("wave"), "--expr", "(10^3000)*(10^3000)*u"],
+         "error: coefficient exceeds 4000 digits (at position 9)\n"),
+        # refused at its first product, however long the chain
+        (["expand", fixture_path("wave"), "--expr", "*".join(["9" * 3999] * 200) + "*u"],
+         "error: coefficient exceeds 4000 digits (at position 3999)\n"),
+        # an ansatz past parser.MAX_UNKNOWNS is refused before its basis is built
+        (["solve", fixture_path("kaup-newell"), "--mult-deps", "t,x,u[0],v[0],u[0]_x,v[0]_x,u[0]_xx,v[0]_xx",
+          "--mult-degree", "40"],
+         "error: the ansatz has more than 50000 unknowns (basis size x equations x series slots); "
+         "lower its degree or drop generators\n"),
     ],
     ids=["end-of-input", "division-by-zero", "deep-nesting", "exponent-tower", "large-power",
          "large-product", "long-exponent", "long-coefficient", "huge-power-coefficient",
-         "huge-power-of-product", "huge-product-coefficient", "huge-sum-coefficient"],
+         "huge-power-of-product", "huge-product-coefficient", "huge-sum-coefficient",
+         "huge-parenthesized-product", "long-huge-product", "oversized-ansatz"],
 )
 def test_parser_input_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", message)
+
+
+def test_product_whose_fractions_cancel(capsys):
+    code, out, err = run_cli(capsys, "expand", fixture_path("wave"), "--expr", "10^3000/3/10^3000*u")
+    assert (code, err) == (0, "")
+    assert "total: u₀/3 + ε*u₁/3" in out

@@ -14,16 +14,20 @@ from approxlaws.multipliers import (
     AnsatzSpec,
     MultiplierSet,
     SingularAnsatzError,
+    basis_size_bound,
     build_ansatz,
     coefficient_vector,
     contraction,
     determining_system,
+    enumerate_basis,
     euler_residuals,
     instantiate,
     parse_ansatz,
+    shape_generators,
     solve_multipliers,
     staged_system,
 )
+from approxlaws.parser import MAX_UNKNOWNS
 from approxlaws.problem import PdeProblem, parse_problem_text
 
 
@@ -101,6 +105,21 @@ def test_determining_system_columns_are_unit_multiplier_residuals(request, name,
     assert Counter(frozenset(r.items()) for r in system.rows) == Counter(
         frozenset(r.items()) for r in columns.values()
     )
+
+
+def test_basis_size_bound_counts_the_basis():
+    # exact on every hint ansatz; duplicate generators are counted twice
+    for eid in corpus.ENTRY_IDS:
+        entry = corpus.load(eid)
+        hint = entry.ansatz_hint
+        gens = shape_generators(hint.generators, entry.method, entry.problem.p)
+        size = len(enumerate_basis(gens, hint.degree, hint.xdeg, hint.laurent))
+        assert basis_size_bound(gens, hint.degree, hint.xdeg, hint.laurent) == size, eid
+    u = corpus.load("wave").problem.table.jet("u", 0)
+    assert len(enumerate_basis((u, u), 2, 0, {u: -1})) == 5  # u^-2 .. u^2
+    assert basis_size_bound((u, u), 2, 0, {u: -1}) == 11
+    # counting stops just past the bound, however large the degree
+    assert MAX_UNKNOWNS < basis_size_bound((u,), 10**12, 0, {}) <= MAX_UNKNOWNS + 1
 
 
 def test_empty_generators_with_positive_degree():

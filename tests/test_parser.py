@@ -95,6 +95,8 @@ def test_coefficient_digit_bound(table):
         e = parse(text, table)
         assert parse(print_poly(e, table), table) == e
     for text in ("9" * (MAX_DIGITS + 1) + "*u", "2^13288*u", top + "*10", "(" + top + "*u)^2",
-                 "u/" + top + " + u/" + "7" * MAX_DIGITS):
+                 "u/" + top + " + u/" + "7" * MAX_DIGITS, "(10^3000)*(10^3000)*u"):
         with pytest.raises(ParseError):
             parse(text, table)
+    # a product is bounded once formed, so its fractions may cancel
+    assert parse("10^3000/3/10^3000*u", table) == parse("u/3", table)
