@@ -24,17 +24,13 @@ from .expr import (
     substitute,
 )
 from .jets import (
-    EulerKind,
     collect_eps,
-    consistent_euler,
     euler,
     expand_epsilon,
     expand_epsilon_recursive,
     join_eps,
-    per_order_euler,
     recursion_R,
     total_derivative,
-    unexpanded_euler,
 )
 from .parser import ParseError, parse
 from .printer import print_poly
@@ -45,7 +41,6 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "python"
 
 __all__ = [
-    "EulerKind",
     "EvalError",
     "ExprError",
     "FuncAtom",
@@ -60,7 +55,6 @@ __all__ = [
     "atoms_of",
     "coeff_sym",
     "collect_eps",
-    "consistent_euler",
     "euler",
     "eval_rational",
     "expand_epsilon",
@@ -71,11 +65,9 @@ __all__ = [
     "normalize",
     "parse",
     "partial",
-    "per_order_euler",
     "pow_int",
     "print_poly",
     "recursion_R",
     "substitute",
     "total_derivative",
-    "unexpanded_euler",
 ]

@@ -189,14 +189,8 @@ def run_compare(args) -> tuple[dict, int]:
             continue
     for i, claw in cons_laws:
         for j, am, af in a_expanded:
-            if all(
-                all((a == b) for a, b in zip(am[nu], claw.mult.slots[nu]))
-                for nu in range(problem.q)
-            ):
-                same = all(
-                    all((a == b) for a, b in zip(af[d], claw.fluxes[d]))
-                    for d in range(len(claw.fluxes))
-                )
+            if am == [list(row) for row in claw.mult.slots]:
+                same = af == [list(row) for row in claw.fluxes]
                 report["expansion_notes"].append(
                     {
                         "consistent_index": i,

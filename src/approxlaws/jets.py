@@ -3,9 +3,9 @@
 Total derivatives thread through every jet coordinate (all perturbation
 orders at once), epsilon expansion turns expressions over unexpanded
 variables into truncated series over order-tagged coordinates, the recursion
-operator generates slot k+1 of such a series from slot k, and the three
-Euler-operator families annihilate total divergences in their respective
-variable sets.
+operator generates slot k+1 of such a series from slot k, and the Euler
+operator of an underived dependent coordinate v annihilates total
+divergences: v is u[k] at one perturbation order k, or u unexpanded.
 
 A series truncated at order p is the list of its p+1 eps-free slots, slot k
 the coefficient of eps^k.  This module alone converts between slots and the
@@ -17,7 +17,6 @@ eps atom: :func:`collect_eps` splits an expression into its slots and
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from . import kernel
@@ -41,24 +40,6 @@ from .expr import (
     poly_atom_ids,
     substitute,
 )
-
-
-class EulerKind(namedtuple("EulerKind", "family alpha order")):
-    """Which variational-derivative family to apply.
-
-    ``consistent``: d/du_(0)alpha with total derivatives running over all
-    expansion orders; ``unexpanded``: d/du_alpha over unexpanded jets;
-    ``per-order``: d/du_(k)alpha for one fixed order k.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, family: str, alpha: int, order: int | None = None):
-        if family not in ("consistent", "unexpanded", "per-order"):
-            raise ValueError(f"unknown Euler family {family!r}")
-        if family == "per-order" and order is None:
-            raise ValueError("per-order Euler kind needs an order")
-        return tuple.__new__(cls, (family, alpha, order))
 
 
 # i -> {atom id: D_i image of the atom ({} when it derives to zero)}.  Atoms
@@ -357,45 +338,27 @@ def expand_epsilon_recursive(e, p: int) -> list:
 # --- Euler operators --------------------------------------------------------
 
 
-def consistent_euler(alpha: int) -> EulerKind:
-    return EulerKind("consistent", alpha)
+def euler(e, v: Jet) -> NormalForm:
+    """E_v(e) = sum over multi-indices J of (-D)_J (de/dv_J) for the
+    underived dependent coordinate ``v``: u[k] at one perturbation order k,
+    or u unexpanded.  Total derivatives run over every order, so the
+    consistent method's operator E_u[0] is approach B's order-0 operator.
 
-
-def unexpanded_euler(alpha: int) -> EulerKind:
-    return EulerKind("unexpanded", alpha)
-
-
-def per_order_euler(alpha: int, k: int) -> EulerKind:
-    return EulerKind("per-order", alpha, k)
-
-
-def euler(e, kind: EulerKind, r: int | None = None) -> NormalForm:
-    """E(e) = sum over multi-indices J of (-D)_J (de/dv_J) for the variable
-    family of ``kind``.  The depth is the maximum derivative order present in
-    the operand unless ``r`` restricts it.
-
-    One scan splits the operand into the monomials holding each family
-    coordinate v_J (or a function application of v), so each partial
-    derivative reads only its part.  The total derivatives are folded
-    Horner-style over the prefix trie of the multi-indices:
+    One scan splits the operand into the monomials holding each coordinate
+    v_J (or a function application of v), so each partial derivative reads
+    only its part.  The total derivatives are folded Horner-style over the
+    prefix trie of the multi-indices:
     A_J = de/dv_J - sum over children J+i of D_i A_(J+i), and E = A_().
     Each trie edge costs one D_i, where the sum as written costs |J| per J.
     """
     p = as_poly(e)
-    if kind.family == "consistent":
-        want = 0
-    elif kind.family == "unexpanded":
-        want = None
-    else:
-        want = kind.order
-    family = {}  # atom id -> multi-index J of the family coordinate it holds
+    family = {}  # atom id -> multi-index J of the coordinate v_J it holds
     for aid in poly_atom_ids(p):
         a = atom_at(aid)
         if isinstance(a, FuncAtom):
             a = a.arg  # the chain rule makes f(u) depend on u
-        if isinstance(a, Jet) and a.dep == kind.alpha and a.order == want:
-            if r is None or len(a.deriv) <= r:
-                family[aid] = a.deriv
+        if isinstance(a, Jet) and a.dep == v.dep and a.order == v.order:
+            family[aid] = a.deriv
     parts = {J: {} for J in family.values()}
     for mono, c in p.items():
         for j in range(0, len(mono), 2):
@@ -405,7 +368,7 @@ def euler(e, kind: EulerKind, r: int | None = None) -> NormalForm:
     acc = {J[:k]: {} for J in parts for k in range(len(J) + 1)}
     acc[()] = {}
     for J, part in parts.items():
-        acc[J] = as_poly(partial(part, Jet(kind.alpha, want, J)))
+        acc[J] = as_poly(partial(part, Jet(v.dep, v.order, J)))
     # deepest first: each A_J is complete before it is folded into its parent
     for J in sorted(acc, key=len, reverse=True):
         if J:

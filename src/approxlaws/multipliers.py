@@ -4,19 +4,20 @@ The unknown multiplier coefficient functions are realized as bounded-degree
 polynomials over a generator set (independent variables and order-0 jet
 coordinates, optionally Laurent in designated atoms) with unknown rational
 coefficients.  A multiplier set is one whose truncated contraction with the
-equations the Euler operators annihilate.  The determining system is
+equations the Euler operators of the method's coordinates
+(:func:`euler_coordinates`) annihilate.  The determining system is
 ``verify_euler``'s residuals of the symbolic ansatz, split by unknown: each
 residual monomial holds one unknown (the column) times a free jet monomial
-(with the operator and slot, the row).  Its nullspace basis is the solution
-space.  The same contraction and Euler residuals certify a concrete
-multiplier set and give the targets of flux reconstruction.
+(with the Euler coordinate and slot, the row).  Its nullspace basis is the
+solution space.  The same contraction and Euler residuals certify a
+concrete multiplier set and give the targets of flux reconstruction.
 
 The eps-series methods (consistent, approach A) solve that system order by
 order, as the multiplier splits into Lambda_0 + eps Lambda_1 + ...: the
 slot-0 rows A_0 over the order-0 unknowns give the exact multipliers of
 the unperturbed system, and each order k lifts the order-(k-1) space
-through the same A_0 (see :class:`StagedSystem`).  Approach B, one exact
-contraction of the hierarchy, is solved in one piece by
+through the same A_0 (see :func:`staged_nullspace`).  Approach B, one
+exact contraction of the hierarchy, is solved in one piece by
 :func:`determining_system`, which for the eps-series methods is the
 monolithic form the staged solve must agree with.
 """
@@ -30,15 +31,7 @@ from fractions import Fraction
 from . import kernel, linalg
 from .atoms import COEFF, INDEP, FuncAtom, Jet, Sym, atom_at, coeff_sym, intern, mono_sort_key
 from .expr import NormalForm, UnsupportedFormError, as_poly, atoms_of, normalize
-from .jets import (
-    EulerKind,
-    _series_mul,
-    consistent_euler,
-    euler,
-    per_order_euler,
-    recursion_R,
-    unexpanded_euler,
-)
+from .jets import _series_mul, euler, recursion_R
 from .parser import MAX_UNKNOWNS, parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
 
@@ -236,7 +229,7 @@ def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict) -> list:
                 used = sum(abs(e) for _, e in combo)
                 for e in range(max(lo, used - bound), bound - used + 1):
                     new.append(combo + ((g, e),) if e else combo)
-            out = _dedup(new)
+            out = new
         return out
 
     monos = set()
@@ -278,17 +271,6 @@ def basis_size_bound(gens, degree: int, xdegree: int, laurent: dict) -> int:
 
 def _order0(g):
     return g.with_order(0) if isinstance(g, Jet) else g
-
-
-def _dedup(seq):
-    seen = set()
-    out = []
-    for s in seq:
-        key = tuple(s)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
 
 
 def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> MultiplierSet:
@@ -381,38 +363,30 @@ def certified_contraction(problem: PdeProblem, mult: MultiplierSet) -> tuple:
     return targets, residuals
 
 
-def euler_kinds(problem: PdeProblem, method: str) -> list[EulerKind]:
-    m = problem.table.n_dep
-    if method == "consistent":
-        return [consistent_euler(a) for a in range(m)]
-    if method == "approach_a":
-        return [unexpanded_euler(a) for a in range(m)]
-    return [per_order_euler(a, k) for a in range(m) for k in range(problem.p + 1)]
+def euler_coordinates(problem: PdeProblem, method: str) -> list[Jet]:
+    """The coordinates whose Euler operators the method's multiplier sets
+    must satisfy, dependent variable by dependent variable: u[0] for the
+    consistent method, u unexpanded for approach A, u[0]..u[p] for approach
+    B."""
+    orders = {"consistent": (0,), "approach_a": (None,)}.get(method, range(problem.p + 1))
+    return [Jet(a, k, ()) for a in range(problem.table.n_dep) for k in orders]
 
 
 def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
     """Euler-operator images of the contraction slots ``parts``; all must
-    vanish for a multiplier set.  Returns (kind, slot index, residual)
+    vanish for a multiplier set.  Returns (coordinate, slot index, residual)
     triples."""
-    return [(kind, k, euler(part, kind))
-            for kind in euler_kinds(problem, method)
+    return [(v, k, euler(part, v))
+            for v in euler_coordinates(problem, method)
             for k, part in enumerate(parts)]
 
 
 # --- determining system -------------------------------------------------------
 
 
-class LinearSystem:
-    """Homogeneous exact linear system over the ansatz coefficients."""
-
-    __slots__ = ("unknowns", "rows")
-
-    def __init__(self, unknowns: list, rows: list):
-        self.unknowns = unknowns
-        self.rows = rows
-
-    def nullspace(self) -> list[tuple]:
-        return linalg.nullspace(self.rows, len(self.unknowns))
+# Homogeneous exact linear system over the ansatz coefficients: the
+# coefficient symbols and one {column: coefficient} dict per row.
+LinearSystem = namedtuple("LinearSystem", "unknowns rows")
 
 
 def _split_unknown(mono) -> tuple:
@@ -470,98 +444,80 @@ def _unknowns(problem: PdeProblem, ansatz: MultiplierSet) -> list:
 
 def _euler_rows(problem: PdeProblem, method: str, parts: list, column: dict) -> dict:
     """The Euler residuals of the symbolic contraction slots ``parts``, split
-    by unknown: one row (column -> coefficient) per (Euler operator, slot,
-    free monomial)."""
+    by unknown: one row (column -> coefficient) per (Euler coordinate,
+    slot, free monomial)."""
     rows: dict = {}
-    for kind, k, res in euler_residuals(problem, method, parts):
+    for v, k, res in euler_residuals(problem, method, parts):
         for mono, c in as_poly(res).items():
             csym, rest = _split_unknown(mono)
-            rows.setdefault((kind, k, rest), {})[column[csym]] = c
+            rows.setdefault((v, k, rest), {})[column[csym]] = c
     return rows
 
 
 def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSystem:
     """The homogeneous linear system whose solutions are the multiplier sets
     of the ansatz's method: the Euler residuals of the ansatz's contraction,
-    split by unknown, one row per (Euler operator, slot, free monomial).
+    split by unknown, one row per (Euler coordinate, slot, free monomial).
     Approach B is solved from it; for the eps-series methods it is the
-    monolithic form of :class:`StagedSystem`."""
+    monolithic form of :func:`staged_nullspace`."""
     unknowns = _unknowns(problem, ansatz)
     column = {s: j for j, s in enumerate(unknowns)}
     rows = _euler_rows(problem, ansatz.method, contraction(problem, ansatz), column)
     return LinearSystem(unknowns, list(rows.values()))
 
 
-class StagedSystem:
-    """The determining system of an eps-series ansatz, solved order by order.
+def staged_nullspace(problem: PdeProblem, ansatz: MultiplierSet, unknowns: list) -> list[tuple]:
+    """The canonical basis of an eps-series ansatz's solution space, solved
+    order by order; identical to the nullspace of
+    ``determining_system(problem, ansatz)``, whose ``unknowns`` it takes.
 
     Slot k of the contraction holds the order-k unknowns c_k only through
     (multiplier slot k) * (equation slot 0), and there c_k multiplies the
     same basis as c_0 does in slot 0, times 1/k! for the consistent method
     (slot k is R^k(slot 0)/k!) and times 1 for approach A.  So the system
-    is block lower triangular with one diagonal block, ``a0``: the slot-0
-    rows over the order-0 unknowns, the only rows assembled symbolically.
+    is block lower triangular with one diagonal block, a0: the slot-0 rows
+    over the order-0 unknowns, the only rows assembled symbolically.
     ``build_ansatz`` gives every order the same (equation, basis index)
     unknowns, so the i-th order-k unknown in tag order is column i of a0.
-    ``nullspace`` solves a0, then for k = 1..p lifts the order-(k-1) space
-    N: its columns are the slot-k Euler residuals of N's multiplier sets
-    (c_k = 0) beside a0 for c_k.
+    The solve takes a0's kernel, then for k = 1..p lifts the order-(k-1)
+    space N: its columns are the slot-k Euler residuals of N's multiplier
+    sets (c_k = 0) beside a0 for c_k.
     """
-
-    __slots__ = ("problem", "ansatz", "unknowns", "a0")
-
-    def __init__(self, problem: PdeProblem, ansatz: MultiplierSet, unknowns: list, a0: dict):
-        self.problem = problem
-        self.ansatz = ansatz
-        self.unknowns = unknowns
-        self.a0 = a0
-
-    def nullspace(self) -> list[tuple]:
-        """The canonical basis of the solution space, identical to
-        ``determining_system(...).nullspace()``."""
-        problem, ansatz, a0 = self.problem, self.ansatz, self.a0
-        orders = [[] for _ in range(ansatz.p + 1)]
-        for j, s in enumerate(self.unknowns):
-            orders[s.tag[1]].append(j)
-        n0 = len(orders[0])
-        # vectors over the global unknown index
-        space = [{orders[0][i]: v for i, v in vec.items()}
-                 for vec in linalg.kernel_basis(list(a0.values()), n0)]
-        lower = orders[0]
-        for k in range(1, ansatz.p + 1):
-            syms = [self.unknowns[j] for j in lower]
-            mults = instantiate(ansatz, syms, [tuple(vec.get(j, 0) for j in lower) for vec in space])
-            lifted: dict = {}  # keyed as a0's rows: slot k is slot 0 of [T_k]
-            for y, mult in enumerate(mults, n0):
-                for kind, _, res in euler_residuals(problem, ansatz.method, contraction(problem, mult, k)[k:]):
-                    for mono, c in as_poly(res).items():
-                        lifted.setdefault((kind, 0, mono), {})[y] = c
-            rows = [row | lifted.pop(key) if key in lifted else row for key, row in a0.items()]
-            rows.extend(lifted.values())
-            # the c_k rows are a0/k!; a0 itself, shared unscaled, solves
-            # for c_k/k!, so the c_k part is scaled back
-            scale = math.factorial(k) if ansatz.method == "consistent" else 1
-            nxt = []
-            for vec in linalg.kernel_basis(rows, n0 + len(space)):
-                out: dict = {}
-                for i, v in vec.items():
-                    if i < n0:
-                        out[orders[k][i]] = scale * v
-                    else:
-                        kernel.poly_iadd(out, space[i - n0], v)
-                nxt.append(out)
-            space = nxt
-            lower = lower + orders[k]
-        return linalg.canonical_basis(space, len(self.unknowns))
-
-
-def staged_system(problem: PdeProblem, ansatz: MultiplierSet) -> StagedSystem:
-    """The eps-series determining system in staged form: the unknowns and
-    the slot-0 rows over the order-0 unknowns."""
-    unknowns = _unknowns(problem, ansatz)
-    column = {s: j for j, s in enumerate(u for u in unknowns if u.tag[1] == 0)}
+    orders = [[] for _ in range(ansatz.p + 1)]
+    for j, s in enumerate(unknowns):
+        orders[s.tag[1]].append(j)
+    n0 = len(orders[0])
+    column = {unknowns[j]: i for i, j in enumerate(orders[0])}
     a0 = _euler_rows(problem, ansatz.method, contraction(problem, ansatz, 0), column)
-    return StagedSystem(problem, ansatz, unknowns, a0)
+    # vectors over the global unknown index
+    space = [{orders[0][i]: v for i, v in vec.items()}
+             for vec in linalg.kernel_basis(list(a0.values()), n0)]
+    lower = orders[0]
+    for k in range(1, ansatz.p + 1):
+        syms = [unknowns[j] for j in lower]
+        mults = instantiate(ansatz, syms, [tuple(vec.get(j, 0) for j in lower) for vec in space])
+        lifted: dict = {}  # keyed as a0's rows: slot k is slot 0 of [T_k]
+        for y, mult in enumerate(mults, n0):
+            for v, _, res in euler_residuals(problem, ansatz.method, contraction(problem, mult, k)[k:]):
+                for mono, c in as_poly(res).items():
+                    lifted.setdefault((v, 0, mono), {})[y] = c
+        rows = [row | lifted.pop(key) if key in lifted else row for key, row in a0.items()]
+        rows.extend(lifted.values())
+        # the c_k rows are a0/k!; a0 itself, shared unscaled, solves
+        # for c_k/k!, so the c_k part is scaled back
+        scale = math.factorial(k) if ansatz.method == "consistent" else 1
+        nxt = []
+        for vec in linalg.kernel_basis(rows, n0 + len(space)):
+            out: dict = {}
+            for i, x in vec.items():
+                if i < n0:
+                    out[orders[k][i]] = scale * x
+                else:
+                    kernel.poly_iadd(out, space[i - n0], x)
+            nxt.append(out)
+        space = nxt
+        lower = lower + orders[k]
+    return linalg.canonical_basis(space, len(unknowns))
 
 
 def instantiate(ansatz: MultiplierSet, unknowns, vectors) -> list:
@@ -584,8 +540,7 @@ def instantiate(ansatz: MultiplierSet, unknowns, vectors) -> list:
 
 ClassifiedMultiplier = namedtuple("ClassifiedMultiplier", "mult vector trivial eps_shift stable")
 
-# ``system`` is the LinearSystem (approach B) or StagedSystem solved
-SolveResult = namedtuple("SolveResult", "problem method ansatz system basis classified")
+SolveResult = namedtuple("SolveResult", "problem method ansatz unknowns basis classified")
 
 
 def _keyed_coefficients(slots: dict) -> dict:
@@ -637,10 +592,14 @@ def _is_eps_shift(m: MultiplierSet, span: list) -> bool:
 
 def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> SolveResult:
     ansatz = build_ansatz(problem, spec, method)
-    system = (determining_system if method == "approach_b" else staged_system)(problem, ansatz)
-    basis = system.nullspace()
-    classified = classify(basis, ansatz, system.unknowns)
-    return SolveResult(problem, method, ansatz, system, basis, classified)
+    if method == "approach_b":
+        unknowns, rows = determining_system(problem, ansatz)
+        basis = linalg.nullspace(rows, len(unknowns))
+    else:
+        unknowns = _unknowns(problem, ansatz)
+        basis = staged_nullspace(problem, ansatz, unknowns)
+    classified = classify(basis, ansatz, unknowns)
+    return SolveResult(problem, method, ansatz, unknowns, basis, classified)
 
 
 def coefficient_vector(mult: MultiplierSet, ansatz: MultiplierSet, unknowns) -> tuple | None:

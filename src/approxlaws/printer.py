@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .atoms import EPS_SYM, FuncAtom, Jet, Sym, SymbolTable, mono_atoms, mono_sort_key
-from .expr import as_poly
+from .atoms import EPS_SYM, FuncAtom, Jet, Sym, SymbolTable
+from .expr import NormalForm, as_poly
 from .jets import eps_powers
 
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
@@ -96,24 +96,12 @@ def print_poly(e, table: SymbolTable | None = None, style: str = "machine") -> s
             prefix = "ε" + ("" if k == 1 else _sup(k))
         else:
             prefix = "eps" + ("" if k == 1 else f"^{k}")
-        ordered = sorted(sub, key=mono_sort_key)
+        terms = [_term_str(c, pairs, table, human) for c, pairs in NormalForm(sub).terms()]
         if not prefix:
-            for m in ordered:
-                c = Fraction(sub[m])
-                pairs = sorted(mono_atoms(m), key=lambda ae: ae[0].sort_key())
-                items.append(_term_str(c, pairs, table, human))
-        elif len(ordered) == 1:
-            m = ordered[0]
-            c = Fraction(sub[m])
-            pairs = sorted(mono_atoms(m), key=lambda ae: ae[0].sort_key())
-            sign, body = _term_str(c, pairs, table, human)
-            body = prefix + "*" + body if body != "1" else prefix
-            items.append((sign, body))
+            items.extend(terms)
+        elif len(terms) == 1:
+            sign, body = terms[0]
+            items.append((sign, prefix + "*" + body if body != "1" else prefix))
         else:
-            inner = []
-            for m in ordered:
-                c = Fraction(sub[m])
-                pairs = sorted(mono_atoms(m), key=lambda ae: ae[0].sort_key())
-                inner.append(_term_str(c, pairs, table, human))
-            items.append((1, prefix + "*(" + _join_terms(inner) + ")"))
+            items.append((1, prefix + "*(" + _join_terms(terms) + ")"))
     return _join_terms(items)

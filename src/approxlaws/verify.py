@@ -77,14 +77,10 @@ def verify_euler(problem: PdeProblem, method: str, targets) -> VerificationRepor
 
 
 def _euler_report(residuals) -> VerificationReport:
-    """One check per (kind, slot, residual) triple of
+    """One check per (coordinate, slot, residual) triple of
     :func:`~approxlaws.multipliers.euler_residuals`."""
-    checks = []
-    for kind, k, res in residuals:
-        order = f":{kind.order}" if kind.order is not None else ""
-        checks.append(CheckResult(f"euler[{kind.family}:{kind.alpha}{order}, slot {k}]",
-                                  res.is_zero(), residual=res))
-    return VerificationReport(checks)
+    return VerificationReport([CheckResult(f"euler[{v!r}, slot {k}]", res.is_zero(), residual=res)
+                               for v, k, res in residuals])
 
 
 def verify_on_solutions(problem: PdeProblem, method: str, divs, depth: int = 2) -> VerificationReport:
@@ -125,7 +121,8 @@ def _sample_atoms(exprs):
 def _sample_point(atoms, laurent, rng: random.Random):
     """Random rational values for ``atoms`` (canonically ordered); Laurent
     bases and function arguments get nonzero values; function samples are
-    drawn per (name, derivative count) at the argument's value."""
+    drawn per (name, derivative count) at the argument's value, nonzero when
+    a function atom with that key is a Laurent base."""
     point = {}
     fsamples = []
     for a in atoms:
@@ -136,11 +133,12 @@ def _sample_point(atoms, laurent, rng: random.Random):
         elif isinstance(a, (Sym, Jet)):
             if a not in point:
                 point[a] = _rand_rational(rng, a in laurent)
+    keys = [(a.fname, a.nd, point[a.arg]) for a in fsamples]
+    nonzero = {key for key, a in zip(keys, fsamples) if a in laurent}
     fvals = {}
-    for a in fsamples:
-        key = (a.fname, a.nd, point[a.arg])
+    for key in keys:
         if key not in fvals:
-            fvals[key] = _rand_rational(rng, False)
+            fvals[key] = _rand_rational(rng, key in nonzero)
     return point, fvals
 
 

@@ -1,5 +1,5 @@
-"""Atoms and Euler kinds: immutable named tuples, hashed as their fields, and
-a start-up that generates no class code."""
+"""Atoms: immutable named tuples, hashed as their fields, and a start-up that
+generates no class code."""
 
 import os
 import subprocess
@@ -10,7 +10,6 @@ import pytest
 
 import approxlaws
 from approxlaws.atoms import COEFF, EPS, INDEP, PARAM, FuncAtom, Jet, Sym, intern
-from approxlaws.jets import EulerKind
 
 U = Jet(0, None, ())
 ATOMS = [
@@ -42,7 +41,7 @@ def test_jet_sorts_its_multi_index():
     assert Jet(0, 1, (1,)).lifted(0).deriv == (0, 1)
 
 
-@pytest.mark.parametrize("value", ATOMS + [EulerKind("per-order", 0, 1)], ids=repr)
+@pytest.mark.parametrize("value", ATOMS, ids=repr)
 def test_fields_are_read_only(value):
     for name in value._fields:
         with pytest.raises(AttributeError):
@@ -66,11 +65,3 @@ def test_atoms_of_different_types_differ():
         for j, b in enumerate(ATOMS):
             assert (a == b) == (i == j)
     assert len({intern(a) for a in ATOMS}) == len(ATOMS)
-
-
-def test_euler_kind_validation():
-    assert EulerKind("consistent", 0) == EulerKind("consistent", 0, None)
-    with pytest.raises(ValueError, match="unknown Euler family"):
-        EulerKind("total", 0)
-    with pytest.raises(ValueError, match="needs an order"):
-        EulerKind("per-order", 0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from approxlaws import coeff_sym, corpus, normalize, parse, partial
 from approxlaws.expr import as_poly
-from approxlaws.linalg import in_span
+from approxlaws.linalg import in_span, nullspace
 from approxlaws.multipliers import (
     AnsatzError,
     AnsatzSpec,
@@ -20,12 +20,13 @@ from approxlaws.multipliers import (
     contraction,
     determining_system,
     enumerate_basis,
+    euler_coordinates,
     euler_residuals,
     instantiate,
     parse_ansatz,
     shape_generators,
     solve_multipliers,
-    staged_system,
+    staged_nullspace,
 )
 from approxlaws.parser import MAX_UNKNOWNS
 from approxlaws.problem import PdeProblem, parse_problem_text
@@ -89,7 +90,7 @@ def test_ansatz_covers_kdv_second_multiplier(kdv):
 def test_determining_system_columns_are_unit_multiplier_residuals(request, name, gens, method):
     # oracle: column j holds the Euler residuals of the contraction of the
     # ansatz instantiated at the unit vector e_j, one row per (Euler
-    # operator, slot, monomial); rows carry no labels, so the two matrices
+    # coordinate, slot, monomial); rows carry no labels, so the two matrices
     # are compared up to row order
     pb = request.getfixturevalue(name)
     ansatz = build_ansatz(pb, spec_for(pb, gens, 1), method)
@@ -98,13 +99,31 @@ def test_determining_system_columns_are_unit_multiplier_residuals(request, name,
     columns: dict = {}
     for j in range(n):
         (mult,) = instantiate(ansatz, system.unknowns, [tuple(int(i == j) for i in range(n))])
-        for kind, k, res in euler_residuals(pb, method, contraction(pb, mult)):
+        for v, k, res in euler_residuals(pb, method, contraction(pb, mult)):
             for mono, c in as_poly(res).items():
-                columns.setdefault((kind, k, mono), {})[j] = c
+                columns.setdefault((v, k, mono), {})[j] = c
     assert system.rows and all(system.rows)
     assert Counter(frozenset(r.items()) for r in system.rows) == Counter(
         frozenset(r.items()) for r in columns.values()
     )
+
+
+def test_euler_coordinates_are_dependent_major():
+    problem = corpus.load("nls2").problem  # order 1
+    jet = problem.table.jet
+    assert euler_coordinates(problem, "consistent") == [jet("u", 0), jet("v", 0)]
+    assert euler_coordinates(problem, "approach_a") == [jet("u"), jet("v")]
+    assert euler_coordinates(problem, "approach_b") == [jet("u", 0), jet("u", 1), jet("v", 0), jet("v", 1)]
+
+
+def test_repeated_generator_gives_the_same_basis(diffusion):
+    # "u" and "u[0]" are the same generator under the consistent method; a
+    # repeat under a Laurent floor reaches lower powers (see the next test)
+    tab = diffusion.table
+    once = solve_multipliers(diffusion, parse_ansatz(tab, "t, x, u[0]", 2), "consistent")
+    twice = solve_multipliers(diffusion, parse_ansatz(tab, "u, t, x, u[0], x", 2), "consistent")
+    assert twice.unknowns == once.unknowns
+    assert twice.basis == once.basis
 
 
 def test_basis_size_bound_counts_the_basis():
@@ -156,7 +175,7 @@ def test_diffusion_consistent_nullspace(diffusion):
         MultiplierSet("consistent", ((P("0"), P("x")),)),
     ]
     for m in published:
-        vec = coefficient_vector(m, res.ansatz, res.system.unknowns)
+        vec = coefficient_vector(m, res.ansatz, res.unknowns)
         assert vec is not None
         assert span_of_vectors(res.basis, vec) is not None
     # canonical basis reproduces the published non-trivial multipliers verbatim
@@ -192,7 +211,7 @@ def test_diffusion_approach_b(diffusion):
     ]
     for slots in published:
         m = MultiplierSet("approach_b", slots)
-        vec = coefficient_vector(m, res.ansatz, res.system.unknowns)
+        vec = coefficient_vector(m, res.ansatz, res.unknowns)
         assert vec is not None
         assert span_of_vectors(res.basis, vec) is not None
 
@@ -255,7 +274,7 @@ def test_eps_closure_property(diffusion):
         shifted = cm.mult.eps_shifted()
         if shifted.is_zero():
             continue
-        vec = coefficient_vector(shifted, res.ansatz, res.system.unknowns)
+        vec = coefficient_vector(shifted, res.ansatz, res.unknowns)
         assert vec is not None
         assert span_of_vectors(res.basis, vec) is not None
 
@@ -263,14 +282,14 @@ def test_eps_closure_property(diffusion):
 def test_stability_order_zero_slots_solve_unperturbed(diffusion):
     # the eps^0 slots of consistent solutions are exact multipliers of the
     # unperturbed equation computed directly
-    from approxlaws.jets import consistent_euler, euler
+    from approxlaws.jets import euler
 
     spec = spec_for(diffusion, ["t", "x", "u[0]"], 2)
     res = solve_multipliers(diffusion, spec, "consistent")
     d0 = diffusion.expanded_slots(0)[0]
     for cm in res.classified:
         lam0 = cm.mult.slots[0][0]
-        assert euler(lam0 * d0, consistent_euler(0)).is_zero()
+        assert euler(lam0 * d0, diffusion.table.jet("u", 0)).is_zero()
 
 
 def test_soundness_every_nullspace_member_annihilated(diffusion, kdv):
@@ -325,10 +344,8 @@ def _at_order(problem, p):
 
 def _assert_staged_is_monolithic(problem, spec, method):
     ansatz = build_ansatz(problem, spec, method)
-    oracle = determining_system(problem, ansatz)
-    staged = staged_system(problem, ansatz)
-    assert staged.unknowns == oracle.unknowns
-    assert staged.nullspace() == oracle.nullspace()
+    unknowns, rows = determining_system(problem, ansatz)
+    assert staged_nullspace(problem, ansatz, unknowns) == nullspace(rows, len(unknowns))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

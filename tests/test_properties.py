@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from approxlaws import (
     SymbolTable,
     add,
-    consistent_euler,
     eval_rational,
     euler,
     expand_epsilon,
@@ -19,13 +18,11 @@ from approxlaws import (
     normalize,
     parse,
     partial,
-    per_order_euler,
     pow_int,
     print_poly,
     recursion_R,
     substitute,
     total_derivative,
-    unexpanded_euler,
 )
 from approxlaws import kernel
 from approxlaws.atoms import INDEP, FuncAtom, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
@@ -220,21 +217,17 @@ def test_expansion_cauchy_product():
 
 def test_every_euler_kind_annihilates_divergences_200():
     rng = random.Random(31)
-    kinds = [
-        ("consistent", lambda a: consistent_euler(a), True),
-        ("unexpanded", lambda a: unexpanded_euler(a), False),
-        ("per-order-0", lambda a: per_order_euler(a, 0), True),
-        ("per-order-1", lambda a: per_order_euler(a, 1), True),
-    ]
-    per_kind = 50
-    for name, mk, expanded in kinds:
-        for _ in range(per_kind):
+    # E_u[0] is both the consistent operator and approach B's order-0 one
+    orders = [(0, True), (None, False), (1, True)]
+    per_order = 50
+    for order, expanded in orders:
+        for _ in range(per_order):
             pt = rand_poly(rng, expanded=expanded)
             px = rand_poly(rng, expanded=expanded)
             dv = total_derivative(pt, 0) + total_derivative(px, 1)
             for alpha in (0, 1):
-                res = euler(dv, mk(alpha))
-                assert res.is_zero(), (name, alpha)
+                res = euler(dv, Jet(alpha, order, ()))
+                assert res.is_zero(), (order, alpha)
 
 
 def test_substitute_commutes_with_normalize():
@@ -370,20 +363,18 @@ def _total_derivative_uncached(e, i):
     return NormalForm(kernel.derive(p, images))
 
 
-def _euler_per_multi_index(e, kind, r=None):
+def _euler_per_multi_index(e, v):
     """The Euler operator as written: sum over J of (-1)^|J| D_J d/dv_J, one
     partial derivative of the whole operand and one D-chain per J."""
-    want = {"consistent": 0, "unexpanded": None}.get(kind.family, kind.order)
     multi_indices = set()
     for a in atoms_of(e):
         if isinstance(a, FuncAtom):
             a = a.arg
-        if isinstance(a, Jet) and a.dep == kind.alpha and a.order == want:
-            if r is None or len(a.deriv) <= r:
-                multi_indices.add(a.deriv)
+        if isinstance(a, Jet) and a.dep == v.dep and a.order == v.order:
+            multi_indices.add(a.deriv)
     out = NormalForm({})
     for J in sorted(multi_indices):
-        term = partial(e, Jet(kind.alpha, want, J))
+        term = partial(e, Jet(v.dep, v.order, J))
         for i in J:
             term = _total_derivative_uncached(term, i)
         out = out + (-term if len(J) % 2 else term)
@@ -400,20 +391,14 @@ def test_total_derivative_matches_uncached_images_200():
 
 def test_horner_euler_matches_per_multi_index_sum():
     rng = random.Random(53)
-    kinds = [
-        (consistent_euler, 0),
-        (unexpanded_euler, None),
-        (lambda a: per_order_euler(a, 0), 0),
-        (lambda a: per_order_euler(a, 1), 0),
-    ]
-    for mk, order in kinds:
+    # (pool order, coordinate order): the expanded pool holds orders 0 and 1
+    for pool, order in ((0, 0), (None, None), (0, 1)):
         for _ in range(30):
-            e = _branching_poly(rng, order)
-            e = e + _branching_poly(rng, order) * total_derivative(_branching_poly(rng, order), 1)
+            e = _branching_poly(rng, pool)
+            e = e + _branching_poly(rng, pool) * total_derivative(_branching_poly(rng, pool), 1)
             for alpha in (0, 1):
-                for r in (None, 0, 1, 2):
-                    kind = mk(alpha)
-                    assert euler(e, kind, r) == _euler_per_multi_index(e, kind, r), (kind, r)
+                v = Jet(alpha, order, ())
+                assert euler(e, v) == _euler_per_multi_index(e, v), v
 
 
 # --- oracles for the certification layer's shared work ------------------------
@@ -421,7 +406,8 @@ def test_horner_euler_matches_per_multi_index_sum():
 
 def _sample_point_per_call(atoms, laurent, rng):
     """verify._sample_point as it was: every function-sample key wraps the
-    argument's value in a new Fraction."""
+    argument's value in a new Fraction.  A key's sample is nonzero when a
+    function atom with that key is a Laurent base."""
     point = {}
     fsamples = []
     for a in atoms:
@@ -432,11 +418,12 @@ def _sample_point_per_call(atoms, laurent, rng):
         elif isinstance(a, (Sym, Jet)):
             if a not in point:
                 point[a] = _rand_rational(rng, a in laurent)
+    keys = [(a.fname, a.nd, Fraction(point[a.arg])) for a in fsamples]
+    nonzero = {key for key, a in zip(keys, fsamples) if a in laurent}
     fvals = {}
-    for a in fsamples:
-        key = (a.fname, a.nd, Fraction(point[a.arg]))
+    for key in keys:
         if key not in fvals:
-            fvals[key] = _rand_rational(rng, False)
+            fvals[key] = _rand_rational(rng, key in nonzero)
     return point, fvals
 
 
@@ -474,7 +461,8 @@ def _spot_check_per_call(targets, divs, trials, seed, max_retries, retries):
 
 def _laurent_function_slots(rng):
     """Two slot lists over f, f' and f'' of u[0] under negative exponents:
-    a function sample of zero is an evaluation singularity."""
+    a function sample of zero would be an evaluation singularity, so these
+    samples are drawn nonzero."""
     u0 = TABLE.jet("u", 0)
     funcs = [intern(FuncAtom("f", nd, u0)) for nd in range(3)]
     sides = []
@@ -516,7 +504,8 @@ def test_spot_check_matches_per_call_evaluation():
             assert got == _spot_check_per_call(targets, divs, 3, n, max_retries, retries), n
             persisted += sum(c.witness == "evaluation singularity persisted across retries" for c in got)
             witnessed += sum(isinstance(c.witness, dict) for c in got)
-    assert retries and persisted and witnessed
+    # Laurent bases, function samples included, are drawn nonzero: no retries
+    assert not retries and not persisted and witnessed
 
 
 def _antiderive_candidates_as_built(mono, problem):

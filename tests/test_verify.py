@@ -109,6 +109,29 @@ def test_spot_check_finds_witness():
     assert any(c.witness for c in rep.failures())
 
 
+def test_spot_check_resamples_an_evaluation_singularity(monkeypatch, table):
+    # the first draw of each check sets every function sample to zero, a
+    # singularity of f(u[0])^-1; a second attempt resamples past it
+    from approxlaws import verify
+    from approxlaws.atoms import intern
+
+    side = [NormalForm({(intern(table.func_atom("f", 0, 0)), -1): 1})]
+    draw = verify._sample_point
+    calls = []
+
+    def zero_first(atoms, laurent, rng):
+        point, fvals = draw(atoms, laurent, rng)
+        calls.append(rng)
+        return point, (fvals if len(calls) > 1 else dict.fromkeys(fvals, 0))
+
+    monkeypatch.setattr(verify, "_sample_point", zero_first)
+    for max_retries, witness in ((1, "evaluation singularity persisted across retries"), (2, None)):
+        calls.clear()
+        (check,) = spot_check(side, side, trials=1, max_retries=max_retries).checks
+        assert (check.passed, check.witness) == (witness is None, witness)
+        assert len(calls) == max_retries
+
+
 def test_spot_check_deterministic():
     pb, law = law_of("wave", "1")
     a = spot_check(*law_slots(pb, law), trials=4, seed=5)
@@ -121,6 +144,19 @@ def test_spot_check_deterministic():
     wa = spot_check(*law_slots(pb, bad), trials=2, seed=5)
     wb = spot_check(*law_slots(pb, bad), trials=2, seed=5)
     assert [c.witness for c in wa.checks] == [c.witness for c in wb.checks]
+
+
+def test_euler_check_names_follow_the_coordinates():
+    # one check per (coordinate, slot); an approach-B contraction has one slot
+    names = {
+        "nls2": ["<jet d0[0]>, slot 0", "<jet d0[0]>, slot 1", "<jet d1[0]>, slot 0", "<jet d1[0]>, slot 1"],
+        "diffusion-approach-a": ["<jet d0>, slot 0", "<jet d0>, slot 1"],
+        "diffusion-approach-b": ["<jet d0[0]>, slot 0", "<jet d0[1]>, slot 0"],
+    }
+    for eid, want in names.items():
+        pb, law = law_of(eid, "1")
+        checks = full_report(pb, law, trials=1)["reports"]["euler"].checks
+        assert [c.name for c in checks] == [f"euler[{n}]" for n in want], eid
 
 
 def test_implication_chain_on_corpus():
