@@ -35,16 +35,14 @@ class ConservationLaw:
     """A multiplier set with per-direction flux components.
 
     ``fluxes[i]`` is the tuple of series slots for direction i (a single
-    entry for approach-b laws, whose fluxes are exact).  ``status`` is one of
-    unverified, identity-verified, on-solution-verified.
+    entry for approach-b laws, whose fluxes are exact).
     """
 
-    __slots__ = ("mult", "fluxes", "status", "_divs")
+    __slots__ = ("mult", "fluxes", "_divs")
 
-    def __init__(self, mult: MultiplierSet, fluxes, status: str = "unverified"):
+    def __init__(self, mult: MultiplierSet, fluxes):
         self.mult = mult
         self.fluxes = tuple(tuple(normalize(f) for f in row) for row in fluxes)
-        self.status = status
         for row in self.fluxes:
             for slot in row:
                 _check_slot_language(slot, mult.method == "approach_a")
@@ -65,7 +63,7 @@ class ConservationLaw:
         shifted_fluxes = tuple(
             (NormalForm({}),) + tuple(row[:-1]) for row in self.fluxes
         )
-        return ConservationLaw(self.mult.eps_shifted(), shifted_fluxes, status=self.status)
+        return ConservationLaw(self.mult.eps_shifted(), shifted_fluxes)
 
 
 def _divergence(fluxes) -> list:
@@ -321,7 +319,6 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = N
     law = ConservationLaw(mult, tuple(tuple(col) for col in flux_slots))
     if not all(r.is_zero() for r in identity_residuals(targets, law.divergence_slots())):
         raise ReconstructionError("reconstruction produced a non-identity")
-    law.status = "identity-verified"
     return law
 
 
@@ -333,8 +330,7 @@ def identity_residuals(targets, divs) -> list:
             for t, d in zip(targets, divs)]
 
 
-def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem,
-               depth: int = 2) -> str:
+def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem) -> str:
     """Equivalence of two laws over the same problem: their difference must
     be a trivial law, i.e. its divergence vanishes identically (curl terms),
     or every difference flux component itself vanishes after
@@ -358,7 +354,7 @@ def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem,
         return "equivalent"
     try:
         for row in diff.fluxes:
-            if not all(r.is_zero() for r in problem.reduce_series_on_solutions(row, a.method, depth)):
+            if not all(r.is_zero() for r in problem.reduce_series_on_solutions(row, a.method)):
                 return "distinct"
     except InconclusiveReduction:
         return "distinct-with-warning"

@@ -32,8 +32,17 @@ from . import kernel, linalg
 from .atoms import COEFF, INDEP, FuncAtom, Jet, Sym, atom_at, coeff_sym, intern, mono_sort_key
 from .expr import NormalForm, UnsupportedFormError, as_poly, atoms_of, normalize
 from .jets import _series_mul, euler, recursion_R
-from .parser import MAX_UNKNOWNS, parse, single_atom
+from .parser import parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
+
+
+# Bound on the unknowns of a multiplier ansatz (basis size x equations x
+# series slots), checked as the basis is built: assembly and elimination
+# of the determining system grow with it, so an oversized ansatz would run
+# for hours instead of failing.  nls2 at order 3 has 11,088 unknowns from
+# its hint and solves in ~6 s; at degree 6 and x-degree 2 it has 44,352
+# and solves in ~32 s, peaking at ~360 MB (one core of a 2-core Xeon VM).
+MAX_UNKNOWNS = 50000
 
 
 class AnsatzError(ProblemError):
@@ -214,63 +223,47 @@ def shape_generators(generators, method: str, p: int):
     return tuple(gens)
 
 
-def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict) -> list:
-    """Deterministic monomial basis: jet-part total degree <= degree (Laurent
-    exponents counted by absolute value), independent-part <= xdegree."""
-    xgens = [g for g in gens if isinstance(g, Sym)]
-    jgens = [g for g in gens if not isinstance(g, Sym)]
+def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict, per_monomial: int) -> list:
+    """Deterministic monomial basis over the generators ``gens``, a repeated
+    generator counted once: jet-part total degree <= degree (Laurent
+    exponents counted by absolute value, floors looked up by order-0
+    coordinate), independent-part <= xdegree.
+
+    Each monomial carries ``per_monomial`` unknowns.  AnsatzError is raised
+    as soon as the basis being built passes MAX_UNKNOWNS unknowns, so the
+    walk stops just past the bound however large the degree bounds are."""
+    gens = list(dict.fromkeys(gens))
+    limit = MAX_UNKNOWNS // per_monomial
+
+    def check(n):
+        if n > limit:
+            raise AnsatzError(f"the ansatz has more than {MAX_UNKNOWNS} unknowns "
+                              "(basis size x equations x series slots); lower its degree or drop generators")
 
     def powers(gen_list, bound):
         out = [()]
         for g in gen_list:
-            lo = laurent.get(g, laurent.get(_order0(g), 0))
+            lo = laurent.get(g.with_order(0) if isinstance(g, Jet) else g, 0)
             new = []
             for combo in out:
                 used = sum(abs(e) for _, e in combo)
                 for e in range(max(lo, used - bound), bound - used + 1):
                     new.append(combo + ((g, e),) if e else combo)
+                    check(len(new))
             out = new
         return out
 
-    monos = set()
-    for xc in powers(xgens, xdegree):
-        for jc in powers(jgens, degree):
+    xs = powers([g for g in gens if isinstance(g, Sym)], xdegree)
+    js = powers([g for g in gens if not isinstance(g, Sym)], degree)
+    check(len(xs) * len(js))
+    monos = []
+    for xc in xs:
+        for jc in js:
             mono = ()
             for g, e in xc + jc:
                 mono = kernel.mono_mul(mono, (intern(g), e))
-            monos.add(mono)
+            monos.append(mono)
     return sorted(monos, key=mono_sort_key)
-
-
-def basis_size_bound(gens, degree: int, xdegree: int, laurent: dict) -> int:
-    """An upper bound on ``len(enumerate_basis(...))``, counted without
-    building a monomial: the same per-generator recursion, with the
-    combinations counted by the degree they use.  Every combination takes
-    at least one step, so counting stops just past MAX_UNKNOWNS however
-    large the degree bounds are."""
-
-    def count(gen_list, bound):
-        by_used = {0: 1}
-        for g in gen_list:
-            lo = laurent.get(g, laurent.get(_order0(g), 0))
-            new: dict = {}
-            total = 0
-            for used, n in by_used.items():
-                for e in range(max(lo, used - bound), bound - used + 1):
-                    k = used + abs(e)
-                    new[k] = new.get(k, 0) + n
-                    total += n
-                    if total > MAX_UNKNOWNS:
-                        return total
-            by_used = new
-        return sum(by_used.values())
-
-    return (count([g for g in gens if isinstance(g, Sym)], xdegree)
-            * count([g for g in gens if not isinstance(g, Sym)], degree))
-
-
-def _order0(g):
-    return g.with_order(0) if isinstance(g, Jet) else g
 
 
 def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> MultiplierSet:
@@ -287,10 +280,7 @@ def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consisten
         raise ValueError(f"unknown method {method!r}")
     p = problem.p
     gens = shape_generators(spec.generators, method, p)
-    if basis_size_bound(gens, spec.degree, spec.xdeg, spec.laurent) * problem.q * (p + 1) > MAX_UNKNOWNS:
-        raise AnsatzError(f"the ansatz has more than {MAX_UNKNOWNS} unknowns "
-                          "(basis size x equations x series slots); lower its degree or drop generators")
-    basis = enumerate_basis(gens, spec.degree, spec.xdeg, spec.laurent)
+    basis = enumerate_basis(gens, spec.degree, spec.xdeg, spec.laurent, problem.q * (p + 1))
     rows = []
     for nu in range(problem.q):
         if method == "consistent":

@@ -40,15 +40,6 @@ MAX_EXPONENT = 1000
 # unbounded one makes the parser hang.  Checked before the kernel expands.
 MAX_TERMS = 1000
 
-# Bound on the unknowns of a multiplier ansatz (basis size x equations x
-# series slots), checked before the basis is built: assembly and
-# elimination of the determining system grow with it, so an oversized
-# ansatz would run for hours instead of failing.  nls2 at order 3 has
-# 11,088 unknowns from its hint and solves in ~6 s; at degree 6 and
-# x-degree 2 it has 44,352 and solves in ~32 s, peaking at ~360 MB (one
-# core of a 2-core Xeon VM).
-MAX_UNKNOWNS = 50000
-
 # Bound on the decimal digits of a coefficient's numerator or denominator,
 # below the interpreter's 4,300-digit integer-string limit, past which a
 # coefficient can be neither read nor printed.  A power is checked before

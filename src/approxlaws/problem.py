@@ -225,7 +225,7 @@ class PdeProblem:
             cur = substitute(cur, {target[0]: target[1]})
         raise InconclusiveReduction("rewriting did not settle within the round bound")
 
-    def reduce_series_on_solutions(self, slots, method: str, depth: int = 2) -> list:
+    def reduce_series_on_solutions(self, slots, method: str) -> list:
         """The slots of the series ``slots`` of a ``method`` law, reduced on
         solutions.  Expanded coordinates reduce slot by slot; approach-A
         slots reduce as the joined series truncated at the problem order, so
@@ -234,8 +234,8 @@ class PdeProblem:
         Raises :class:`InconclusiveReduction` as :meth:`reduce_on_solutions`.
         """
         if method != "approach_a":
-            return [self.reduce_on_solutions(s, depth=depth) for s in slots]
-        red = self.reduce_on_solutions(join_eps(slots), expanded=False, depth=depth)
+            return [self.reduce_on_solutions(s) for s in slots]
+        red = self.reduce_on_solutions(join_eps(slots), expanded=False)
         return [NormalForm(s) for s in collect_eps(red, self.p)]
 
 

@@ -83,14 +83,14 @@ def _euler_report(residuals) -> VerificationReport:
                                for v, k, res in residuals])
 
 
-def verify_on_solutions(problem: PdeProblem, method: str, divs, depth: int = 2) -> VerificationReport:
+def verify_on_solutions(problem: PdeProblem, method: str, divs) -> VerificationReport:
     """The flux divergence ``divs`` of a ``method`` law vanishes after
     substituting the leading derivatives (and their differential
     consequences up to the prolongation depth), slot by slot; approach-A
     slots are reduced as their joined series
     (:meth:`~approxlaws.problem.PdeProblem.reduce_series_on_solutions`)."""
     try:
-        reds = problem.reduce_series_on_solutions(divs, method, depth=depth)
+        reds = problem.reduce_series_on_solutions(divs, method)
     except InconclusiveReduction as exc:
         return VerificationReport([CheckResult("on-solutions", False, witness=str(exc))])
     return VerificationReport([CheckResult(f"on-solutions[{k}]", red.is_zero(), residual=red)
@@ -187,7 +187,7 @@ def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
 
 
 def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = 5,
-                seed: int = DEFAULT_SEED, depth: int = 2) -> dict:
+                seed: int = DEFAULT_SEED) -> dict:
     """All four checks; on-solution is attempted only when identity fails
     (identity success implies it).  Returns a dict of reports plus the
     certification outcome: 'identity', 'onsolution', or 'fail'.
@@ -206,6 +206,6 @@ def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = 5,
     if reports["identity"].passed:
         status = "identity"
     else:
-        reports["onsolution"] = verify_on_solutions(problem, law.method, divs, depth=depth)
+        reports["onsolution"] = verify_on_solutions(problem, law.method, divs)
         status = "onsolution" if reports["onsolution"].passed else "fail"
     return {"status": status, "reports": reports}

@@ -347,7 +347,7 @@ _JET_SUM_PRODUCT = (
         # refused at its first product, however long the chain
         (["expand", fixture_path("wave"), "--expr", "*".join(["9" * 3999] * 200) + "*u"],
          "error: coefficient exceeds 4000 digits (at position 3999)\n"),
-        # an ansatz past parser.MAX_UNKNOWNS is refused before its basis is built
+        # an ansatz past multipliers.MAX_UNKNOWNS is refused as soon as its basis passes the bound
         (["solve", fixture_path("kaup-newell"), "--mult-deps", "t,x,u[0],v[0],u[0]_x,v[0]_x,u[0]_xx,v[0]_xx",
           "--mult-degree", "40"],
          "error: the ansatz has more than 50000 unknowns (basis size x equations x series slots); "

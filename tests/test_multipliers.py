@@ -1,5 +1,6 @@
 """Ansatz construction, determining systems, nullspace, classification."""
 
+import time
 from collections import Counter
 
 import pytest
@@ -10,11 +11,11 @@ from approxlaws import coeff_sym, corpus, normalize, parse, partial
 from approxlaws.expr import as_poly
 from approxlaws.linalg import in_span, nullspace
 from approxlaws.multipliers import (
+    MAX_UNKNOWNS,
     AnsatzError,
     AnsatzSpec,
     MultiplierSet,
     SingularAnsatzError,
-    basis_size_bound,
     build_ansatz,
     coefficient_vector,
     contraction,
@@ -24,11 +25,9 @@ from approxlaws.multipliers import (
     euler_residuals,
     instantiate,
     parse_ansatz,
-    shape_generators,
     solve_multipliers,
     staged_nullspace,
 )
-from approxlaws.parser import MAX_UNKNOWNS
 from approxlaws.problem import PdeProblem, parse_problem_text
 
 
@@ -117,28 +116,36 @@ def test_euler_coordinates_are_dependent_major():
 
 
 def test_repeated_generator_gives_the_same_basis(diffusion):
-    # "u" and "u[0]" are the same generator under the consistent method; a
-    # repeat under a Laurent floor reaches lower powers (see the next test)
+    # "u" and "u[0]" are the same generator under the consistent method, and
+    # a generator named twice counts once, under a Laurent floor too
     tab = diffusion.table
-    once = solve_multipliers(diffusion, parse_ansatz(tab, "t, x, u[0]", 2), "consistent")
-    twice = solve_multipliers(diffusion, parse_ansatz(tab, "u, t, x, u[0], x", 2), "consistent")
-    assert twice.unknowns == once.unknowns
-    assert twice.basis == once.basis
+    for laurent, once_text, twice_text in (
+        (None, "t, x, u[0]", "u, t, x, u[0], x"),
+        ("u[0]:-1", "t, x, u[0]", "u, t, x, u[0]"),
+    ):
+        once = solve_multipliers(diffusion, parse_ansatz(tab, once_text, 2, laurent=laurent), "consistent")
+        twice = solve_multipliers(diffusion, parse_ansatz(tab, twice_text, 2, laurent=laurent), "consistent")
+        assert twice.unknowns == once.unknowns
+        assert twice.basis == once.basis
+    assert len(once.unknowns) == 48  # 24 monomials x 2 series slots
 
 
-def test_basis_size_bound_counts_the_basis():
-    # exact on every hint ansatz; duplicate generators are counted twice
-    for eid in corpus.ENTRY_IDS:
-        entry = corpus.load(eid)
-        hint = entry.ansatz_hint
-        gens = shape_generators(hint.generators, entry.method, entry.problem.p)
-        size = len(enumerate_basis(gens, hint.degree, hint.xdeg, hint.laurent))
-        assert basis_size_bound(gens, hint.degree, hint.xdeg, hint.laurent) == size, eid
-    u = corpus.load("wave").problem.table.jet("u", 0)
-    assert len(enumerate_basis((u, u), 2, 0, {u: -1})) == 5  # u^-2 .. u^2
-    assert basis_size_bound((u, u), 2, 0, {u: -1}) == 11
-    # counting stops just past the bound, however large the degree
-    assert MAX_UNKNOWNS < basis_size_bound((u,), 10**12, 0, {}) <= MAX_UNKNOWNS + 1
+def test_enumerate_basis_merges_repeats_and_refuses_past_the_bound():
+    tab = corpus.load("wave").problem.table
+    u = tab.jet("u", 0)
+    t, x = tab.indep[:2]
+    assert len(enumerate_basis((u, u), 2, 0, {u: -1}, 1)) == 4  # u^-1 .. u^2
+    # refused in the jet group, in the x group, and at their product, where
+    # each group alone is under the bound; each stops just past the bound
+    for gens, degree, xdegree in (
+        ((u,), 10**12, 0),
+        ((t,), 0, 10**12),
+        ((t, x, u), 10, 200),  # 20,301 x-monomials x 11 jet monomials
+    ):
+        start = time.perf_counter()
+        with pytest.raises(AnsatzError, match=f"more than {MAX_UNKNOWNS} unknowns"):
+            enumerate_basis(gens, degree, xdegree, {}, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_empty_generators_with_positive_degree():
