@@ -14,9 +14,10 @@ from __future__ import annotations
 from collections import namedtuple
 from importlib import resources
 
-from ..expr import NormalForm
+from ..expr import NormalForm, UnsupportedFormError
 from ..fluxes import ConservationLaw
 from ..multipliers import MultiplierSet, parse_ansatz
+from ..parser import ParseError, parse
 from ..problem import PdeProblem, ProblemError, ProblemFile, parse_problem_text
 from ..verify import DEFAULT_SEED, full_report
 
@@ -43,16 +44,31 @@ def _entry_text(entry_id: str) -> str:
     return res.read_text(encoding="utf-8")
 
 
+def _parse_slots(table, texts: dict) -> dict:
+    """Parse each ``(where, text)`` slot value of a problem file."""
+    slots = {}
+    for key, (where, text) in texts.items():
+        try:
+            slots[key] = parse(text, table)
+        except (ParseError, UnsupportedFormError) as exc:
+            raise ProblemError(f"{where}: {exc}") from exc
+    return slots
+
+
 def _law_from_expected(problem: PdeProblem, method: str, exp) -> ConservationLaw:
+    """The law of one expected-result block.  Its multiplier and flux texts
+    are parsed here, the one place fixtures become laws."""
     p = problem.p
     nslots = 1 if method == "approach_b" else p + 1
+    mults = _parse_slots(problem.table, exp.mult)
+    fluxes = _parse_slots(problem.table, exp.flux)
     mult_slots = []
     for nu in range(problem.q):
-        row = [exp.mult.get((nu, k), NormalForm({})) for k in range(p + 1)]
+        row = [mults.get((nu, k), NormalForm({})) for k in range(p + 1)]
         mult_slots.append(tuple(row))
     flux = []
     for i in range(problem.table.n_indep):
-        row = [exp.flux.get((i, k), NormalForm({})) for k in range(nslots)]
+        row = [fluxes.get((i, k), NormalForm({})) for k in range(nslots)]
         flux.append(tuple(row))
     mult = MultiplierSet(method, tuple(mult_slots))
     return ConservationLaw(mult, tuple(flux))

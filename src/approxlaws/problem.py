@@ -38,7 +38,14 @@ Optional expected-result blocks carry published multiplier/flux sets::
 
 ``#`` starts a comment line.  Slot expressions for the consistent and
 approach-b methods use expanded coordinates (``u[0]``, ``u[1]``); approach-a
-slot expressions use unexpanded ones.
+slot expressions use unexpanded ones.  ``equation``, ``leading`` and
+``note`` may repeat; every other key, and every multiplier, flux or status
+slot, is given once.  Each law has at least one ``multiplier`` line.
+
+Every key is checked when a file is parsed, but a multiplier or flux value is
+kept as ``(where, text)``, its raw text with its ``source:lineno``: only
+:func:`approxlaws.corpus.recorded_laws`, where laws are built, parses it, so
+commands that never read the recorded laws do not pay for them.
 """
 
 from __future__ import annotations
@@ -249,10 +256,15 @@ class ExpectedLaw:
 
     def __init__(self, index: int):
         self.index = index
-        self.mult = {}   # (nu, k) -> NormalForm
-        self.flux = {}   # (direction index, k) -> NormalForm
+        self.mult = {}   # (nu, k) -> (where, text), where = "source:lineno"
+        self.flux = {}   # (direction index, k) -> (where, text)
         self.status = None
 
+
+# keys given at most once, as are hint.* keys and each multiplier, flux and status slot;
+# equation, leading and note lines repeat
+_SINGLE_KEYS = ("independent", "dependent", "parameters", "functions", "name", "method", "order",
+                "epsilon_shifts")
 
 ProblemFile = namedtuple("ProblemFile", "source problem method expected epsilon_shifts hints notes")
 
@@ -280,7 +292,16 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
         key, _, value = line.partition("=")
         entries.append((lineno, key.strip(), value.strip()))
 
-    for _, key, value in entries:
+    seen: dict = {}  # single-valued key or slot -> line number of its value
+
+    def once(slot, lineno: int, key: str) -> None:
+        first = seen.setdefault(slot, lineno)
+        if first != lineno:
+            raise ProblemError(f"{source}:{lineno}: {key} is already given on line {first}")
+
+    for lineno, key, value in entries:
+        if key in _SINGLE_KEYS or key.startswith("hint."):
+            once(key, lineno, key)
         if key in decls:
             decls[key] = _split_list(value)
 
@@ -332,6 +353,9 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                 leading.append(lead)
             elif key == "epsilon_shifts":
                 shifts = [_int(v, where) for v in _split_list(value)]
+                for i, n in enumerate(shifts):
+                    if n in shifts[:i]:
+                        raise ProblemError(f"{where}: epsilon_shifts names law {n} twice")
             elif key == "note":
                 notes.append(value)
             elif key.startswith("hint."):
@@ -345,7 +369,8 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                     n, nu, k = _int(parts[1], where), _int(parts[2], where) - 1, _int(parts[3], where)
                 else:
                     raise ProblemError(f"{where}: malformed multiplier key")
-                law(n).mult[(nu, k)] = parse(value, table)
+                once(("multiplier", n, nu, k), lineno, key)
+                law(n).mult[(nu, k)] = (where, value)
             elif key.startswith("flux."):
                 parts = key.split(".")
                 if len(parts) != 4:
@@ -354,15 +379,17 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
                 i = table.indep_index(var)
                 if i is None:
                     raise ProblemError(f"{where}: {var!r} is not an independent variable")
-                law(n).flux[(i, k)] = parse(value, table)
+                once(("flux", n, i, k), lineno, key)
+                law(n).flux[(i, k)] = (where, value)
             elif key.startswith("expected."):
                 parts = key.split(".")
                 if len(parts) != 3 or parts[2] != "status":
                     raise ProblemError(f"{where}: malformed expected key")
-                status = value
-                if status not in ("identity", "onsolution"):
-                    raise ProblemError(f"{where}: unknown status {status!r}")
-                law(_int(parts[1], where)).status = status
+                if value not in ("identity", "onsolution"):
+                    raise ProblemError(f"{where}: unknown status {value!r}")
+                n = _int(parts[1], where)
+                once(("expected", n), lineno, key)
+                law(n).status = value
             else:
                 raise ProblemError(f"{where}: unknown key {key!r}")
         except (ParseError, UnsupportedFormError) as exc:
@@ -389,6 +416,8 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
         raise ProblemError(f"{source}: approach-b laws carry no eps series to shift")
     nslots = 1 if method == "approach_b" else problem.p + 1
     for n, exp in expected.items():
+        if not exp.mult:
+            raise ProblemError(f"{source}: law {n} has no multiplier.{n}.* line")
         for (nu, k) in exp.mult:
             if not (0 <= nu < problem.q and 0 <= k <= problem.p):
                 raise ProblemError(f"{source}: multiplier {n} names equation {nu + 1}, slot {k}, "

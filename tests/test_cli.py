@@ -262,6 +262,9 @@ def test_byte_identical_reports(tmp_path):
         ("equation = u_t - u^-2*u_xx", "equation = -u^-2*u_xx"),
         ("equation = u_t - u^-2*u_xx", "equation = u_t - eps^-1*u - u^-2*u_xx"),
         ("equation = u_t - u^-2*u_xx", "functions = f(u)\nequation = u_t + f(u[0])*u_x - u^-2*u_xx"),
+        ("multiplier.1.1 = 0", "multiplier.1.1 = 0\nmultiplier.1.1 = 1"),
+        ("expected.2.status = identity", "expected.2.status = identity\nexpected.3.status = identity"),
+        ("epsilon_shifts = 1, 2", "epsilon_shifts = 1, 1"),
     ],
 )
 def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
@@ -274,6 +277,26 @@ def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
     assert code == 2
     assert err.startswith("error: ")
     assert str(bad) in err
+
+
+def test_fixture_values_parsed_only_where_laws_are_built(tmp_path, capsys):
+    # solve, compare and expand never read a law's values; verify does
+    text = open(fixture_path("diffusion-consistent")).read()
+    lineno = text.splitlines().index("flux.1.t.0 = u[0]") + 1
+    clean, bad = tmp_path / "clean.prob", tmp_path / "bad.prob"
+    clean.write_text(text)
+    bad.write_text(text.replace("flux.1.t.0 = u[0]", "flux.1.t.0 = u[0] +"))
+    ansatz = ["--mult-deps", "t,x,u[0]", "--mult-degree", "1", "--trials", "1"]
+    for argv in (["solve", *ansatz], ["compare", *ansatz], ["expand", "--expr", "u^-1"]):
+        outs = []
+        for path in (clean, bad):
+            code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0 and err == "", (argv, err)
+            outs.append(out)
+        assert outs[0] == outs[1] and outs[0], argv
+    code, _, err = run_cli(capsys, "verify", str(bad), "--trials", "1")
+    assert code == 2
+    assert err.startswith(f"error: {bad}:{lineno}: ")
 
 
 @pytest.mark.parametrize(

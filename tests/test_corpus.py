@@ -4,7 +4,7 @@ import pytest
 
 from approxlaws import corpus, normalize, parse
 from approxlaws.expr import negate
-from approxlaws.problem import parse_problem_text
+from approxlaws.problem import ProblemError, parse_problem_text
 
 
 def test_entry_ids_complete():
@@ -111,3 +111,12 @@ def test_corrupted_fixture_flagged():
 
     fr = full_report(pf.problem, law, trials=1)
     assert fr["status"] == "fail"
+
+
+def test_load_raises_on_a_malformed_fixture_value(monkeypatch):
+    text = corpus._entry_text("diffusion-consistent")
+    lineno = text.splitlines().index("flux.1.t.0 = u[0]") + 1
+    bad = text.replace("flux.1.t.0 = u[0]", "flux.1.t.0 = u[0] +")
+    monkeypatch.setattr(corpus, "_entry_text", lambda entry_id: bad)
+    with pytest.raises(ProblemError, match=f"^diffusion-consistent:{lineno}: "):
+        corpus.load("diffusion-consistent")

@@ -1,16 +1,19 @@
 """Problem loading, Cauchy-Kovalevskaya validation, on-solution reduction."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from approxlaws import normalize, parse
+from approxlaws import corpus, normalize, parse, problem
 from approxlaws.parser import ParseError
 from approxlaws.jets import join_eps, total_derivative
 from approxlaws.problem import (
     InconclusiveReduction,
     PdeProblem,
     ProblemError,
+    load_problem_file,
     parse_problem_text,
 )
 
@@ -131,8 +134,52 @@ def test_multi_equation_expected_blocks():
         "flux.1.t.0 = u[0]^2/2 + v[0]^2/2\nflux.1.x.0 = u[0]*v[0]\n"
     )
     law = pf.expected[0]
-    assert (0, 0) in law.mult and (1, 0) in law.mult
+    assert law.mult == {(0, 0): ("<problem>:8", "u[0]"), (1, 0): ("<problem>:9", "v[0]")}
     assert (0, 0) in law.flux and (1, 0) in law.flux
+
+
+def test_load_parses_only_equations_and_leading(monkeypatch):
+    # a law's multiplier and flux texts wait for corpus.recorded_laws
+    path = corpus.__path__[0] + "/data/kaup-newell.prob"
+    lines = [line.partition("=") for line in open(path, encoding="utf-8")]
+    header = [v.strip() for k, _, v in lines if k.strip() in ("equation", "leading")]
+    parsed = []
+    real = problem.parse
+
+    def recording(text, table):
+        parsed.append(text)
+        return real(text, table)
+
+    monkeypatch.setattr(problem, "parse", recording)
+    pf = load_problem_file(path)
+    assert sorted(parsed) == sorted(header) and len(header) == 4
+    assert len(pf.expected) > 0
+
+
+_LAW = "independent = t, x\ndependent = u\norder = 1\nequation = u_t + u_x\nleading = u_t\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("order = 2\n", "<problem>:6: order is already given on line 3"),
+        ("dependent = v\n", "<problem>:6: dependent is already given on line 2"),
+        ("hint.mult_degree = 1\nhint.mult_degree = 2\n",
+         "<problem>:7: hint.mult_degree is already given on line 6"),
+        ("multiplier.1.0 = 1\nmultiplier.1.0 = 2\n", "<problem>:7: multiplier.1.0 is already given on line 6"),
+        ("multiplier.1.0 = 1\nmultiplier.1.1.0 = 2\n", "<problem>:7: multiplier.1.1.0 is already given on line 6"),
+        ("multiplier.1.0 = 1\nflux.1.t.0 = u[0]\nflux.1.t.0 = 0\n",
+         "<problem>:8: flux.1.t.0 is already given on line 7"),
+        ("multiplier.1.0 = 1\nexpected.1.status = identity\nexpected.1.status = onsolution\n",
+         "<problem>:8: expected.1.status is already given on line 7"),
+        ("expected.2.status = identity\n", "law 2 has no multiplier.2.* line"),
+        ("flux.1.t.0 = u[0]\n", "law 1 has no multiplier.1.* line"),
+        ("multiplier.1.0 = 1\nepsilon_shifts = 1, 1\n", "<problem>:7: epsilon_shifts names law 1 twice"),
+    ],
+)
+def test_repeated_or_empty_law_entries_rejected(extra, message):
+    with pytest.raises(ProblemError, match=re.escape(message)):
+        parse_problem_text(_LAW + extra)
 
 
 _HEADER = "independent = t, x\ndependent = u, v\nparameters = c\nfunctions = f(u)\norder = 1\n"
@@ -159,6 +206,6 @@ _lines = st.one_of(
 def test_problem_text_fuzz_raises_only_input_errors(header, lines):
     text = (_HEADER if header else "") + "\n".join(lines)
     try:
-        parse_problem_text(text)
+        corpus.recorded_laws(parse_problem_text(text))
     except (ProblemError, ParseError):
         pass
