@@ -27,7 +27,6 @@ from .jets import (
     collect_eps,
     euler,
     expand_epsilon,
-    expand_epsilon_recursive,
     join_eps,
     recursion_R,
     total_derivative,
@@ -58,7 +57,6 @@ __all__ = [
     "euler",
     "eval_rational",
     "expand_epsilon",
-    "expand_epsilon_recursive",
     "join_eps",
     "mul",
     "negate",

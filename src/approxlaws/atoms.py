@@ -94,6 +94,7 @@ Atom = Sym | Jet | FuncAtom
 # --- registry -------------------------------------------------------------
 
 _atoms: list = []
+_keys: list = []  # _keys[i] is _atoms[i].sort_key()
 _ids: dict = {}
 _lock = threading.Lock()
 
@@ -107,12 +108,18 @@ def intern(atom) -> int:
             if i is None:
                 i = len(_atoms)
                 _atoms.append(atom)
-                _ids[atom] = i
+                _keys.append(atom.sort_key())
+                _ids[atom] = i  # published last: a visible id has its atom and key
     return i
 
 
 def atom_at(i: int):
     return _atoms[i]
+
+
+def atom_key(i: int):
+    """The canonical sort key of atom id ``i``, computed at registration."""
+    return _keys[i]
 
 
 def mono_atoms(mono):
@@ -124,7 +131,8 @@ def mono_atoms(mono):
 def mono_sort_key(mono):
     """Canonical presentation key: graded, then lexicographic in the canonical
     atom order.  Laurent exponents count by absolute value in the grade."""
-    pairs = sorted((a.sort_key(), e) for a, e in mono_atoms(mono))
+    keys = _keys
+    pairs = sorted([(keys[mono[j]], mono[j + 1]) for j in range(0, len(mono), 2)])
     return (sum(abs(e) for _, e in pairs), tuple(pairs))
 
 
@@ -137,6 +145,16 @@ def coeff_sym(eq: int, order: int, idx: int) -> Sym:
 EPS_SYM = Sym("eps", EPS)
 
 _RESERVED = {"eps", "der"}
+
+
+class DeclarationError(ValueError):
+    """A symbol declaration a :class:`SymbolTable` refuses.  ``decls`` names
+    the declaration lists that hold the offending name, among
+    ``independent``, ``dependent``, ``parameters`` and ``functions``."""
+
+    def __init__(self, msg: str, *decls: str):
+        super().__init__(msg)
+        self.decls = decls
 
 
 class SymbolTable:
@@ -156,16 +174,18 @@ class SymbolTable:
         self.funcs = {}
         for fname, argname in funcs:
             if argname not in self.dep_names:
-                raise ValueError(f"function {fname} argument {argname!r} is not a dependent variable")
+                raise DeclarationError(f"function {fname} argument {argname!r} is not a dependent variable",
+                                       "functions")
             self.funcs[fname] = self.dep_names.index(argname)
-        names = [s.name for s in self.indep] + self.dep_names + [s.name for s in self.params] + list(self.funcs)
-        seen = set()
-        for n in names:
+        names = ([(s.name, "independent") for s in self.indep] + [(n, "dependent") for n in self.dep_names]
+                 + [(s.name, "parameters") for s in self.params] + [(f, "functions") for f, _ in funcs])
+        seen = {}  # name -> its declaration list
+        for n, decl in names:
             if n in _RESERVED:
-                raise ValueError(f"{n!r} is a reserved word")
+                raise DeclarationError(f"{n!r} is a reserved word", decl)
             if n in seen:
-                raise ValueError(f"duplicate symbol name {n!r}")
-            seen.add(n)
+                raise DeclarationError(f"duplicate symbol name {n!r}", seen[n], decl)
+            seen[n] = decl
 
     @property
     def n_indep(self):

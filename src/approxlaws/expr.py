@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from . import kernel
-from .atoms import FuncAtom, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
+from .atoms import FuncAtom, Jet, Sym, atom_at, atom_key, intern, mono_sort_key
 
 
 class ExprError(Exception):
@@ -77,8 +77,8 @@ class NormalForm:
         """Monomials in canonical presentation order as
         ``(coefficient, [(atom, exponent), ...])`` pairs."""
         for mono in sorted(self._p, key=mono_sort_key):
-            pairs = sorted(mono_atoms(mono), key=lambda ae: ae[0].sort_key())
-            yield Fraction(self._p[mono]), pairs
+            order = sorted(range(0, len(mono), 2), key=lambda j: atom_key(mono[j]))
+            yield Fraction(self._p[mono]), [(atom_at(mono[j]), mono[j + 1]) for j in order]
 
     def __len__(self):
         return len(self._p)

@@ -9,12 +9,19 @@ generated by saturating the inverse-single-derivative closure of the target
 monomials (strip one derivative letter, undo one chain-rule step, or raise
 one coordinate power).  The saturated set is complete: any flux supported on
 jets up to the order cap can be rewritten into it.
+
+A problem inverts each block once.  ``PdeProblem.inverted_blocks`` keeps
+every solved block under the exact input of its inversion: the block, the
+bounds, and the perturbation-order cap of its series slot, dropped when no
+coordinate of the block lies above it.  No step of the inversion raises a
+perturbation order, so such a cap rejects nothing and the key is exact.  An
+eps-multiple's slot k+1 then reads the block its source law solved in slot k.
 """
 
 from __future__ import annotations
 
 from . import kernel, linalg
-from .atoms import FuncAtom, INDEP, Jet, atom_at, intern, mono_atoms, mono_sort_key
+from .atoms import FuncAtom, INDEP, Jet, atom_at, atom_key, intern, mono_sort_key
 from .expr import NormalForm, as_poly, atoms_of, normalize
 from .jets import stripped_jet, total_derivative
 from .multipliers import MultiplierSet, _check_slot_language, certified_contraction
@@ -89,7 +96,9 @@ def _grade(mono, ndeps: int):
     params = []
     epsw = 0
     w = 0
-    for a, e in mono_atoms(mono):
+    for j in range(0, len(mono), 2):
+        a = atom_at(mono[j])
+        e = mono[j + 1]
         if isinstance(a, Jet):
             counts[a.dep] += e
             w += len(a.deriv) * e
@@ -101,7 +110,7 @@ def _grade(mono, ndeps: int):
         elif a.kind == INDEP:
             w -= e
         else:
-            params.append((a.sort_key(), e))
+            params.append((atom_key(mono[j]), e))
     return (tuple(counts), tuple(sorted(fcounts.items())), tuple(sorted(params)), epsw, w)
 
 
@@ -125,7 +134,7 @@ def _mono_edit(mono, *changes):
 
 
 def _mono_degree(mono) -> int:
-    return sum(abs(e) for _, e in mono_atoms(mono))
+    return sum(abs(mono[j]) for j in range(1, len(mono), 2))
 
 
 def _antiderive_candidates(mono, problem: PdeProblem):
@@ -266,6 +275,45 @@ def _solve_block(block, cands, images):
     return fluxes
 
 
+def _top_order(block) -> int:
+    """The highest perturbation order of a coordinate in the block, -1 if
+    none is expanded."""
+    top = -1
+    for mono in block:
+        for j in range(0, len(mono), 2):
+            a = atom_at(mono[j])
+            if isinstance(a, FuncAtom):
+                a = a.arg
+            if isinstance(a, Jet) and a.order is not None and a.order > top:
+                top = a.order
+    return top
+
+
+def _invert_block_once(block, problem: PdeProblem, bounds: _Bounds, k_slot: int | None):
+    """The fluxes of :func:`_invert_block`, escalating the bounds up to
+    ``ESCALATIONS`` times, or None.  A solved block is kept in
+    ``problem.inverted_blocks`` and its fluxes are shared, so callers only
+    read them; a failure is not kept, and the caller raises.
+    The slot cap ``k_slot`` enters the key only when a coordinate of the
+    block lies above it: the inversion's steps (stripping a derivative,
+    undoing a chain-rule step, multiplying by a coordinate, a candidate's
+    D_i image) never raise a perturbation order, so a cap at or above the
+    block's highest order rejects no candidate."""
+    if k_slot is not None and _top_order(block) <= k_slot:
+        k_slot = None
+    key = (frozenset(block.items()), bounds.jet_cap, bounds.degree_cap,
+           frozenset(bounds.laurent_floor.items()), bounds.nd_cap, k_slot)
+    memo = problem.inverted_blocks
+    solved = memo.get(key)
+    if solved is None:
+        for slack in range(ESCALATIONS + 1):
+            solved = _invert_block(block, problem, bounds.relaxed(slack, k_slot))
+            if solved is not None:
+                memo[key] = solved
+                break
+    return solved
+
+
 def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = None) -> ConservationLaw:
     """Invert the divergence: find flux components whose total divergence
     equals the truncated contraction of ``mult`` with the equations,
@@ -300,12 +348,7 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = N
         acc = [dict() for _ in range(n)]
         blocks = _split_blocks(as_poly(tgt), problem.table.n_dep)
         for grade_key in sorted(blocks):
-            block = blocks[grade_key]
-            solved = None
-            for slack in range(ESCALATIONS + 1):
-                solved = _invert_block(block, problem, bounds.relaxed(slack, k_slot))
-                if solved is not None:
-                    break
+            solved = _invert_block_once(blocks[grade_key], problem, bounds, k_slot)
             if solved is None:
                 raise ReconstructionError(
                     f"no flux over jets of order <= {base_cap + ESCALATIONS} "

@@ -38,7 +38,6 @@ from .expr import (
     atom_poly,
     partial,
     poly_atom_ids,
-    substitute,
 )
 
 
@@ -307,32 +306,6 @@ def recursion_R(e) -> NormalForm:
             eq, order, idx = a.tag
             images[aid] = atom_poly(coeff_sym(eq, order + 1, idx))
     return NormalForm(kernel.derive(p, images))
-
-
-def expand_epsilon_recursive(e, p: int) -> list:
-    """Expansion built by the recursion operator instead of substitution:
-    slot 0 is e at eps=0 with variables replaced by their order-0
-    coordinates, and slot k+1 = R[slot k]/(k+1).  Explicit eps content is
-    collected first and shifted in."""
-    out = [dict() for _ in range(p + 1)]
-    subs0 = {}
-
-    def order0(poly):
-        for aid in poly_atom_ids(poly):
-            a = atom_at(aid)
-            if isinstance(a, Jet) and a.order is None:
-                subs0[a] = a.with_order(0)
-            elif isinstance(a, FuncAtom) and a.arg.order is None:
-                subs0[a] = FuncAtom(a.fname, a.nd, a.arg.with_order(0))
-        return substitute(NormalForm(poly), subs0)
-
-    for shift, part in enumerate(collect_eps(e, p)):
-        slot = order0(part)
-        kernel.poly_iadd(out[shift], as_poly(slot))
-        for k in range(p - shift):
-            slot = NormalForm(kernel.poly_scale(as_poly(recursion_R(slot)), Fraction(1, k + 1)))
-            kernel.poly_iadd(out[shift + k + 1], as_poly(slot))
-    return [NormalForm(d) for d in out]
 
 
 # --- Euler operators --------------------------------------------------------

@@ -114,16 +114,24 @@ def solve_particular(rows, rhs: dict, ncols: int):
 def in_span(columns, target):
     """Coefficients expressing ``target`` as a combination of ``columns`` (a
     tuple, free coefficients zero), or None.  Columns and target are sparse
-    maps from a row key to a coefficient; keys need only be hashable.  The
-    canonical RREF is unique, so the order of the rows cannot change the
-    answer."""
+    maps from a row key to a coefficient; keys need only be hashable.  Each
+    row key gives one augmented row, the columns' entries and the negated
+    target entry in column ``len(columns)``, and one :func:`rref` solves them
+    as :func:`solve_particular` would.  The canonical RREF is unique, so the
+    order of the rows cannot change the answer."""
+    n = len(columns)
     rows: dict = {}
     for j, col in enumerate(columns):
         for key, v in col.items():
             if v:
                 rows.setdefault(key, {})[j] = v
-    for key in target:
-        rows.setdefault(key, {})
-    keys = list(rows)
-    rhs = {i: target[key] for i, key in enumerate(keys) if target.get(key)}
-    return solve_particular([rows[key] for key in keys], rhs, len(columns))
+    for key, b in target.items():
+        if b:
+            rows.setdefault(key, {})[n] = -b
+    pivots = rref(list(rows.values()))
+    if n in pivots:
+        return None
+    x = [0] * n
+    for lead, row in pivots.items():
+        x[lead] = _q(-row.get(n, 0))
+    return tuple(x)

@@ -34,13 +34,16 @@ Optional expected-result blocks carry published multiplier/flux sets::
     hint.mult_deps = t, x, u[0]      (ansatz reproducing the results)
     hint.mult_degree = 2
     hint.laurent = u[0]:-2
+    hint.mult_xdegree = 1
     note = free-text documentation
 
 ``#`` starts a comment line.  Slot expressions for the consistent and
 approach-b methods use expanded coordinates (``u[0]``, ``u[1]``); approach-a
 slot expressions use unexpanded ones.  ``equation``, ``leading`` and
 ``note`` may repeat; every other key, and every multiplier, flux or status
-slot, is given once.  Each law has at least one ``multiplier`` line.
+slot, is given once.  Each law has at least one ``multiplier`` line.  The
+four ``hint`` keys above are the only ones; any other is an error, so a
+misspelt hint cannot be dropped unseen.
 
 Every key is checked when a file is parsed, but a multiplier or flux value is
 kept as ``(where, text)``, its raw text with its ``source:lineno``: only
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .atoms import FuncAtom, Jet, Sym, SymbolTable
+from .atoms import DeclarationError, FuncAtom, Jet, Sym, SymbolTable
 from .expr import (
     NormalForm,
     UnsupportedFormError,
@@ -96,7 +99,8 @@ def _multiset_diff(big: tuple, small: tuple) -> tuple:
 
 
 class PdeProblem:
-    __slots__ = ("table", "eqns", "leading", "p", "name", "_rest", "_eps_slots", "_exp_cache")
+    __slots__ = ("table", "eqns", "leading", "p", "name", "_rest", "_eps_slots", "_exp_cache",
+                 "inverted_blocks")
 
     def __init__(self, table: SymbolTable, eqns: list, leading: list, p: int, name: str = ""):
         if not (1 <= p <= MAX_ORDER):
@@ -109,6 +113,9 @@ class PdeProblem:
         self.p = p
         self.name = name
         self._exp_cache = {}
+        # flux blocks inverted by approxlaws.fluxes.reconstruct, keyed by the
+        # exact input of their inversion; they die with the problem
+        self.inverted_blocks = {}
         self._rest = []
         for nu, (eqn, lead) in enumerate(zip(self.eqns, self.leading)):
             if not isinstance(lead, Jet) or lead.order is not None:
@@ -266,6 +273,9 @@ class ExpectedLaw:
 _SINGLE_KEYS = ("independent", "dependent", "parameters", "functions", "name", "method", "order",
                 "epsilon_shifts")
 
+# the hint.* keys, the flags of the ansatz that reproduces a file's laws
+HINT_KEYS = ("mult_deps", "mult_degree", "mult_xdegree", "laurent")
+
 ProblemFile = namedtuple("ProblemFile", "source problem method expected epsilon_shifts hints notes")
 
 
@@ -308,15 +318,16 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
     funcs = []
     for decl in decls["functions"]:
         if "(" not in decl or not decl.endswith(")"):
-            raise ProblemError(f"{source}: malformed function declaration {decl!r}")
+            raise ProblemError(f"{source}:{seen['functions']}: malformed function declaration {decl!r}")
         fname, arg = decl[:-1].split("(", 1)
         funcs.append((fname.strip(), arg.strip()))
     if not decls["independent"] or not decls["dependent"]:
         raise ProblemError(f"{source}: independent and dependent variables are required")
     try:
         table = SymbolTable(decls["independent"], decls["dependent"], decls["parameters"], funcs)
-    except ValueError as exc:
-        raise ProblemError(f"{source}: {exc}") from exc
+    except DeclarationError as exc:
+        # of two declarations that repeat a name, the later line is at fault
+        raise ProblemError(f"{source}:{max(seen[d] for d in exc.decls)}: {exc}") from exc
 
     name = ""
     method = "consistent"
@@ -359,6 +370,9 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             elif key == "note":
                 notes.append(value)
             elif key.startswith("hint."):
+                if key[5:] not in HINT_KEYS:
+                    raise ProblemError(f"{where}: unknown hint {key!r}; the hints are "
+                                       + ", ".join("hint." + h for h in HINT_KEYS))
                 hints[key[5:]] = value
             elif key.startswith("multiplier."):
                 parts = key.split(".")

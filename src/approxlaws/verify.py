@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .atoms import FuncAtom, Jet, Sym, atom_at
+from .atoms import FuncAtom, Jet, Sym, atom_at, atom_key
 from .expr import EvalError, NormalForm, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
 from .multipliers import certified_contraction, euler_residuals
@@ -97,9 +97,13 @@ def verify_on_solutions(problem: PdeProblem, method: str, divs) -> VerificationR
                                for k, red in enumerate(reds)])
 
 
+# the numerators a sample point draws from, built once
+_NUMERATORS = tuple(range(-9, 10))
+_NONZERO_NUMERATORS = tuple(n for n in _NUMERATORS if n)
+
+
 def _rand_rational(rng: random.Random, nonzero: bool) -> Fraction:
-    lo = 1 if nonzero else 0
-    num = rng.choice([n for n in range(-9, 10) if abs(n) >= lo])
+    num = rng.choice(_NONZERO_NUMERATORS if nonzero else _NUMERATORS)
     den = rng.randint(1, 9)
     return Fraction(num, den)
 
@@ -115,7 +119,7 @@ def _sample_atoms(exprs):
                 ids.add(mono[j])
                 if mono[j + 1] < 0:
                     laurent.add(atom_at(mono[j]))
-    return sorted((atom_at(i) for i in ids), key=lambda a: a.sort_key()), laurent
+    return [atom_at(i) for i in sorted(ids, key=atom_key)], laurent
 
 
 def _sample_point(atoms, laurent, rng: random.Random):

@@ -18,7 +18,6 @@ from approxlaws import (
     Jet,
     euler,
     expand_epsilon,
-    expand_epsilon_recursive,
     normalize,
     parse,
     total_derivative,
@@ -36,6 +35,7 @@ from approxlaws.multipliers import (
 )
 from approxlaws.verify import spot_check, verify_euler, verify_identity
 
+from conftest import expand_epsilon_recursive
 from test_multipliers import span_of_vectors
 from test_properties import TABLE, rand_poly
 from test_verify import law_slots

@@ -279,6 +279,19 @@ def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
     assert str(bad) in err
 
 
+def test_misspelt_hint_is_an_input_error(tmp_path, capsys):
+    # a hint key outside the four the format defines is refused, not dropped
+    text = open(fixture_path("diffusion-consistent")).read()
+    lineno = text.splitlines().index("hint.mult_degree = 2") + 1
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text.replace("hint.mult_degree = 2", "hint.mult_degre = 2"))
+    ansatz = ["--mult-deps", "t,x,u[0]", "--mult-degree", "1", "--trials", "1"]
+    for argv in (["verify", str(bad), "--trials", "1"], ["solve", str(bad), *ansatz]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}:{lineno}: unknown hint 'hint.mult_degre'"), err
+
+
 def test_fixture_values_parsed_only_where_laws_are_built(tmp_path, capsys):
     # solve, compare and expand never read a law's values; verify does
     text = open(fixture_path("diffusion-consistent")).read()

@@ -15,7 +15,8 @@ from approxlaws.fluxes import (
 )
 from approxlaws.jets import total_derivative
 from approxlaws.multipliers import AnsatzSpec, MultiplierSet, solve_multipliers
-from approxlaws.problem import parse_problem_text
+from approxlaws.printer import print_poly
+from approxlaws.problem import PdeProblem, parse_problem_text
 from test_verify import law_slots
 
 
@@ -200,3 +201,55 @@ def test_non_identity_reconstruction_is_a_typed_error(diffusion, monkeypatch):
     monkeypatch.setattr(fluxes, "identity_residuals", lambda targets, divs: [normalize(1)])
     with pytest.raises(ReconstructionError, match="non-identity"):
         reconstruct(diffusion, mult(diffusion, "1", "0"))
+
+
+def _printed(law, table):
+    return [[print_poly(s, table) for s in row] for row in law.fluxes]
+
+
+@pytest.mark.parametrize("entry_id", corpus.ENTRY_IDS)
+def test_memo_of_inverted_blocks_changes_no_flux(entry_id):
+    # each law reconstructed on a fresh problem prints the fluxes it prints on
+    # one problem that first inverted every law of the entry, eps-multiples
+    # included
+    entry = corpus.load(entry_id)
+    warm = entry.problem
+    added = {}
+    for cl in entry.laws:
+        before = len(warm.inverted_blocks)
+        reconstruct(warm, cl.law.mult)
+        added[cl.label] = len(warm.inverted_blocks) - before
+    for cl in entry.laws:
+        fresh = PdeProblem(warm.table, warm.eqns, warm.leading, warm.p, name=warm.name)
+        cold_law = reconstruct(fresh, cl.law.mult)
+        warm_law = reconstruct(warm, cl.law.mult)
+        assert _printed(warm_law, warm.table) == _printed(cold_law, warm.table), cl.label
+    if entry_id == "kdv-burgers":
+        # an eps-multiple's slot k+1 is its source law's slot k, inverted once
+        assert [added[f"{n}*eps"] for n in (1, 2, 3)] == [0, 0, 0]
+        assert all(added[n] > 0 for n in ("1", "2", "3"))
+
+
+def test_warm_memo_keeps_the_slot_cap(kdv, monkeypatch):
+    # slot 0 of a consistent law holds no u[1] flux term, even when the same
+    # block was inverted in slot 1 before; the contraction is fixed here so
+    # that the block is a divergence in either slot
+    import approxlaws.fluxes as fluxes
+
+    P = lambda s: normalize(parse(s, kdv.table))
+    contractions = {}
+    monkeypatch.setattr(fluxes, "certified_contraction", lambda problem, m: (contractions[id(m)], []))
+    in_slot1 = MultiplierSet("consistent", ((P("0"), P("u[1]")),))
+    in_slot0 = MultiplierSet("consistent", ((P("u[1]"), P("0")),))
+    contractions[id(in_slot1)] = [P("0"), P("u[1]_x")]
+    contractions[id(in_slot0)] = [P("u[1]_x"), P("0")]
+
+    cold = PdeProblem(kdv.table, kdv.eqns, kdv.leading, kdv.p)
+    with pytest.raises(ReconstructionError, match="series slot 0") as cold_err:
+        reconstruct(cold, in_slot0)
+    law = reconstruct(kdv, in_slot1)
+    assert law.fluxes[1] == (P("0"), P("u[1]"))
+    assert kdv.inverted_blocks
+    with pytest.raises(ReconstructionError, match="series slot 0") as warm_err:
+        reconstruct(kdv, in_slot0)
+    assert str(warm_err.value) == str(cold_err.value)

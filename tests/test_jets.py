@@ -8,13 +8,14 @@ from approxlaws import (
     collect_eps,
     euler,
     expand_epsilon,
-    expand_epsilon_recursive,
     join_eps,
     mul,
     normalize,
     recursion_R,
     total_derivative,
 )
+
+from conftest import expand_epsilon_recursive
 
 
 def test_total_derivative_chain(table, P):

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from approxlaws.linalg import in_span, nullspace, rref, solve_particular
 
 
@@ -74,6 +76,57 @@ def test_in_span_ignores_row_order():
             order = rng.sample(keys, len(keys))
             shuffled = [{k: col[k] for k in order if k in col} for col in columns]
             assert in_span(shuffled, {k: target[k] for k in order}) == answer
+
+
+def _in_span_by_solve_particular(columns, target):
+    """An oracle for in_span: one equation per row key, the target as the
+    right-hand side, solved by solve_particular."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            if v:
+                rows.setdefault(key, {})[j] = v
+    for key in target:
+        rows.setdefault(key, {})
+    keys = list(rows)
+    rhs = {i: target[key] for i, key in enumerate(keys) if target.get(key)}
+    return solve_particular([rows[key] for key in keys], rhs, len(columns))
+
+
+@pytest.mark.parametrize(
+    "columns, target",
+    [
+        ([{"a": 1, "b": 0}, {"b": 2}], {"a": 3, "b": 4}),  # a zero column entry
+        ([{"a": 1}, {"b": 0}], {"a": 2, "b": 0}),  # zero entries on both sides
+        ([{"a": 1}], {"a": 2, "c": 0}),  # a zero under a key no column has
+        ([{"a": 1}], {"a": 2, "c": 5}),  # a key no column has: not in the span
+        ([{"a": 1}, {"a": 2}], {}),  # the empty target: every coefficient zero
+        ([{"a": Fraction(1, 3)}], {}),
+        ([], {}),
+        ([], {"a": 1}),
+        ([{}, {"a": 0}], {"a": 0}),
+        ([{"a": 2, "b": 4}, {"a": 1, "b": 2}], {"a": 1, "b": 2}),  # dependent columns
+        ([{"a": 2, "b": 4}], {"a": 1, "b": 3}),
+    ],
+)
+def test_in_span_edge_cases_match_solve_particular(columns, target):
+    assert in_span(columns, target) == _in_span_by_solve_particular(columns, target)
+
+
+def test_in_span_matches_solve_particular_with_zero_entries():
+    rng = random.Random(11)
+    keys = [("k", i) for i in range(7)]
+    for _ in range(200):
+        columns = [
+            {k: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for k in rng.sample(keys, rng.randint(0, 4))}
+            for _ in range(rng.randint(0, 5))
+        ]
+        target = {k: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for k in rng.sample(keys, rng.randint(0, 7))}
+        if rng.random() < 0.5:
+            # half the targets are in the span, some of them with explicit zeros
+            weights = [rng.randint(-2, 2) for _ in columns]
+            target = {k: sum(c.get(k, 0) * w for c, w in zip(columns, weights)) for k in keys}
+        assert in_span(columns, target) == _in_span_by_solve_particular(columns, target)
 
 
 def _dense_rref(matrix, ncols):

@@ -182,6 +182,42 @@ def test_repeated_or_empty_law_entries_rejected(extra, message):
         parse_problem_text(_LAW + extra)
 
 
+_DECLS = ("name = d\nindependent = t, x\ndependent = u\nparameters = c\nfunctions = f(u)\n"
+          "order = 1\nequation = u_t - u_xx\nleading = u_t\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("functions = f(u)", "functions = f(u", "<problem>:5: malformed function declaration 'f(u'"),
+        ("functions = f(u)", "functions = f(v)", "<problem>:5: function f argument 'v' is not a dependent"),
+        ("dependent = u", "dependent = u, u", "<problem>:3: duplicate symbol name 'u'"),
+        ("independent = t, x", "independent = t, eps", "<problem>:2: 'eps' is a reserved word"),
+        ("parameters = c", "parameters = der", "<problem>:4: 'der' is a reserved word"),
+        ("parameters = c", "parameters = x", "<problem>:4: duplicate symbol name 'x'"),
+        ("functions = f(u)", "functions = f(u), f(u)", "<problem>:5: duplicate symbol name 'f'"),
+        ("functions = f(u)", "functions = c(u)", "<problem>:5: duplicate symbol name 'c'"),
+    ],
+)
+def test_declaration_errors_name_their_line(old, new, message):
+    with pytest.raises(ProblemError, match=re.escape(message)):
+        parse_problem_text(_DECLS.replace(old, new))
+
+
+def test_repeated_name_names_the_later_declaration():
+    text = "parameters = t\n" + _DECLS.replace("parameters = c\n", "")
+    with pytest.raises(ProblemError, match=re.escape("<problem>:3: duplicate symbol name 't'")):
+        parse_problem_text(text)
+
+
+def test_unknown_hint_rejected():
+    text = _DECLS + "hint.mult_deps = t, x, u[0]\nhint.mult_degre = 2\n"
+    with pytest.raises(ProblemError, match=re.escape("<problem>:10: unknown hint 'hint.mult_degre'")):
+        parse_problem_text(text)
+    hints = parse_problem_text(_DECLS + "hint.mult_xdegree = 1\nhint.laurent = u[0]:-2\n").hints
+    assert hints == {"mult_xdegree": "1", "laurent": "u[0]:-2"}
+
+
 _HEADER = "independent = t, x\ndependent = u, v\nparameters = c\nfunctions = f(u)\norder = 1\n"
 _KEYS = (
     "name", "method", "independent", "dependent", "parameters", "functions", "order",

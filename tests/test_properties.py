@@ -13,7 +13,6 @@ from approxlaws import (
     eval_rational,
     euler,
     expand_epsilon,
-    expand_epsilon_recursive,
     mul,
     normalize,
     parse,
@@ -29,6 +28,8 @@ from approxlaws.atoms import INDEP, FuncAtom, Jet, Sym, atom_at, intern, mono_at
 from approxlaws.expr import EvalError, NormalForm, atoms_of, poly_atom_ids
 from approxlaws.fluxes import _antiderive_candidates, _mono_edit
 from approxlaws.verify import CheckResult, _rand_rational, _sample_atoms, spot_check
+
+from conftest import expand_epsilon_recursive
 
 TABLE = SymbolTable(["t", "x"], ["u", "v"], ["c"], [("f", "u")])
 
