@@ -81,7 +81,7 @@ def recorded_laws(pf: ProblemFile) -> list:
     for exp in pf.expected:
         try:
             law = _law_from_expected(pf.problem, pf.method, exp)
-        except ValueError as exc:  # a slot outside the method's coordinate language
+        except UnsupportedFormError as exc:  # a slot outside the method's series form
             raise ProblemError(f"{pf.source}: law {exp.index}: {exc}") from exc
         laws.append(CorpusLaw(str(exp.index), law, exp.status or "identity"))
     by_label = {cl.label: cl for cl in laws}

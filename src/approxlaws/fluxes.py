@@ -11,11 +11,12 @@ one coordinate power).  The saturated set is complete: any flux supported on
 jets up to the order cap can be rewritten into it.
 
 A problem inverts each block once.  ``PdeProblem.inverted_blocks`` keeps
-every solved block under the exact input of its inversion: the block, the
-bounds, and the perturbation-order cap of its series slot, dropped when no
-coordinate of the block lies above it.  No step of the inversion raises a
-perturbation order, so such a cap rejects nothing and the key is exact.  An
-eps-multiple's slot k+1 then reads the block its source law solved in slot k.
+every solved block under the exact input of its inversion, the block and
+its bounds, so an eps-multiple's slot k+1 reads the block its source law
+solved in slot k.  No perturbation-order cap is needed: slot k of a
+consistent contraction holds coordinates of order <= k only (its multiplier
+set and the expanded equations are checked for that where they are made),
+and no step of the inversion raises an order.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from . import kernel, linalg
 from .atoms import FuncAtom, INDEP, Jet, atom_at, atom_key, intern, mono_sort_key
 from .expr import NormalForm, as_poly, atoms_of, normalize
-from .jets import stripped_jet, total_derivative
-from .multipliers import MultiplierSet, _check_slot_language, certified_contraction
+from .jets import check_slots, stripped_jet, total_derivative
+from .multipliers import MultiplierSet, certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
 
 
@@ -36,6 +37,10 @@ class ReconstructionError(Exception):
 # How many times reconstruction may raise the jet-order cap of the flux basis
 # (default max(multiplier order, r - 1)) by one before it gives up.
 ESCALATIONS = 1
+
+# How many generations of the candidate closure one block inversion grows,
+# with a solve attempt after each, before it gives up.
+MAX_ROUNDS = 12
 
 
 class ConservationLaw:
@@ -50,9 +55,9 @@ class ConservationLaw:
     def __init__(self, mult: MultiplierSet, fluxes):
         self.mult = mult
         self.fluxes = tuple(tuple(normalize(f) for f in row) for row in fluxes)
+        # a flux slot may carry curl terms of any perturbation order
         for row in self.fluxes:
-            for slot in row:
-                _check_slot_language(slot, mult.method == "approach_a")
+            check_slots(row, mult.method == "approach_a", False)
         self._divs = None  # the divergence slots, computed on their first read
 
     @property
@@ -167,20 +172,18 @@ class _Bounds:
     without them the inverse closure runs away through Laurent descent
     (u^-n), chain-rule ascent (f^(n)), or coordinate-degree growth."""
 
-    __slots__ = ("jet_cap", "k_slot", "degree_cap", "laurent_floor", "nd_cap")
+    __slots__ = ("jet_cap", "degree_cap", "laurent_floor", "nd_cap")
 
-    def __init__(self, jet_cap: int, k_slot: int | None, degree_cap: int | None, laurent_floor: dict,
-                 nd_cap: int):
+    def __init__(self, jet_cap: int, degree_cap: int | None, laurent_floor: dict, nd_cap: int):
         self.jet_cap = jet_cap
-        self.k_slot = k_slot
         self.degree_cap = degree_cap
         self.laurent_floor = laurent_floor
         self.nd_cap = nd_cap
 
-    def relaxed(self, slack: int, k_slot: int | None) -> "_Bounds":
-        """These bounds for series slot ``k_slot``, each widened by ``slack``."""
+    def relaxed(self, slack: int) -> "_Bounds":
+        """These bounds, each widened by ``slack``."""
         floors = {aid: e - slack for aid, e in self.laurent_floor.items()}
-        return _Bounds(self.jet_cap + slack, k_slot, self.degree_cap, floors, self.nd_cap + slack)
+        return _Bounds(self.jet_cap + slack, self.degree_cap, floors, self.nd_cap + slack)
 
     def admits(self, mono) -> bool:
         if self.degree_cap is not None and _mono_degree(mono) > self.degree_cap:
@@ -193,12 +196,8 @@ class _Bounds:
                     return False
                 if e < 0 and e < self.laurent_floor.get(mono[j], 0):
                     return False
-                if self.k_slot is not None and a.order is not None and a.order > self.k_slot:
-                    return False
             elif isinstance(a, FuncAtom):
                 if a.nd > self.nd_cap:
-                    return False
-                if self.k_slot is not None and a.arg.order is not None and a.arg.order > self.k_slot:
                     return False
             elif e < 0 and a.kind == INDEP:
                 return False
@@ -219,26 +218,27 @@ def _target_bounds(targets, jet_cap, degree_cap) -> _Bounds:
                     floors[mono[j]] = min(floors.get(mono[j], 0), e)
                 elif isinstance(a, FuncAtom):
                     nd = max(nd, a.nd)
-    return _Bounds(jet_cap, None, degree_cap, {aid: e - 1 for aid, e in floors.items()}, nd)
+    return _Bounds(jet_cap, degree_cap, {aid: e - 1 for aid, e in floors.items()}, nd)
 
 
-def _invert_block(block, problem: PdeProblem, bounds: _Bounds, max_rounds: int = 12):
+def _invert_block(block, problem: PdeProblem, bounds: _Bounds):
     """Find per-direction flux dicts whose total divergence equals the block,
     or None.
 
     Candidates come from the inverse-single-derivative closure of the block's
     monomials, grown one generation at a time with a solve attempt after each
-    round: real fluxes live within a couple of generations, while full
-    saturation of a high-degree block can run to tens of thousands of
-    monomials.  Saturation (no new candidates) is still the limit, so a
-    solvable block within the bounds is always solved.
+    round, for at most ``MAX_ROUNDS`` rounds: real fluxes live within a
+    couple of generations, while full saturation of a high-degree block can
+    run to tens of thousands of monomials.  Saturation (no new candidates)
+    is still the limit, so a solvable block within the bounds is always
+    solved.
     """
     n = problem.table.n_indep
     cands = [set() for _ in range(n)]
     images = {}
     seen_block = set(block)
     frontier = list(block)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         new_cands = False
         next_frontier = []
         for m in frontier:
@@ -275,39 +275,18 @@ def _solve_block(block, cands, images):
     return fluxes
 
 
-def _top_order(block) -> int:
-    """The highest perturbation order of a coordinate in the block, -1 if
-    none is expanded."""
-    top = -1
-    for mono in block:
-        for j in range(0, len(mono), 2):
-            a = atom_at(mono[j])
-            if isinstance(a, FuncAtom):
-                a = a.arg
-            if isinstance(a, Jet) and a.order is not None and a.order > top:
-                top = a.order
-    return top
-
-
-def _invert_block_once(block, problem: PdeProblem, bounds: _Bounds, k_slot: int | None):
+def _invert_block_once(block, problem: PdeProblem, bounds: _Bounds):
     """The fluxes of :func:`_invert_block`, escalating the bounds up to
     ``ESCALATIONS`` times, or None.  A solved block is kept in
     ``problem.inverted_blocks`` and its fluxes are shared, so callers only
-    read them; a failure is not kept, and the caller raises.
-    The slot cap ``k_slot`` enters the key only when a coordinate of the
-    block lies above it: the inversion's steps (stripping a derivative,
-    undoing a chain-rule step, multiplying by a coordinate, a candidate's
-    D_i image) never raise a perturbation order, so a cap at or above the
-    block's highest order rejects no candidate."""
-    if k_slot is not None and _top_order(block) <= k_slot:
-        k_slot = None
+    read them; a failure is not kept, and the caller raises."""
     key = (frozenset(block.items()), bounds.jet_cap, bounds.degree_cap,
-           frozenset(bounds.laurent_floor.items()), bounds.nd_cap, k_slot)
+           frozenset(bounds.laurent_floor.items()), bounds.nd_cap)
     memo = problem.inverted_blocks
     solved = memo.get(key)
     if solved is None:
         for slack in range(ESCALATIONS + 1):
-            solved = _invert_block(block, problem, bounds.relaxed(slack, k_slot))
+            solved = _invert_block(block, problem, bounds.relaxed(slack))
             if solved is not None:
                 memo[key] = solved
                 break
@@ -344,11 +323,10 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = N
 
     flux_slots = [[] for _ in range(n)]
     for k, tgt in enumerate(targets):
-        k_slot = None if mult.method != "consistent" else k
         acc = [dict() for _ in range(n)]
         blocks = _split_blocks(as_poly(tgt), problem.table.n_dep)
         for grade_key in sorted(blocks):
-            solved = _invert_block_once(blocks[grade_key], problem, bounds, k_slot)
+            solved = _invert_block_once(blocks[grade_key], problem, bounds)
             if solved is None:
                 raise ReconstructionError(
                     f"no flux over jets of order <= {base_cap + ESCALATIONS} "

@@ -11,7 +11,10 @@ A series truncated at order p is the list of its p+1 eps-free slots, slot k
 the coefficient of eps^k.  This module alone converts between slots and the
 eps atom: :func:`collect_eps` splits an expression into its slots and
 :func:`join_eps` joins them; the Cauchy product of two slot lists is
-:func:`_series_mul`.
+:func:`series_mul`.  :func:`check_slots` checks the slot-list form where a
+series is made: eps-free slots in one coordinate language and, for the
+consistent expansion, slot k free of coordinates of perturbation order
+above k (the order-k part depends on u[0]..u[k] only).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 from . import kernel
 from .atoms import (
     COEFF,
+    EPS,
     EPS_SYM,
     FuncAtom,
     INDEP,
@@ -101,7 +105,7 @@ def total_derivative_chain(e, idxs) -> NormalForm:
 # --- epsilon expansion ------------------------------------------------------
 
 
-def _series_mul(s1, s2, p):
+def series_mul(s1, s2, p):
     """Cauchy product of two slot lists of plain polynomial dicts, truncated
     at order ``p``."""
     out = [dict() for _ in range(p + 1)]
@@ -121,10 +125,10 @@ def _series_pow(s, n, p):
     base = s
     while n:
         if n & 1:
-            out = _series_mul(out, base, p)
+            out = series_mul(out, base, p)
         n >>= 1
         if n:
-            base = _series_mul(base, base, p)
+            base = series_mul(base, base, p)
     return out
 
 
@@ -146,7 +150,7 @@ def _jet_series_pow(jet: Jet, exp: int, p: int):
     out = [{(): 1}] + [dict() for _ in range(p)]
     wj = [{(): 1}] + [dict() for _ in range(p)]
     for j in range(1, p + 1):
-        wj = _series_mul(wj, w, p)
+        wj = series_mul(wj, w, p)
         c = _gen_binom(exp, j)
         for k in range(p + 1):
             kernel.poly_iadd(out[k], wj[k], c)
@@ -162,7 +166,7 @@ def _func_series(fa: FuncAtom, p: int):
     zj = [{(): 1}] + [dict() for _ in range(p)]
     fact = 1
     for j in range(1, p + 1):
-        zj = _series_mul(zj, z, p)
+        zj = series_mul(zj, z, p)
         fact *= j
         fj = intern(FuncAtom(fa.fname, fa.nd + j, u0))
         for k in range(p + 1):
@@ -208,21 +212,45 @@ def join_eps(slots) -> NormalForm:
     return NormalForm(out)
 
 
-def _scan_expansion_state(p):
+def expansion_state(e) -> tuple:
+    """(has unexpanded, has order-tagged): whether ``e`` holds unexpanded
+    dependent coordinates (or function applications of them), and whether
+    it holds order-tagged ones."""
     has_unexp = has_exp = False
-    for aid in poly_atom_ids(p):
+    for aid in poly_atom_ids(as_poly(e)):
         a = atom_at(aid)
+        if isinstance(a, FuncAtom):
+            a = a.arg
         if isinstance(a, Jet):
             if a.order is None:
                 has_unexp = True
             else:
                 has_exp = True
-        elif isinstance(a, FuncAtom):
-            if a.arg.order is None:
-                has_unexp = True
-            else:
-                has_exp = True
     return has_unexp, has_exp
+
+
+def check_slots(slots, unexpanded: bool, capped: bool) -> None:
+    """Check a slot list's form: every slot eps-free (the slot index carries
+    the power) and in one coordinate language, unexpanded jets when
+    ``unexpanded`` (approach A) and order-tagged ones otherwise; mixing is
+    rejected rather than guessed at.  With ``capped``, slot k holds no
+    coordinate of perturbation order above k, as a consistent expansion
+    requires.  Raises UnsupportedFormError."""
+    for k, slot in enumerate(slots):
+        for aid in poly_atom_ids(as_poly(slot)):
+            a = atom_at(aid)
+            if isinstance(a, Sym) and a.kind == EPS:
+                raise UnsupportedFormError("series slots are eps-free; the slot index carries the power")
+            if isinstance(a, FuncAtom):
+                a = a.arg
+            if not isinstance(a, Jet):
+                continue
+            if unexpanded and a.order is not None:
+                raise UnsupportedFormError("approach-a slots use unexpanded coordinates")
+            if not unexpanded and a.order is None:
+                raise UnsupportedFormError("series slots use order-tagged coordinates")
+            if capped and a.order > k:
+                raise UnsupportedFormError(f"slot {k} contains a perturbation-order-{a.order} coordinate")
 
 
 def expand_epsilon(e, p: int) -> list:
@@ -231,16 +259,17 @@ def expand_epsilon(e, p: int) -> list:
     and truncate at order ``p``: the p+1 slots of the series.
 
     Expressions over already-expanded coordinates are collected only (slot
-    k may hold coordinates of perturbation order at most k); mixing expanded
-    and unexpanded atoms in one expression is rejected.
+    k may hold coordinates of perturbation order at most k, see
+    :func:`check_slots`); mixing expanded and unexpanded atoms in one
+    expression is rejected.
     """
     poly = as_poly(e)
-    has_unexp, has_exp = _scan_expansion_state(poly)
+    has_unexp, has_exp = expansion_state(poly)
     if has_unexp and has_exp:
         raise UnsupportedFormError("expression mixes expanded and unexpanded dependent variables")
     if not has_unexp:
         slots = [NormalForm(s) for s in collect_eps(poly, p)]
-        _check_order_invariant(slots)
+        check_slots(slots, False, True)
         return slots
     out = [dict() for _ in range(p + 1)]
     for shift, part in enumerate(collect_eps(poly, p)):
@@ -259,25 +288,10 @@ def expand_epsilon(e, p: int) -> list:
                     plain.append(exp)
             s = [{tuple(plain): c}] + [dict() for _ in range(p)]
             for f in factors:
-                s = _series_mul(s, f, p)
+                s = series_mul(s, f, p)
             for k in range(p + 1 - shift):
                 kernel.poly_iadd(out[k + shift], s[k])
     return [NormalForm(d) for d in out]
-
-
-def _check_order_invariant(slots):
-    for k, slot in enumerate(slots):
-        for aid in poly_atom_ids(as_poly(slot)):
-            a = atom_at(aid)
-            o = None
-            if isinstance(a, Jet):
-                o = a.order
-            elif isinstance(a, FuncAtom):
-                o = a.arg.order
-            if o is not None and o > k:
-                raise UnsupportedFormError(
-                    f"slot {k} contains a perturbation-order-{o} coordinate"
-                )
 
 
 # --- recursion operator -----------------------------------------------------

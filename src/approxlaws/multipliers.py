@@ -16,7 +16,9 @@ The eps-series methods (consistent, approach A) solve that system order by
 order, as the multiplier splits into Lambda_0 + eps Lambda_1 + ...: the
 slot-0 rows A_0 over the order-0 unknowns give the exact multipliers of
 the unperturbed system, and each order k lifts the order-(k-1) space
-through the same A_0 (see :func:`staged_nullspace`).  Approach B, one
+through the same A_0 (see :func:`staged_nullspace`).  For the consistent
+method Lambda_k depends on u[0]..u[k] only, which every
+:class:`MultiplierSet` is checked for when it is made.  Approach B, one
 exact contraction of the hierarchy, is solved in one piece by
 :func:`determining_system`, which for the eps-series methods is the
 monolithic form the staged solve must agree with.
@@ -29,9 +31,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernel, linalg
-from .atoms import COEFF, INDEP, FuncAtom, Jet, Sym, atom_at, coeff_sym, intern, mono_sort_key
+from .atoms import COEFF, INDEP, Jet, Sym, atom_at, coeff_sym, intern, mono_sort_key
 from .expr import NormalForm, UnsupportedFormError, as_poly, atoms_of, normalize
-from .jets import _series_mul, euler, recursion_R
+from .jets import check_slots, euler, recursion_R, series_mul
 from .parser import parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
 
@@ -131,9 +133,11 @@ class MultiplierSet:
     """Per-equation series slots of one multiplier set.
 
     ``slots[nu][k]`` is the order-k component for equation ``nu``: for the
-    consistent method the k-th expansion coefficient over expanded jets, for
-    approach A the k-th eps coefficient over unexpanded jets, for approach B
-    the multiplier of hierarchy member k.
+    consistent method the k-th expansion coefficient over expanded jets,
+    free of coordinates of perturbation order above k, for approach A the
+    k-th eps coefficient over unexpanded jets, for approach B the multiplier
+    of hierarchy member k.  :func:`~approxlaws.jets.check_slots` checks each
+    row at construction and raises UnsupportedFormError.
     """
 
     __slots__ = ("method", "slots", "_memo")
@@ -143,14 +147,12 @@ class MultiplierSet:
             raise ValueError(f"unknown method {method!r}")
         self.method = method
         self.slots = tuple(tuple(normalize(s) for s in row) for row in slots)
-        unexpanded = method == "approach_a"
         for row in self.slots:
-            for slot in row:
-                _check_slot_language(slot, unexpanded)
+            check_slots(row, method == "approach_a", method == "consistent")
         # work on this set read by more than one caller, done once per
         # object: "certified" holds (problem, contraction, Euler residuals)
         # from the first certification; an ansatz keeps "pieces", its
-        # per-unknown decomposition, and "columns", their keyed coefficients
+        # per-unknown decomposition
         self._memo = {}
 
     @property
@@ -180,26 +182,6 @@ class MultiplierSet:
             (NormalForm({}),) + tuple(row[:-1]) for row in self.slots
         )
         return MultiplierSet(self.method, rows)
-
-
-def _check_slot_language(slot, unexpanded: bool):
-    """Series slots are eps-free (the slot index carries the power) and use
-    one coordinate language: unexpanded jets for approach A, order-tagged
-    ones otherwise.  Mixing is rejected rather than guessed at."""
-    for a in atoms_of(slot):
-        if isinstance(a, Sym) and a.kind == "eps":
-            raise ValueError("series slots are eps-free; the slot index carries the power")
-        order = None
-        if isinstance(a, Jet):
-            order = a.order
-        elif isinstance(a, FuncAtom):
-            order = a.arg.order
-        else:
-            continue
-        if unexpanded and order is not None:
-            raise ValueError("approach-a slots use unexpanded coordinates")
-        if not unexpanded and order is None:
-            raise ValueError("series slots use order-tagged coordinates")
 
 
 def shape_generators(generators, method: str, p: int):
@@ -333,7 +315,7 @@ def contraction(problem: PdeProblem, mult: MultiplierSet, upto: int | None = Non
     parts = [{} for _ in range(p + 1)]
     for nu, row in enumerate(mult.slots):
         dsl = problem.expanded_slots(nu) if mult.method == "consistent" else problem.unexpanded_slots(nu)
-        for part, term in zip(parts, _series_mul([as_poly(a) for a in row], [as_poly(d) for d in dsl], p)):
+        for part, term in zip(parts, series_mul([as_poly(a) for a in row], [as_poly(d) for d in dsl], p)):
             kernel.poly_iadd(part, term)
     return [NormalForm(part) for part in parts]
 
@@ -590,14 +572,3 @@ def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "cons
         basis = staged_nullspace(problem, ansatz, unknowns)
     classified = classify(basis, ansatz, unknowns)
     return SolveResult(problem, method, ansatz, unknowns, basis, classified)
-
-
-def coefficient_vector(mult: MultiplierSet, ansatz: MultiplierSet, unknowns) -> tuple | None:
-    """Express a concrete multiplier set in the ansatz coefficient space, or
-    None if it does not fit (used for span-membership tests)."""
-    columns = ansatz._memo.get("columns")
-    if columns is None:
-        columns = ansatz._memo["columns"] = {
-            s: _keyed_coefficients(pieces) for s, pieces in _decompose_by_unknown(ansatz).items()
-        }
-    return linalg.in_span([columns[s] for s in unknowns], _slot_coefficients(mult))

@@ -288,15 +288,20 @@ class _Parser:
         if self.peek()[0] in (_SUFFIX,) or self.at_op("["):
             raise ParseError(f"derivative of a non-dependent symbol {name!r}", pos, self.text)
 
+    def expansion_order(self):
+        """The order ``k`` of a ``[k]`` that follows a dependent variable, or
+        None (unexpanded) if none follows."""
+        if not self.at_op("["):
+            return None
+        self.next()
+        kind, val, pos = self.next()
+        if kind != _NUM:
+            raise ParseError("expansion order must be an integer", pos, self.text)
+        self.expect_op("]")
+        return val
+
     def jetref(self, name, pos) -> Jet:
-        order = None
-        if self.at_op("["):
-            self.next()
-            kind, val, pos2 = self.next()
-            if kind != _NUM:
-                raise ParseError("expansion order must be an integer", pos2, self.text)
-            order = val
-            self.expect_op("]")
+        order = self.expansion_order()
         deriv = ()
         if self.peek()[0] == _SUFFIX:
             _, suffix, pos2 = self.next()
@@ -310,15 +315,7 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != _NAME or self.table.dep_index(val) is None:
             raise ParseError(f"{what} must be a dependent variable", pos, self.text)
-        order = None
-        if self.at_op("["):
-            self.next()
-            kind2, val2, pos2 = self.next()
-            if kind2 != _NUM:
-                raise ParseError("expansion order must be an integer", pos2, self.text)
-            order = val2
-            self.expect_op("]")
-        return self.table.jet(val, order, ())
+        return self.table.jet(val, self.expansion_order(), ())
 
     def der(self, pos) -> dict:
         self.expect_op("(")

@@ -39,11 +39,14 @@ Optional expected-result blocks carry published multiplier/flux sets::
 
 ``#`` starts a comment line.  Slot expressions for the consistent and
 approach-b methods use expanded coordinates (``u[0]``, ``u[1]``); approach-a
-slot expressions use unexpanded ones.  ``equation``, ``leading`` and
-``note`` may repeat; every other key, and every multiplier, flux or status
-slot, is given once.  Each law has at least one ``multiplier`` line.  The
-four ``hint`` keys above are the only ones; any other is an error, so a
-misspelt hint cannot be dropped unseen.
+slot expressions use unexpanded ones.  A consistent ``multiplier.N.K`` holds
+coordinates of perturbation order at most K only, as the expansion
+Lambda_0 + eps Lambda_1 + ... requires.  A slot that breaks either rule is
+an input error (the CLI exits 2).  ``equation``, ``leading`` and ``note``
+may repeat; every other key, and every multiplier, flux or status slot, is
+given once.  Each law has at least one ``multiplier`` line.  The four
+``hint`` keys above are the only ones; any other is an error, so a misspelt
+hint cannot be dropped unseen.
 
 Every key is checked when a file is parsed, but a multiplier or flux value is
 kept as ``(where, text)``, its raw text with its ``source:lineno``: only
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .atoms import DeclarationError, FuncAtom, Jet, Sym, SymbolTable
+from .atoms import DeclarationError, Jet, Sym, SymbolTable
 from .expr import (
     NormalForm,
     UnsupportedFormError,
@@ -66,10 +69,12 @@ from .expr import (
     pow_int,
     substitute,
 )
-from .jets import collect_eps, expand_epsilon, join_eps, total_derivative_chain
+from .jets import collect_eps, expand_epsilon, expansion_state, join_eps, total_derivative_chain
 from .parser import ParseError, parse, single_atom
 
 MAX_ORDER = 3  # configuration cap on the truncation order
+# Bound on the substitution rounds of one on-solution reduction
+MAX_REDUCTION_ROUNDS = 40
 METHODS = ("consistent", "approach_a", "approach_b")
 
 
@@ -120,11 +125,8 @@ class PdeProblem:
         for nu, (eqn, lead) in enumerate(zip(self.eqns, self.leading)):
             if not isinstance(lead, Jet) or lead.order is not None:
                 raise ProblemError("leading derivatives are unexpanded jet coordinates")
-            for a in atoms_of(eqn):
-                if isinstance(a, FuncAtom):
-                    a = a.arg
-                if isinstance(a, Jet) and a.order is not None:
-                    raise ProblemError("equations are written over unexpanded variables")
+            if expansion_state(eqn)[1]:
+                raise ProblemError("equations are written over unexpanded variables")
             q = partial(eqn, lead)
             if q.is_zero():
                 raise ProblemError(f"equation {nu + 1} does not contain its leading derivative")
@@ -205,18 +207,19 @@ class PdeProblem:
                 rules.append((self.leading[nu], self._rest[nu]))
         return rules
 
-    def reduce_on_solutions(self, e, expanded: bool = True, depth: int = 2, max_rounds: int = 40) -> NormalForm:
+    def reduce_on_solutions(self, e, expanded: bool = True, depth: int = 2) -> NormalForm:
         """Substitute leading derivatives and their differential consequences
         (prolongations up to ``depth`` extra derivatives) until none remain.
         Unexpanded: ``e`` is a joined series, truncated at the problem order
         before every round.
 
         Raises :class:`InconclusiveReduction` if a required prolongation
-        exceeds the bound or the rewriting does not settle.
+        exceeds the bound or the rewriting does not settle within
+        ``MAX_REDUCTION_ROUNDS`` substitutions.
         """
         rules = self.solution_rules(expanded)
         cur = normalize(e)
-        for _ in range(max_rounds):
+        for _ in range(MAX_REDUCTION_ROUNDS):
             if not expanded:
                 cur = join_eps(collect_eps(cur, self.p))
             target = None

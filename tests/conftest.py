@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from approxlaws import FuncAtom, Jet, NormalForm, SymbolTable, collect_eps, normalize, parse, recursion_R, substitute
-from approxlaws import kernel
+from approxlaws import kernel, linalg
 from approxlaws.atoms import atom_at
 from approxlaws.expr import as_poly, poly_atom_ids
+from approxlaws.multipliers import _decompose_by_unknown, _keyed_coefficients, _slot_coefficients
 from approxlaws.problem import parse_problem_text
 
 DIFFUSION = """
@@ -89,3 +90,20 @@ def expand_epsilon_recursive(e, p: int) -> list:
             slot = NormalForm(kernel.poly_scale(as_poly(recursion_R(slot)), Fraction(1, k + 1)))
             kernel.poly_iadd(out[shift + k + 1], as_poly(slot))
     return [NormalForm(d) for d in out]
+
+
+# the ansatz last passed to coefficient_vector -> its keyed coefficient
+# columns; tests check many sets against one ansatz in a row
+_columns: dict = {}
+
+
+def coefficient_vector(mult, ansatz, unknowns) -> tuple | None:
+    """Express a concrete multiplier set in the ansatz coefficient space, or
+    None if it does not fit (used for span-membership tests)."""
+    columns = _columns.get(ansatz)
+    if columns is None:
+        _columns.clear()
+        columns = _columns[ansatz] = {
+            s: _keyed_coefficients(pieces) for s, pieces in _decompose_by_unknown(ansatz).items()
+        }
+    return linalg.in_span([columns[s] for s in unknowns], _slot_coefficients(mult))

@@ -29,13 +29,12 @@ from approxlaws.linalg import in_span
 from approxlaws.multipliers import (
     AnsatzSpec,
     MultiplierSet,
-    coefficient_vector,
     contraction,
     solve_multipliers,
 )
 from approxlaws.verify import spot_check, verify_euler, verify_identity
 
-from conftest import expand_epsilon_recursive
+from conftest import coefficient_vector, expand_epsilon_recursive
 from test_multipliers import span_of_vectors
 from test_properties import TABLE, rand_poly
 from test_verify import law_slots

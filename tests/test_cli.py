@@ -279,6 +279,16 @@ def test_malformed_problem_file_exit_code(tmp_path, capsys, old, new):
     assert str(bad) in err
 
 
+def test_order_violating_consistent_multiplier_is_an_input_error(tmp_path, capsys):
+    # multiplier slot k of the consistent method holds coordinates of order <= k only
+    text = open(fixture_path("diffusion-consistent")).read()
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text.replace("multiplier.1.0 = 1\n", "multiplier.1.0 = u[1]\n"))
+    code, out, err = run_cli(capsys, "verify", str(bad), "--trials", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: law 1: slot 0 contains a perturbation-order-1 coordinate\n"
+
+
 def test_misspelt_hint_is_an_input_error(tmp_path, capsys):
     # a hint key outside the four the format defines is refused, not dropped
     text = open(fixture_path("diffusion-consistent")).read()

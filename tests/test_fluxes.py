@@ -228,28 +228,3 @@ def test_memo_of_inverted_blocks_changes_no_flux(entry_id):
         # an eps-multiple's slot k+1 is its source law's slot k, inverted once
         assert [added[f"{n}*eps"] for n in (1, 2, 3)] == [0, 0, 0]
         assert all(added[n] > 0 for n in ("1", "2", "3"))
-
-
-def test_warm_memo_keeps_the_slot_cap(kdv, monkeypatch):
-    # slot 0 of a consistent law holds no u[1] flux term, even when the same
-    # block was inverted in slot 1 before; the contraction is fixed here so
-    # that the block is a divergence in either slot
-    import approxlaws.fluxes as fluxes
-
-    P = lambda s: normalize(parse(s, kdv.table))
-    contractions = {}
-    monkeypatch.setattr(fluxes, "certified_contraction", lambda problem, m: (contractions[id(m)], []))
-    in_slot1 = MultiplierSet("consistent", ((P("0"), P("u[1]")),))
-    in_slot0 = MultiplierSet("consistent", ((P("u[1]"), P("0")),))
-    contractions[id(in_slot1)] = [P("0"), P("u[1]_x")]
-    contractions[id(in_slot0)] = [P("u[1]_x"), P("0")]
-
-    cold = PdeProblem(kdv.table, kdv.eqns, kdv.leading, kdv.p)
-    with pytest.raises(ReconstructionError, match="series slot 0") as cold_err:
-        reconstruct(cold, in_slot0)
-    law = reconstruct(kdv, in_slot1)
-    assert law.fluxes[1] == (P("0"), P("u[1]"))
-    assert kdv.inverted_blocks
-    with pytest.raises(ReconstructionError, match="series slot 0") as warm_err:
-        reconstruct(kdv, in_slot0)
-    assert str(warm_err.value) == str(cold_err.value)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from approxlaws import coeff_sym, corpus, normalize, parse, partial
+from approxlaws import FuncAtom, Jet, UnsupportedFormError, atoms_of, coeff_sym, corpus, normalize, parse, partial
 from approxlaws.expr import as_poly
 from approxlaws.linalg import in_span, nullspace
 from approxlaws.multipliers import (
@@ -17,7 +17,6 @@ from approxlaws.multipliers import (
     MultiplierSet,
     SingularAnsatzError,
     build_ansatz,
-    coefficient_vector,
     contraction,
     determining_system,
     enumerate_basis,
@@ -29,6 +28,8 @@ from approxlaws.multipliers import (
     staged_nullspace,
 )
 from approxlaws.problem import PdeProblem, parse_problem_text
+
+from conftest import KDV, coefficient_vector
 
 
 def span_of_vectors(basis, vec):
@@ -225,18 +226,41 @@ def test_diffusion_approach_b(diffusion):
 
 def test_slots_must_be_eps_free(diffusion):
     tab = diffusion.table
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedFormError):
         MultiplierSet("consistent", ((normalize(parse("eps*u[0]", tab)), normalize(0)),))
 
 
 def test_slot_coordinate_language_enforced(diffusion):
     tab = diffusion.table
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedFormError):
         # unexpanded coordinate in a consistent-method slot
         MultiplierSet("consistent", ((normalize(parse("u", tab)), normalize(0)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedFormError):
         # order-tagged coordinate in an approach-a slot
         MultiplierSet("approach_a", ((normalize(parse("u[0]", tab)), normalize(0)),))
+
+
+def test_consistent_slots_hold_no_order_above_their_index(table):
+    # Lambda_k of the consistent expansion depends on u[0]..u[k] only: a set
+    # that breaks the rule is refused where it is made
+    P = lambda s: normalize(parse(s, table))
+    f_of_u1 = normalize(FuncAtom("f", 0, table.jet("u", 1)))
+    for row, k, order in (
+        ((P("u[1]"), P("0")), 0, 1),
+        ((P("u[0]"), P("u[2]_x"), P("0")), 1, 2),
+        ((f_of_u1, P("0")), 0, 1),
+    ):
+        with pytest.raises(UnsupportedFormError, match=f"slot {k} contains a perturbation-order-{order} "):
+            MultiplierSet("consistent", (row,))
+    # approach B's member k may hold any order
+    MultiplierSet("approach_b", ((P("u[1]"), P("0")),))
+    # an ansatz reaches order k in slot k, and its eps-multiple one slot later
+    kdv2 = parse_problem_text(KDV.replace("order = 1", "order = 2")).problem
+    ansatz = build_ansatz(kdv2, spec_for(kdv2, ["t", "x", "u[0]"], 2))
+    for k, slot in enumerate(ansatz.slots[0]):
+        assert max(a.order for a in atoms_of(slot) if isinstance(a, Jet)) == k
+    shifted = ansatz.eps_shifted()
+    assert shifted.slots[0][1:] == ansatz.slots[0][:-1]
 
 
 def test_approach_a_shift_classification(diffusion):

@@ -84,6 +84,12 @@ def test_function_argument_validation(table):
         parse("f(u_x)", table)
 
 
+@pytest.mark.parametrize("text, pos", [("u[x]", 2), ("der(u[x], x)", 6), ("f(u[x])", 4)])
+def test_expansion_order_must_be_an_integer(table, text, pos):
+    with pytest.raises(ParseError, match=rf"^expansion order must be an integer \(at position {pos}\)$"):
+        parse(text, table)
+
+
 def test_coefficient_digit_bound(table):
     # a coefficient of MAX_DIGITS digits parses and prints; one digit more,
     # or a power or product that reaches it, is a ParseError
