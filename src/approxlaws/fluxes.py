@@ -12,11 +12,12 @@ jets up to the order cap can be rewritten into it.
 
 A problem inverts each block once.  ``PdeProblem.inverted_blocks`` keeps
 every solved block under the exact input of its inversion, the block and
-its bounds, so an eps-multiple's slot k+1 reads the block its source law
-solved in slot k.  No perturbation-order cap is needed: slot k of a
-consistent contraction holds coordinates of order <= k only (its multiplier
-set and the expanded equations are checked for that where they are made),
-and no step of the inversion raises an order.
+its jet-order and degree caps (its other bounds follow from the block), so
+an eps-multiple's slot k+1 reads the block its source law solved in slot
+k.  No perturbation-order cap is needed: slot k of a consistent
+contraction holds coordinates of order <= k only (its multiplier set and
+the expanded equations are checked for that where they are made), and no
+step of the inversion raises an order.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _antiderive_candidates(mono, problem: PdeProblem):
 
 
 class _Bounds:
-    """Finiteness bounds for the candidate closure, derived from the target:
+    """Finiteness bounds for the candidate closure, derived from the block:
     without them the inverse closure runs away through Laurent descent
     (u^-n), chain-rule ascent (f^(n)), or coordinate-degree growth."""
 
@@ -204,20 +205,19 @@ class _Bounds:
         return True
 
 
-def _target_bounds(targets, jet_cap, degree_cap) -> _Bounds:
-    """A reconstruction's bounds from one scan of its targets: Laurent floors one
-    below their lowest jet exponents, and their largest function-derivative count."""
+def _block_bounds(block, jet_cap, degree_cap) -> _Bounds:
+    """A block's bounds from one scan of it: Laurent floors one below its
+    lowest jet exponents, and its largest function-derivative count."""
     floors: dict = {}
     nd = 0
-    for tgt in targets:
-        for mono in as_poly(tgt):
-            for j in range(0, len(mono), 2):
-                a = atom_at(mono[j])
-                e = mono[j + 1]
-                if isinstance(a, Jet) and e < 0:
-                    floors[mono[j]] = min(floors.get(mono[j], 0), e)
-                elif isinstance(a, FuncAtom):
-                    nd = max(nd, a.nd)
+    for mono in block:
+        for j in range(0, len(mono), 2):
+            a = atom_at(mono[j])
+            e = mono[j + 1]
+            if isinstance(a, Jet) and e < 0:
+                floors[mono[j]] = min(floors.get(mono[j], 0), e)
+            elif isinstance(a, FuncAtom):
+                nd = max(nd, a.nd)
     return _Bounds(jet_cap, degree_cap, {aid: e - 1 for aid, e in floors.items()}, nd)
 
 
@@ -275,16 +275,16 @@ def _solve_block(block, cands, images):
     return fluxes
 
 
-def _invert_block_once(block, problem: PdeProblem, bounds: _Bounds):
-    """The fluxes of :func:`_invert_block`, escalating the bounds up to
-    ``ESCALATIONS`` times, or None.  A solved block is kept in
-    ``problem.inverted_blocks`` and its fluxes are shared, so callers only
+def _invert_block_once(block, problem: PdeProblem, jet_cap: int, degree_cap: int | None):
+    """The fluxes of :func:`_invert_block` under :func:`_block_bounds`,
+    escalated up to ``ESCALATIONS`` times, or None.  A solved block is kept
+    in ``problem.inverted_blocks`` and its fluxes are shared, so callers only
     read them; a failure is not kept, and the caller raises."""
-    key = (frozenset(block.items()), bounds.jet_cap, bounds.degree_cap,
-           frozenset(bounds.laurent_floor.items()), bounds.nd_cap)
+    key = (frozenset(block.items()), jet_cap, degree_cap)
     memo = problem.inverted_blocks
     solved = memo.get(key)
     if solved is None:
+        bounds = _block_bounds(block, jet_cap, degree_cap)
         for slack in range(ESCALATIONS + 1):
             solved = _invert_block(block, problem, bounds.relaxed(slack))
             if solved is not None:
@@ -319,14 +319,13 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = N
                     s = max(s, len(a.deriv))
     base_cap = max(s, problem.r - 1)
     n = problem.table.n_indep
-    bounds = _target_bounds(targets, base_cap, degree)
 
     flux_slots = [[] for _ in range(n)]
     for k, tgt in enumerate(targets):
         acc = [dict() for _ in range(n)]
         blocks = _split_blocks(as_poly(tgt), problem.table.n_dep)
         for grade_key in sorted(blocks):
-            solved = _invert_block_once(blocks[grade_key], problem, bounds)
+            solved = _invert_block_once(blocks[grade_key], problem, base_cap, degree)
             if solved is None:
                 raise ReconstructionError(
                     f"no flux over jets of order <= {base_cap + ESCALATIONS} "

@@ -2,10 +2,11 @@
 
 Total derivatives thread through every jet coordinate (all perturbation
 orders at once), epsilon expansion turns expressions over unexpanded
-variables into truncated series over order-tagged coordinates, the recursion
-operator generates slot k+1 of such a series from slot k, and the Euler
-operator of an underived dependent coordinate v annihilates total
-divergences: v is u[k] at one perturbation order k, or u unexpanded.
+variables into truncated series over order-tagged coordinates (slot 0 over
+order-0 coordinates, then the recursion operator R: slot k+1 = R[slot k]/(k+1),
+:func:`recursion_series`, which builds the consistent multiplier ansatz too),
+and the Euler operator of an underived dependent coordinate v annihilates
+total divergences: v is u[k] at one perturbation order k, or u unexpanded.
 
 A series truncated at order p is the list of its p+1 eps-free slots, slot k
 the coefficient of eps^k.  This module alone converts between slots and the
@@ -19,7 +20,6 @@ above k (the order-k part depends on u[0]..u[k] only).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import kernel
@@ -120,60 +120,6 @@ def series_mul(s1, s2, p):
     return out
 
 
-def _series_pow(s, n, p):
-    out = [{(): 1}] + [dict() for _ in range(p)]
-    base = s
-    while n:
-        if n & 1:
-            out = series_mul(out, base, p)
-        n >>= 1
-        if n:
-            base = series_mul(base, base, p)
-    return out
-
-
-def _gen_binom(n: int, j: int) -> int:
-    num = 1
-    for i in range(j):
-        num *= n - i
-    return num // math.factorial(j)
-
-
-def _jet_series_pow(jet: Jet, exp: int, p: int):
-    base = [atom_poly(jet.with_order(k)) for k in range(p + 1)]
-    if exp >= 0:
-        return _series_pow(base, exp, p)
-    u0 = jet.with_order(0)
-    u0_id = intern(u0)
-    # u^exp = u0^exp * (1 + w)^exp, w = sum_{k>=1} eps^k u_(k)/u0
-    w = [dict()] + [{kernel.mono_mul((intern(jet.with_order(k)), 1), (u0_id, -1)): 1} for k in range(1, p + 1)]
-    out = [{(): 1}] + [dict() for _ in range(p)]
-    wj = [{(): 1}] + [dict() for _ in range(p)]
-    for j in range(1, p + 1):
-        wj = series_mul(wj, w, p)
-        c = _gen_binom(exp, j)
-        for k in range(p + 1):
-            kernel.poly_iadd(out[k], wj[k], c)
-    return [kernel.poly_mul_mono(slot, (u0_id, exp), 1) for slot in out]
-
-
-def _func_series(fa: FuncAtom, p: int):
-    if fa.arg.deriv:
-        raise UnsupportedFormError("function arguments must be underived dependent variables")
-    u0 = fa.arg.with_order(0)
-    out = [atom_poly(FuncAtom(fa.fname, fa.nd, u0))] + [dict() for _ in range(p)]
-    z = [dict()] + [atom_poly(fa.arg.with_order(k)) for k in range(1, p + 1)]
-    zj = [{(): 1}] + [dict() for _ in range(p)]
-    fact = 1
-    for j in range(1, p + 1):
-        zj = series_mul(zj, z, p)
-        fact *= j
-        fj = intern(FuncAtom(fa.fname, fa.nd + j, u0))
-        for k in range(p + 1):
-            kernel.poly_iadd(out[k], kernel.poly_mul_mono(zj[k], (fj, 1), Fraction(1, fact)))
-    return out
-
-
 def eps_powers(e) -> dict:
     """Split by powers of eps, of either sign: ``{k: coefficient polynomial
     of eps^k}``."""
@@ -254,9 +200,13 @@ def check_slots(slots, unexpanded: bool, capped: bool) -> None:
 
 
 def expand_epsilon(e, p: int) -> list:
-    """Substitute the power-series expansion of every unexpanded dependent
-    variable, Taylor-expand function applications, collect by powers of eps,
-    and truncate at order ``p``: the p+1 slots of the series.
+    """The p+1 slots of ``e``'s eps-series, truncated at order ``p``.
+
+    Over unexpanded dependent variables, slot 0 is ``e`` over order-0
+    coordinates (every jet and function argument renamed), then R
+    (:func:`recursion_series`); explicit powers of eps are split off first
+    and shift their part's series.  Ansatz coefficients (whose tags R would
+    shift) and functions of derived arguments are rejected.
 
     Expressions over already-expanded coordinates are collected only (slot
     k may hold coordinates of perturbation order at most k, see
@@ -271,26 +221,25 @@ def expand_epsilon(e, p: int) -> list:
         slots = [NormalForm(s) for s in collect_eps(poly, p)]
         check_slots(slots, False, True)
         return slots
+    order0 = {}
+    for aid in poly_atom_ids(poly):
+        a = atom_at(aid)
+        if isinstance(a, Jet):
+            order0[aid] = intern(a.with_order(0))
+        elif isinstance(a, FuncAtom):
+            if a.arg.deriv:
+                raise UnsupportedFormError("function arguments must be underived dependent variables")
+            order0[aid] = intern(FuncAtom(a.fname, a.nd, a.arg.with_order(0)))
+        elif a.kind == COEFF:
+            raise UnsupportedFormError("ansatz coefficients cannot be eps-expanded")
+    renamed = {}
+    for mono, c in poly.items():
+        pairs = sorted((order0.get(mono[j], mono[j]), mono[j + 1]) for j in range(0, len(mono), 2))
+        renamed[tuple(x for pair in pairs for x in pair)] = c
     out = [dict() for _ in range(p + 1)]
-    for shift, part in enumerate(collect_eps(poly, p)):
-        for mono, c in part.items():
-            factors = []
-            plain = []
-            for j in range(0, len(mono), 2):
-                aid, exp = mono[j], mono[j + 1]
-                a = atom_at(aid)
-                if isinstance(a, Jet):
-                    factors.append(_jet_series_pow(a, exp, p))
-                elif isinstance(a, FuncAtom):
-                    factors.append(_series_pow(_func_series(a, p), exp, p))
-                else:
-                    plain.append(aid)
-                    plain.append(exp)
-            s = [{tuple(plain): c}] + [dict() for _ in range(p)]
-            for f in factors:
-                s = series_mul(s, f, p)
-            for k in range(p + 1 - shift):
-                kernel.poly_iadd(out[k + shift], s[k])
+    for shift, part in enumerate(collect_eps(renamed, p)):
+        for k, slot in enumerate(recursion_series(part, p - shift)):
+            kernel.poly_iadd(out[k + shift], as_poly(slot))
     return [NormalForm(d) for d in out]
 
 
@@ -320,6 +269,15 @@ def recursion_R(e) -> NormalForm:
             eq, order, idx = a.tag
             images[aid] = atom_poly(coeff_sym(eq, order + 1, idx))
     return NormalForm(kernel.derive(p, images))
+
+
+def recursion_series(slot0, p: int) -> list:
+    """The p+1 slots of the consistent expansion whose slot 0 is ``slot0``
+    (over order-tagged coordinates): slot k+1 = R[slot k]/(k+1)."""
+    slots = [NormalForm(as_poly(slot0))]
+    for k in range(p):
+        slots.append(NormalForm(kernel.poly_scale(as_poly(recursion_R(slots[k])), Fraction(1, k + 1))))
+    return slots
 
 
 # --- Euler operators --------------------------------------------------------

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import kernel, linalg
 from .atoms import COEFF, INDEP, Jet, Sym, atom_at, coeff_sym, intern, mono_sort_key
 from .expr import NormalForm, UnsupportedFormError, as_poly, atoms_of, normalize
-from .jets import check_slots, euler, recursion_R, series_mul
+from .jets import check_slots, euler, recursion_series, series_mul
 from .parser import parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
 
@@ -266,13 +265,8 @@ def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consisten
     rows = []
     for nu in range(problem.q):
         if method == "consistent":
-            slot = NormalForm(
-                _linear_combo(basis, [coeff_sym(nu, 0, m) for m in range(len(basis))])
-            )
-            slots = [slot]
-            for k in range(p):
-                nxt = kernel.poly_scale(as_poly(recursion_R(slots[k])), Fraction(1, k + 1))
-                slots.append(NormalForm(nxt))
+            slot0 = _linear_combo(basis, [coeff_sym(nu, 0, m) for m in range(len(basis))])
+            slots = recursion_series(slot0, p)
         else:
             slots = [
                 NormalForm(_linear_combo(basis, [coeff_sym(nu, k, m) for m in range(len(basis))]))
@@ -403,7 +397,7 @@ def _unknowns(problem: PdeProblem, ansatz: MultiplierSet) -> list:
     for row in ansatz.slots:
         for slot in row:
             for a in atoms_of(slot):
-                nu = problem._leading_equation(a) if isinstance(a, Jet) else None
+                nu = problem.leading_equation(a) if isinstance(a, Jet) else None
                 if nu is not None:
                     raise SingularAnsatzError(
                         f"ansatz depends on the leading derivative of equation {nu + 1}; "

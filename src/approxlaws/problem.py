@@ -75,6 +75,9 @@ from .parser import ParseError, parse, single_atom
 MAX_ORDER = 3  # configuration cap on the truncation order
 # Bound on the substitution rounds of one on-solution reduction
 MAX_REDUCTION_ROUNDS = 40
+# Bound on the extra derivatives of a leading derivative's differential
+# consequence that one on-solution reduction may substitute
+MAX_PROLONGATION = 2
 METHODS = ("consistent", "approach_a", "approach_b")
 
 
@@ -143,7 +146,7 @@ class PdeProblem:
         # Cauchy-Kovalevskaya: every rest free of all leading jets and their derivatives
         for nu, rest in enumerate(self._rest):
             for a in atoms_of(rest):
-                if isinstance(a, Jet) and self._leading_equation(a) is not None:
+                if isinstance(a, Jet) and self.leading_equation(a) is not None:
                     raise ProblemError(
                         f"equation {nu + 1} is not in Cauchy-Kovalevskaya form: "
                         f"remainder contains a leading-derived coordinate"
@@ -171,7 +174,7 @@ class PdeProblem:
                     r = max(r, len(a.deriv))
         return r
 
-    def _leading_equation(self, jet: Jet) -> int | None:
+    def leading_equation(self, jet: Jet) -> int | None:
         """Index of the first equation whose leading derivative ``jet`` is,
         or is a derivative of; None if there is none."""
         for nu, lead in enumerate(self.leading):
@@ -207,9 +210,10 @@ class PdeProblem:
                 rules.append((self.leading[nu], self._rest[nu]))
         return rules
 
-    def reduce_on_solutions(self, e, expanded: bool = True, depth: int = 2) -> NormalForm:
+    def reduce_on_solutions(self, e, expanded: bool = True) -> NormalForm:
         """Substitute leading derivatives and their differential consequences
-        (prolongations up to ``depth`` extra derivatives) until none remain.
+        (prolongations up to ``MAX_PROLONGATION`` extra derivatives) until
+        none remain.
         Unexpanded: ``e`` is a joined series, truncated at the problem order
         before every round.
 
@@ -229,9 +233,9 @@ class PdeProblem:
                 for lead, rest in rules:
                     if a.dep == lead.dep and a.order == lead.order and _multiset_contains(a.deriv, lead.deriv):
                         extra = _multiset_diff(a.deriv, lead.deriv)
-                        if len(extra) > depth:
+                        if len(extra) > MAX_PROLONGATION:
                             raise InconclusiveReduction(
-                                f"prolongation depth {len(extra)} exceeds bound {depth}"
+                                f"prolongation depth {len(extra)} exceeds bound {MAX_PROLONGATION}"
                             )
                         target = (a, total_derivative_chain(rest, extra))
                         break

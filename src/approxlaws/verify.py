@@ -22,12 +22,15 @@ import random
 from fractions import Fraction
 
 from .atoms import FuncAtom, Jet, Sym, atom_at, atom_key
-from .expr import EvalError, NormalForm, eval_rational
+from .expr import EvalError, NormalForm, as_poly, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
 from .multipliers import certified_contraction, euler_residuals
 from .problem import InconclusiveReduction, PdeProblem
 
 DEFAULT_SEED = 2023
+# How many sample points one spot-check trial may draw before an evaluation
+# singularity at each of them fails the trial
+MAX_RETRIES = 5
 
 
 class CheckResult:
@@ -114,7 +117,7 @@ def _sample_atoms(exprs):
     ids = set()
     laurent = set()
     for e in exprs:
-        for mono in e._p:
+        for mono in as_poly(e):
             for j in range(0, len(mono), 2):
                 ids.add(mono[j])
                 if mono[j + 1] < 0:
@@ -146,12 +149,11 @@ def _sample_point(atoms, laurent, rng: random.Random):
     return point, fvals
 
 
-def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
-               max_retries: int = 5) -> VerificationReport:
+def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Evaluate both sides of the divergence identity, the contraction
     ``targets`` and the flux divergence ``divs``, at random rational jet
     points; exact equality required.  Seeded and reproducible; evaluation
-    singularities are resampled a bounded number of times.  The atoms to
+    singularities are resampled up to ``MAX_RETRIES`` times.  The atoms to
     sample are collected once per call; every trial draws their values in
     canonical atom order and evaluates with :func:`eval_rational`'s integer
     arithmetic, all slots of both sides sharing one table of the point's
@@ -164,7 +166,7 @@ def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED,
         rng = random.Random(f"{seed}:{trial}")
         ok = True
         witness = None
-        for attempt in range(max_retries):
+        for attempt in range(MAX_RETRIES):
             try:
                 point, fvals = _sample_point(atoms, laurent, rng)
                 powers = {}

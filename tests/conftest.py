@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from approxlaws import FuncAtom, Jet, NormalForm, SymbolTable, collect_eps, normalize, parse, recursion_R, substitute
+from approxlaws import FuncAtom, Jet, NormalForm, SymbolTable, collect_eps, normalize, parse
 from approxlaws import kernel, linalg
-from approxlaws.atoms import atom_at
-from approxlaws.expr import as_poly, poly_atom_ids
+from approxlaws.atoms import atom_at, intern
+from approxlaws.expr import UnsupportedFormError, atom_poly
+from approxlaws.jets import series_mul
 from approxlaws.multipliers import _decompose_by_unknown, _keyed_coefficients, _slot_coefficients
 from approxlaws.problem import parse_problem_text
 
@@ -65,30 +67,88 @@ def P(table):
     return lambda s: normalize(parse(s, table))
 
 
-def expand_epsilon_recursive(e, p: int) -> list:
-    """An oracle for :func:`approxlaws.expand_epsilon`: the expansion built by
-    the recursion operator instead of substitution.  Slot 0 is e at eps=0
-    with variables replaced by their order-0 coordinates, and slot k+1 =
-    R[slot k]/(k+1).  Explicit eps content is collected first and shifted
-    in."""
+def _series_pow(s, n, p):
+    out = [{(): 1}] + [dict() for _ in range(p)]
+    base = s
+    while n:
+        if n & 1:
+            out = series_mul(out, base, p)
+        n >>= 1
+        if n:
+            base = series_mul(base, base, p)
+    return out
+
+
+def _gen_binom(n: int, j: int) -> int:
+    num = 1
+    for i in range(j):
+        num *= n - i
+    return num // math.factorial(j)
+
+
+def _jet_series_pow(jet: Jet, exp: int, p: int):
+    base = [atom_poly(jet.with_order(k)) for k in range(p + 1)]
+    if exp >= 0:
+        return _series_pow(base, exp, p)
+    u0 = jet.with_order(0)
+    u0_id = intern(u0)
+    # u^exp = u0^exp * (1 + w)^exp, w = sum_{k>=1} eps^k u_(k)/u0
+    w = [dict()] + [{kernel.mono_mul((intern(jet.with_order(k)), 1), (u0_id, -1)): 1} for k in range(1, p + 1)]
+    out = [{(): 1}] + [dict() for _ in range(p)]
+    wj = [{(): 1}] + [dict() for _ in range(p)]
+    for j in range(1, p + 1):
+        wj = series_mul(wj, w, p)
+        c = _gen_binom(exp, j)
+        for k in range(p + 1):
+            kernel.poly_iadd(out[k], wj[k], c)
+    return [kernel.poly_mul_mono(slot, (u0_id, exp), 1) for slot in out]
+
+
+def _func_series(fa: FuncAtom, p: int):
+    if fa.arg.deriv:
+        raise UnsupportedFormError("function arguments must be underived dependent variables")
+    u0 = fa.arg.with_order(0)
+    out = [atom_poly(FuncAtom(fa.fname, fa.nd, u0))] + [dict() for _ in range(p)]
+    z = [dict()] + [atom_poly(fa.arg.with_order(k)) for k in range(1, p + 1)]
+    zj = [{(): 1}] + [dict() for _ in range(p)]
+    fact = 1
+    for j in range(1, p + 1):
+        zj = series_mul(zj, z, p)
+        fact *= j
+        fj = intern(FuncAtom(fa.fname, fa.nd + j, u0))
+        for k in range(p + 1):
+            kernel.poly_iadd(out[k], kernel.poly_mul_mono(zj[k], (fj, 1), Fraction(1, fact)))
+    return out
+
+
+def expand_epsilon_substitution(e, p: int) -> list:
+    """An oracle for :func:`approxlaws.expand_epsilon` over unexpanded
+    variables: the expansion built by substitution instead of the recursion
+    operator.  Every dependent variable is replaced by its power series,
+    powers of it by their binomial series and function applications by
+    their Taylor series; the products are collected by powers of eps and
+    truncated at order ``p``.  Explicit eps content is collected first and
+    shifted in."""
     out = [dict() for _ in range(p + 1)]
-    subs0 = {}
-
-    def order0(poly):
-        for aid in poly_atom_ids(poly):
-            a = atom_at(aid)
-            if isinstance(a, Jet) and a.order is None:
-                subs0[a] = a.with_order(0)
-            elif isinstance(a, FuncAtom) and a.arg.order is None:
-                subs0[a] = FuncAtom(a.fname, a.nd, a.arg.with_order(0))
-        return substitute(NormalForm(poly), subs0)
-
     for shift, part in enumerate(collect_eps(e, p)):
-        slot = order0(part)
-        kernel.poly_iadd(out[shift], as_poly(slot))
-        for k in range(p - shift):
-            slot = NormalForm(kernel.poly_scale(as_poly(recursion_R(slot)), Fraction(1, k + 1)))
-            kernel.poly_iadd(out[shift + k + 1], as_poly(slot))
+        for mono, c in part.items():
+            factors = []
+            plain = []
+            for j in range(0, len(mono), 2):
+                aid, exp = mono[j], mono[j + 1]
+                a = atom_at(aid)
+                if isinstance(a, Jet):
+                    factors.append(_jet_series_pow(a, exp, p))
+                elif isinstance(a, FuncAtom):
+                    factors.append(_series_pow(_func_series(a, p), exp, p))
+                else:
+                    plain.append(aid)
+                    plain.append(exp)
+            s = [{tuple(plain): c}] + [dict() for _ in range(p)]
+            for f in factors:
+                s = series_mul(s, f, p)
+            for k in range(p + 1 - shift):
+                kernel.poly_iadd(out[k + shift], s[k])
     return [NormalForm(d) for d in out]
 
 

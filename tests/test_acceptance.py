@@ -34,7 +34,7 @@ from approxlaws.multipliers import (
 )
 from approxlaws.verify import spot_check, verify_euler, verify_identity
 
-from conftest import coefficient_vector, expand_epsilon_recursive
+from conftest import coefficient_vector, expand_epsilon_substitution
 from test_multipliers import span_of_vectors
 from test_properties import TABLE, rand_poly
 from test_verify import law_slots
@@ -335,9 +335,9 @@ def test_criterion_7b_recursion_equals_substitution_200():
         if trial % 4 == 0:
             e = e + normalize(TABLE.eps) * rand_poly(rng, expanded=False, with_func=False)
         p = 1 + trial % 2
-        direct = expand_epsilon(e, p)
-        rec = expand_epsilon_recursive(e, p)
-        assert direct == rec, trial
+        rec = expand_epsilon(e, p)
+        sub = expand_epsilon_substitution(e, p)
+        assert rec == sub, trial
     print("\nPASS criterion 7b (200 recursion-vs-substitution expansions, p in {1,2})")
 
 

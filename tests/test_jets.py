@@ -3,8 +3,10 @@
 import pytest
 
 from approxlaws import (
+    FuncAtom,
     Jet,
     UnsupportedFormError,
+    coeff_sym,
     collect_eps,
     euler,
     expand_epsilon,
@@ -15,7 +17,7 @@ from approxlaws import (
     total_derivative,
 )
 
-from conftest import expand_epsilon_recursive
+from conftest import expand_epsilon_substitution
 
 
 def test_total_derivative_chain(table, P):
@@ -76,6 +78,16 @@ def test_expand_collect_only_checks_order_invariant(P):
         expand_epsilon(P("u[1]"), 1)  # order-1 jet in slot 0
 
 
+def test_expand_rejects_what_recursion_would_misread(P):
+    # R shifts an ansatz coefficient's order tag, and chains a function only
+    # through an underived argument; both are refused before R is applied
+    with pytest.raises(UnsupportedFormError, match="ansatz coefficient"):
+        expand_epsilon(P("u^2") * coeff_sym(0, 0, 1), 1)
+    derived = FuncAtom("f", 0, Jet(0, None, (1,)))
+    with pytest.raises(UnsupportedFormError, match="underived"):
+        expand_epsilon(normalize(derived), 1)
+
+
 def test_expand_negative_eps_power_rejected(table):
     from approxlaws.expr import poly_pow, as_poly, NormalForm
 
@@ -93,8 +105,6 @@ def test_recursion_on_jets(table):
 
 
 def test_recursion_coefficient_tag_shift():
-    from approxlaws import coeff_sym
-
     c0 = coeff_sym(0, 0, 3)
     c1 = coeff_sym(0, 1, 3)
     assert recursion_R(c0) == normalize(c1)
@@ -132,12 +142,13 @@ def test_euler_per_order(P, table):
 
 
 def test_recursive_expansion_matches_direct(P):
-    cases = ["u^2*v - t*u_x", "u - u^-1 + eps*u*v", "f(u)*u_x + eps*x", "c*u^3 - eps^1*v_t*u"]
+    cases = ["u^2*v - t*u_x", "u - u^-1 + eps*u*v", "f(u)*u_x + eps*x", "c*u^3 - eps^1*v_t*u",
+             "u_x^-2", "f''(u)*u_x^-1*v", "v^-3 + eps*u_xx^-1"]
     for text in cases:
         e = P(text)
-        for p in (1, 2):
+        for p in (1, 2, 3):
             a = expand_epsilon(e, p)
-            b = expand_epsilon_recursive(e, p)
+            b = expand_epsilon_substitution(e, p)
             assert a == b, text
 
 

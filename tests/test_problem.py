@@ -103,13 +103,15 @@ def test_reduce_on_solutions_with_consequences(kdv):
     assert not kdv.reduce_on_solutions(P("u[0]_t")).is_zero()
 
 
-def test_reduce_depth_bound(kdv):
+def test_reduce_depth_bound(kdv, monkeypatch):
     # D_t of the equation needs the consequence u_txxx = D_xxx(rest): depth 3
     d0 = kdv.expanded_slots(0)[0]
     deep = total_derivative(d0, 0)
+    monkeypatch.setattr(problem, "MAX_PROLONGATION", 2)
     with pytest.raises(InconclusiveReduction):
-        kdv.reduce_on_solutions(deep, depth=2)
-    assert kdv.reduce_on_solutions(deep, depth=3).is_zero()
+        kdv.reduce_on_solutions(deep)
+    monkeypatch.setattr(problem, "MAX_PROLONGATION", 3)
+    assert kdv.reduce_on_solutions(deep).is_zero()
 
 
 def test_unexpanded_reduction_truncates(diffusion):

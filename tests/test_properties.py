@@ -23,13 +23,13 @@ from approxlaws import (
     substitute,
     total_derivative,
 )
-from approxlaws import kernel
+from approxlaws import kernel, verify
 from approxlaws.atoms import INDEP, FuncAtom, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
 from approxlaws.expr import EvalError, NormalForm, atoms_of, poly_atom_ids
 from approxlaws.fluxes import _antiderive_candidates, _mono_edit
 from approxlaws.verify import CheckResult, _rand_rational, _sample_atoms, spot_check
 
-from conftest import expand_epsilon_recursive
+from conftest import expand_epsilon_substitution
 
 TABLE = SymbolTable(["t", "x"], ["u", "v"], ["c"], [("f", "u")])
 
@@ -197,9 +197,9 @@ def test_expansion_recursion_equals_substitution_200():
         if trial % 3 == 0:
             e = e + normalize(TABLE.eps) * rand_poly(rng, expanded=False, with_func=False)
         p = 1 + (trial % 2)
-        direct = expand_epsilon(e, p)
-        rec = expand_epsilon_recursive(e, p)
-        assert direct == rec
+        rec = expand_epsilon(e, p)
+        sub = expand_epsilon_substitution(e, p)
+        assert rec == sub
 
 
 def test_expansion_cauchy_product():
@@ -479,7 +479,7 @@ def _laurent_function_slots(rng):
     return sides
 
 
-def test_spot_check_matches_per_call_evaluation():
+def test_spot_check_matches_per_call_evaluation(monkeypatch):
     from approxlaws import corpus
     from approxlaws.multipliers import contraction
 
@@ -501,7 +501,8 @@ def test_spot_check_matches_per_call_evaluation():
     persisted = witnessed = 0
     for n, (targets, divs) in enumerate(cases):
         for max_retries in (1, 5):
-            got = spot_check(targets, divs, trials=3, seed=n, max_retries=max_retries).checks
+            monkeypatch.setattr(verify, "MAX_RETRIES", max_retries)
+            got = spot_check(targets, divs, trials=3, seed=n).checks
             assert got == _spot_check_per_call(targets, divs, 3, n, max_retries, retries), n
             persisted += sum(c.witness == "evaluation singularity persisted across retries" for c in got)
             witnessed += sum(isinstance(c.witness, dict) for c in got)

@@ -127,7 +127,8 @@ def test_spot_check_resamples_an_evaluation_singularity(monkeypatch, table):
     monkeypatch.setattr(verify, "_sample_point", zero_first)
     for max_retries, witness in ((1, "evaluation singularity persisted across retries"), (2, None)):
         calls.clear()
-        (check,) = spot_check(side, side, trials=1, max_retries=max_retries).checks
+        monkeypatch.setattr(verify, "MAX_RETRIES", max_retries)
+        (check,) = spot_check(side, side, trials=1).checks
         assert (check.passed, check.witness) == (witness is None, witness)
         assert len(calls) == max_retries
 
