@@ -295,6 +295,8 @@ def euler(e, v: Jet) -> NormalForm:
     prefix trie of the multi-indices:
     A_J = de/dv_J - sum over children J+i of D_i A_(J+i), and E = A_().
     Each trie edge costs one D_i, where the sum as written costs |J| per J.
+    The coefficients of ``e`` may be column vectors (see :mod:`.kernel`),
+    which determining-system assembly passes.
     """
     p = as_poly(e)
     family = {}  # atom id -> multi-index J of the coordinate v_J it holds

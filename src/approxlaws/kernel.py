@@ -6,6 +6,14 @@ otherwise).  A monomial key is a flat tuple ``(id0, e0, id1, e1, ...)`` of
 atom-id/exponent pairs sorted by atom id, with no zero exponents; the empty
 tuple is the constant monomial.
 
+During determining-system assembly a coefficient may instead be a column
+vector: a dict mapping an unknown's column to its nonzero rational
+coefficient.  :func:`poly_iadd` and :func:`derive` accept such polynomials
+(the atom images of a derivation stay scalar), choosing the vector branch
+once per call from the first coefficient, and drop zero entries and empty
+vectors, so the Euler operators assemble rows without an unknown atom in
+any monomial.
+
 These functions are the hot inner loop of the whole engine.  Callers use
 them as ``kernel.<fn>(...)`` so that the module's bindings stay the single
 place to instrument them.
@@ -48,10 +56,31 @@ def mono_mul(m1, m2):
 
 
 def poly_iadd(acc, p, c=1):
-    """In-place ``acc += c * p``; drops cancelled terms."""
-    if not c:
+    """In-place ``acc += c * p``; drops cancelled terms.  Column-vector
+    coefficients are added entrywise (``c`` stays scalar)."""
+    if not c or not p:
         return acc
-    if c == 1:
+    if type(next(iter(p.values()))) is dict:
+        for m, vec in p.items():
+            w = acc.get(m)
+            if w is None:
+                acc[m] = dict(vec) if c == 1 else {j: c * x for j, x in vec.items()}
+                continue
+            for j, x in vec.items():
+                if c != 1:
+                    x = c * x
+                y = w.get(j)
+                if y is None:
+                    w[j] = x
+                else:
+                    y = y + x
+                    if y:
+                        w[j] = y
+                    else:
+                        del w[j]
+            if not w:
+                del acc[m]
+    elif c == 1:
         for m, v in p.items():
             w = acc.get(m)
             if w is None:
@@ -129,8 +158,42 @@ def derive(p, images):
     """Extend the atom map ``images`` (atom id -> polynomial dict) to a
     derivation of the whole algebra by the Leibniz rule and apply it to
     ``p``.  Atoms absent from ``images`` derive to zero.  Total derivatives,
-    formal partials and the series recursion operator are all instances."""
+    formal partials and the series recursion operator are all instances.
+    Column-vector coefficients of ``p`` are scaled and added entrywise."""
     out = {}
+    if p and type(next(iter(p.values()))) is dict:
+        for mono, vec in p.items():
+            n = len(mono)
+            for i in range(0, n, 2):
+                img = images.get(mono[i])
+                if not img:
+                    continue
+                e = mono[i + 1]
+                if e == 1:
+                    rest = mono[:i] + mono[i + 2:]
+                else:
+                    rest = mono[:i] + (mono[i], e - 1) + mono[i + 2:]
+                for m2, c2 in img.items():
+                    key = mono_mul(rest, m2)
+                    f = e * c2
+                    sv = vec if f == 1 else {j: f * x for j, x in vec.items()}
+                    w = out.get(key)
+                    if w is None:
+                        out[key] = dict(sv) if f == 1 else sv
+                        continue
+                    for j, x in sv.items():
+                        y = w.get(j)
+                        if y is None:
+                            w[j] = x
+                        else:
+                            y = y + x
+                            if y:
+                                w[j] = y
+                            else:
+                                del w[j]
+                    if not w:
+                        del out[key]
+        return out
     for mono, c in p.items():
         n = len(mono)
         for i in range(0, n, 2):

@@ -6,11 +6,13 @@ coordinates, optionally Laurent in designated atoms) with unknown rational
 coefficients.  A multiplier set is one whose truncated contraction with the
 equations the Euler operators of the method's coordinates
 (:func:`euler_coordinates`) annihilate.  The determining system is
-``verify_euler``'s residuals of the symbolic ansatz, split by unknown: each
-residual monomial holds one unknown (the column) times a free jet monomial
-(with the Euler coordinate and slot, the row).  Its nullspace basis is the
-solution space.  The same contraction and Euler residuals certify a
-concrete multiplier set and give the targets of flux reconstruction.
+``verify_euler``'s residuals of the symbolic ansatz, split by unknown:
+each contraction term holds one unknown (the column) times a free jet
+monomial, so the Euler operators run on the contraction with column-vector
+coefficients and each residual monomial (with the Euler coordinate and
+slot) is a row.  Its nullspace basis is the solution space.  The same
+contraction and Euler residuals certify a concrete multiplier set and give
+the targets of flux reconstruction.
 
 The eps-series methods (consistent, approach A) solve that system order by
 order, as the multiplier splits into Lambda_0 + eps Lambda_1 + ...: the
@@ -41,8 +43,9 @@ from .problem import METHODS, PdeProblem, ProblemError
 # series slots), checked as the basis is built: assembly and elimination
 # of the determining system grow with it, so an oversized ansatz would run
 # for hours instead of failing.  nls2 at order 3 has 11,088 unknowns from
-# its hint and solves in ~6 s; at degree 6 and x-degree 2 it has 44,352
-# and solves in ~32 s, peaking at ~360 MB (one core of a 2-core Xeon VM).
+# its hint and solves in ~5 s; at degree 6 and x-degree 2 it has 44,352
+# and solves in ~24 s, peaking at ~350 MB (one core of a 2-core Intel Xeon
+# VM, CPython 3.11).
 MAX_UNKNOWNS = 50000
 
 
@@ -355,23 +358,41 @@ def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
 LinearSystem = namedtuple("LinearSystem", "unknowns rows")
 
 
-def _split_unknown(mono) -> tuple:
-    """Split a monomial linear in the coefficient symbols into its one
-    coefficient symbol and the rest of the monomial."""
-    csym = None
-    rest = []
-    for j in range(0, len(mono), 2):
-        a = atom_at(mono[j])
+class _UnknownColumns(dict):
+    """Atom id -> the label of its unknown (a column index or the symbol,
+    as ``label`` maps a coefficient symbol) or None for a free atom, each
+    atom classified on its first lookup.  A coefficient symbol that
+    ``label`` maps to None raises AnsatzError."""
+
+    def __init__(self, label):
+        super().__init__()
+        self.label = label
+
+    def __missing__(self, aid):
+        a = atom_at(aid)
+        x = None
         if isinstance(a, Sym) and a.kind == COEFF:
-            if csym is not None or mono[j + 1] != 1:
+            x = self.label(a)
+            if x is None:
+                raise AnsatzError(f"ansatz unknown {a!r} is not a column of the system")
+        self[aid] = x
+        return x
+
+
+def _split_term(mono, columns: _UnknownColumns) -> tuple:
+    """The label of the one unknown in the monomial ``mono``, looked up in
+    ``columns``, and the rest of the monomial.  Raises AnsatzError unless
+    ``mono`` holds exactly one unknown, to the first power."""
+    col = at = None
+    for j in range(0, len(mono), 2):
+        x = columns[mono[j]]
+        if x is not None:
+            if col is not None or mono[j + 1] != 1:
                 raise AnsatzError("ansatz is not linear in its unknowns")
-            csym = a
-        else:
-            rest.append(mono[j])
-            rest.append(mono[j + 1])
-    if csym is None:
+            col, at = x, j
+    if col is None:
         raise AnsatzError("ansatz term without an unknown coefficient")
-    return csym, tuple(rest)
+    return col, mono[:at] + mono[at + 2:]
 
 
 def _decompose_by_unknown(mult: MultiplierSet) -> dict:
@@ -381,11 +402,12 @@ def _decompose_by_unknown(mult: MultiplierSet) -> dict:
     contrib = mult._memo.get("pieces")
     if contrib is None:
         contrib = mult._memo["pieces"] = {}
+        columns = _UnknownColumns(lambda sym: sym)
         for nu, row in enumerate(mult.slots):
             for k, slot in enumerate(row):
                 for mono, c in as_poly(slot).items():
-                    csym, rest = _split_unknown(mono)
-                    contrib.setdefault(csym, {}).setdefault((nu, k), {})[rest] = c
+                    sym, rest = _split_term(mono, columns)
+                    contrib.setdefault(sym, {}).setdefault((nu, k), {})[rest] = c
     return contrib
 
 
@@ -411,13 +433,20 @@ def _unknowns(problem: PdeProblem, ansatz: MultiplierSet) -> list:
 def _euler_rows(problem: PdeProblem, method: str, parts: list, column: dict) -> dict:
     """The Euler residuals of the symbolic contraction slots ``parts``, split
     by unknown: one row (column -> coefficient) per (Euler coordinate,
-    slot, free monomial)."""
-    rows: dict = {}
-    for v, k, res in euler_residuals(problem, method, parts):
-        for mono, c in as_poly(res).items():
-            csym, rest = _split_unknown(mono)
-            rows.setdefault((v, k, rest), {})[column[csym]] = c
-    return rows
+    slot, free monomial).  Each contraction term's unknown is split off
+    first, so the Euler operators run on polynomials whose coefficients are
+    column vectors, and each residual monomial's vector is its row."""
+    columns = _UnknownColumns(column.get)
+    vector_parts = []
+    for part in parts:
+        vp: dict = {}
+        for mono, c in as_poly(part).items():
+            col, rest = _split_term(mono, columns)
+            vp.setdefault(rest, {})[col] = c
+        vector_parts.append(vp)
+    return {(v, k, mono): row
+            for v, k, res in euler_residuals(problem, method, vector_parts)
+            for mono, row in as_poly(res).items()}
 
 
 def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSystem:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from approxlaws import FuncAtom, Jet, UnsupportedFormError, atoms_of, coeff_sym, corpus, normalize, parse, partial
+from approxlaws import (
+    FuncAtom, Jet, UnsupportedFormError, atoms_of, coeff_sym, corpus, multipliers, normalize, parse, partial,
+)
 from approxlaws.expr import as_poly
 from approxlaws.linalg import in_span, nullspace
 from approxlaws.multipliers import (
@@ -37,13 +39,14 @@ def span_of_vectors(basis, vec):
     return in_span([dict(enumerate(b)) for b in basis], dict(enumerate(vec)))
 
 
-def spec_for(problem, gens, degree, xdegree=None):
+def spec_for(problem, gens, degree, xdegree=None, laurent=None):
     tab = problem.table
-    atoms = []
-    for g in gens:
-        nf = normalize(parse(g, tab))
-        atoms.append(list(nf.terms())[0][1][0][0])
-    return AnsatzSpec(tuple(atoms), degree, xdegree)
+
+    def atom(g):
+        return list(normalize(parse(g, tab)).terms())[0][1][0][0]
+
+    laurent = {atom(g): lo for g, lo in (laurent or {}).items()}
+    return AnsatzSpec(tuple(atom(g) for g in gens), degree, xdegree, laurent)
 
 
 def test_ansatz_inherits_derivative_term(diffusion):
@@ -77,23 +80,33 @@ def test_ansatz_covers_kdv_second_multiplier(kdv):
     assert coefficient_vector(target, ansatz, sys.unknowns) is not None
 
 
+KDV_GENS = ["t", "x", "u[0]", "u[0]_x", "u[0]_xx"]
+
+
 @pytest.mark.parametrize(
-    "name, gens, method",
+    "name, gens, method, laurent",
     [
-        ("diffusion", ["t", "x", "u[0]"], "consistent"),
-        ("diffusion", ["t", "x", "u[0]"], "approach_a"),
-        ("diffusion", ["t", "x", "u[0]"], "approach_b"),
-        ("kdv", ["t", "x", "u[0]", "u[0]_x", "u[0]_xx"], "consistent"),
-        ("wave", ["t", "x", "u[0]", "u[0]_t", "u[0]_x"], "consistent"),
+        pytest.param("diffusion", ["t", "x", "u[0]"], "consistent", None, id="diffusion-gens0-consistent"),
+        pytest.param("diffusion", ["t", "x", "u[0]"], "approach_a", None, id="diffusion-gens1-approach_a"),
+        pytest.param("diffusion", ["t", "x", "u[0]"], "approach_b", None, id="diffusion-gens2-approach_b"),
+        pytest.param("kdv", KDV_GENS, "consistent", None, id="kdv-gens3-consistent"),
+        pytest.param("wave", ["t", "x", "u[0]", "u[0]_t", "u[0]_x"], "consistent", None, id="wave-gens4-consistent"),
+        pytest.param("kdv", KDV_GENS, "approach_a", None, id="kdv-approach_a"),
+        pytest.param("kdv", KDV_GENS, "approach_b", None, id="kdv-approach_b"),
+        pytest.param("nls2", ["t", "x", "u[0]", "v[0]"], "approach_b", None, id="nls2-approach_b"),
+        pytest.param("diffusion", ["t", "x", "u[0]"], "consistent", {"u[0]": -2}, id="diffusion-laurent-consistent"),
+        pytest.param("diffusion", ["t", "x", "u[0]"], "approach_b", {"u[0]": -2}, id="diffusion-laurent-approach_b"),
     ],
 )
-def test_determining_system_columns_are_unit_multiplier_residuals(request, name, gens, method):
+def test_determining_system_columns_are_unit_multiplier_residuals(request, name, gens, method, laurent):
     # oracle: column j holds the Euler residuals of the contraction of the
     # ansatz instantiated at the unit vector e_j, one row per (Euler
     # coordinate, slot, monomial); rows carry no labels, so the two matrices
-    # are compared up to row order
-    pb = request.getfixturevalue(name)
-    ansatz = build_ansatz(pb, spec_for(pb, gens, 1), method)
+    # are compared up to row order.  The cases cover every method, two
+    # dependent variables (nls2: four approach-B Euler coordinates), function
+    # atoms (wave) and negative exponents (the Laurent floor)
+    pb = corpus.load(name).problem if name == "nls2" else request.getfixturevalue(name)
+    ansatz = build_ansatz(pb, spec_for(pb, gens, 1, laurent=laurent), method)
     system = determining_system(pb, ansatz)
     n = len(system.unknowns)
     columns: dict = {}
@@ -106,6 +119,49 @@ def test_determining_system_columns_are_unit_multiplier_residuals(request, name,
     assert Counter(frozenset(r.items()) for r in system.rows) == Counter(
         frozenset(r.items()) for r in columns.values()
     )
+
+
+def _with_slot0_term(ansatz, term):
+    """The ansatz with ``term`` added to every equation's slot 0."""
+    return MultiplierSet(ansatz.method, [(row[0] + term,) + row[1:] for row in ansatz.slots])
+
+
+@pytest.mark.parametrize("method", ["consistent", "approach_b"])
+@pytest.mark.parametrize(
+    "unknowns, power, message",
+    [
+        pytest.param((0, 1), 1, "ansatz is not linear in its unknowns", id="two-unknowns"),
+        pytest.param((0,), 2, "ansatz is not linear in its unknowns", id="squared-unknown"),
+        pytest.param((), 2, "ansatz term without an unknown coefficient", id="no-unknown"),
+    ],
+)
+def test_unknown_split_raises_typed_errors(kdv, monkeypatch, method, unknowns, power, message):
+    # a hand-built set whose slot 0 holds a term quadratic in the unknowns
+    # (two of them, or one squared), or a term with none, is refused with a
+    # typed error by the monolithic system and by the solve (staged for the
+    # consistent method)
+    spec = spec_for(kdv, ["x", "u[0]"], 1)
+    term = normalize(kdv.table.jet("u", 0))
+    for i in unknowns:
+        term = term * normalize(coeff_sym(0, 0, i)) ** power
+    if not unknowns:
+        term = term ** power
+    bad = _with_slot0_term(build_ansatz(kdv, spec, method), term)
+    with pytest.raises(AnsatzError, match=message):
+        determining_system(kdv, bad)
+    monkeypatch.setattr(multipliers, "build_ansatz", lambda problem, spec, method: bad)
+    with pytest.raises(AnsatzError, match=message):
+        solve_multipliers(kdv, spec, method)
+
+
+def test_staged_solve_refuses_an_unknown_outside_its_columns(kdv):
+    # the staged solve assembles slot 0 over the order-0 unknowns only, so
+    # an order-1 unknown in slot 0 is refused, not looked up and missed
+    ansatz = build_ansatz(kdv, spec_for(kdv, ["x", "u[0]"], 1))
+    bad = _with_slot0_term(ansatz, coeff_sym(0, 1, 0) * normalize(kdv.table.jet("u", 0)))
+    unknowns = determining_system(kdv, ansatz).unknowns
+    with pytest.raises(AnsatzError, match="not a column of the system"):
+        staged_nullspace(kdv, bad, unknowns)
 
 
 def test_euler_coordinates_are_dependent_major():

@@ -4,7 +4,7 @@ derivatives, expansion equivalence, Euler annihilation, evaluation morphism."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approxlaws import (
@@ -114,6 +114,75 @@ def test_normalize_idempotent_and_congruent(e):
 @given(exprs())
 def test_print_parse_roundtrip(e):
     assert parse(print_poly(e, TABLE), TABLE) == e
+
+
+# --- hypothesis: column-vector coefficients ----------------------------------
+
+# a few atoms and small monomials over them, Laurent exponents included, so
+# that derived and added terms often land on the same key and cancel
+_VEC_ATOMS = [intern(a) for a in _atom_pool(True)[:6]]
+_VEC_MONOS = [()] + [(a, e) for a in _VEC_ATOMS for e in (-1, 1, 2)] + [
+    kernel.mono_mul((a, 1), (b, e)) for a in _VEC_ATOMS[:3] for b in _VEC_ATOMS[3:] for e in (-1, 1)
+]
+_vec_coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)])
+_scalar_polys = st.dictionaries(st.sampled_from(_VEC_MONOS), _vec_coeffs, max_size=3)
+_column_polys = st.dictionaries(
+    st.sampled_from(_VEC_MONOS),
+    st.dictionaries(st.integers(0, 3), _vec_coeffs, min_size=1, max_size=4),
+    max_size=6,
+)
+
+
+def _column(p, j):
+    """The scalar polynomial of column j of a column-vector polynomial."""
+    return {m: vec[j] for m, vec in p.items() if j in vec}
+
+
+def _by_columns(p, f):
+    """The column-vector polynomial whose column j is ``f`` of column j of ``p``."""
+    out = {}
+    for j in sorted({j for vec in p.values() for j in vec}):
+        for m, c in f(_column(p, j)).items():
+            out.setdefault(m, {})[j] = c
+    return out
+
+
+def _no_stored_zero(p):
+    # rref would take a stored zero entry as a pivot
+    return all(vec and all(vec.values()) for vec in p.values())
+
+
+_A, _B = _VEC_ATOMS[:2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_column_polys, st.dictionaries(st.sampled_from(_VEC_ATOMS), _scalar_polys, max_size=4))
+# a -> a, b -> -b: the two Leibniz terms of a*b cancel, those of a*b^2 only in part
+@example({kernel.mono_mul((_A, 1), (_B, 1)): {0: 1, 2: Fraction(1, 2)}, kernel.mono_mul((_A, 1), (_B, 2)): {1: 3}},
+         {_A: {(_A, 1): 1}, _B: {(_B, 1): -1}})
+def test_derive_on_column_vectors_matches_each_column(p, images):
+    out = kernel.derive(p, images)
+    assert out == _by_columns(p, lambda q: kernel.derive(q, images))
+    assert _no_stored_zero(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_column_polys, _column_polys, st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
+def test_poly_iadd_on_column_vectors_matches_each_column(acc, p, c):
+    snapshot = {m: dict(vec) for m, vec in p.items()}
+    expected = {}
+    for j in range(4):
+        for m, x in kernel.poly_iadd(_column(acc, j), _column(p, j), c).items():
+            expected.setdefault(m, {})[j] = x
+    out = {m: dict(vec) for m, vec in acc.items()}
+    kernel.poly_iadd(out, p, c)
+    assert out == expected
+    assert _no_stored_zero(out)
+    # the sum owns its vectors: adding again leaves p as it was
+    kernel.poly_iadd(out, p, c)
+    assert p == snapshot
+    # and p minus itself leaves nothing behind
+    assert kernel.poly_iadd({m: dict(vec) for m, vec in p.items()}, p, -1) == {}
 
 
 # --- seeded bulk properties ---------------------------------------------------
