@@ -7,7 +7,7 @@ the unexpanded-multiplier method (approach A), and the fully-expanded
 hierarchy method (approach B).  All arithmetic is exact rational.
 """
 
-from .atoms import FuncAtom, Jet, Sym, SymbolTable, coeff_sym
+from .atoms import FuncAtom, Jet, Sym, SymbolTable
 from .expr import (
     EvalError,
     ExprError,
@@ -52,7 +52,6 @@ __all__ = [
     "UnsupportedFormError",
     "add",
     "atoms_of",
-    "coeff_sym",
     "collect_eps",
     "euler",
     "eval_rational",

@@ -2,8 +2,8 @@
 
 Three kinds of atoms occur in normal forms:
 
-* :class:`Sym` -- independent variables, named parameters, the small
-  parameter, and unknown ansatz coefficients;
+* :class:`Sym` -- independent variables, named parameters and the small
+  parameter;
 * :class:`Jet` -- derivative coordinates ``u[k]_J`` of a dependent variable
   (``k`` is the perturbation order, ``None`` meaning "not yet expanded");
 * :class:`FuncAtom` -- an uninterpreted function application ``f''(u[0])``
@@ -12,10 +12,13 @@ Three kinds of atoms occur in normal forms:
 Atoms are immutable named tuples, interned into a process-wide registry;
 normal forms store integer atom ids only.  An atom hashes and compares as the
 tuple of its fields, in C, so interning costs no Python-level method call.
-No two atoms of different types are equal: a :class:`Sym` has four fields,
-and a :class:`Jet` starts with an integer where a :class:`FuncAtom` starts
-with a name.  The registry is append-only (guarded by a lock during problem
-loading) so expressions can be shared freely between threads.
+No two atoms of different types are equal: a :class:`Jet` starts with an
+integer where the others start with a name, and a :class:`Sym`'s second
+field is its kind's name where a :class:`FuncAtom`'s is an integer count.
+The registry is append-only (guarded by a lock during problem loading) so
+expressions can be shared freely between threads.  The unknowns of a
+multiplier ansatz are not atoms but the columns of vector coefficients
+(see :mod:`.kernel`).
 """
 
 from __future__ import annotations
@@ -27,21 +30,17 @@ from collections import namedtuple
 INDEP = "indep"
 PARAM = "param"
 EPS = "eps"
-COEFF = "coeff"
 
-_KIND_RANK = {INDEP: 0, PARAM: 1, EPS: 2, COEFF: 3}
+_KIND_RANK = {INDEP: 0, PARAM: 1, EPS: 2}
 
 
-class Sym(namedtuple("Sym", "name kind pos tag", defaults=(0, ()))):
+class Sym(namedtuple("Sym", "name kind pos", defaults=(0,))):
     """A named scalar symbol.  ``pos`` is the declaration position within its
-    kind and fixes the canonical ordering; ansatz coefficients instead carry a
-    (equation, perturbation-order, monomial-index) ``tag``."""
+    kind and fixes the canonical ordering."""
 
     __slots__ = ()
 
     def sort_key(self):
-        if self.kind == COEFF:
-            return (3, self.tag)
         return (_KIND_RANK[self.kind], self.pos, self.name)
 
     def __repr__(self):
@@ -134,12 +133,6 @@ def mono_sort_key(mono):
     keys = _keys
     pairs = sorted([(keys[mono[j]], mono[j + 1]) for j in range(0, len(mono), 2)])
     return (sum(abs(e) for _, e in pairs), tuple(pairs))
-
-
-def coeff_sym(eq: int, order: int, idx: int) -> Sym:
-    """Ansatz-coefficient symbol tagged (equation, perturbation-order,
-    monomial-index); the tag also fixes the canonical unknown order."""
-    return Sym(f"a{eq + 1}o{order}n{idx}", COEFF, 0, (eq, order, idx))
 
 
 EPS_SYM = Sym("eps", EPS)

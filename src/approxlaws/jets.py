@@ -4,7 +4,8 @@ Total derivatives thread through every jet coordinate (all perturbation
 orders at once), epsilon expansion turns expressions over unexpanded
 variables into truncated series over order-tagged coordinates (slot 0 over
 order-0 coordinates, then the recursion operator R: slot k+1 = R[slot k]/(k+1),
-:func:`recursion_series`, which builds the consistent multiplier ansatz too),
+:func:`recursion_series`, which expands each order of the consistent
+multiplier ansatz too),
 and the Euler operator of an underived dependent coordinate v annihilates
 total divergences: v is u[k] at one perturbation order k, or u unexpanded.
 
@@ -23,26 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import kernel
-from .atoms import (
-    COEFF,
-    EPS,
-    EPS_SYM,
-    FuncAtom,
-    INDEP,
-    Jet,
-    Sym,
-    atom_at,
-    coeff_sym,
-    intern,
-)
-from .expr import (
-    NormalForm,
-    UnsupportedFormError,
-    as_poly,
-    atom_poly,
-    partial,
-    poly_atom_ids,
-)
+from .atoms import EPS, EPS_SYM, FuncAtom, INDEP, Jet, Sym, atom_at, intern
+from .expr import NormalForm, UnsupportedFormError, as_poly, atom_poly, poly_atom_ids
 
 
 # i -> {atom id: D_i image of the atom ({} when it derives to zero)}.  Atoms
@@ -205,8 +188,8 @@ def expand_epsilon(e, p: int) -> list:
     Over unexpanded dependent variables, slot 0 is ``e`` over order-0
     coordinates (every jet and function argument renamed), then R
     (:func:`recursion_series`); explicit powers of eps are split off first
-    and shift their part's series.  Ansatz coefficients (whose tags R would
-    shift) and functions of derived arguments are rejected.
+    and shift their part's series.  Functions of derived arguments are
+    rejected.
 
     Expressions over already-expanded coordinates are collected only (slot
     k may hold coordinates of perturbation order at most k, see
@@ -230,8 +213,6 @@ def expand_epsilon(e, p: int) -> list:
             if a.arg.deriv:
                 raise UnsupportedFormError("function arguments must be underived dependent variables")
             order0[aid] = intern(FuncAtom(a.fname, a.nd, a.arg.with_order(0)))
-        elif a.kind == COEFF:
-            raise UnsupportedFormError("ansatz coefficients cannot be eps-expanded")
     renamed = {}
     for mono, c in poly.items():
         pairs = sorted((order0.get(mono[j], mono[j]), mono[j + 1]) for j in range(0, len(mono), 2))
@@ -248,9 +229,9 @@ def expand_epsilon(e, p: int) -> list:
 
 def recursion_R(e) -> NormalForm:
     """The linear Leibniz operator generating slot k+1 of an expansion from
-    slot k: order-tagged jets shift up with a factor (order+1), ansatz
-    coefficient tags shift up, and function applications chain through the
-    first-order coordinate of their argument."""
+    slot k: order-tagged jets shift up with a factor (order+1), and function
+    applications chain through the first-order coordinate of their argument.
+    Coefficients may be column vectors (see :mod:`.kernel`)."""
     p = as_poly(e)
     images = {}
     for aid in poly_atom_ids(p):
@@ -265,9 +246,6 @@ def recursion_R(e) -> NormalForm:
             chain = FuncAtom(a.fname, a.nd + 1, a.arg)
             u1 = a.arg.with_order(1)
             images[aid] = {kernel.mono_mul((intern(chain), 1), (intern(u1), 1)): 1}
-        elif isinstance(a, Sym) and a.kind == COEFF:
-            eq, order, idx = a.tag
-            images[aid] = atom_poly(coeff_sym(eq, order + 1, idx))
     return NormalForm(kernel.derive(p, images))
 
 
@@ -276,7 +254,7 @@ def recursion_series(slot0, p: int) -> list:
     (over order-tagged coordinates): slot k+1 = R[slot k]/(k+1)."""
     slots = [NormalForm(as_poly(slot0))]
     for k in range(p):
-        slots.append(NormalForm(kernel.poly_scale(as_poly(recursion_R(slots[k])), Fraction(1, k + 1))))
+        slots.append(NormalForm(kernel.poly_iadd({}, as_poly(recursion_R(slots[k])), Fraction(1, k + 1))))
     return slots
 
 
@@ -289,24 +267,28 @@ def euler(e, v: Jet) -> NormalForm:
     or u unexpanded.  Total derivatives run over every order, so the
     consistent method's operator E_u[0] is approach B's order-0 operator.
 
-    One scan splits the operand into the monomials holding each coordinate
-    v_J (or a function application of v), so each partial derivative reads
-    only its part.  The total derivatives are folded Horner-style over the
-    prefix trie of the multi-indices:
-    A_J = de/dv_J - sum over children J+i of D_i A_(J+i), and E = A_().
-    Each trie edge costs one D_i, where the sum as written costs |J| per J.
-    The coefficients of ``e`` may be column vectors (see :mod:`.kernel`),
-    which determining-system assembly passes.
+    One scan of the operand's atoms gives each partial d/dv_J its atom map
+    (v_J -> 1 and each function application f^(n)(v_J) -> f^(n+1)(v_J)),
+    and one scan of its monomials splits off the part holding each
+    v_J, so each partial derivative reads only its part.  The total
+    derivatives are folded Horner-style over the prefix trie of the
+    multi-indices: A_J = de/dv_J - sum over children J+i of D_i A_(J+i),
+    and E = A_().  Each trie edge costs one D_i, where the sum as written
+    costs |J| per J.  The coefficients of ``e`` may be column vectors (see
+    :mod:`.kernel`), which determining-system assembly passes.
     """
     p = as_poly(e)
     family = {}  # atom id -> multi-index J of the coordinate v_J it holds
+    images = {}  # J -> the atom map of d/dv_J
     for aid in poly_atom_ids(p):
         a = atom_at(aid)
-        if isinstance(a, FuncAtom):
-            a = a.arg  # the chain rule makes f(u) depend on u
-        if isinstance(a, Jet) and a.dep == v.dep and a.order == v.order:
-            family[aid] = a.deriv
-    parts = {J: {} for J in family.values()}
+        b = a.arg if isinstance(a, FuncAtom) else a
+        if isinstance(b, Jet) and b.dep == v.dep and b.order == v.order:
+            family[aid] = b.deriv
+            # the chain rule makes f^(n)(v_J) derive to f^(n+1)(v_J)
+            images.setdefault(b.deriv, {})[aid] = (
+                atom_poly(FuncAtom(a.fname, a.nd + 1, b)) if a is not b else {(): 1})
+    parts = {J: {} for J in images}
     for mono, c in p.items():
         for j in range(0, len(mono), 2):
             J = family.get(mono[j])
@@ -315,7 +297,7 @@ def euler(e, v: Jet) -> NormalForm:
     acc = {J[:k]: {} for J in parts for k in range(len(J) + 1)}
     acc[()] = {}
     for J, part in parts.items():
-        acc[J] = as_poly(partial(part, Jet(v.dep, v.order, J)))
+        acc[J] = kernel.derive(part, images[J])
     # deepest first: each A_J is complete before it is folded into its parent
     for J in sorted(acc, key=len, reverse=True):
         if J:

@@ -6,13 +6,14 @@ otherwise).  A monomial key is a flat tuple ``(id0, e0, id1, e1, ...)`` of
 atom-id/exponent pairs sorted by atom id, with no zero exponents; the empty
 tuple is the constant monomial.
 
-During determining-system assembly a coefficient may instead be a column
-vector: a dict mapping an unknown's column to its nonzero rational
-coefficient.  :func:`poly_iadd` and :func:`derive` accept such polynomials
-(the atom images of a derivation stay scalar), choosing the vector branch
-once per call from the first coefficient, and drop zero entries and empty
-vectors, so the Euler operators assemble rows without an unknown atom in
-any monomial.
+In a multiplier ansatz a coefficient may instead be a column vector: a
+dict mapping an unknown's column to its nonzero rational coefficient.
+:func:`poly_iadd`, :func:`poly_mul` (its first factor) and :func:`derive`
+(whose atom images stay scalar) accept such polynomials, choosing the
+vector branch once per call from the first coefficient, and drop zero
+entries and empty vectors.  So the ansatz's series, its contraction with
+the equations and their Euler residuals are built with the unknowns as
+columns, and each residual monomial's vector is a determining-system row.
 
 These functions are the hot inner loop of the whole engine.  Callers use
 them as ``kernel.<fn>(...)`` so that the module's bindings stay the single
@@ -131,8 +132,14 @@ def poly_mul_mono(p, mono, c):
 
 
 def poly_mul(p1, p2):
+    """``p1 * p2``; ``p1`` alone may have column-vector coefficients."""
     if not p1 or not p2:
         return {}
+    if type(next(iter(p1.values()))) is dict:
+        out = {}
+        for m2, c2 in p2.items():
+            poly_iadd(out, {mono_mul(m1, m2): vec for m1, vec in p1.items()} if m2 else p1, c2)
+        return out
     if len(p1) < len(p2):
         p1, p2 = p2, p1
     out = {}

@@ -3,16 +3,19 @@
 The unknown multiplier coefficient functions are realized as bounded-degree
 polynomials over a generator set (independent variables and order-0 jet
 coordinates, optionally Laurent in designated atoms) with unknown rational
-coefficients.  A multiplier set is one whose truncated contraction with the
-equations the Euler operators of the method's coordinates
-(:func:`euler_coordinates`) annihilate.  The determining system is
-``verify_euler``'s residuals of the symbolic ansatz, split by unknown:
-each contraction term holds one unknown (the column) times a free jet
-monomial, so the Euler operators run on the contraction with column-vector
-coefficients and each residual monomial (with the Euler coordinate and
-slot) is a row.  Its nullspace basis is the solution space.  The same
-contraction and Euler residuals certify a concrete multiplier set and give
-the targets of flux reconstruction.
+coefficients.  An :class:`Ansatz` is that monomial basis; its unknowns are
+columns, never atoms.  One builder makes a multiplier set's slots from the
+values of the unknowns: fed a solution vector it instantiates the set, fed
+unit columns ``{column: 1}`` it gives the ansatz's slots with column-vector
+coefficients.  A multiplier set is one whose truncated contraction with
+the equations the Euler operators of the method's coordinates
+(:func:`euler_coordinates`) annihilate.  The contraction of the vector
+slots is linear in the unknowns by construction, so the Euler operators run
+on it directly and each residual monomial's vector (with the Euler
+coordinate and slot) is a row of the determining system.  Its nullspace
+basis is the solution space.  The same contraction and Euler residuals
+certify a concrete multiplier set and give the targets of flux
+reconstruction.
 
 The eps-series methods (consistent, approach A) solve that system order by
 order, as the multiplier splits into Lambda_0 + eps Lambda_1 + ...: the
@@ -30,10 +33,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from . import kernel, linalg
-from .atoms import COEFF, INDEP, Jet, Sym, atom_at, coeff_sym, intern, mono_sort_key
-from .expr import NormalForm, UnsupportedFormError, as_poly, atoms_of, normalize
+from .atoms import INDEP, Jet, Sym, intern, mono_atoms, mono_sort_key
+from .expr import NormalForm, UnsupportedFormError, as_poly, normalize
 from .jets import check_slots, euler, recursion_series, series_mul
 from .parser import parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
@@ -43,9 +47,9 @@ from .problem import METHODS, PdeProblem, ProblemError
 # series slots), checked as the basis is built: assembly and elimination
 # of the determining system grow with it, so an oversized ansatz would run
 # for hours instead of failing.  nls2 at order 3 has 11,088 unknowns from
-# its hint and solves in ~5 s; at degree 6 and x-degree 2 it has 44,352
-# and solves in ~24 s, peaking at ~350 MB (one core of a 2-core Intel Xeon
-# VM, CPython 3.11).
+# its hint and solves in ~1.4 s, peaking at ~46 MB; at degree 6 and
+# x-degree 2 it has 44,352 and solves in ~9 s, peaking at ~155 MB (one
+# core of a 2-core Intel Xeon VM, CPython 3.11).
 MAX_UNKNOWNS = 50000
 
 
@@ -142,7 +146,7 @@ class MultiplierSet:
     row at construction and raises UnsupportedFormError.
     """
 
-    __slots__ = ("method", "slots", "_memo")
+    __slots__ = ("method", "slots", "_certified")
 
     def __init__(self, method: str, slots):
         if method not in METHODS:
@@ -151,11 +155,9 @@ class MultiplierSet:
         self.slots = tuple(tuple(normalize(s) for s in row) for row in slots)
         for row in self.slots:
             check_slots(row, method == "approach_a", method == "consistent")
-        # work on this set read by more than one caller, done once per
-        # object: "certified" holds (problem, contraction, Euler residuals)
-        # from the first certification; an ansatz keeps "pieces", its
-        # per-unknown decomposition
-        self._memo = {}
+        # (problem, contraction, Euler residuals) from the first
+        # certification, which flux reconstruction and verification share
+        self._certified = None
 
     @property
     def q(self) -> int:
@@ -250,39 +252,70 @@ def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict, per_monomial
     return sorted(monos, key=mono_sort_key)
 
 
-def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> MultiplierSet:
-    """Multiplier ansatz with fresh unknown coefficients.
+# Unknown (nu, k, i) of an ansatz, the coefficient of basis monomial i in
+# the order-k part of equation nu's multiplier, is column
+# (nu * (p + 1) + k) * len(basis) + i of its determining system.
+Ansatz = namedtuple("Ansatz", "method basis q p")
 
-    Consistent method: slot 0 is the degree-bounded polynomial over the
-    generators, and each next slot is the recursion-operator image of the
-    previous one divided by the slot index, which both inherits the
-    derivative terms of lower orders and introduces the fresh next-order
-    coefficient function (coefficient tags shift).  Approaches A and B take
-    fresh independent polynomials per slot over their own variable sets.
-    """
+
+def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> Ansatz:
+    """The multiplier ansatz of ``method``: the monomial basis over the
+    generators shaped to the method's variables, with one unknown per
+    equation, series slot and basis monomial."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     p = problem.p
     gens = shape_generators(spec.generators, method, p)
     basis = enumerate_basis(gens, spec.degree, spec.xdeg, spec.laurent, problem.q * (p + 1))
+    return Ansatz(method, tuple(basis), problem.q, p)
+
+
+def _column(ansatz: Ansatz, nu: int, k: int, i: int) -> int:
+    return (nu * (ansatz.p + 1) + k) * len(ansatz.basis) + i
+
+
+def _series(ansatz: Ansatz, coefficient, upto: int | None = None) -> list:
+    """Per-equation slots 0..upto (default p) of the ansatz with unknown
+    (nu, j, i) set to ``coefficient(nu, j, i)``, a rational or a column
+    vector (falsy for zero): unit columns give the ansatz's vector slots.
+
+    Each order's part is P_j = sum over i of the coefficient times basis
+    monomial i.  Approaches A and B take slot k = P_k.  The consistent
+    method expands sum over j of eps^j P_j(u) / j! in u = u[0] + eps u[1] +
+    ...: P_j's series is :func:`~approxlaws.jets.recursion_series`, so slot
+    k = sum over j <= k of (1/j!) R^(k-j)[P_j] / (k-j)!, which inherits the
+    derivative terms of the lower orders and brings in the order-k
+    coefficients.  This is R^k[slot 0] / k! when R also takes each
+    coefficient function of order j to the one of order j + 1."""
+    p = ansatz.p if upto is None else upto
     rows = []
-    for nu in range(problem.q):
-        if method == "consistent":
-            slot0 = _linear_combo(basis, [coeff_sym(nu, 0, m) for m in range(len(basis))])
-            slots = recursion_series(slot0, p)
-        else:
-            slots = [
-                NormalForm(_linear_combo(basis, [coeff_sym(nu, k, m) for m in range(len(basis))]))
-                for k in range(p + 1)
-            ]
-        rows.append(tuple(slots))
-    return MultiplierSet(method, tuple(rows))
+    for nu in range(ansatz.q):
+        parts = []
+        for j in range(p + 1):
+            part = {}
+            for i, mono in enumerate(ansatz.basis):
+                c = coefficient(nu, j, i)
+                if c:
+                    part[mono] = c
+            parts.append(part)
+        if ansatz.method == "consistent":
+            slots = [{} for _ in parts]
+            for j, part in enumerate(parts):
+                if part:
+                    for m, s in enumerate(recursion_series(part, p - j)):
+                        kernel.poly_iadd(slots[j + m], as_poly(s), Fraction(1, math.factorial(j)))
+            parts = slots
+        rows.append(parts)
+    return rows
 
 
-def _linear_combo(basis, syms):
-    out = {}
-    for mono, s in zip(basis, syms):
-        out[kernel.mono_mul(mono, (intern(s), 1))] = 1
+def instantiate(ansatz: Ansatz, vectors) -> list:
+    """The multiplier set of each coefficient vector, a sequence over the
+    ansatz's columns."""
+    out = []
+    for vec in vectors:
+        rows = _series(ansatz, lambda nu, k, i: vec[_column(ansatz, nu, k, i)])
+        out.append(MultiplierSet(ansatz.method, rows))
     return out
 
 
@@ -301,17 +334,23 @@ def contraction(problem: PdeProblem, mult: MultiplierSet, upto: int | None = Non
     carries the power), so no further eps truncation is needed.  ``upto``
     truncates the series slots lower, at T_upto.
     """
+    return _contract(problem, mult.method, mult.slots, upto)
+
+
+def _contract(problem: PdeProblem, method: str, rows, upto: int | None = None) -> list:
+    """:func:`contraction` of the per-equation slot lists ``rows``, whose
+    coefficients may be column vectors."""
     p = problem.p if upto is None else upto
-    if mult.method == "approach_b":
+    if method == "approach_b":
         out = {}
-        for nu, row in enumerate(mult.slots):
+        for nu, row in enumerate(rows):
             dsl = problem.expanded_slots(nu)
             for k, a in enumerate(row):
                 kernel.poly_iadd(out, kernel.poly_mul(as_poly(a), as_poly(dsl[k])))
         return [NormalForm(out)]
     parts = [{} for _ in range(p + 1)]
-    for nu, row in enumerate(mult.slots):
-        dsl = problem.expanded_slots(nu) if mult.method == "consistent" else problem.unexpanded_slots(nu)
+    for nu, row in enumerate(rows):
+        dsl = problem.expanded_slots(nu) if method == "consistent" else problem.unexpanded_slots(nu)
         for part, term in zip(parts, series_mul([as_poly(a) for a in row], [as_poly(d) for d in dsl], p)):
             kernel.poly_iadd(part, term)
     return [NormalForm(part) for part in parts]
@@ -323,12 +362,13 @@ def certified_contraction(problem: PdeProblem, mult: MultiplierSet) -> tuple:
     read.  The set keeps the pair from its first computation and hands it
     out again for the same problem object; another problem gets its own
     pair, computed afresh."""
-    memo = mult._memo.get("certified")
+    memo = mult._certified
     if memo is not None and memo[0] is problem:
         return memo[1], memo[2]
     targets = contraction(problem, mult)
     residuals = euler_residuals(problem, mult.method, targets)
-    mult._memo.setdefault("certified", (problem, targets, residuals))
+    if memo is None:
+        mult._certified = (problem, targets, residuals)
     return targets, residuals
 
 
@@ -353,147 +393,81 @@ def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
 # --- determining system -------------------------------------------------------
 
 
-# Homogeneous exact linear system over the ansatz coefficients: the
-# coefficient symbols and one {column: coefficient} dict per row.
+# Homogeneous exact linear system over the ansatz coefficients: the unknowns
+# (nu, k, i) in column order and one {column: coefficient} dict per row.
 LinearSystem = namedtuple("LinearSystem", "unknowns rows")
 
 
-class _UnknownColumns(dict):
-    """Atom id -> the label of its unknown (a column index or the symbol,
-    as ``label`` maps a coefficient symbol) or None for a free atom, each
-    atom classified on its first lookup.  A coefficient symbol that
-    ``label`` maps to None raises AnsatzError."""
-
-    def __init__(self, label):
-        super().__init__()
-        self.label = label
-
-    def __missing__(self, aid):
-        a = atom_at(aid)
-        x = None
-        if isinstance(a, Sym) and a.kind == COEFF:
-            x = self.label(a)
-            if x is None:
-                raise AnsatzError(f"ansatz unknown {a!r} is not a column of the system")
-        self[aid] = x
-        return x
+def _unknowns(problem: PdeProblem, ansatz: Ansatz) -> list:
+    """The ansatz's unknowns (equation, order, basis index) in column order.
+    Raises SingularAnsatzError, before any assembly, if the ansatz depends
+    on a declared leading derivative."""
+    for mono in ansatz.basis:
+        for a, _ in mono_atoms(mono):
+            nu = problem.leading_equation(a) if isinstance(a, Jet) else None
+            if nu is not None:
+                raise SingularAnsatzError(
+                    f"ansatz depends on the leading derivative of equation {nu + 1}; "
+                    "multipliers would be singular on solutions"
+                )
+    n = len(ansatz.basis)
+    return [(nu, k, i) for nu in range(ansatz.q) for k in range(ansatz.p + 1) for i in range(n)]
 
 
-def _split_term(mono, columns: _UnknownColumns) -> tuple:
-    """The label of the one unknown in the monomial ``mono``, looked up in
-    ``columns``, and the rest of the monomial.  Raises AnsatzError unless
-    ``mono`` holds exactly one unknown, to the first power."""
-    col = at = None
-    for j in range(0, len(mono), 2):
-        x = columns[mono[j]]
-        if x is not None:
-            if col is not None or mono[j + 1] != 1:
-                raise AnsatzError("ansatz is not linear in its unknowns")
-            col, at = x, j
-    if col is None:
-        raise AnsatzError("ansatz term without an unknown coefficient")
-    return col, mono[:at] + mono[at + 2:]
-
-
-def _decompose_by_unknown(mult: MultiplierSet) -> dict:
-    """Split each slot into per-unknown contribution polynomials:
-    contrib[sym][(nu, k)] is a plain polynomial dict.  Computed once per
-    ansatz; callers read it and do not mutate it."""
-    contrib = mult._memo.get("pieces")
-    if contrib is None:
-        contrib = mult._memo["pieces"] = {}
-        columns = _UnknownColumns(lambda sym: sym)
-        for nu, row in enumerate(mult.slots):
-            for k, slot in enumerate(row):
-                for mono, c in as_poly(slot).items():
-                    sym, rest = _split_term(mono, columns)
-                    contrib.setdefault(sym, {}).setdefault((nu, k), {})[rest] = c
-    return contrib
-
-
-def _unknowns(problem: PdeProblem, ansatz: MultiplierSet) -> list:
-    """The ansatz's coefficient symbols in tag order (equation, order,
-    index).  Raises SingularAnsatzError, before any assembly, if the ansatz
-    depends on a declared leading derivative."""
-    syms = set()
-    for row in ansatz.slots:
-        for slot in row:
-            for a in atoms_of(slot):
-                nu = problem.leading_equation(a) if isinstance(a, Jet) else None
-                if nu is not None:
-                    raise SingularAnsatzError(
-                        f"ansatz depends on the leading derivative of equation {nu + 1}; "
-                        "multipliers would be singular on solutions"
-                    )
-                if isinstance(a, Sym) and a.kind == COEFF:
-                    syms.add(a)
-    return sorted(syms, key=lambda s: s.tag)
-
-
-def _euler_rows(problem: PdeProblem, method: str, parts: list, column: dict) -> dict:
-    """The Euler residuals of the symbolic contraction slots ``parts``, split
-    by unknown: one row (column -> coefficient) per (Euler coordinate,
-    slot, free monomial).  Each contraction term's unknown is split off
-    first, so the Euler operators run on polynomials whose coefficients are
-    column vectors, and each residual monomial's vector is its row."""
-    columns = _UnknownColumns(column.get)
-    vector_parts = []
-    for part in parts:
-        vp: dict = {}
-        for mono, c in as_poly(part).items():
-            col, rest = _split_term(mono, columns)
-            vp.setdefault(rest, {})[col] = c
-        vector_parts.append(vp)
+def _euler_rows(problem: PdeProblem, method: str, parts: list) -> dict:
+    """The Euler residuals of contraction slots ``parts`` with column-vector
+    coefficients: one row (column -> coefficient) per (Euler coordinate,
+    slot, monomial)."""
     return {(v, k, mono): row
-            for v, k, res in euler_residuals(problem, method, vector_parts)
+            for v, k, res in euler_residuals(problem, method, parts)
             for mono, row in as_poly(res).items()}
 
 
-def determining_system(problem: PdeProblem, ansatz: MultiplierSet) -> LinearSystem:
+def determining_system(problem: PdeProblem, ansatz: Ansatz) -> LinearSystem:
     """The homogeneous linear system whose solutions are the multiplier sets
-    of the ansatz's method: the Euler residuals of the ansatz's contraction,
-    split by unknown, one row per (Euler coordinate, slot, free monomial).
-    Approach B is solved from it; for the eps-series methods it is the
-    monolithic form of :func:`staged_nullspace`."""
+    of the ansatz's method: the Euler residuals of the contraction of the
+    ansatz's vector slots (every unknown a unit column), one row per (Euler
+    coordinate, slot, monomial).  Approach B is solved from it; for the
+    eps-series methods it is the monolithic form of
+    :func:`staged_nullspace`."""
     unknowns = _unknowns(problem, ansatz)
-    column = {s: j for j, s in enumerate(unknowns)}
-    rows = _euler_rows(problem, ansatz.method, contraction(problem, ansatz), column)
+    slots = _series(ansatz, lambda nu, k, i: {_column(ansatz, nu, k, i): 1})
+    rows = _euler_rows(problem, ansatz.method, _contract(problem, ansatz.method, slots))
     return LinearSystem(unknowns, list(rows.values()))
 
 
-def staged_nullspace(problem: PdeProblem, ansatz: MultiplierSet, unknowns: list) -> list[tuple]:
+def staged_nullspace(problem: PdeProblem, ansatz: Ansatz) -> list[tuple]:
     """The canonical basis of an eps-series ansatz's solution space, solved
     order by order; identical to the nullspace of
-    ``determining_system(problem, ansatz)``, whose ``unknowns`` it takes.
+    ``determining_system(problem, ansatz)``.
 
     Slot k of the contraction holds the order-k unknowns c_k only through
     (multiplier slot k) * (equation slot 0), and there c_k multiplies the
     same basis as c_0 does in slot 0, times 1/k! for the consistent method
-    (slot k is R^k(slot 0)/k!) and times 1 for approach A.  So the system
-    is block lower triangular with one diagonal block, a0: the slot-0 rows
-    over the order-0 unknowns, the only rows assembled symbolically.
-    ``build_ansatz`` gives every order the same (equation, basis index)
-    unknowns, so the i-th order-k unknown in tag order is column i of a0.
-    The solve takes a0's kernel, then for k = 1..p lifts the order-(k-1)
-    space N: its columns are the slot-k Euler residuals of N's multiplier
-    sets (c_k = 0) beside a0 for c_k.
+    and times 1 for approach A (see :func:`_series`).  So the system is
+    block lower triangular with one diagonal block, a0: the slot-0 rows
+    over the order-0 unknowns, assembled from the vector slot 0 with local
+    column nu * n + i for unknown (nu, 0, i).  Column i of a0 is then the
+    i-th order-k unknown in column order, for every k.  The solve takes
+    a0's kernel, then for k = 1..p lifts the order-(k-1) space N: its
+    columns are the slot-k Euler residuals of N's multiplier sets (c_k = 0)
+    beside a0 for c_k.
     """
-    orders = [[] for _ in range(ansatz.p + 1)]
-    for j, s in enumerate(unknowns):
-        orders[s.tag[1]].append(j)
-    n0 = len(orders[0])
-    column = {unknowns[j]: i for i, j in enumerate(orders[0])}
-    a0 = _euler_rows(problem, ansatz.method, contraction(problem, ansatz, 0), column)
-    # vectors over the global unknown index
+    n = len(ansatz.basis)
+    n0 = ansatz.q * n
+    orders = [[_column(ansatz, nu, k, i) for nu in range(ansatz.q) for i in range(n)]
+              for k in range(ansatz.p + 1)]
+    slot0 = [[{mono: {nu * n + i: 1} for i, mono in enumerate(ansatz.basis)}] for nu in range(ansatz.q)]
+    a0 = _euler_rows(problem, ansatz.method, _contract(problem, ansatz.method, slot0, 0))
+    # vectors over the global columns
     space = [{orders[0][i]: v for i, v in vec.items()}
              for vec in linalg.kernel_basis(list(a0.values()), n0)]
-    lower = orders[0]
     for k in range(1, ansatz.p + 1):
-        syms = [unknowns[j] for j in lower]
-        mults = instantiate(ansatz, syms, [tuple(vec.get(j, 0) for j in lower) for vec in space])
         lifted: dict = {}  # keyed as a0's rows: slot k is slot 0 of [T_k]
-        for y, mult in enumerate(mults, n0):
-            for v, _, res in euler_residuals(problem, ansatz.method, contraction(problem, mult, k)[k:]):
+        for y, vec in enumerate(space, n0):
+            slots = _series(ansatz, lambda nu, j, i: vec.get(_column(ansatz, nu, j, i)), k)
+            parts = _contract(problem, ansatz.method, slots, k)[k:]
+            for v, _, res in euler_residuals(problem, ansatz.method, parts):
                 for mono, c in as_poly(res).items():
                     lifted.setdefault((v, 0, mono), {})[y] = c
         rows = [row | lifted.pop(key) if key in lifted else row for key, row in a0.items()]
@@ -511,23 +485,7 @@ def staged_nullspace(problem: PdeProblem, ansatz: MultiplierSet, unknowns: list)
                     kernel.poly_iadd(out, space[i - n0], x)
             nxt.append(out)
         space = nxt
-        lower = lower + orders[k]
-    return linalg.canonical_basis(space, len(unknowns))
-
-
-def instantiate(ansatz: MultiplierSet, unknowns, vectors) -> list:
-    """Substitute each coefficient vector into the ansatz: the multiplier set
-    is the linear combination of the per-unknown pieces."""
-    contrib = _decompose_by_unknown(ansatz)
-    out = []
-    for vector in vectors:
-        slots = [[{} for _ in row] for row in ansatz.slots]
-        for sym, v in zip(unknowns, vector):
-            for (nu, k), piece in contrib[sym].items():
-                kernel.poly_iadd(slots[nu][k], piece, v)
-        rows = tuple(tuple(NormalForm(s) for s in row) for row in slots)
-        out.append(MultiplierSet(ansatz.method, rows))
-    return out
+    return linalg.canonical_basis(space, n0 * (ansatz.p + 1))
 
 
 # --- solve + classify ----------------------------------------------------------
@@ -538,26 +496,19 @@ ClassifiedMultiplier = namedtuple("ClassifiedMultiplier", "mult vector trivial e
 SolveResult = namedtuple("SolveResult", "problem method ansatz unknowns basis classified")
 
 
-def _keyed_coefficients(slots: dict) -> dict:
-    """Flatten ``{(nu, k): polynomial}`` into ``{(nu, k, monomial): coefficient}``."""
-    return {(nu, k, mono): c for (nu, k), pol in slots.items() for mono, c in pol.items()}
-
-
 def _slot_coefficients(mult: MultiplierSet, upto: int | None = None) -> dict:
     """The multiplier's coefficients keyed by (nu, k, monomial), slots k <= upto."""
-    return _keyed_coefficients({
-        (nu, k): as_poly(slot)
-        for nu, row in enumerate(mult.slots)
-        for k, slot in enumerate(row)
-        if upto is None or k <= upto
-    })
+    return {(nu, k, mono): c
+            for nu, row in enumerate(mult.slots)
+            for k, slot in enumerate(row) if upto is None or k <= upto
+            for mono, c in as_poly(slot).items()}
 
 
-def classify(result_basis, ansatz: MultiplierSet, unknowns) -> list:
+def classify(result_basis, ansatz: Ansatz) -> list:
     """Annotate basis multipliers: trivial (vanishing order-0 part), eps-shift
     duplicates of space members, stability of the order-0 part; non-trivial
     sets are ordered first."""
-    mults = instantiate(ansatz, unknowns, result_basis)
+    mults = instantiate(ansatz, result_basis)
     classified = []
     span = None  # the members' slots 0..p-1, built on the first shift check
     for vec, m in zip(result_basis, mults):
@@ -592,6 +543,6 @@ def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "cons
         basis = linalg.nullspace(rows, len(unknowns))
     else:
         unknowns = _unknowns(problem, ansatz)
-        basis = staged_nullspace(problem, ansatz, unknowns)
-    classified = classify(basis, ansatz, unknowns)
+        basis = staged_nullspace(problem, ansatz)
+    classified = classify(basis, ansatz)
     return SolveResult(problem, method, ansatz, unknowns, basis, classified)

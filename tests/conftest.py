@@ -8,7 +8,7 @@ from approxlaws import kernel, linalg
 from approxlaws.atoms import atom_at, intern
 from approxlaws.expr import UnsupportedFormError, atom_poly
 from approxlaws.jets import series_mul
-from approxlaws.multipliers import _decompose_by_unknown, _keyed_coefficients, _slot_coefficients
+from approxlaws.multipliers import _column, _series, _slot_coefficients
 from approxlaws.problem import parse_problem_text
 
 DIFFUSION = """
@@ -157,13 +157,17 @@ def expand_epsilon_substitution(e, p: int) -> list:
 _columns: dict = {}
 
 
-def coefficient_vector(mult, ansatz, unknowns) -> tuple | None:
+def coefficient_vector(mult, ansatz) -> tuple | None:
     """Express a concrete multiplier set in the ansatz coefficient space, or
-    None if it does not fit (used for span-membership tests)."""
+    None if it does not fit (used for span-membership tests).  Column j is
+    read off the ansatz's unit-column slots, transposed."""
     columns = _columns.get(ansatz)
     if columns is None:
         _columns.clear()
-        columns = _columns[ansatz] = {
-            s: _keyed_coefficients(pieces) for s, pieces in _decompose_by_unknown(ansatz).items()
-        }
-    return linalg.in_span([columns[s] for s in unknowns], _slot_coefficients(mult))
+        columns = _columns[ansatz] = [{} for _ in range(ansatz.q * (ansatz.p + 1) * len(ansatz.basis))]
+        for nu, row in enumerate(_series(ansatz, lambda nu, k, i: {_column(ansatz, nu, k, i): 1})):
+            for k, slot in enumerate(row):
+                for mono, vec in slot.items():
+                    for j, c in vec.items():
+                        columns[j][(nu, k, mono)] = c
+    return linalg.in_span(columns, _slot_coefficients(mult))

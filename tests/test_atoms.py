@@ -1,5 +1,5 @@
-"""Atoms: immutable named tuples, hashed as their fields, and a start-up that
-generates no class code."""
+"""Atoms: immutable named tuples, hashed as their fields; a start-up that
+generates no class code; the package's public names."""
 
 import os
 import subprocess
@@ -9,14 +9,13 @@ from pathlib import Path
 import pytest
 
 import approxlaws
-from approxlaws.atoms import COEFF, EPS, INDEP, PARAM, FuncAtom, Jet, Sym, intern
+from approxlaws.atoms import EPS, INDEP, PARAM, FuncAtom, Jet, Sym, intern
 
 U = Jet(0, None, ())
 ATOMS = [
     Sym("x", INDEP, 1),
     Sym("x", PARAM, 1),
     Sym("eps", EPS),
-    Sym("a1o0n0", COEFF, 0, (0, 0, 0)),
     U,
     Jet(0, 0, ()),
     Jet(1, 0, (0, 1)),
@@ -33,6 +32,15 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         capture_output=True, text=True, check=True, env=env,
     )
     assert res.stdout == "[]\n"
+
+
+def test_public_names_resolve():
+    # every name the package exports exists, and a star import brings them all
+    for name in approxlaws.__all__:
+        assert hasattr(approxlaws, name), name
+    namespace = {}
+    exec("from approxlaws import *", namespace)
+    assert set(approxlaws.__all__) <= set(namespace)
 
 
 def test_jet_sorts_its_multi_index():
@@ -52,7 +60,7 @@ def test_fields_are_read_only(value):
 
 def test_hash_is_the_field_tuple_hash():
     # as under a frozen dataclass, so set iteration orders do not move
-    assert hash(Sym("x", INDEP, 1)) == hash(("x", INDEP, 1, ()))
+    assert hash(Sym("x", INDEP, 1)) == hash(("x", INDEP, 1))
     assert hash(Jet(1, 0, (1, 0))) == hash((1, 0, (0, 1)))
     assert hash(FuncAtom("f", 2, U)) == hash(("f", 2, (0, None, ())))
     for a in ATOMS:
@@ -60,7 +68,7 @@ def test_hash_is_the_field_tuple_hash():
 
 
 def test_atoms_of_different_types_differ():
-    # a Sym has four fields; a Jet starts with an integer, a FuncAtom with a name
+    # a Jet starts with an integer; a Sym's second field is a name, a FuncAtom's an integer
     for i, a in enumerate(ATOMS):
         for j, b in enumerate(ATOMS):
             assert (a == b) == (i == j)

@@ -6,7 +6,6 @@ from approxlaws import (
     FuncAtom,
     Jet,
     UnsupportedFormError,
-    coeff_sym,
     collect_eps,
     euler,
     expand_epsilon,
@@ -79,10 +78,8 @@ def test_expand_collect_only_checks_order_invariant(P):
 
 
 def test_expand_rejects_what_recursion_would_misread(P):
-    # R shifts an ansatz coefficient's order tag, and chains a function only
-    # through an underived argument; both are refused before R is applied
-    with pytest.raises(UnsupportedFormError, match="ansatz coefficient"):
-        expand_epsilon(P("u^2") * coeff_sym(0, 0, 1), 1)
+    # R chains a function only through an underived argument; a derived
+    # one is refused before R is applied
     derived = FuncAtom("f", 0, Jet(0, None, (1,)))
     with pytest.raises(UnsupportedFormError, match="underived"):
         expand_epsilon(normalize(derived), 1)
@@ -102,12 +99,6 @@ def test_recursion_on_jets(table):
     assert recursion_R(u1) == mul(2, u2)
     assert recursion_R(normalize(7)).is_zero()
     assert recursion_R(table.indep[0]).is_zero()
-
-
-def test_recursion_coefficient_tag_shift():
-    c0 = coeff_sym(0, 0, 3)
-    c1 = coeff_sym(0, 1, 3)
-    assert recursion_R(c0) == normalize(c1)
 
 
 def test_recursion_function_chain(table):

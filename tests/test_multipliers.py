@@ -1,15 +1,19 @@
 """Ansatz construction, determining systems, nullspace, classification."""
 
+import math
+import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approxlaws import (
-    FuncAtom, Jet, UnsupportedFormError, atoms_of, coeff_sym, corpus, multipliers, normalize, parse, partial,
+    FuncAtom, Jet, UnsupportedFormError, atoms_of, corpus, join_eps, kernel, multipliers, normalize, parse, partial,
 )
+from approxlaws.atoms import intern, mono_atoms
 from approxlaws.expr import as_poly
 from approxlaws.linalg import in_span, nullspace
 from approxlaws.multipliers import (
@@ -31,7 +35,7 @@ from approxlaws.multipliers import (
 )
 from approxlaws.problem import PdeProblem, parse_problem_text
 
-from conftest import KDV, coefficient_vector
+from conftest import KDV, coefficient_vector, expand_epsilon_substitution
 
 
 def span_of_vectors(basis, vec):
@@ -54,17 +58,22 @@ def test_ansatz_inherits_derivative_term(diffusion):
     ansatz = build_ansatz(diffusion, spec)
     tab = diffusion.table
     u1 = tab.jet("u", 1)
-    # slot 1 must contain (d Lambda_0 / d u0) u1: the u1-partial is the
-    # u0-partial of slot 0 with tags kept
-    inherited = partial(ansatz.slots[0][1], u1)
-    assert inherited == partial(ansatz.slots[0][0], tab.jet("u", 0))
+    # slot 1 must contain (d Lambda_0 / d u0) u1 beside the order-1
+    # coefficients, which are free of u1: at any coefficient vector the
+    # u1-partial of slot 1 is the u0-partial of slot 0
+    n = 2 * len(ansatz.basis)
+    (mult,) = instantiate(ansatz, [[Fraction(i + 1, 3) * (-1) ** i for i in range(n)]])
+    inherited = partial(mult.slots[0][1], u1)
+    assert not inherited.is_zero()
+    assert inherited == partial(mult.slots[0][0], tab.jet("u", 0))
 
 
 def test_ansatz_degree_zero(diffusion):
     spec = AnsatzSpec((), 0)
     ansatz = build_ansatz(diffusion, spec)
-    assert ansatz.slots[0][0] == normalize(coeff_sym(0, 0, 0))
-    assert ansatz.slots[0][1] == normalize(coeff_sym(0, 1, 0))
+    assert ansatz.basis == ((),)
+    (mult,) = instantiate(ansatz, [(3, 5)])
+    assert mult.slots == ((normalize(3), normalize(5)),)
 
 
 def test_ansatz_covers_kdv_second_multiplier(kdv):
@@ -76,8 +85,7 @@ def test_ansatz_covers_kdv_second_multiplier(kdv):
         ((normalize(parse("t*u[0] - x", tab)),
           normalize(parse("2*t^2*u[0]_xx + (t*u[0] - x)^2 + t*u[1]", tab))),),
     )
-    sys = determining_system(kdv, ansatz)
-    assert coefficient_vector(target, ansatz, sys.unknowns) is not None
+    assert coefficient_vector(target, ansatz) is not None
 
 
 KDV_GENS = ["t", "x", "u[0]", "u[0]_x", "u[0]_xx"]
@@ -111,7 +119,7 @@ def test_determining_system_columns_are_unit_multiplier_residuals(request, name,
     n = len(system.unknowns)
     columns: dict = {}
     for j in range(n):
-        (mult,) = instantiate(ansatz, system.unknowns, [tuple(int(i == j) for i in range(n))])
+        (mult,) = instantiate(ansatz, [tuple(int(i == j) for i in range(n))])
         for v, k, res in euler_residuals(pb, method, contraction(pb, mult)):
             for mono, c in as_poly(res).items():
                 columns.setdefault((v, k, mono), {})[j] = c
@@ -119,49 +127,6 @@ def test_determining_system_columns_are_unit_multiplier_residuals(request, name,
     assert Counter(frozenset(r.items()) for r in system.rows) == Counter(
         frozenset(r.items()) for r in columns.values()
     )
-
-
-def _with_slot0_term(ansatz, term):
-    """The ansatz with ``term`` added to every equation's slot 0."""
-    return MultiplierSet(ansatz.method, [(row[0] + term,) + row[1:] for row in ansatz.slots])
-
-
-@pytest.mark.parametrize("method", ["consistent", "approach_b"])
-@pytest.mark.parametrize(
-    "unknowns, power, message",
-    [
-        pytest.param((0, 1), 1, "ansatz is not linear in its unknowns", id="two-unknowns"),
-        pytest.param((0,), 2, "ansatz is not linear in its unknowns", id="squared-unknown"),
-        pytest.param((), 2, "ansatz term without an unknown coefficient", id="no-unknown"),
-    ],
-)
-def test_unknown_split_raises_typed_errors(kdv, monkeypatch, method, unknowns, power, message):
-    # a hand-built set whose slot 0 holds a term quadratic in the unknowns
-    # (two of them, or one squared), or a term with none, is refused with a
-    # typed error by the monolithic system and by the solve (staged for the
-    # consistent method)
-    spec = spec_for(kdv, ["x", "u[0]"], 1)
-    term = normalize(kdv.table.jet("u", 0))
-    for i in unknowns:
-        term = term * normalize(coeff_sym(0, 0, i)) ** power
-    if not unknowns:
-        term = term ** power
-    bad = _with_slot0_term(build_ansatz(kdv, spec, method), term)
-    with pytest.raises(AnsatzError, match=message):
-        determining_system(kdv, bad)
-    monkeypatch.setattr(multipliers, "build_ansatz", lambda problem, spec, method: bad)
-    with pytest.raises(AnsatzError, match=message):
-        solve_multipliers(kdv, spec, method)
-
-
-def test_staged_solve_refuses_an_unknown_outside_its_columns(kdv):
-    # the staged solve assembles slot 0 over the order-0 unknowns only, so
-    # an order-1 unknown in slot 0 is refused, not looked up and missed
-    ansatz = build_ansatz(kdv, spec_for(kdv, ["x", "u[0]"], 1))
-    bad = _with_slot0_term(ansatz, coeff_sym(0, 1, 0) * normalize(kdv.table.jet("u", 0)))
-    unknowns = determining_system(kdv, ansatz).unknowns
-    with pytest.raises(AnsatzError, match="not a column of the system"):
-        staged_nullspace(kdv, bad, unknowns)
 
 
 def test_euler_coordinates_are_dependent_major():
@@ -239,7 +204,7 @@ def test_diffusion_consistent_nullspace(diffusion):
         MultiplierSet("consistent", ((P("0"), P("x")),)),
     ]
     for m in published:
-        vec = coefficient_vector(m, res.ansatz, res.unknowns)
+        vec = coefficient_vector(m, res.ansatz)
         assert vec is not None
         assert span_of_vectors(res.basis, vec) is not None
     # canonical basis reproduces the published non-trivial multipliers verbatim
@@ -275,7 +240,7 @@ def test_diffusion_approach_b(diffusion):
     ]
     for slots in published:
         m = MultiplierSet("approach_b", slots)
-        vec = coefficient_vector(m, res.ansatz, res.unknowns)
+        vec = coefficient_vector(m, res.ansatz)
         assert vec is not None
         assert span_of_vectors(res.basis, vec) is not None
 
@@ -310,13 +275,15 @@ def test_consistent_slots_hold_no_order_above_their_index(table):
             MultiplierSet("consistent", (row,))
     # approach B's member k may hold any order
     MultiplierSet("approach_b", ((P("u[1]"), P("0")),))
-    # an ansatz reaches order k in slot k, and its eps-multiple one slot later
+    # an ansatz member reaches order k in slot k, and its eps-multiple one
+    # slot later
     kdv2 = parse_problem_text(KDV.replace("order = 1", "order = 2")).problem
     ansatz = build_ansatz(kdv2, spec_for(kdv2, ["t", "x", "u[0]"], 2))
-    for k, slot in enumerate(ansatz.slots[0]):
+    (mult,) = instantiate(ansatz, [range(1, 3 * len(ansatz.basis) + 1)])
+    for k, slot in enumerate(mult.slots[0]):
         assert max(a.order for a in atoms_of(slot) if isinstance(a, Jet)) == k
-    shifted = ansatz.eps_shifted()
-    assert shifted.slots[0][1:] == ansatz.slots[0][:-1]
+    shifted = mult.eps_shifted()
+    assert shifted.slots[0][1:] == mult.slots[0][:-1]
 
 
 def test_approach_a_shift_classification(diffusion):
@@ -361,7 +328,7 @@ def test_eps_closure_property(diffusion):
         shifted = cm.mult.eps_shifted()
         if shifted.is_zero():
             continue
-        vec = coefficient_vector(shifted, res.ansatz, res.unknowns)
+        vec = coefficient_vector(shifted, res.ansatz)
         assert vec is not None
         assert span_of_vectors(res.basis, vec) is not None
 
@@ -432,7 +399,7 @@ def _at_order(problem, p):
 def _assert_staged_is_monolithic(problem, spec, method):
     ansatz = build_ansatz(problem, spec, method)
     unknowns, rows = determining_system(problem, ansatz)
-    assert staged_nullspace(problem, ansatz, unknowns) == nullspace(rows, len(unknowns))
+    assert staged_nullspace(problem, ansatz) == nullspace(rows, len(unknowns))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -475,3 +442,59 @@ def _diffusion_order_2():
 @example(_diffusion_order_2())
 def test_staged_basis_is_monolithic_basis_on_random_ansatze(case):
     _assert_staged_is_monolithic(*case)
+
+
+# --- the consistent ansatz's series weights and truncation ---------------------
+
+
+def _unexpanded(mono):
+    """The monomial with every order-0 jet renamed to its unexpanded one."""
+    out = ()
+    for a, e in mono_atoms(mono):
+        out = kernel.mono_mul(out, (intern(a.with_order(None) if isinstance(a, Jet) else a), e))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("eid, floor", [("diffusion-consistent", -2), ("kdv-burgers", None), ("wave", None)])
+def test_consistent_ansatz_is_the_weighted_series_of_its_orders(eid, floor, p):
+    # the consistent ansatz at a coefficient vector v is the expansion of
+    # sum_j eps^j P_j(u) / j!, where P_j is the order-j part of v over the
+    # basis: checked against the substitution oracle, which neither builds
+    # the slots with the recursion operator nor knows the 1/j! weights
+    entry = corpus.load(eid)
+    problem = _at_order(entry.problem, p)
+    hint = entry.ansatz_hint
+    laurent = {problem.table.jet("u", 0): floor} if floor else hint.laurent
+    spec = AnsatzSpec(hint.generators, hint.degree, hint.xdegree, laurent)
+    ansatz = build_ansatz(problem, spec, "consistent")
+    basis = ansatz.basis
+    rng = random.Random(f"{eid}-{p}")
+    values = {}
+    for nu in range(problem.q):
+        for j in range(p + 1):
+            for i in rng.sample(range(len(basis)), min(5, len(basis))):
+                values[(nu, j, i)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    unknowns = multipliers._unknowns(problem, ansatz)
+    (mult,) = instantiate(ansatz, [tuple(values.get(s, 0) for s in unknowns)])
+    for nu, row in enumerate(mult.slots):
+        parts = [{} for _ in range(p + 1)]
+        for (eq, j, i), c in values.items():
+            if eq == nu:
+                kernel.poly_iadd(parts[j], {_unexpanded(basis[i]): c}, Fraction(1, math.factorial(j)))
+        assert list(row) == expand_epsilon_substitution(join_eps(parts), p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("eid", ["kdv-burgers", "diffusion-consistent", "diffusion-approach-a", "wave"])
+def test_order_p_space_truncates_into_the_order_below(eid, p):
+    # the contraction's slots 0..p-1 hold the multiplier's slots 0..p-1 only,
+    # so every order-p multiplier set, cut to p slots, is an order-(p-1) one
+    entry = corpus.load(eid)
+    upper = solve_multipliers(_at_order(entry.problem, p), entry.ansatz_hint, entry.method)
+    lower = solve_multipliers(_at_order(entry.problem, p - 1), entry.ansatz_hint, entry.method)
+    for cm in upper.classified:
+        cut = MultiplierSet(entry.method, [row[:p] for row in cm.mult.slots])
+        vec = coefficient_vector(cut, lower.ansatz)
+        assert vec is not None
+        assert span_of_vectors(lower.basis, vec) is not None
