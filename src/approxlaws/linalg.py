@@ -115,23 +115,12 @@ def in_span(columns, target):
     """Coefficients expressing ``target`` as a combination of ``columns`` (a
     tuple, free coefficients zero), or None.  Columns and target are sparse
     maps from a row key to a coefficient; keys need only be hashable.  Each
-    row key gives one augmented row, the columns' entries and the negated
-    target entry in column ``len(columns)``, and one :func:`rref` solves them
-    as :func:`solve_particular` would.  The canonical RREF is unique, so the
-    order of the rows cannot change the answer."""
-    n = len(columns)
-    rows: dict = {}
+    row key is one equation of :func:`solve_particular`.  The canonical RREF
+    is unique, so the order of the rows cannot change the answer."""
+    rows: dict = {key: {} for key in target}
     for j, col in enumerate(columns):
         for key, v in col.items():
             if v:
                 rows.setdefault(key, {})[j] = v
-    for key, b in target.items():
-        if b:
-            rows.setdefault(key, {})[n] = -b
-    pivots = rref(list(rows.values()))
-    if n in pivots:
-        return None
-    x = [0] * n
-    for lead, row in pivots.items():
-        x[lead] = _q(-row.get(n, 0))
-    return tuple(x)
+    rhs = {i: target.get(key, 0) for i, key in enumerate(rows)}
+    return solve_particular(list(rows.values()), rhs, len(columns))

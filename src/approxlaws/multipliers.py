@@ -19,14 +19,16 @@ reconstruction.
 
 The eps-series methods (consistent, approach A) solve that system order by
 order, as the multiplier splits into Lambda_0 + eps Lambda_1 + ...: the
-slot-0 rows A_0 over the order-0 unknowns give the exact multipliers of
-the unperturbed system, and each order k lifts the order-(k-1) space
-through the same A_0 (see :func:`staged_nullspace`).  For the consistent
+slot-0 rows A_0 over the order-0 unknowns are assembled once, and each
+order k lifts the order-(k-1) space beside the same A_0, order 0 lifting
+the empty space (see :func:`staged_nullspace`).  A lift is one series too,
+its coefficients the columns of the transposed space.  For the consistent
 method Lambda_k depends on u[0]..u[k] only, which every
 :class:`MultiplierSet` is checked for when it is made.  Approach B, one
 exact contraction of the hierarchy, is solved in one piece by
 :func:`determining_system`, which for the eps-series methods is the
-monolithic form the staged solve must agree with.
+monolithic form the staged solve must agree with.  Eps-shifts are read off
+the solutions' coefficient vectors (:func:`classify`).
 """
 
 from __future__ import annotations
@@ -261,12 +263,22 @@ Ansatz = namedtuple("Ansatz", "method basis q p")
 def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> Ansatz:
     """The multiplier ansatz of ``method``: the monomial basis over the
     generators shaped to the method's variables, with one unknown per
-    equation, series slot and basis monomial."""
+    equation, series slot and basis monomial.  Raises SingularAnsatzError,
+    before any assembly, if the basis depends on a declared leading
+    derivative."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     p = problem.p
     gens = shape_generators(spec.generators, method, p)
     basis = enumerate_basis(gens, spec.degree, spec.xdeg, spec.laurent, problem.q * (p + 1))
+    for mono in basis:
+        for a, _ in mono_atoms(mono):
+            nu = problem.leading_equation(a) if isinstance(a, Jet) else None
+            if nu is not None:
+                raise SingularAnsatzError(
+                    f"ansatz depends on the leading derivative of equation {nu + 1}; "
+                    "multipliers would be singular on solutions"
+                )
     return Ansatz(method, tuple(basis), problem.q, p)
 
 
@@ -322,7 +334,7 @@ def instantiate(ansatz: Ansatz, vectors) -> list:
 # --- contraction and Euler residuals -----------------------------------------
 
 
-def contraction(problem: PdeProblem, mult: MultiplierSet, upto: int | None = None) -> list:
+def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     """The truncated product of the multiplier set with the equations: the
     targets a law's flux divergence must equal.
 
@@ -331,15 +343,15 @@ def contraction(problem: PdeProblem, mult: MultiplierSet, upto: int | None = Non
     l <= k of (multiplier slot l) * (equation slot k-l), k = 0..p.  Approach
     B: one exact contraction sum over nu, k of (multiplier slot k) *
     (expanded equation slot k).  All slots are eps-free (the slot index
-    carries the power), so no further eps truncation is needed.  ``upto``
-    truncates the series slots lower, at T_upto.
+    carries the power), so no further eps truncation is needed.
     """
-    return _contract(problem, mult.method, mult.slots, upto)
+    return _contract(problem, mult.method, mult.slots)
 
 
 def _contract(problem: PdeProblem, method: str, rows, upto: int | None = None) -> list:
     """:func:`contraction` of the per-equation slot lists ``rows``, whose
-    coefficients may be column vectors."""
+    coefficients may be column vectors, truncated at T_upto (default
+    T_p)."""
     p = problem.p if upto is None else upto
     if method == "approach_b":
         out = {}
@@ -398,28 +410,21 @@ def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
 LinearSystem = namedtuple("LinearSystem", "unknowns rows")
 
 
-def _unknowns(problem: PdeProblem, ansatz: Ansatz) -> list:
-    """The ansatz's unknowns (equation, order, basis index) in column order.
-    Raises SingularAnsatzError, before any assembly, if the ansatz depends
-    on a declared leading derivative."""
-    for mono in ansatz.basis:
-        for a, _ in mono_atoms(mono):
-            nu = problem.leading_equation(a) if isinstance(a, Jet) else None
-            if nu is not None:
-                raise SingularAnsatzError(
-                    f"ansatz depends on the leading derivative of equation {nu + 1}; "
-                    "multipliers would be singular on solutions"
-                )
+def _unknowns(ansatz: Ansatz) -> list:
+    """The ansatz's unknowns (equation, order, basis index) in column order."""
     n = len(ansatz.basis)
     return [(nu, k, i) for nu in range(ansatz.q) for k in range(ansatz.p + 1) for i in range(n)]
 
 
-def _euler_rows(problem: PdeProblem, method: str, parts: list) -> dict:
-    """The Euler residuals of contraction slots ``parts`` with column-vector
-    coefficients: one row (column -> coefficient) per (Euler coordinate,
-    slot, monomial)."""
+def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: int | None = None,
+                      first: int = 0) -> dict:
+    """The Euler residuals of contraction slots ``first``..``upto`` (default
+    p) of ``_series(ansatz, coefficient, upto)``, whose coefficients are
+    column vectors: one row (column -> coefficient) per (Euler coordinate,
+    slot - first, monomial)."""
+    parts = _contract(problem, ansatz.method, _series(ansatz, coefficient, upto), upto)[first:]
     return {(v, k, mono): row
-            for v, k, res in euler_residuals(problem, method, parts)
+            for v, k, res in euler_residuals(problem, ansatz.method, parts)
             for mono, row in as_poly(res).items()}
 
 
@@ -430,10 +435,8 @@ def determining_system(problem: PdeProblem, ansatz: Ansatz) -> LinearSystem:
     coordinate, slot, monomial).  Approach B is solved from it; for the
     eps-series methods it is the monolithic form of
     :func:`staged_nullspace`."""
-    unknowns = _unknowns(problem, ansatz)
-    slots = _series(ansatz, lambda nu, k, i: {_column(ansatz, nu, k, i): 1})
-    rows = _euler_rows(problem, ansatz.method, _contract(problem, ansatz.method, slots))
-    return LinearSystem(unknowns, list(rows.values()))
+    rows = _determining_rows(problem, ansatz, lambda nu, k, i: {_column(ansatz, nu, k, i): 1})
+    return LinearSystem(_unknowns(ansatz), list(rows.values()))
 
 
 def staged_nullspace(problem: PdeProblem, ansatz: Ansatz) -> list[tuple]:
@@ -446,30 +449,25 @@ def staged_nullspace(problem: PdeProblem, ansatz: Ansatz) -> list[tuple]:
     same basis as c_0 does in slot 0, times 1/k! for the consistent method
     and times 1 for approach A (see :func:`_series`).  So the system is
     block lower triangular with one diagonal block, a0: the slot-0 rows
-    over the order-0 unknowns, assembled from the vector slot 0 with local
-    column nu * n + i for unknown (nu, 0, i).  Column i of a0 is then the
-    i-th order-k unknown in column order, for every k.  The solve takes
-    a0's kernel, then for k = 1..p lifts the order-(k-1) space N: its
-    columns are the slot-k Euler residuals of N's multiplier sets (c_k = 0)
+    over the order-0 unknowns, with local column nu * n + i for unknown
+    (nu, 0, i).  Column i of a0 is then the i-th order-k unknown in column
+    order, for every k.  Order k lifts the order-(k-1) space N (order 0
+    lifts the empty space): N transposed sets each unknown to the column
+    vector of its entries in N's members, column n0 + y for member y, and
+    the slot-k Euler residuals of that one series (c_k = 0) are N's columns
     beside a0 for c_k.
     """
     n = len(ansatz.basis)
     n0 = ansatz.q * n
-    orders = [[_column(ansatz, nu, k, i) for nu in range(ansatz.q) for i in range(n)]
-              for k in range(ansatz.p + 1)]
-    slot0 = [[{mono: {nu * n + i: 1} for i, mono in enumerate(ansatz.basis)}] for nu in range(ansatz.q)]
-    a0 = _euler_rows(problem, ansatz.method, _contract(problem, ansatz.method, slot0, 0))
-    # vectors over the global columns
-    space = [{orders[0][i]: v for i, v in vec.items()}
-             for vec in linalg.kernel_basis(list(a0.values()), n0)]
-    for k in range(1, ansatz.p + 1):
-        lifted: dict = {}  # keyed as a0's rows: slot k is slot 0 of [T_k]
+    a0 = _determining_rows(problem, ansatz, lambda nu, j, i: {nu * n + i: 1}, 0)
+    space: list = []  # vectors over the global columns
+    for k in range(ansatz.p + 1):
+        columns: dict = {}
         for y, vec in enumerate(space, n0):
-            slots = _series(ansatz, lambda nu, j, i: vec.get(_column(ansatz, nu, j, i)), k)
-            parts = _contract(problem, ansatz.method, slots, k)[k:]
-            for v, _, res in euler_residuals(problem, ansatz.method, parts):
-                for mono, c in as_poly(res).items():
-                    lifted.setdefault((v, 0, mono), {})[y] = c
+            for col, x in vec.items():
+                columns.setdefault(col, {})[y] = x
+        # keyed as a0's rows: slot k is slot 0 of [T_k]
+        lifted = _determining_rows(problem, ansatz, lambda nu, j, i: columns.get(_column(ansatz, nu, j, i)), k, k)
         rows = [row | lifted.pop(key) if key in lifted else row for key, row in a0.items()]
         rows.extend(lifted.values())
         # the c_k rows are a0/k!; a0 itself, shared unscaled, solves
@@ -480,7 +478,7 @@ def staged_nullspace(problem: PdeProblem, ansatz: Ansatz) -> list[tuple]:
             out: dict = {}
             for i, x in vec.items():
                 if i < n0:
-                    out[orders[k][i]] = scale * x
+                    out[_column(ansatz, i // n, k, i % n)] = scale * x
                 else:
                     kernel.poly_iadd(out, space[i - n0], x)
             nxt.append(out)
@@ -496,28 +494,38 @@ ClassifiedMultiplier = namedtuple("ClassifiedMultiplier", "mult vector trivial e
 SolveResult = namedtuple("SolveResult", "problem method ansatz unknowns basis classified")
 
 
-def _slot_coefficients(mult: MultiplierSet, upto: int | None = None) -> dict:
-    """The multiplier's coefficients keyed by (nu, k, monomial), slots k <= upto."""
-    return {(nu, k, mono): c
-            for nu, row in enumerate(mult.slots)
-            for k, slot in enumerate(row) if upto is None or k <= upto
-            for mono, c in as_poly(slot).items()}
+def _eps_multiple(ansatz: Ansatz, vec) -> dict:
+    """The coefficient vector of eps times the multiplier set of ``vec``,
+    truncated: order k moves to k + 1, times k + 1 for the consistent
+    method (eps^(k+1) P_k / k! is (k+1) eps^(k+1) P_k / (k+1)!)."""
+    n, p = len(ansatz.basis), ansatz.p
+    out = {}
+    for col, x in enumerate(vec):
+        k = col // n % (p + 1)
+        if x and k < p:
+            out[col + n] = (k + 1) * x if ansatz.method == "consistent" else x
+    return out
 
 
 def classify(result_basis, ansatz: Ansatz) -> list:
     """Annotate basis multipliers: trivial (vanishing order-0 part), eps-shift
     duplicates of space members, stability of the order-0 part; non-trivial
-    sets are ordered first."""
+    sets are ordered first.
+
+    A trivial set is an eps-shift when its coefficient vector is in the span
+    of the members' eps-multiples.  :func:`_series` is linear and one-to-one
+    (slot k's part over order-0 coordinates alone is P_k/k!, as R^m raises
+    the perturbation weight by m), so that is the test on the slots."""
     mults = instantiate(ansatz, result_basis)
     classified = []
-    span = None  # the members' slots 0..p-1, built on the first shift check
+    shifts = None  # the members' eps-multiples, built on the first shift check
     for vec, m in zip(result_basis, mults):
         trivial = m.is_trivial()
         shift = False
         if trivial and not m.is_zero() and m.method != "approach_b":
-            if span is None:
-                span = [_slot_coefficients(member, m.p - 1) for member in mults]
-            shift = _is_eps_shift(m, span)
+            if shifts is None:
+                shifts = [_eps_multiple(ansatz, member) for member in result_basis]
+            shift = linalg.in_span(shifts, {col: x for col, x in enumerate(vec) if x}) is not None
         # the stability notion (the order-0 part survives the perturbation)
         # belongs to the eps-series methods
         stable = not trivial and m.method != "approach_b"
@@ -526,23 +534,13 @@ def classify(result_basis, ansatz: Ansatz) -> list:
     return [classified[i] for i in order]
 
 
-def _is_eps_shift(m: MultiplierSet, span: list) -> bool:
-    """Is there a space member whose eps-multiple equals m (slotwise, the last
-    slot of the member being beyond truncation)?  ``span`` holds the space
-    members' coefficients on slots 0..p-1."""
-    # unshift: candidate slots k = m slots k+1 for k < p; match against
-    # combinations of the basis on slots 0..p-1.
-    target = {(nu, k - 1, mono): c for (nu, k, mono), c in _slot_coefficients(m).items() if k}
-    return linalg.in_span(span, target) is not None
-
-
 def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> SolveResult:
     ansatz = build_ansatz(problem, spec, method)
     if method == "approach_b":
         unknowns, rows = determining_system(problem, ansatz)
         basis = linalg.nullspace(rows, len(unknowns))
     else:
-        unknowns = _unknowns(problem, ansatz)
+        unknowns = _unknowns(ansatz)
         basis = staged_nullspace(problem, ansatz)
     classified = classify(basis, ansatz)
     return SolveResult(problem, method, ansatz, unknowns, basis, classified)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .atoms import FuncAtom, Jet, Sym, atom_at, atom_key
 from .expr import EvalError, NormalForm, as_poly, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
-from .multipliers import certified_contraction, euler_residuals
+from .multipliers import certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
 
 DEFAULT_SEED = 2023
@@ -73,15 +73,10 @@ def verify_identity(targets, divs) -> VerificationReport:
     return VerificationReport(checks)
 
 
-def verify_euler(problem: PdeProblem, method: str, targets) -> VerificationReport:
-    """Every Euler operator of ``method`` annihilates the truncated
-    contraction ``targets``."""
-    return _euler_report(euler_residuals(problem, method, targets))
-
-
-def _euler_report(residuals) -> VerificationReport:
+def verify_euler(residuals) -> VerificationReport:
     """One check per (coordinate, slot, residual) triple of
-    :func:`~approxlaws.multipliers.euler_residuals`."""
+    :func:`~approxlaws.multipliers.euler_residuals`: every Euler operator of
+    the method annihilates the truncated contraction."""
     return VerificationReport([CheckResult(f"euler[{v!r}, slot {k}]", res.is_zero(), residual=res)
                                for v, k, res in residuals])
 
@@ -206,7 +201,7 @@ def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = 5,
     divs = law.divergence_slots()
     reports = {
         "identity": verify_identity(targets, divs),
-        "euler": _euler_report(residuals),
+        "euler": verify_euler(residuals),
         "spot": spot_check(targets, divs, trials=trials, seed=seed),
     }
     if reports["identity"].passed:

@@ -6,9 +6,9 @@ import pytest
 from approxlaws import FuncAtom, Jet, NormalForm, SymbolTable, collect_eps, normalize, parse
 from approxlaws import kernel, linalg
 from approxlaws.atoms import atom_at, intern
-from approxlaws.expr import UnsupportedFormError, atom_poly
+from approxlaws.expr import UnsupportedFormError, as_poly, atom_poly
 from approxlaws.jets import series_mul
-from approxlaws.multipliers import _column, _series, _slot_coefficients
+from approxlaws.multipliers import _column, _series
 from approxlaws.problem import parse_problem_text
 
 DIFFUSION = """
@@ -170,4 +170,13 @@ def coefficient_vector(mult, ansatz) -> tuple | None:
                 for mono, vec in slot.items():
                     for j, c in vec.items():
                         columns[j][(nu, k, mono)] = c
-    return linalg.in_span(columns, _slot_coefficients(mult))
+    return linalg.in_span(columns, slot_coefficients(mult))
+
+
+def slot_coefficients(mult, upto=None) -> dict:
+    """The set's coefficients keyed by (nu, k, monomial), slots k <= upto
+    (default all)."""
+    return {(nu, k, mono): c
+            for nu, row in enumerate(mult.slots)
+            for k, slot in enumerate(row[:None if upto is None else upto + 1])
+            for mono, c in as_poly(slot).items()}

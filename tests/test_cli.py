@@ -7,9 +7,9 @@ from importlib import resources
 
 import pytest
 
-from approxlaws import normalize, parse
+from approxlaws import corpus, normalize, parse
 from approxlaws.cli import main
-from approxlaws.problem import parse_problem_text
+from approxlaws.problem import load_problem_file, parse_problem_text
 
 
 def fixture_path(entry_id):
@@ -413,3 +413,43 @@ def test_product_whose_fractions_cancel(capsys):
     code, out, err = run_cli(capsys, "expand", fixture_path("wave"), "--expr", "10^3000/3/10^3000*u")
     assert (code, err) == (0, "")
     assert "total: u₀/3 + ε*u₁/3" in out
+
+
+METHOD_FLAGS = {"consistent": "consistent", "approach_a": "a", "approach_b": "b"}
+
+
+@pytest.mark.parametrize("eid", corpus.ENTRY_IDS)
+def test_solved_laws_round_trip_through_a_problem_file(tmp_path, capsys, eid):
+    # the laws solve prints from the hint ansatz (degree capped at 1), written
+    # as law lines under the entry's own declarations, verify to the statuses
+    # solve reported: what the printer writes, the parser reads back as the
+    # same law
+    path = fixture_path(eid)
+    pf = load_problem_file(path)
+    argv = ["solve", path, "--method", METHOD_FLAGS[pf.method], "--format", "json", "--trials", "1"]
+    for key in ("mult_deps", "mult_degree", "mult_xdegree", "laurent"):
+        if key in pf.hints:
+            value = str(min(int(pf.hints[key]), 1)) if key == "mult_degree" else pf.hints[key]
+            argv += ["--" + key.replace("_", "-"), value]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    solved = json.loads(out)
+    assert solved["laws"]
+    law_keys = ("multiplier.", "flux.", "expected.", "epsilon_shifts")
+    lines = [line for line in open(path).read().splitlines() if not line.startswith(law_keys)]
+    components = {m["index"]: m["components"] for m in solved["multipliers"]}
+    statuses = {}
+    for law in solved["laws"]:
+        n = law["multiplier_index"]
+        for comp in components[n]:
+            nu = f".{comp['equation']}" if len(components[n]) > 1 else ""
+            lines += [f"multiplier.{n}{nu}.{k} = {s}" for k, s in enumerate(comp["slots"])]
+        for var, slots in law["fluxes"].items():
+            lines += [f"flux.{n}.{var}.{k} = {s}" for k, s in enumerate(slots)]
+        statuses[str(n)] = law["verification"]["status"]
+        lines.append(f"expected.{n}.status = {statuses[str(n)]}")
+    written = tmp_path / f"{eid}.prob"
+    written.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "verify", str(written), "--format", "json", "--trials", "1")
+    assert code == 0
+    assert {law["label"]: law["achieved"] for law in json.loads(out)["laws"]} == statuses

@@ -23,6 +23,7 @@ from approxlaws.multipliers import (
     MultiplierSet,
     SingularAnsatzError,
     build_ansatz,
+    classify,
     contraction,
     determining_system,
     enumerate_basis,
@@ -35,7 +36,7 @@ from approxlaws.multipliers import (
 )
 from approxlaws.problem import PdeProblem, parse_problem_text
 
-from conftest import KDV, coefficient_vector, expand_epsilon_substitution
+from conftest import KDV, coefficient_vector, expand_epsilon_substitution, slot_coefficients
 
 
 def span_of_vectors(basis, vec):
@@ -179,6 +180,9 @@ def test_leading_dependence_rejected(kdv):
     spec = spec_for(kdv, ["t", "u[0]_t"], 1)
     with pytest.raises(SingularAnsatzError, match="equation 1"):
         solve_multipliers(kdv, spec, "consistent")
+    # refused where the ansatz is built, before any system is assembled
+    with pytest.raises(SingularAnsatzError, match="equation 1"):
+        build_ansatz(kdv, spec)
 
 
 def test_constant_multiplier_unconstrained_when_divergence():
@@ -306,6 +310,46 @@ def test_classification_flags(diffusion):
     ]
 
 
+def _is_eps_shift_by_slots(mult, members):
+    """The eps-shift test on the slots: the set's slots 1..p, moved down one,
+    lie in the span of every member's slots 0..p-1."""
+    target = {(nu, k - 1, mono): c for (nu, k, mono), c in slot_coefficients(mult).items() if k}
+    return in_span([slot_coefficients(m, mult.p - 1) for m in members], target) is not None
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("method", ["consistent", "approach_a"])
+def test_eps_shift_flags_match_the_slot_space_check(method, p):
+    # classify reads eps-shifts off coefficient vectors; the oracle tests the
+    # multiplier sets' slots.  Every corpus entry's hint ansatz, degree capped
+    # at 2, at truncation orders 1..3
+    shifts = 0
+    for eid in corpus.ENTRY_IDS:
+        entry = corpus.load(eid)
+        hint = entry.ansatz_hint
+        spec = AnsatzSpec(hint.generators, min(hint.degree, 2), hint.xdegree, hint.laurent)
+        res = solve_multipliers(_at_order(entry.problem, p), spec, method)
+        members = [cm.mult for cm in res.classified]
+        assert [cm.eps_shift for cm in res.classified] == [
+            cm.trivial and _is_eps_shift_by_slots(cm.mult, members) for cm in res.classified
+        ], eid
+        shifts += sum(cm.eps_shift for cm in res.classified)
+    assert shifts
+    # sets no corpus space holds, where the order weights of an eps-multiple
+    # show: a random set, its eps-multiple and a random trivial set
+    problem = _at_order(corpus.load("kdv-burgers").problem, p)
+    ansatz = build_ansatz(problem, spec_for(problem, ["x", "u[0]", "u[0]_x"], 1), method)
+    n = len(ansatz.basis)
+    rng = random.Random(f"{method}-{p}")
+    vec = tuple(rng.choice([-1, 1]) * rng.randint(1, 5) for _ in range((p + 1) * n))
+    (mult,) = instantiate(ansatz, [vec])
+    trivial = tuple(0 if j < n else x for j, x in enumerate(reversed(vec)))
+    classified = classify([vec, coefficient_vector(mult.eps_shifted(), ansatz), trivial], ansatz)
+    members = [cm.mult for cm in classified]
+    assert [cm.eps_shift for cm in classified] == [False, True, False]
+    assert [cm.trivial and _is_eps_shift_by_slots(cm.mult, members) for cm in classified] == [False, True, False]
+
+
 def test_kdv_trivial_but_independent(kdv):
     spec = spec_for(kdv, ["t", "x", "u[0]", "u[0]_x", "u[0]_xx"], 3)
     res = solve_multipliers(kdv, spec, "consistent")
@@ -358,7 +402,7 @@ def test_soundness_every_nullspace_member_annihilated(diffusion, kdv):
         for method in ("consistent", "approach_a", "approach_b"):
             res = solve_multipliers(pb, spec, method)
             for cm in res.classified:
-                assert verify_euler(pb, cm.mult.method, contraction(pb, cm.mult)).passed, method
+                assert verify_euler(euler_residuals(pb, cm.mult.method, contraction(pb, cm.mult))).passed, method
 
 
 def test_determinism(diffusion):
@@ -475,7 +519,7 @@ def test_consistent_ansatz_is_the_weighted_series_of_its_orders(eid, floor, p):
         for j in range(p + 1):
             for i in rng.sample(range(len(basis)), min(5, len(basis))):
                 values[(nu, j, i)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
-    unknowns = multipliers._unknowns(problem, ansatz)
+    unknowns = multipliers._unknowns(ansatz)
     (mult,) = instantiate(ansatz, [tuple(values.get(s, 0) for s in unknowns)])
     for nu, row in enumerate(mult.slots):
         parts = [{} for _ in range(p + 1)]

@@ -45,12 +45,12 @@ def test_mutated_flux_fails():
 def test_wave_identity_in_symbolic_parameters():
     pb, law = law_of("wave", "3")
     assert verify_identity(*law_slots(pb, law)).passed
-    assert verify_euler(pb, law.mult.method, contraction(pb, law.mult)).passed
+    assert verify_euler(euler_residuals(pb, law.mult.method, contraction(pb, law.mult))).passed
 
 
 def test_euler_diffusion_unit():
     pb, law = law_of("diffusion-consistent", "1")
-    assert verify_euler(pb, law.mult.method, contraction(pb, law.mult)).passed
+    assert verify_euler(euler_residuals(pb, law.mult.method, contraction(pb, law.mult))).passed
 
 
 def test_euler_rejects_time_derivative_multiplier(diffusion):
@@ -59,12 +59,12 @@ def test_euler_rejects_time_derivative_multiplier(diffusion):
         "consistent",
         ((normalize(parse("u[0]_t", tab)), NormalForm({})),),
     )
-    assert not verify_euler(diffusion, m.method, contraction(diffusion, m)).passed
+    assert not verify_euler(euler_residuals(diffusion, m.method, contraction(diffusion, m))).passed
 
 
 def test_euler_zero_multiplier_vacuous(diffusion):
     m = MultiplierSet("consistent", ((NormalForm({}), NormalForm({})),))
-    assert verify_euler(diffusion, m.method, contraction(diffusion, m)).passed
+    assert verify_euler(euler_residuals(diffusion, m.method, contraction(diffusion, m))).passed
 
 
 def test_on_solutions_from_identity():
