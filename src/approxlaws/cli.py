@@ -24,7 +24,7 @@ from .multipliers import parse_ansatz, solve_multipliers
 from .parser import ParseError, parse
 from .printer import print_poly
 from .problem import MAX_ORDER, METHODS, PdeProblem, ProblemError, load_problem_file
-from .verify import DEFAULT_SEED, full_report
+from .verify import DEFAULT_SEED, MAX_TRIALS, full_report
 
 OK, INPUT_ERROR, INCOMPLETE, VERIFY_FAILED = 0, 2, 3, 4
 
@@ -32,9 +32,7 @@ _METHOD_FLAGS = {"consistent": "consistent", "a": "approach_a", "b": "approach_b
 
 
 class CliError(Exception):
-    def __init__(self, msg, code=INPUT_ERROR):
-        super().__init__(msg)
-        self.code = code
+    """A flag value or request the command refuses; an input error (exit 2)."""
 
 
 def _check_args(args):
@@ -46,17 +44,16 @@ def _check_args(args):
         v = getattr(args, name, None)
         if v is not None and v < 0:
             raise CliError(f"--{name.replace('_', '-')} must be nonnegative")
-    if args.trials < 1:
-        raise CliError("--trials must be at least 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise CliError(f"--trials must be in 1..{MAX_TRIALS}")
 
 
 def _load_problem(args):
-    """The problem file and its problem, truncated at ``--order`` if given."""
-    pf = load_problem_file(args.input)
-    problem = pf.problem
+    """The problem file's problem, truncated at ``--order`` if given."""
+    problem = load_problem_file(args.input).problem
     if args.order and args.order != problem.p:
         problem = PdeProblem(problem.table, problem.eqns, problem.leading, args.order, name=problem.name)
-    return pf, problem
+    return problem
 
 
 def _ansatz_from_args(args, problem):
@@ -102,7 +99,7 @@ def _report_verification(problem, law, trials, seed):
 
 
 def run_solve(args) -> tuple[dict, int]:
-    pf, problem = _load_problem(args)
+    problem = _load_problem(args)
     method = _METHOD_FLAGS[args.method]
     spec = _ansatz_from_args(args, problem)
     result = solve_multipliers(problem, spec, method)
@@ -110,7 +107,7 @@ def run_solve(args) -> tuple[dict, int]:
     style = "human" if args.format == "text" else "machine"
     report = {
         "command": "solve",
-        "problem": _problem_json(pf, problem),
+        "problem": _problem_json(problem),
         "method": method,
         "ansatz": {
             "generators": [print_poly(g, table) for g in spec.generators],
@@ -141,13 +138,13 @@ def run_solve(args) -> tuple[dict, int]:
 
 
 def run_compare(args) -> tuple[dict, int]:
-    pf, problem = _load_problem(args)
+    problem = _load_problem(args)
     table = problem.table
     spec = _ansatz_from_args(args, problem)
     style = "human" if args.format == "text" else "machine"
     report = {
         "command": "compare",
-        "problem": _problem_json(pf, problem),
+        "problem": _problem_json(problem),
         "blocks": {},
         "expansion_notes": [],
     }
@@ -209,7 +206,7 @@ def run_verify(args) -> tuple[dict, int]:
     laws = corpus.recorded_laws(pf)
     report = {
         "command": "verify",
-        "problem": _problem_json(pf, problem),
+        "problem": _problem_json(problem),
         "method": pf.method,
         "laws": [],
     }
@@ -281,7 +278,7 @@ def run_audit(args) -> tuple[dict, int]:
     return report, code
 
 
-def _problem_json(pf, problem) -> dict:
+def _problem_json(problem) -> dict:
     table = problem.table
     return {
         "name": problem.name,
@@ -448,13 +445,10 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         report, code = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ProblemError, ParseError, FileNotFoundError) as exc:
+        return _emit(report, code, args)
+    except (CliError, ProblemError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    return _emit(report, code, args)
 
 
 if __name__ == "__main__":

@@ -346,7 +346,7 @@ def identity_residuals(targets, divs) -> list:
     """Per-slot residual of the divergence identity, a law's contraction
     ``targets`` minus its divergence ``divs``; all-zero means the law is
     identity-verified."""
-    return [NormalForm(kernel.poly_add(as_poly(t), kernel.poly_scale(as_poly(d), -1)))
+    return [NormalForm(kernel.poly_iadd(dict(as_poly(t)), as_poly(d), -1))
             for t, d in zip(targets, divs)]
 
 
@@ -364,7 +364,7 @@ def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem) -> s
     diff = ConservationLaw(
         a.mult,
         tuple(
-            tuple(NormalForm(kernel.poly_add(as_poly(fa), kernel.poly_scale(as_poly(fb), -1)))
+            tuple(NormalForm(kernel.poly_iadd(dict(as_poly(fa)), as_poly(fb), -1))
                   for fa, fb in zip(ra, rb))
             for ra, rb in zip(a.fluxes, b.fluxes)
         ),

@@ -9,11 +9,15 @@ tuple is the constant monomial.
 In a multiplier ansatz a coefficient may instead be a column vector: a
 dict mapping an unknown's column to its nonzero rational coefficient.
 :func:`poly_iadd`, :func:`poly_mul` (its first factor) and :func:`derive`
-(whose atom images stay scalar) accept such polynomials, choosing the
-vector branch once per call from the first coefficient, and drop zero
-entries and empty vectors.  So the ansatz's series, its contraction with
-the equations and their Euler residuals are built with the unknowns as
-columns, and each residual monomial's vector is a determining-system row.
+(whose atom images stay scalar) accept such polynomials, each with one
+body for both kinds.  :func:`poly_iadd` and :func:`derive` tell the kinds
+apart once per call from the first coefficient, and differ only in their
+innermost add: an inline scalar add, or ``_vec_iadd``, the one
+column-vector merge, which drops zero entries and empty vectors.
+:func:`poly_mul` is a :func:`poly_iadd` of ``p1`` shifted by each monomial
+of ``p2``.  So the ansatz's series, its contraction with the equations and
+their Euler residuals are built with the unknowns as columns, and each
+residual monomial's vector is a determining-system row.
 
 These functions are the hot inner loop of the whole engine.  Callers use
 them as ``kernel.<fn>(...)`` so that the module's bindings stay the single
@@ -56,6 +60,29 @@ def mono_mul(m1, m2):
     return tuple(out)
 
 
+def _vec_iadd(acc, m, vec, c):
+    """``acc[m] += c * vec`` for a column vector ``vec``; drops cancelled
+    entries, and ``m`` once its vector is empty.  ``vec`` is never stored."""
+    w = acc.get(m)
+    if w is None:
+        acc[m] = dict(vec) if c == 1 else {j: c * x for j, x in vec.items()}
+        return
+    if c != 1:
+        vec = {j: c * x for j, x in vec.items()}
+    for j, x in vec.items():
+        y = w.get(j)
+        if y is None:
+            w[j] = x
+        else:
+            y = y + x
+            if y:
+                w[j] = y
+            else:
+                del w[j]
+    if not w:
+        del acc[m]
+
+
 def poly_iadd(acc, p, c=1):
     """In-place ``acc += c * p``; drops cancelled terms.  Column-vector
     coefficients are added entrywise (``c`` stays scalar)."""
@@ -63,53 +90,22 @@ def poly_iadd(acc, p, c=1):
         return acc
     if type(next(iter(p.values()))) is dict:
         for m, vec in p.items():
-            w = acc.get(m)
-            if w is None:
-                acc[m] = dict(vec) if c == 1 else {j: c * x for j, x in vec.items()}
-                continue
-            for j, x in vec.items():
-                if c != 1:
-                    x = c * x
-                y = w.get(j)
-                if y is None:
-                    w[j] = x
-                else:
-                    y = y + x
-                    if y:
-                        w[j] = y
-                    else:
-                        del w[j]
-            if not w:
+            _vec_iadd(acc, m, vec, c)
+        return acc
+    scale = c != 1
+    for m, v in p.items():
+        if scale:
+            v = c * v
+        w = acc.get(m)
+        if w is None:
+            acc[m] = v
+        else:
+            w = w + v
+            if w:
+                acc[m] = w
+            else:
                 del acc[m]
-    elif c == 1:
-        for m, v in p.items():
-            w = acc.get(m)
-            if w is None:
-                acc[m] = v
-            else:
-                w = w + v
-                if w:
-                    acc[m] = w
-                else:
-                    del acc[m]
-    else:
-        for m, v in p.items():
-            w = acc.get(m)
-            if w is None:
-                acc[m] = c * v
-            else:
-                w = w + c * v
-                if w:
-                    acc[m] = w
-                else:
-                    del acc[m]
     return acc
-
-
-def poly_add(p1, p2):
-    out = dict(p1)
-    poly_iadd(out, p2)
-    return out
 
 
 def poly_scale(p, c):
@@ -135,29 +131,11 @@ def poly_mul(p1, p2):
     """``p1 * p2``; ``p1`` alone may have column-vector coefficients."""
     if not p1 or not p2:
         return {}
-    if type(next(iter(p1.values()))) is dict:
-        out = {}
-        for m2, c2 in p2.items():
-            poly_iadd(out, {mono_mul(m1, m2): vec for m1, vec in p1.items()} if m2 else p1, c2)
-        return out
-    if len(p1) < len(p2):
+    if len(p1) < len(p2) and type(next(iter(p1.values()))) is not dict:
         p1, p2 = p2, p1
     out = {}
     for m2, c2 in p2.items():
-        if m2:
-            for m1, c1 in p1.items():
-                key = mono_mul(m1, m2)
-                v = out.get(key)
-                if v is None:
-                    out[key] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        else:
-            poly_iadd(out, p1, c2)
+        poly_iadd(out, {mono_mul(m1, m2): c1 for m1, c1 in p1.items()} if m2 else p1, c2)
     return out
 
 
@@ -168,39 +146,7 @@ def derive(p, images):
     formal partials and the series recursion operator are all instances.
     Column-vector coefficients of ``p`` are scaled and added entrywise."""
     out = {}
-    if p and type(next(iter(p.values()))) is dict:
-        for mono, vec in p.items():
-            n = len(mono)
-            for i in range(0, n, 2):
-                img = images.get(mono[i])
-                if not img:
-                    continue
-                e = mono[i + 1]
-                if e == 1:
-                    rest = mono[:i] + mono[i + 2:]
-                else:
-                    rest = mono[:i] + (mono[i], e - 1) + mono[i + 2:]
-                for m2, c2 in img.items():
-                    key = mono_mul(rest, m2)
-                    f = e * c2
-                    sv = vec if f == 1 else {j: f * x for j, x in vec.items()}
-                    w = out.get(key)
-                    if w is None:
-                        out[key] = dict(sv) if f == 1 else sv
-                        continue
-                    for j, x in sv.items():
-                        y = w.get(j)
-                        if y is None:
-                            w[j] = x
-                        else:
-                            y = y + x
-                            if y:
-                                w[j] = y
-                            else:
-                                del w[j]
-                    if not w:
-                        del out[key]
-        return out
+    vector = bool(p) and type(next(iter(p.values()))) is dict
     for mono, c in p.items():
         n = len(mono)
         for i in range(0, n, 2):
@@ -212,9 +158,12 @@ def derive(p, images):
                 rest = mono[:i] + mono[i + 2:]
             else:
                 rest = mono[:i] + (mono[i], e - 1) + mono[i + 2:]
-            ce = c * e
+            ce = e if vector else c * e
             for m2, c2 in img.items():
                 key = mono_mul(rest, m2)
+                if vector:
+                    _vec_iadd(out, key, c, ce * c2)
+                    continue
                 v = out.get(key)
                 if v is None:
                     out[key] = ce * c2

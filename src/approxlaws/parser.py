@@ -53,7 +53,7 @@ _MAX_LOG2 = int(MAX_DIGITS * math.log2(10))  # 2**(_MAX_LOG2 + 1) > _DIGITS_BOUN
 
 
 class ParseError(Exception):
-    def __init__(self, msg, pos=None, text=None):
+    def __init__(self, msg, pos=None):
         self.pos = pos
         if pos is not None:
             msg = f"{msg} (at position {pos})"
@@ -78,7 +78,7 @@ def _tokenize(text):
             while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
-                raise ParseError(f"integer literal of {j - i} digits is too long", i, text)
+                raise ParseError(f"integer literal of {j - i} digits is too long", i)
             toks.append((_NUM, int(text[i:j]), i))
             i = j
         elif c.isalpha():
@@ -92,7 +92,7 @@ def _tokenize(text):
             while j < n and text[j].isalnum():
                 j += 1
             if j == i + 1:
-                raise ParseError("dangling underscore", i, text)
+                raise ParseError("dangling underscore", i)
             toks.append((_SUFFIX, text[i + 1 : j], i))
             i = j
         elif c == "'":
@@ -105,7 +105,7 @@ def _tokenize(text):
             toks.append((_OP, c, i))
             i += 1
         else:
-            raise ParseError(f"unexpected character {c!r}", i, text)
+            raise ParseError(f"unexpected character {c!r}", i)
     toks.append((_END, None, n))
     return toks
 
@@ -122,15 +122,14 @@ def _coeff_bits(p: dict) -> int:
     return bits - 1
 
 
-def _check_digits(p: dict, pos=None, text=None):
+def _check_digits(p: dict, pos=None):
     for c in p.values():
         if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
-            raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos, text)
+            raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos)
 
 
 class _Parser:
     def __init__(self, text, table: SymbolTable):
-        self.text = text
         self.table = table
         self.toks = _tokenize(text)
         self.i = 0
@@ -146,7 +145,7 @@ class _Parser:
     def expect_op(self, op):
         kind, val, pos = self.next()
         if kind != _OP or val != op:
-            raise ParseError(f"expected {op!r}", pos, self.text)
+            raise ParseError(f"expected {op!r}", pos)
 
     def at_op(self, *ops):
         kind, val, _ = self.peek()
@@ -159,7 +158,7 @@ class _Parser:
         e = self.sum_()
         kind, val, pos = self.peek()
         if kind != _END:
-            raise ParseError(f"unexpected {val!r}", pos, self.text)
+            raise ParseError(f"unexpected {val!r}", pos)
         # a sum's coefficients can outgrow the bounds of their terms
         _check_digits(e)
         return e
@@ -179,9 +178,9 @@ class _Parser:
             if op == "/":
                 f = poly_pow(f, -1)
             if len(out) * len(f) > MAX_TERMS:
-                raise ParseError(f"product exceeds {MAX_TERMS} terms", pos, self.text)
+                raise ParseError(f"product exceeds {MAX_TERMS} terms", pos)
             out = kernel.poly_mul(out, f)
-            _check_digits(out, pos, self.text)
+            _check_digits(out, pos)
         return out
 
     def unary(self):
@@ -199,9 +198,9 @@ class _Parser:
             pos = self.next()[2]
             n, k = self.exponent(), len(base)
             if n > 1 and k > 1 and math.comb(n + k - 1, k - 1) > MAX_TERMS:
-                raise ParseError(f"power exceeds {MAX_TERMS} terms", pos, self.text)
+                raise ParseError(f"power exceeds {MAX_TERMS} terms", pos)
             if abs(n) > 1 and abs(n) * _coeff_bits(base) > _MAX_LOG2:
-                raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos, self.text)
+                raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos)
             return poly_pow(base, n)
         return base
 
@@ -220,17 +219,17 @@ class _Parser:
                     sign = -sign
             kind, val, pos = self.next()
             if kind != _NUM:
-                raise ParseError("exponent must be an integer literal", pos, self.text)
+                raise ParseError("exponent must be an integer literal", pos)
             n = sign * val
         if self.at_op("^"):
             pos = self.next()[2]
             m = self.exponent()
             if m < 0 or (n == 0 and m == 0):
-                raise ParseError("unsupported exponent tower", self.peek()[2], self.text)
+                raise ParseError("unsupported exponent tower", self.peek()[2])
             # |n| >= 2 passes the bound once m reaches its bit length, so
             # n**m is computed only when it is small
             if abs(n) > 1 and (m >= MAX_EXPONENT.bit_length() or abs(n) ** m > MAX_EXPONENT):
-                raise ParseError(f"exponent tower exceeds {MAX_EXPONENT}", pos, self.text)
+                raise ParseError(f"exponent tower exceeds {MAX_EXPONENT}", pos)
             n = n**m
         return n
 
@@ -244,8 +243,7 @@ class _Parser:
             return e
         if kind == _NAME:
             return self.named(val, pos)
-        raise ParseError("unexpected end of input" if kind == _END else f"unexpected {val!r}",
-                         pos, self.text)
+        raise ParseError("unexpected end of input" if kind == _END else f"unexpected {val!r}", pos)
 
     def named(self, name, pos):
         t = self.table
@@ -261,16 +259,16 @@ class _Parser:
             arg = self.depref("function argument")
             self.expect_op(")")
             if arg.deriv:
-                raise ParseError("function argument must be an underived dependent variable", pos, self.text)
+                raise ParseError("function argument must be an underived dependent variable", pos)
             if arg.order not in (None, 0):
-                raise ParseError("function argument must be u or u[0]", pos, self.text)
+                raise ParseError("function argument must be u or u[0]", pos)
             if arg.dep != t.funcs[name]:
                 raise ParseError(
-                    f"function {name} was declared on {t.dep_names[t.funcs[name]]!r}", pos, self.text
+                    f"function {name} was declared on {t.dep_names[t.funcs[name]]!r}", pos
                 )
             return atom_poly(FuncAtom(name, nd, arg))
         if t.dep_index(name) is not None:
-            return atom_poly(self.jetref(name, pos))
+            return atom_poly(self.jetref(name))
         i = t.indep_index(name)
         if i is not None:
             self.no_suffix(name, pos)
@@ -281,12 +279,12 @@ class _Parser:
             return atom_poly(p)
         kind, val, pos2 = self.peek()
         if kind == _SUFFIX:
-            raise ParseError(f"derivative of a non-dependent symbol {name!r}", pos2, self.text)
-        raise ParseError(f"undeclared identifier {name!r}", pos, self.text)
+            raise ParseError(f"derivative of a non-dependent symbol {name!r}", pos2)
+        raise ParseError(f"undeclared identifier {name!r}", pos)
 
     def no_suffix(self, name, pos):
         if self.peek()[0] in (_SUFFIX,) or self.at_op("["):
-            raise ParseError(f"derivative of a non-dependent symbol {name!r}", pos, self.text)
+            raise ParseError(f"derivative of a non-dependent symbol {name!r}", pos)
 
     def expansion_order(self):
         """The order ``k`` of a ``[k]`` that follows a dependent variable, or
@@ -296,11 +294,11 @@ class _Parser:
         self.next()
         kind, val, pos = self.next()
         if kind != _NUM:
-            raise ParseError("expansion order must be an integer", pos, self.text)
+            raise ParseError("expansion order must be an integer", pos)
         self.expect_op("]")
         return val
 
-    def jetref(self, name, pos) -> Jet:
+    def jetref(self, name) -> Jet:
         order = self.expansion_order()
         deriv = ()
         if self.peek()[0] == _SUFFIX:
@@ -308,13 +306,13 @@ class _Parser:
             deriv = tuple(suffix)
             for ch in deriv:
                 if self.table.indep_index(ch) is None:
-                    raise ParseError(f"{ch!r} in derivative suffix is not an independent variable", pos2, self.text)
+                    raise ParseError(f"{ch!r} in derivative suffix is not an independent variable", pos2)
         return self.table.jet(name, order, deriv)
 
     def depref(self, what) -> Jet:
         kind, val, pos = self.next()
         if kind != _NAME or self.table.dep_index(val) is None:
-            raise ParseError(f"{what} must be a dependent variable", pos, self.text)
+            raise ParseError(f"{what} must be a dependent variable", pos)
         return self.table.jet(val, self.expansion_order(), ())
 
     def der(self, pos) -> dict:
@@ -325,11 +323,11 @@ class _Parser:
             self.next()
             kind, val, pos2 = self.next()
             if kind != _NAME or self.table.indep_index(val) is None:
-                raise ParseError(f"der() direction {val!r} is not an independent variable", pos2, self.text)
+                raise ParseError(f"der() direction {val!r} is not an independent variable", pos2)
             names.append(val)
         self.expect_op(")")
         if not names:
-            raise ParseError("der() needs at least one direction", pos, self.text)
+            raise ParseError("der() needs at least one direction", pos)
         out = jet
         for n in names:
             out = out.lifted(self.table.indep_index(n))

@@ -452,4 +452,8 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
 
 def load_problem_file(path) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem_text(fh.read(), source=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_problem_text(text, source=str(path))

@@ -28,6 +28,10 @@ from .multipliers import certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
 
 DEFAULT_SEED = 2023
+# The most spot-check trials the CLI accepts: at this bound the slowest
+# corpus verify (kaup-newell) takes about 1.4 s on a 2-core VM, while an
+# unbounded count could run for days
+MAX_TRIALS = 1000
 # How many sample points one spot-check trial may draw before an evaluation
 # singularity at each of them fails the trial
 MAX_RETRIES = 5

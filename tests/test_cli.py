@@ -164,6 +164,16 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text("independent = t, x\ndependent = u\norder = 1\nequation = u_t + w\nleading = u_t\n")
     code, _, err = run_cli(capsys, "solve", str(bad))
     assert code == 2
+    # a file that cannot be read or decoded, and a report that cannot be written
+    code, _, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2 and err.startswith("error: ")
+    undecodable = tmp_path / "latin1.prob"
+    undecodable.write_bytes(b"name = caf\xe9\n")
+    code, _, err = run_cli(capsys, "verify", str(undecodable))
+    assert code == 2 and err.startswith(f"error: {undecodable}: ")
+    code, out, err = run_cli(capsys, "verify", fixture_path("wave"), "--trials", "1",
+                             "--out", str(tmp_path / "missing" / "x.txt"))
+    assert code == 2 and out == "" and err.startswith("error: ")
     code, _, err = run_cli(capsys, "expand", fixture_path("wave"), "--expr", "1/(u+1)")
     assert code == 2 and err.startswith("error: ")
     code, _, err = run_cli(capsys, "expand", fixture_path("wave"), "--expr", "u", "--order", "4")
@@ -215,7 +225,7 @@ def test_json_expressions_roundtrip(capsys):
 def test_run_config_validation(capsys):
     from approxlaws.cli import build_parser
 
-    for flags in (["--order", "0"], ["--mult-degree", "-1"]):
+    for flags in (["--order", "0"], ["--mult-degree", "-1"], ["--trials", "100000000"]):
         code, _, err = run_cli(capsys, "solve", fixture_path("wave"), *flags)
         assert code == 2 and err.startswith("error: ")
     args = build_parser().parse_args(["solve", fixture_path("wave")])

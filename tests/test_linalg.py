@@ -78,19 +78,21 @@ def test_in_span_ignores_row_order():
             assert in_span(shuffled, {k: target[k] for k in order}) == answer
 
 
-def _in_span_by_solve_particular(columns, target):
-    """An oracle for in_span: one equation per row key, the target as the
-    right-hand side, solved by solve_particular."""
-    rows: dict = {}
-    for j, col in enumerate(columns):
-        for key, v in col.items():
-            if v:
-                rows.setdefault(key, {})[j] = v
-    for key in target:
-        rows.setdefault(key, {})
-    keys = list(rows)
-    rhs = {i: target[key] for i, key in enumerate(keys) if target.get(key)}
-    return solve_particular([rows[key] for key in keys], rhs, len(columns))
+def _in_span_by_dense_rref(columns, target):
+    """An oracle for in_span on the dense RREF: reduce the augmented matrix
+    [A | b] over the sorted row keys; a pivot in the last column means no
+    solution, otherwise each pivot column takes its value from the last
+    column and the free columns are zero."""
+    n = len(columns)
+    keys = sorted({key for col in columns for key in col} | set(target))
+    matrix = [[col.get(key, 0) for col in columns] + [target.get(key, 0)] for key in keys]
+    reduced, pivots = _dense_rref(matrix, n + 1)
+    if n in pivots:
+        return None
+    coefficients = [Fraction(0)] * n
+    for row, p in zip(reduced, pivots):
+        coefficients[p] = row[n]
+    return tuple(coefficients)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +112,7 @@ def _in_span_by_solve_particular(columns, target):
     ],
 )
 def test_in_span_edge_cases_match_solve_particular(columns, target):
-    assert in_span(columns, target) == _in_span_by_solve_particular(columns, target)
+    assert in_span(columns, target) == _in_span_by_dense_rref(columns, target)
 
 
 def test_in_span_matches_solve_particular_with_zero_entries():
@@ -126,7 +128,7 @@ def test_in_span_matches_solve_particular_with_zero_entries():
             # half the targets are in the span, some of them with explicit zeros
             weights = [rng.randint(-2, 2) for _ in columns]
             target = {k: sum(c.get(k, 0) * w for c, w in zip(columns, weights)) for k in keys}
-        assert in_span(columns, target) == _in_span_by_solve_particular(columns, target)
+        assert in_span(columns, target) == _in_span_by_dense_rref(columns, target)
 
 
 def _dense_rref(matrix, ncols):

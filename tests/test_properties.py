@@ -185,6 +185,26 @@ def test_poly_iadd_on_column_vectors_matches_each_column(acc, p, c):
     assert kernel.poly_iadd({m: dict(vec) for m, vec in p.items()}, p, -1) == {}
 
 
+@settings(max_examples=150, deadline=None)
+@given(_column_polys, _scalar_polys)
+# (a + 1)(a - 1): the a terms cancel in every column, so the key a goes
+@example({(_A, 1): {0: 1, 1: 2}, (): {0: 1, 1: 2}}, {(_A, 1): 1, (): -1})
+# (a + 1)(a - 1) in column 0 but 2a(a - 1) in column 1: the key a keeps column 1
+@example({(_A, 1): {0: 1, 1: 2}, (): {0: 1}}, {(_A, 1): 1, (): -1})
+def test_poly_mul_on_column_vectors_matches_each_column(p1, p2):
+    snapshots = {m: dict(vec) for m, vec in p1.items()}, dict(p2)
+    out = kernel.poly_mul(p1, p2)
+    expected = {}
+    for j in range(4):
+        for m, x in kernel.poly_mul(_column(p1, j), p2).items():
+            expected.setdefault(m, {})[j] = x
+    assert out == expected
+    assert _no_stored_zero(out)
+    # the product owns its vectors: adding to it leaves both factors as they were
+    kernel.poly_iadd(out, p1)
+    assert (p1, p2) == snapshots
+
+
 # --- seeded bulk properties ---------------------------------------------------
 
 
