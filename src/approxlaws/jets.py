@@ -88,18 +88,17 @@ def total_derivative_chain(e, idxs) -> NormalForm:
 # --- epsilon expansion ------------------------------------------------------
 
 
-def series_mul(s1, s2, p):
-    """Cauchy product of two slot lists of plain polynomial dicts, truncated
-    at order ``p``."""
-    out = [dict() for _ in range(p + 1)]
+def series_mul(s1, s2, p, first: int = 0):
+    """Cauchy product of two slot lists of plain polynomial dicts: its slots
+    ``first``..``p``, so no product of slots i + j < first is formed."""
+    out = [dict() for _ in range(first, p + 1)]
     for i, a in enumerate(s1):
         if not a:
             continue
-        for j, b in enumerate(s2):
-            if i + j > p:
-                break
+        for j in range(max(first - i, 0), min(len(s2), p - i + 1)):
+            b = s2[j]
             if b:
-                kernel.poly_iadd(out[i + j], kernel.poly_mul(a, b))
+                kernel.poly_iadd(out[i + j - first], kernel.poly_mul(a, b))
     return out
 
 

@@ -3,9 +3,16 @@
 Rows are dicts column-index -> nonzero coefficient (int or Fraction).  The
 reduced row echelon form is unique for a given row space, so results do not
 depend on row input order; columns are processed in their numeric order,
-which callers arrange to be the canonical unknown order.  Elimination takes
-the rows sparsest first: short rows become pivots that reduce the longer
-rows cheaply, where dense rows first would fill in every later row.
+which callers arrange to be the canonical unknown order.
+
+:func:`rref` is the one elimination.  A singleton presolve comes first
+(Davis, *Direct Methods for Sparse Linear Systems*, 2006): a one-entry row
+forces its column to zero, the forced column is struck from the other
+rows, and a row left with one entry forces its column in turn.  The
+determining systems here are full of such rows, and most of their pivots
+come from them.  The rows that keep two or more entries are eliminated
+sparsest first: short rows become pivots that reduce the longer rows
+cheaply, where dense rows first would fill in every later row.
 """
 
 from __future__ import annotations
@@ -31,9 +38,42 @@ def _row_sub(r: dict, pr: dict, c):
 
 def rref(rows) -> dict:
     """Reduced row echelon form of the row space; returns a map from pivot
-    column to its (fully reduced, pivot coefficient 1) row."""
+    column to its (fully reduced, pivot coefficient 1) row.  The caller's
+    rows are never mutated.
+
+    The singleton presolve runs first.  A one-entry row forces its column
+    to zero, so its pivot row is the unit row ``{c: 1}``, and the forced
+    column is struck from every other row (in a copy); a row left with one
+    entry forces its column in turn, until no row is.  Only the rows that
+    keep two or more entries go through Gauss-Jordan, sparsest first, and
+    their pivot rows never hold a forced column.  A row there that reduces
+    to one entry is not forced: it reduces on like any other, since its
+    column may already be a pivot."""
     pivots: dict[int, dict] = {}
-    for r0 in sorted(rows, key=len):
+    rest = []
+    for r in rows:
+        if len(r) == 1:
+            (c,) = r
+            pivots[c] = {c: 1}
+        elif r:
+            rest.append(r)
+    forced = bool(pivots)
+    while forced:
+        forced = False
+        kept = []
+        for r in rest:
+            if not pivots.keys().isdisjoint(r):
+                r = {k: v for k, v in r.items() if k not in pivots}
+                if len(r) == 1:
+                    (c,) = r
+                    pivots[c] = {c: 1}
+                    forced = True
+                if len(r) < 2:
+                    continue
+            kept.append(r)
+        rest = kept
+    eliminated = []
+    for r0 in sorted(rest, key=len):
         r = dict(r0)
         while r:
             lead = min(r)
@@ -44,11 +84,11 @@ def rref(rows) -> dict:
                     inv = Fraction(1) / Fraction(c)
                     r = {k: _q(inv * v) for k, v in r.items()}
                 pivots[lead] = r
+                eliminated.append(lead)
                 break
             _row_sub(r, pr, r[lead])
-    # back-substitution: make every pivot row free of later pivots
-    leads = sorted(pivots)
-    for lead in reversed(leads):
+    # back-substitution: make every eliminated pivot row free of later pivots
+    for lead in sorted(eliminated, reverse=True):
         row = pivots[lead]
         for other in list(row):
             if other != lead and other in pivots:
@@ -59,18 +99,15 @@ def rref(rows) -> dict:
 def kernel_basis(rows, ncols: int) -> list[dict]:
     """A basis of the solution space of the homogeneous system, one sparse
     vector (column -> value) per free column: that column 1, the other free
-    columns 0."""
+    columns 0.  The pivot rows are read in one pass: every non-pivot entry
+    of a reduced pivot row is a free column's."""
     pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    vecs = []
-    for f in free:
-        row = {f: 1}
-        for lead, pr in pivots.items():
-            v = pr.get(f)
-            if v:
-                row[lead] = _q(-v)
-        vecs.append(row)
-    return vecs
+    vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for lead, pr in pivots.items():
+        for c, v in pr.items():
+            if c != lead:
+                vecs[c][lead] = _q(-v)
+    return list(vecs.values())
 
 
 def canonical_basis(vecs, ncols: int) -> list[tuple]:

@@ -49,8 +49,8 @@ from .problem import METHODS, PdeProblem, ProblemError
 # series slots), checked as the basis is built: assembly and elimination
 # of the determining system grow with it, so an oversized ansatz would run
 # for hours instead of failing.  nls2 at order 3 has 11,088 unknowns from
-# its hint and solves in ~1.4 s, peaking at ~46 MB; at degree 6 and
-# x-degree 2 it has 44,352 and solves in ~9 s, peaking at ~155 MB (one
+# its hint and solves in ~0.9 s, peaking at ~45 MB; at degree 6 and
+# x-degree 2 it has 44,352 and solves in ~4 s, peaking at ~150 MB (one
 # core of a 2-core Intel Xeon VM, CPython 3.11).
 MAX_UNKNOWNS = 50000
 
@@ -348,10 +348,11 @@ def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     return _contract(problem, mult.method, mult.slots)
 
 
-def _contract(problem: PdeProblem, method: str, rows, upto: int | None = None) -> list:
+def _contract(problem: PdeProblem, method: str, rows, upto: int | None = None, first: int = 0) -> list:
     """:func:`contraction` of the per-equation slot lists ``rows``, whose
-    coefficients may be column vectors, truncated at T_upto (default
-    T_p)."""
+    coefficients may be column vectors: the eps-series slots T_first..T_upto
+    (default T_p), the lower ones never formed.  Approach B has the one
+    exact contraction, and ``first`` stays 0."""
     p = problem.p if upto is None else upto
     if method == "approach_b":
         out = {}
@@ -360,10 +361,10 @@ def _contract(problem: PdeProblem, method: str, rows, upto: int | None = None) -
             for k, a in enumerate(row):
                 kernel.poly_iadd(out, kernel.poly_mul(as_poly(a), as_poly(dsl[k])))
         return [NormalForm(out)]
-    parts = [{} for _ in range(p + 1)]
+    parts = [{} for _ in range(first, p + 1)]
     for nu, row in enumerate(rows):
         dsl = problem.expanded_slots(nu) if method == "consistent" else problem.unexpanded_slots(nu)
-        for part, term in zip(parts, series_mul([as_poly(a) for a in row], [as_poly(d) for d in dsl], p)):
+        for part, term in zip(parts, series_mul([as_poly(a) for a in row], [as_poly(d) for d in dsl], p, first)):
             kernel.poly_iadd(part, term)
     return [NormalForm(part) for part in parts]
 
@@ -422,7 +423,7 @@ def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: in
     p) of ``_series(ansatz, coefficient, upto)``, whose coefficients are
     column vectors: one row (column -> coefficient) per (Euler coordinate,
     slot - first, monomial)."""
-    parts = _contract(problem, ansatz.method, _series(ansatz, coefficient, upto), upto)[first:]
+    parts = _contract(problem, ansatz.method, _series(ansatz, coefficient, upto), upto, first)
     return {(v, k, mono): row
             for v, k, res in euler_residuals(problem, ansatz.method, parts)
             for mono, row in as_poly(res).items()}

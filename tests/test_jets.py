@@ -15,6 +15,9 @@ from approxlaws import (
     recursion_R,
     total_derivative,
 )
+from approxlaws import kernel
+from approxlaws.expr import as_poly
+from approxlaws.jets import series_mul
 
 from conftest import expand_epsilon_substitution
 
@@ -148,3 +151,20 @@ def test_series_reconstruct(P, table):
     s = expand_epsilon(e, 2)
     direct = P("u[0]^2 + 2*eps*u[0]*u[1] + eps^2*(u[1]^2 + 2*u[0]*u[2]) - eps*u[0] - eps^2*u[1]")
     assert join_eps(s) == direct
+
+
+def test_series_mul_from_a_first_slot_forms_no_lower_product(P, monkeypatch):
+    # slots first..p of the Cauchy product, with no product of slots
+    # i + j < first formed
+    s1 = [as_poly(P(t)) for t in ("u[0]", "x", "0", "u[0]^2")]
+    s2 = [as_poly(P(t)) for t in ("1 + u[0]", "t", "u[1]")]
+    p = 3
+    full = series_mul(s1, s2, p)
+    products = []
+    poly_mul = kernel.poly_mul
+    monkeypatch.setattr(kernel, "poly_mul", lambda a, b: products.append(1) or poly_mul(a, b))
+    for first in range(p + 2):
+        products.clear()
+        assert series_mul(s1, s2, p, first) == full[first:]
+        nonzero = [i + j for i, a in enumerate(s1) if a for j, b in enumerate(s2) if b]
+        assert len(products) == sum(first <= k <= p for k in nonzero)

@@ -193,3 +193,86 @@ def test_nullspace_matches_dense_oracle_under_row_shuffles():
         expected = _dense_nullspace(rows, ncols)
         for _ in range(4):
             assert nullspace(rng.sample(rows, len(rows)), ncols) == expected
+
+
+def _singleton_rich_system(rng):
+    """Rows that drive rref's singleton presolve through each of its cases:
+    a planted chain, where each column is forced only after the one before
+    it is struck; three rows of which one reduces to a single entry at a
+    column that is already a pivot; sparse rows; exact and rescaled
+    duplicates; and empty rows.  The chain's one-entry row comes first."""
+    ncols = rng.randint(3, 12)
+
+    def coeff():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+
+    chain = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+    rows = [{chain[0]: coeff()}]
+    for n, c in enumerate(chain[1:], 1):
+        # the column forced just before, and maybe others forced earlier
+        struck = {chain[n - 1]} | set(rng.sample(chain[:n], rng.randint(0, n - 1)))
+        rows.append({c: coeff(), **{k: coeff() for k in struck}})
+    # with these three in this order, the third reduces by the second to a
+    # single entry at b, the first row's pivot: it must be reduced again,
+    # never installed over that pivot
+    a, b, c = sorted(rng.sample(range(ncols), 3))
+    s, t = coeff(), coeff()
+    rows += [{b: s, c: coeff()}, {a: t, b: 2 * t}, {a: s, b: s}]
+    rows += [
+        {c: coeff() for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+        for _ in range(rng.randint(0, 5))
+    ]
+    for _ in range(rng.randint(0, 3)):
+        row, scale = rng.choice(rows), rng.choice([1, coeff()])
+        rows.append({c: v * scale for c, v in row.items()})
+    rows += [{} for _ in range(rng.randint(0, 2))]
+    return rows, ncols
+
+
+def _as_dense_rref(pivots, ncols):
+    leads = sorted(pivots)
+    for lead in leads:
+        assert pivots[lead][lead] == 1 and all(v for v in pivots[lead].values())
+    return [[Fraction(pivots[lead].get(c, 0)) for c in range(ncols)] for lead in leads], leads
+
+
+def _dense_solve(rows, rhs, ncols):
+    matrix = [[row.get(c, 0) for c in range(ncols)] + [rhs.get(i, 0)] for i, row in enumerate(rows)]
+    reduced, pivots = _dense_rref(matrix, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def test_rref_with_singleton_presolve_matches_dense_oracle():
+    rng = random.Random(4099)
+    for _ in range(300):
+        rows, ncols = _singleton_rich_system(rng)
+        expected = _dense_rref([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols)
+        # the planted row order first, then shuffles
+        for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
+            snapshot = [dict(row) for row in order]
+            assert _as_dense_rref(rref(order), ncols) == expected
+            assert order == snapshot
+        rhs = {i: Fraction(rng.randint(-3, 3)) for i in rng.sample(range(len(rows)), rng.randint(0, len(rows)))}
+        snapshot = [dict(row) for row in rows]
+        assert solve_particular(rows, rhs, ncols) == _dense_solve(rows, rhs, ncols)
+        assert rows == snapshot
+        # a forced right-hand side: a copy of the chain's first row, or an
+        # empty row, asked to equal a nonzero value
+        for extra in (dict(rows[0]), {}):
+            forced = rows + [extra]
+            assert solve_particular(forced, {len(rows): rng.choice([-2, 1, Fraction(1, 3)])}, ncols) is None
+
+
+def test_rref_one_entry_row_at_an_existing_pivot():
+    # sparsest first keeps this order: {1, 2} and {0, 1} become pivot rows,
+    # then {0: 1, 1: 1} reduces by {0: 1, 1: 2} to {1: -1}, one entry at
+    # column 1, already a pivot; reduced by that pivot row it leaves {2: 1},
+    # so the rows have full rank
+    rows = [{1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 1: 1}]
+    assert rref(rows) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    assert rows == [{1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 1: 1}]
