@@ -23,7 +23,7 @@ from .jets import expand_epsilon, join_eps
 from .multipliers import parse_ansatz, solve_multipliers
 from .parser import ParseError, parse
 from .printer import print_poly
-from .problem import MAX_ORDER, METHODS, PdeProblem, ProblemError, load_problem_file
+from .problem import HINT_DEFAULTS, MAX_ORDER, METHODS, PdeProblem, ProblemError, load_problem_file
 from .verify import DEFAULT_SEED, MAX_TRIALS, full_report
 
 OK, INPUT_ERROR, INCOMPLETE, VERIFY_FAILED = 0, 2, 3, 4
@@ -406,11 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     def ansatz(p):
         p.add_argument("--method", choices=("consistent", "a", "b"), default="consistent")
         p.add_argument("--order", type=int, default=None, help="override the truncation order")
-        p.add_argument("--mult-deps", default=None, help="comma-separated ansatz generators")
-        p.add_argument("--mult-degree", type=int, default=2)
-        p.add_argument("--mult-xdegree", type=int, default=None)
+        p.add_argument("--mult-deps", default=HINT_DEFAULTS["mult_deps"],
+                       help="comma-separated ansatz generators")
+        p.add_argument("--mult-degree", type=int, default=HINT_DEFAULTS["mult_degree"])
+        p.add_argument("--mult-xdegree", type=int, default=HINT_DEFAULTS["mult_xdegree"])
         p.add_argument("--flux-degree", type=int, default=None)
-        p.add_argument("--laurent", default=None, help="Laurent generators, e.g. 'u[0]:-2'")
+        p.add_argument("--laurent", default=HINT_DEFAULTS["laurent"],
+                       help="Laurent generators, e.g. 'u[0]:-2'")
 
     p = sub.add_parser("solve", help="find multipliers and reconstruct fluxes")
     common(p)

@@ -18,7 +18,7 @@ from ..expr import NormalForm, UnsupportedFormError
 from ..fluxes import ConservationLaw
 from ..multipliers import MultiplierSet, parse_ansatz
 from ..parser import ParseError, parse
-from ..problem import PdeProblem, ProblemError, ProblemFile, parse_problem_text
+from ..problem import HINT_DEFAULTS, PdeProblem, ProblemError, ProblemFile, parse_problem_text
 from ..verify import DEFAULT_SEED, full_report
 
 ENTRY_IDS = [
@@ -35,7 +35,8 @@ ENTRY_IDS = [
 
 CorpusLaw = namedtuple("CorpusLaw", "label law expected_status")
 
-# ``ansatz_hint`` is the AnsatzSpec of the file's hint.* lines, or None
+# ``ansatz_hint`` is the AnsatzSpec of the file's hint.* lines, a missing key
+# read as its CLI flag's default, or None when the file has no hint.* line
 CorpusEntry = namedtuple("CorpusEntry", "id problem method laws ansatz_hint notes")
 
 
@@ -96,11 +97,10 @@ def load(entry_id: str) -> CorpusEntry:
     if entry_id not in ENTRY_IDS:
         raise KeyError(f"unknown corpus entry {entry_id!r}")
     pf = parse_problem_text(_entry_text(entry_id), source=entry_id)
-    hints = pf.hints
     hint = None
-    if "mult_deps" in hints:
-        hint = parse_ansatz(pf.problem.table, hints["mult_deps"], hints.get("mult_degree", 1),
-                            hints.get("mult_xdegree"), hints.get("laurent"))
+    if pf.hints:
+        h = HINT_DEFAULTS | pf.hints
+        hint = parse_ansatz(pf.problem.table, h["mult_deps"], h["mult_degree"], h["mult_xdegree"], h["laurent"])
     return CorpusEntry(entry_id, pf.problem, pf.method, recorded_laws(pf), hint, pf.notes)
 
 

@@ -195,7 +195,7 @@ def mul(*es) -> NormalForm:
 
 
 def negate(e) -> NormalForm:
-    return NormalForm(kernel.poly_scale(as_poly(e), -1))
+    return NormalForm(kernel.poly_iadd({}, as_poly(e), -1))
 
 
 def pow_int(e, n: int) -> NormalForm:
@@ -246,7 +246,7 @@ def substitute(e, bindings: dict) -> NormalForm:
                 plain.append(mono[j + 1])
             else:
                 factor = kernel.poly_mul(factor, poly_pow(img, mono[j + 1]))
-        kernel.poly_iadd(out, kernel.poly_mul_mono(factor, tuple(plain), 1))
+        kernel.poly_iadd(out, kernel.poly_mul(factor, {tuple(plain): 1}))
     return NormalForm(out)
 
 

@@ -361,19 +361,12 @@ def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem) -> s
         raise ValueError("laws use different methods")
     if len(a.fluxes) != len(b.fluxes) or len(a.fluxes[0]) != len(b.fluxes[0]):
         raise ValueError("laws have different flux shapes")
-    diff = ConservationLaw(
-        a.mult,
-        tuple(
-            tuple(NormalForm(kernel.poly_iadd(dict(as_poly(fa)), as_poly(fb), -1))
-                  for fa, fb in zip(ra, rb))
-            for ra, rb in zip(a.fluxes, b.fluxes)
-        ),
-    )
-    divs = diff.divergence_slots()
-    if all(d.is_zero() for d in divs):
+    diff = [[NormalForm(kernel.poly_iadd(dict(as_poly(fa)), as_poly(fb), -1)) for fa, fb in zip(ra, rb)]
+            for ra, rb in zip(a.fluxes, b.fluxes)]
+    if all(d.is_zero() for d in _divergence(diff)):
         return "equivalent"
     try:
-        for row in diff.fluxes:
+        for row in diff:
             if not all(r.is_zero() for r in problem.reduce_series_on_solutions(row, a.method)):
                 return "distinct"
     except InconclusiveReduction:

@@ -1,13 +1,12 @@
 """Jet-space operators.
 
 Total derivatives thread through every jet coordinate (all perturbation
-orders at once), epsilon expansion turns expressions over unexpanded
-variables into truncated series over order-tagged coordinates (slot 0 over
-order-0 coordinates, then the recursion operator R: slot k+1 = R[slot k]/(k+1),
-:func:`recursion_series`, which expands each order of the consistent
-multiplier ansatz too),
-and the Euler operator of an underived dependent coordinate v annihilates
-total divergences: v is u[k] at one perturbation order k, or u unexpanded.
+orders at once); epsilon expansion turns expressions over unexpanded
+variables into truncated series over order-tagged coordinates; and the
+Euler operator of an underived dependent coordinate v annihilates total
+divergences: v is u[k] at one perturbation order k, or u unexpanded.
+Equations and the consistent multiplier ansatz are expanded by one loop,
+:func:`recursion_series`, which takes a slot list of parts.
 
 A series truncated at order p is the list of its p+1 eps-free slots, slot k
 the coefficient of eps^k.  This module alone converts between slots and the
@@ -136,7 +135,7 @@ def join_eps(slots) -> NormalForm:
     out = {}
     eid = intern(EPS_SYM)
     for k, slot in enumerate(slots):
-        kernel.poly_iadd(out, kernel.poly_mul_mono(as_poly(slot), () if k == 0 else (eid, k), 1))
+        kernel.poly_iadd(out, kernel.poly_mul(as_poly(slot), {(eid, k) if k else (): 1}))
     return NormalForm(out)
 
 
@@ -216,11 +215,7 @@ def expand_epsilon(e, p: int) -> list:
     for mono, c in poly.items():
         pairs = sorted((order0.get(mono[j], mono[j]), mono[j + 1]) for j in range(0, len(mono), 2))
         renamed[tuple(x for pair in pairs for x in pair)] = c
-    out = [dict() for _ in range(p + 1)]
-    for shift, part in enumerate(collect_eps(renamed, p)):
-        for k, slot in enumerate(recursion_series(part, p - shift)):
-            kernel.poly_iadd(out[k + shift], as_poly(slot))
-    return [NormalForm(d) for d in out]
+    return [NormalForm(d) for d in recursion_series(collect_eps(renamed, p), p)]
 
 
 # --- recursion operator -----------------------------------------------------
@@ -248,13 +243,22 @@ def recursion_R(e) -> NormalForm:
     return NormalForm(kernel.derive(p, images))
 
 
-def recursion_series(slot0, p: int) -> list:
-    """The p+1 slots of the consistent expansion whose slot 0 is ``slot0``
-    (over order-tagged coordinates): slot k+1 = R[slot k]/(k+1)."""
-    slots = [NormalForm(as_poly(slot0))]
-    for k in range(p):
-        slots.append(NormalForm(kernel.poly_iadd({}, as_poly(recursion_R(slots[k])), Fraction(1, k + 1))))
-    return slots
+def recursion_series(parts, p: int) -> list:
+    """The one expansion loop, which equations (:func:`expand_epsilon`) and
+    the consistent multiplier ansatz call: the p+1 slots (dicts) of sum over
+    j of eps^j S_j for the slot list ``parts`` over order-tagged coordinates,
+    S_j's slot 0 being part j and its slot m+1 R[slot m]/(m+1).  Empty parts
+    are skipped; coefficients may be column vectors."""
+    out = [{} for _ in range(p + 1)]
+    for j, part in enumerate(parts):
+        slot = as_poly(part)
+        if not slot:
+            continue
+        kernel.poly_iadd(out[j], slot)
+        for m in range(1, p - j + 1):
+            slot = kernel.poly_iadd({}, as_poly(recursion_R(slot)), Fraction(1, m))
+            kernel.poly_iadd(out[j + m], slot)
+    return out
 
 
 # --- Euler operators --------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Normal-form arithmetic kernel.
+"""Normal-form arithmetic kernel: four functions, :func:`mono_mul`,
+:func:`poly_iadd`, :func:`poly_mul` and :func:`derive`.
 
 A polynomial (normal form) is a dict mapping a monomial key to a nonzero
 exact rational coefficient (int where integral, fractions.Fraction
 otherwise).  A monomial key is a flat tuple ``(id0, e0, id1, e1, ...)`` of
 atom-id/exponent pairs sorted by atom id, with no zero exponents; the empty
-tuple is the constant monomial.
+tuple is the constant monomial.  :func:`mono_mul` multiplies two keys.
+``c * p`` is ``poly_iadd({}, p, c)`` and ``c * mono * p`` is
+``poly_mul(p, {mono: c})``.
 
 In a multiplier ansatz a coefficient may instead be a column vector: a
 dict mapping an unknown's column to its nonzero rational coefficient.
@@ -106,25 +109,6 @@ def poly_iadd(acc, p, c=1):
             else:
                 del acc[m]
     return acc
-
-
-def poly_scale(p, c):
-    if not c:
-        return {}
-    if c == 1:
-        return dict(p)
-    return {m: c * v for m, v in p.items()}
-
-
-def poly_mul_mono(p, mono, c):
-    """``c * mono * p`` as a new dict."""
-    if not c:
-        return {}
-    if not mono:
-        return poly_scale(p, c)
-    if c == 1:
-        return {mono_mul(m, mono): v for m, v in p.items()}
-    return {mono_mul(m, mono): c * v for m, v in p.items()}
 
 
 def poly_mul(p1, p2):

@@ -172,14 +172,6 @@ class MultiplierSet:
     def is_zero(self) -> bool:
         return all(s.is_zero() for row in self.slots for s in row)
 
-    def is_trivial(self) -> bool:
-        """Trivial iff every order-0 component vanishes.  Approach-B sets are
-        exact multipliers of the coupled hierarchy, so only the zero set is
-        trivial there."""
-        if self.method == "approach_b":
-            return self.is_zero()
-        return all(row[0].is_zero() for row in self.slots)
-
     def eps_shifted(self) -> "MultiplierSet":
         """The multiplier multiplied by eps, re-truncated at the same order."""
         if self.method == "approach_b":
@@ -294,12 +286,13 @@ def _series(ansatz: Ansatz, coefficient, upto: int | None = None) -> list:
     Each order's part is P_j = sum over i of the coefficient times basis
     monomial i.  Approaches A and B take slot k = P_k.  The consistent
     method expands sum over j of eps^j P_j(u) / j! in u = u[0] + eps u[1] +
-    ...: P_j's series is :func:`~approxlaws.jets.recursion_series`, so slot
-    k = sum over j <= k of (1/j!) R^(k-j)[P_j] / (k-j)!, which inherits the
-    derivative terms of the lower orders and brings in the order-k
-    coefficients.  This is R^k[slot 0] / k! when R also takes each
+    ...: :func:`~approxlaws.jets.recursion_series` expands each P_j / j! and
+    shifts it by j, so slot k = sum over j <= k of (1/j!) R^(k-j)[P_j] /
+    (k-j)!, which inherits the derivative terms of the lower orders and
+    brings in the order-k coefficients.  This is R^k[slot 0] / k! when R also takes each
     coefficient function of order j to the one of order j + 1."""
     p = ansatz.p if upto is None else upto
+    consistent = ansatz.method == "consistent"
     rows = []
     for nu in range(ansatz.q):
         parts = []
@@ -309,15 +302,8 @@ def _series(ansatz: Ansatz, coefficient, upto: int | None = None) -> list:
                 c = coefficient(nu, j, i)
                 if c:
                     part[mono] = c
-            parts.append(part)
-        if ansatz.method == "consistent":
-            slots = [{} for _ in parts]
-            for j, part in enumerate(parts):
-                if part:
-                    for m, s in enumerate(recursion_series(part, p - j)):
-                        kernel.poly_iadd(slots[j + m], as_poly(s), Fraction(1, math.factorial(j)))
-            parts = slots
-        rows.append(parts)
+            parts.append(kernel.poly_iadd({}, part, Fraction(1, math.factorial(j))) if consistent else part)
+        rows.append(recursion_series(parts, p) if consistent else parts)
     return rows
 
 
@@ -513,17 +499,21 @@ def classify(result_basis, ansatz: Ansatz) -> list:
     duplicates of space members, stability of the order-0 part; non-trivial
     sets are ordered first.
 
-    A trivial set is an eps-shift when its coefficient vector is in the span
-    of the members' eps-multiples.  :func:`_series` is linear and one-to-one
-    (slot k's part over order-0 coordinates alone is P_k/k!, as R^m raises
-    the perturbation weight by m), so that is the test on the slots."""
+    Triviality and eps-shifts are read off the coefficient vectors.  A set
+    is trivial when all its order-0 columns (slot 0 is P_0) are zero; an
+    approach-B member, a nonzero exact multiplier of the hierarchy, never
+    is.  A trivial set is an eps-shift when its coefficient vector is in the
+    span of the members' eps-multiples.  :func:`_series` is linear and one-to-one (slot k's part
+    over order-0 coordinates alone is P_k/k!, as R^m raises the perturbation
+    weight by m), so that is the test on the slots."""
+    order0 = [_column(ansatz, nu, 0, i) for nu in range(ansatz.q) for i in range(len(ansatz.basis))]
     mults = instantiate(ansatz, result_basis)
     classified = []
     shifts = None  # the members' eps-multiples, built on the first shift check
     for vec, m in zip(result_basis, mults):
-        trivial = m.is_trivial()
+        trivial = m.method != "approach_b" and not any(vec[col] for col in order0)
         shift = False
-        if trivial and not m.is_zero() and m.method != "approach_b":
+        if trivial:
             if shifts is None:
                 shifts = [_eps_multiple(ansatz, member) for member in result_basis]
             shift = linalg.in_span(shifts, {col: x for col, x in enumerate(vec) if x}) is not None

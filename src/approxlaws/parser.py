@@ -190,7 +190,7 @@ class _Parser:
             if op == "-":
                 sign = -sign
         e = self.power()
-        return e if sign == 1 else kernel.poly_scale(e, -1)
+        return e if sign == 1 else kernel.poly_iadd({}, e, -1)
 
     def power(self):
         base = self.primary()

@@ -24,14 +24,14 @@ def _sup(n: int) -> str:
     return str(n).translate(_SUPERSCRIPTS)
 
 
-def _atom_str(atom, table: SymbolTable | None, human: bool) -> str:
+def _atom_str(atom, table: SymbolTable, human: bool) -> str:
     if isinstance(atom, Sym):
         if atom is EPS_SYM or atom.name == "eps":
             return "ε" if human else "eps"
         return atom.name
     if isinstance(atom, Jet):
-        dep = table.dep_names[atom.dep] if table else f"dep{atom.dep}"
-        letters = [table.indep[i].name if table else f"x{i}" for i in atom.deriv]
+        dep = table.dep_names[atom.dep]
+        letters = [table.indep[i].name for i in atom.deriv]
         if human:
             s = dep + ("" if atom.order is None else str(atom.order).translate(_SUBSCRIPTS))
             if letters:
@@ -80,7 +80,7 @@ def _join_terms(items) -> str:
     return " ".join(out)
 
 
-def print_poly(e, table: SymbolTable | None = None, style: str = "machine") -> str:
+def print_poly(e, table: SymbolTable, style: str = "machine") -> str:
     """Render an expression.  Machine style round-trips through the parser."""
     human = style == "human"
     p = as_poly(e)

@@ -46,7 +46,8 @@ an input error (the CLI exits 2).  ``equation``, ``leading`` and ``note``
 may repeat; every other key, and every multiplier, flux or status slot, is
 given once.  Each law has at least one ``multiplier`` line.  The four
 ``hint`` keys above are the only ones; any other is an error, so a misspelt
-hint cannot be dropped unseen.
+hint cannot be dropped unseen.  A hint a file omits takes the default of
+its CLI flag (:data:`HINT_DEFAULTS`).
 
 Every key is checked when a file is parsed, but a multiplier or flux value is
 kept as ``(where, text)``, its raw text with its ``source:lineno``: only
@@ -89,20 +90,17 @@ class InconclusiveReduction(Exception):
     """On-solution reduction did not terminate within the prolongation bound."""
 
 
-def _multiset_contains(big: tuple, small: tuple) -> bool:
-    rest = list(big)
-    for s in small:
-        if s in rest:
-            rest.remove(s)
-        else:
-            return False
-    return True
-
-
-def _multiset_diff(big: tuple, small: tuple) -> tuple:
-    rest = list(big)
-    for s in small:
-        rest.remove(s)
+def _extra_derivatives(jet: Jet, lead: Jet) -> tuple | None:
+    """The multi-index of the derivatives ``jet`` takes beyond ``lead`` when
+    it is ``lead`` or a derivative of it, at any perturbation order; None
+    otherwise."""
+    if jet.dep != lead.dep:
+        return None
+    rest = list(jet.deriv)
+    for i in lead.deriv:
+        if i not in rest:
+            return None
+        rest.remove(i)
     return tuple(rest)
 
 
@@ -178,7 +176,7 @@ class PdeProblem:
         """Index of the first equation whose leading derivative ``jet`` is,
         or is a derivative of; None if there is none."""
         for nu, lead in enumerate(self.leading):
-            if jet.dep == lead.dep and _multiset_contains(jet.deriv, lead.deriv):
+            if _extra_derivatives(jet, lead) is not None:
                 return nu
         return None
 
@@ -226,24 +224,16 @@ class PdeProblem:
         for _ in range(MAX_REDUCTION_ROUNDS):
             if not expanded:
                 cur = join_eps(collect_eps(cur, self.p))
-            target = None
-            for a in atoms_of(cur):
-                if not isinstance(a, Jet):
-                    continue
-                for lead, rest in rules:
-                    if a.dep == lead.dep and a.order == lead.order and _multiset_contains(a.deriv, lead.deriv):
-                        extra = _multiset_diff(a.deriv, lead.deriv)
-                        if len(extra) > MAX_PROLONGATION:
-                            raise InconclusiveReduction(
-                                f"prolongation depth {len(extra)} exceeds bound {MAX_PROLONGATION}"
-                            )
-                        target = (a, total_derivative_chain(rest, extra))
-                        break
-                if target:
-                    break
-            if target is None:
+            # the first leading-derived jet, with its rule and extra derivatives
+            found = ((a, rest, extra) for a in atoms_of(cur) if isinstance(a, Jet) for lead, rest in rules
+                     if a.order == lead.order and (extra := _extra_derivatives(a, lead)) is not None)
+            match = next(found, None)
+            if match is None:
                 return cur
-            cur = substitute(cur, {target[0]: target[1]})
+            a, rest, extra = match
+            if len(extra) > MAX_PROLONGATION:
+                raise InconclusiveReduction(f"prolongation depth {len(extra)} exceeds bound {MAX_PROLONGATION}")
+            cur = substitute(cur, {a: total_derivative_chain(rest, extra)})
         raise InconclusiveReduction("rewriting did not settle within the round bound")
 
     def reduce_series_on_solutions(self, slots, method: str) -> list:
@@ -280,8 +270,9 @@ class ExpectedLaw:
 _SINGLE_KEYS = ("independent", "dependent", "parameters", "functions", "name", "method", "order",
                 "epsilon_shifts")
 
-# the hint.* keys, the flags of the ansatz that reproduces a file's laws
-HINT_KEYS = ("mult_deps", "mult_degree", "mult_xdegree", "laurent")
+# the hint.* keys, the flags of the ansatz that reproduces a file's laws, each
+# with its flag's default: a key a file omits reads as the flag left unset
+HINT_DEFAULTS = {"mult_deps": None, "mult_degree": 2, "mult_xdegree": None, "laurent": None}
 
 ProblemFile = namedtuple("ProblemFile", "source problem method expected epsilon_shifts hints notes")
 
@@ -377,9 +368,9 @@ def parse_problem_text(text: str, source: str = "<problem>") -> ProblemFile:
             elif key == "note":
                 notes.append(value)
             elif key.startswith("hint."):
-                if key[5:] not in HINT_KEYS:
+                if key[5:] not in HINT_DEFAULTS:
                     raise ProblemError(f"{where}: unknown hint {key!r}; the hints are "
-                                       + ", ".join("hint." + h for h in HINT_KEYS))
+                                       + ", ".join("hint." + h for h in HINT_DEFAULTS))
                 hints[key[5:]] = value
             elif key.startswith("multiplier."):
                 parts = key.split(".")

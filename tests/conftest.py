@@ -101,7 +101,7 @@ def _jet_series_pow(jet: Jet, exp: int, p: int):
         c = _gen_binom(exp, j)
         for k in range(p + 1):
             kernel.poly_iadd(out[k], wj[k], c)
-    return [kernel.poly_mul_mono(slot, (u0_id, exp), 1) for slot in out]
+    return [kernel.poly_mul(slot, {(u0_id, exp): 1}) for slot in out]
 
 
 def _func_series(fa: FuncAtom, p: int):
@@ -117,7 +117,7 @@ def _func_series(fa: FuncAtom, p: int):
         fact *= j
         fj = intern(FuncAtom(fa.fname, fa.nd + j, u0))
         for k in range(p + 1):
-            kernel.poly_iadd(out[k], kernel.poly_mul_mono(zj[k], (fj, 1), Fraction(1, fact)))
+            kernel.poly_iadd(out[k], kernel.poly_mul(zj[k], {(fj, 1): Fraction(1, fact)}))
     return out
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from approxlaws import corpus, normalize, parse
+from approxlaws.cli import build_parser
 from approxlaws.expr import negate
+from approxlaws.multipliers import parse_ansatz
 from approxlaws.problem import ProblemError, parse_problem_text
 
 
@@ -120,3 +122,22 @@ def test_load_raises_on_a_malformed_fixture_value(monkeypatch):
     monkeypatch.setattr(corpus, "_entry_text", lambda entry_id: bad)
     with pytest.raises(ProblemError, match=f"^diffusion-consistent:{lineno}: "):
         corpus.load("diffusion-consistent")
+
+
+@pytest.mark.parametrize("hint_line, flags", [
+    ("hint.mult_deps = x, u[0]", ["--mult-deps", "x, u[0]"]),
+    ("hint.mult_degree = 1", ["--mult-degree", "1"]),
+], ids=["mult_deps-only", "mult_degree-only"])
+def test_a_missing_hint_key_reads_as_its_cli_default(monkeypatch, hint_line, flags):
+    # load reads a file's hint.* keys as the CLI reads the same keys written
+    # as flags: a key the file omits means that flag's default
+    lines = [line for line in corpus._entry_text("diffusion-consistent").splitlines()
+             if not line.startswith("hint.")]
+    monkeypatch.setattr(corpus, "_entry_text", lambda entry_id: "\n".join(lines + [hint_line]) + "\n")
+    entry = corpus.load("diffusion-consistent")
+    args = build_parser().parse_args(["solve", "in.prob", *flags])
+    cli = parse_ansatz(entry.problem.table, args.mult_deps, args.mult_degree, args.mult_xdegree, args.laurent)
+    hint = entry.ansatz_hint
+    assert hint is not None
+    assert (hint.generators, hint.degree, hint.xdegree, hint.laurent) == \
+        (cli.generators, cli.degree, cli.xdegree, cli.laurent)
