@@ -24,7 +24,7 @@ from .multipliers import parse_ansatz, solve_multipliers
 from .parser import ParseError, parse
 from .printer import print_poly
 from .problem import HINT_DEFAULTS, MAX_ORDER, METHODS, PdeProblem, ProblemError, load_problem_file
-from .verify import DEFAULT_SEED, MAX_TRIALS, full_report
+from .verify import DEFAULT_SEED, DEFAULT_TRIALS, MAX_TRIALS, full_report
 
 OK, INPUT_ERROR, INCOMPLETE, VERIFY_FAILED = 0, 2, 3, 4
 
@@ -40,10 +40,6 @@ def _check_args(args):
     order = getattr(args, "order", None)
     if order is not None and not 1 <= order <= MAX_ORDER:
         raise CliError(f"--order must be in 1..{MAX_ORDER}")
-    for name in ("mult_degree", "mult_xdegree", "flux_degree"):
-        v = getattr(args, name, None)
-        if v is not None and v < 0:
-            raise CliError(f"--{name.replace('_', '-')} must be nonnegative")
     if not 1 <= args.trials <= MAX_TRIALS:
         raise CliError(f"--trials must be in 1..{MAX_TRIALS}")
 
@@ -61,7 +57,7 @@ def _ansatz_from_args(args, problem):
                         args.laurent)
 
 
-def _mult_json(cm, table, index, style="machine"):
+def _mult_json(cm, table, index, style):
     comps = []
     hierarchy = cm.mult.method == "approach_b"
     for nu, row in enumerate(cm.mult.slots):
@@ -83,7 +79,7 @@ def _mult_json(cm, table, index, style="machine"):
     }
 
 
-def _law_json(law, table, style="machine"):
+def _law_json(law, table, style):
     return {
         name: [print_poly(s, table, style) for s in row]
         for name, row in zip((s.name for s in table.indep), law.fluxes)
@@ -123,7 +119,7 @@ def run_solve(args) -> tuple[dict, int]:
     for i, cm in enumerate(result.classified, 1):
         report["multipliers"].append(_mult_json(cm, table, i, style))
         try:
-            law = reconstruct(problem, cm.mult, args.flux_degree)
+            law = reconstruct(problem, cm.mult)
         except ReconstructionError as exc:
             report["reconstruction_failures"].append({"multiplier_index": i, "error": str(exc)})
             code = INCOMPLETE
@@ -149,7 +145,6 @@ def run_compare(args) -> tuple[dict, int]:
         "expansion_notes": [],
     }
     results = {}
-    code = OK
     for method in METHODS:
         result = solve_multipliers(problem, spec, method)
         results[method] = result
@@ -164,12 +159,12 @@ def run_compare(args) -> tuple[dict, int]:
     # which consistent laws are expansions of approach-a laws
     try:
         cons_laws = [
-            (i, reconstruct(problem, cm.mult, args.flux_degree))
+            (i, reconstruct(problem, cm.mult))
             for i, cm in enumerate(results["consistent"].classified, 1)
             if not cm.trivial
         ]
         a_laws = [
-            (j, reconstruct(problem, cm.mult, args.flux_degree))
+            (j, reconstruct(problem, cm.mult))
             for j, cm in enumerate(results["approach_a"].classified, 1)
             if not cm.trivial
         ]
@@ -195,7 +190,7 @@ def run_compare(args) -> tuple[dict, int]:
                         "fluxes_are_expansion": same,
                     }
                 )
-    return report, code
+    return report, OK
 
 
 def run_verify(args) -> tuple[dict, int]:
@@ -401,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--trials", type=int, default=5, help="spot-check trials")
+        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="spot-check trials")
 
     def ansatz(p):
         p.add_argument("--method", choices=("consistent", "a", "b"), default="consistent")
@@ -410,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated ansatz generators")
         p.add_argument("--mult-degree", type=int, default=HINT_DEFAULTS["mult_degree"])
         p.add_argument("--mult-xdegree", type=int, default=HINT_DEFAULTS["mult_xdegree"])
-        p.add_argument("--flux-degree", type=int, default=None)
         p.add_argument("--laurent", default=HINT_DEFAULTS["laurent"],
                        help="Laurent generators, e.g. 'u[0]:-2'")
 

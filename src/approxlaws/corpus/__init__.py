@@ -19,7 +19,7 @@ from ..fluxes import ConservationLaw
 from ..multipliers import MultiplierSet, parse_ansatz
 from ..parser import ParseError, parse
 from ..problem import HINT_DEFAULTS, PdeProblem, ProblemError, ProblemFile, parse_problem_text
-from ..verify import DEFAULT_SEED, full_report
+from ..verify import DEFAULT_SEED, DEFAULT_TRIALS, full_report
 
 ENTRY_IDS = [
     "diffusion-consistent",
@@ -122,7 +122,7 @@ class LawAudit:
         return self.achieved == self.expected
 
 
-def audit(entry_ids=None, trials: int = 3, seed: int = DEFAULT_SEED) -> list:
+def audit(entry_ids=None, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> list:
     """Run the full verifier over every expected law of the selected entries.
     Returns one :class:`LawAudit` per law; non-identity outcomes are the
     erratum-candidate ledger."""

@@ -106,11 +106,9 @@ def _coeff(x):
     raise UnsupportedFormError(f"not a rational coefficient: {x!r}")
 
 
-def atom_poly(atom, exp=1, c=1):
-    """The single-monomial normal-form dict ``c * atom**exp``."""
-    if exp == 0:
-        return {(): c}
-    return {(intern(atom), exp): c}
+def atom_poly(atom, c=1):
+    """The single-monomial normal-form dict ``c * atom``."""
+    return {(intern(atom), 1): c}
 
 
 def const_poly(c):

@@ -12,7 +12,7 @@ jets up to the order cap can be rewritten into it.
 
 A problem inverts each block once.  ``PdeProblem.inverted_blocks`` keeps
 every solved block under the exact input of its inversion, the block and
-its jet-order and degree caps (its other bounds follow from the block), so
+its jet-order cap (its other bounds follow from the block), so
 an eps-multiple's slot k+1 reads the block its source law solved in slot
 k.  No perturbation-order cap is needed: slot k of a consistent
 contraction holds coordinates of order <= k only (its multiplier set and
@@ -139,10 +139,6 @@ def _mono_edit(mono, *changes):
     return kernel.mono_mul(mono, tuple(delta))
 
 
-def _mono_degree(mono) -> int:
-    return sum(abs(mono[j]) for j in range(1, len(mono), 2))
-
-
 def _antiderive_candidates(mono, problem: PdeProblem):
     """Monomials whose D_i image contains ``mono``, per direction i."""
     out = []
@@ -173,22 +169,14 @@ class _Bounds:
     without them the inverse closure runs away through Laurent descent
     (u^-n), chain-rule ascent (f^(n)), or coordinate-degree growth."""
 
-    __slots__ = ("jet_cap", "degree_cap", "laurent_floor", "nd_cap")
+    __slots__ = ("jet_cap", "laurent_floor", "nd_cap")
 
-    def __init__(self, jet_cap: int, degree_cap: int | None, laurent_floor: dict, nd_cap: int):
+    def __init__(self, jet_cap: int, laurent_floor: dict, nd_cap: int):
         self.jet_cap = jet_cap
-        self.degree_cap = degree_cap
         self.laurent_floor = laurent_floor
         self.nd_cap = nd_cap
 
-    def relaxed(self, slack: int) -> "_Bounds":
-        """These bounds, each widened by ``slack``."""
-        floors = {aid: e - slack for aid, e in self.laurent_floor.items()}
-        return _Bounds(self.jet_cap + slack, self.degree_cap, floors, self.nd_cap + slack)
-
     def admits(self, mono) -> bool:
-        if self.degree_cap is not None and _mono_degree(mono) > self.degree_cap:
-            return False
         for j in range(0, len(mono), 2):
             a = atom_at(mono[j])
             e = mono[j + 1]
@@ -205,9 +193,10 @@ class _Bounds:
         return True
 
 
-def _block_bounds(block, jet_cap, degree_cap) -> _Bounds:
-    """A block's bounds from one scan of it: Laurent floors one below its
-    lowest jet exponents, and its largest function-derivative count."""
+def _block_bounds(block, jet_cap: int, slack: int) -> _Bounds:
+    """A block's bounds from one scan of it, each widened by ``slack``: the
+    jet-order cap ``jet_cap``, Laurent floors one below its lowest jet
+    exponents, and its largest function-derivative count."""
     floors: dict = {}
     nd = 0
     for mono in block:
@@ -218,7 +207,7 @@ def _block_bounds(block, jet_cap, degree_cap) -> _Bounds:
                 floors[mono[j]] = min(floors.get(mono[j], 0), e)
             elif isinstance(a, FuncAtom):
                 nd = max(nd, a.nd)
-    return _Bounds(jet_cap, degree_cap, {aid: e - 1 for aid, e in floors.items()}, nd)
+    return _Bounds(jet_cap + slack, {aid: e - 1 - slack for aid, e in floors.items()}, nd + slack)
 
 
 def _invert_block(block, problem: PdeProblem, bounds: _Bounds):
@@ -275,30 +264,28 @@ def _solve_block(block, cands, images):
     return fluxes
 
 
-def _invert_block_once(block, problem: PdeProblem, jet_cap: int, degree_cap: int | None):
+def _invert_block_once(block, problem: PdeProblem, jet_cap: int):
     """The fluxes of :func:`_invert_block` under :func:`_block_bounds`,
     escalated up to ``ESCALATIONS`` times, or None.  A solved block is kept
     in ``problem.inverted_blocks`` and its fluxes are shared, so callers only
     read them; a failure is not kept, and the caller raises."""
-    key = (frozenset(block.items()), jet_cap, degree_cap)
+    key = (frozenset(block.items()), jet_cap)
     memo = problem.inverted_blocks
     solved = memo.get(key)
     if solved is None:
-        bounds = _block_bounds(block, jet_cap, degree_cap)
         for slack in range(ESCALATIONS + 1):
-            solved = _invert_block(block, problem, bounds.relaxed(slack))
+            solved = _invert_block(block, problem, _block_bounds(block, jet_cap, slack))
             if solved is not None:
                 memo[key] = solved
                 break
     return solved
 
 
-def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = None) -> ConservationLaw:
+def reconstruct(problem: PdeProblem, mult: MultiplierSet) -> ConservationLaw:
     """Invert the divergence: find flux components whose total divergence
     equals the truncated contraction of ``mult`` with the equations,
-    order by order.  ``degree`` optionally caps the total degree of
-    candidate flux monomials.  Raises :class:`ReconstructionError` when the
-    basis ceiling is reached.
+    order by order.  Raises :class:`ReconstructionError` when the basis
+    ceiling is reached.
 
     The contraction and its Euler residuals come from
     :func:`~approxlaws.multipliers.certified_contraction`, so a later
@@ -325,7 +312,7 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet, degree: int | None = N
         acc = [dict() for _ in range(n)]
         blocks = _split_blocks(as_poly(tgt), problem.table.n_dep)
         for grade_key in sorted(blocks):
-            solved = _invert_block_once(blocks[grade_key], problem, base_cap, degree)
+            solved = _invert_block_once(blocks[grade_key], problem, base_cap)
             if solved is None:
                 raise ReconstructionError(
                     f"no flux over jets of order <= {base_cap + ESCALATIONS} "

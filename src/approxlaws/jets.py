@@ -77,11 +77,10 @@ def total_derivative(e, i: int) -> NormalForm:
     return NormalForm(kernel.derive(p, images))
 
 
-def total_derivative_chain(e, idxs) -> NormalForm:
-    out = e
+def total_derivative_chain(e: NormalForm, idxs) -> NormalForm:
     for i in idxs:
-        out = total_derivative(out, i)
-    return out if isinstance(out, NormalForm) else NormalForm(as_poly(out))
+        e = total_derivative(e, i)
+    return e
 
 
 # --- epsilon expansion ------------------------------------------------------

@@ -397,12 +397,6 @@ def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
 LinearSystem = namedtuple("LinearSystem", "unknowns rows")
 
 
-def _unknowns(ansatz: Ansatz) -> list:
-    """The ansatz's unknowns (equation, order, basis index) in column order."""
-    n = len(ansatz.basis)
-    return [(nu, k, i) for nu in range(ansatz.q) for k in range(ansatz.p + 1) for i in range(n)]
-
-
 def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: int | None = None,
                       first: int = 0) -> dict:
     """The Euler residuals of contraction slots ``first``..``upto`` (default
@@ -423,7 +417,9 @@ def determining_system(problem: PdeProblem, ansatz: Ansatz) -> LinearSystem:
     eps-series methods it is the monolithic form of
     :func:`staged_nullspace`."""
     rows = _determining_rows(problem, ansatz, lambda nu, k, i: {_column(ansatz, nu, k, i): 1})
-    return LinearSystem(_unknowns(ansatz), list(rows.values()))
+    n = len(ansatz.basis)
+    unknowns = [(nu, k, i) for nu in range(ansatz.q) for k in range(ansatz.p + 1) for i in range(n)]
+    return LinearSystem(unknowns, list(rows.values()))
 
 
 def staged_nullspace(problem: PdeProblem, ansatz: Ansatz) -> list[tuple]:
@@ -476,9 +472,9 @@ def staged_nullspace(problem: PdeProblem, ansatz: Ansatz) -> list[tuple]:
 # --- solve + classify ----------------------------------------------------------
 
 
-ClassifiedMultiplier = namedtuple("ClassifiedMultiplier", "mult vector trivial eps_shift stable")
+ClassifiedMultiplier = namedtuple("ClassifiedMultiplier", "mult trivial eps_shift stable")
 
-SolveResult = namedtuple("SolveResult", "problem method ansatz unknowns basis classified")
+SolveResult = namedtuple("SolveResult", "method ansatz basis classified")
 
 
 def _eps_multiple(ansatz: Ansatz, vec) -> dict:
@@ -520,7 +516,7 @@ def classify(result_basis, ansatz: Ansatz) -> list:
         # the stability notion (the order-0 part survives the perturbation)
         # belongs to the eps-series methods
         stable = not trivial and m.method != "approach_b"
-        classified.append(ClassifiedMultiplier(m, vec, trivial, shift, stable))
+        classified.append(ClassifiedMultiplier(m, trivial, shift, stable))
     order = sorted(range(len(classified)), key=lambda i: (classified[i].trivial, i))
     return [classified[i] for i in order]
 
@@ -531,7 +527,5 @@ def solve_multipliers(problem: PdeProblem, spec: AnsatzSpec, method: str = "cons
         unknowns, rows = determining_system(problem, ansatz)
         basis = linalg.nullspace(rows, len(unknowns))
     else:
-        unknowns = _unknowns(ansatz)
         basis = staged_nullspace(problem, ansatz)
-    classified = classify(basis, ansatz)
-    return SolveResult(problem, method, ansatz, unknowns, basis, classified)
+    return SolveResult(method, ansatz, basis, classify(basis, ansatz))

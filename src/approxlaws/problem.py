@@ -57,9 +57,10 @@ commands that never read the recorded laws do not pay for them.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-from .atoms import DeclarationError, Jet, Sym, SymbolTable
+from .atoms import DeclarationError, Jet, Sym, SymbolTable, mono_atoms
 from .expr import (
     NormalForm,
     UnsupportedFormError,
@@ -71,7 +72,7 @@ from .expr import (
     substitute,
 )
 from .jets import collect_eps, expand_epsilon, expansion_state, join_eps, total_derivative_chain
-from .parser import ParseError, parse, single_atom
+from .parser import MAX_TERMS, ParseError, parse, single_atom
 
 MAX_ORDER = 3  # configuration cap on the truncation order
 # Bound on the substitution rounds of one on-solution reduction
@@ -87,7 +88,7 @@ class ProblemError(Exception):
 
 
 class InconclusiveReduction(Exception):
-    """On-solution reduction did not terminate within the prolongation bound."""
+    """On-solution reduction hit a bound (prolongation, rounds, parser.MAX_TERMS terms) or left the normal forms."""
 
 
 def _extra_derivatives(jet: Jet, lead: Jet) -> tuple | None:
@@ -216,8 +217,9 @@ class PdeProblem:
         before every round.
 
         Raises :class:`InconclusiveReduction` if a required prolongation
-        exceeds the bound or the rewriting does not settle within
-        ``MAX_REDUCTION_ROUNDS`` substitutions.
+        exceeds the bound, the rewriting does not settle within
+        ``MAX_REDUCTION_ROUNDS`` substitutions, or a substitution would pass
+        ``MAX_TERMS`` terms (counted first) or raise a sum to a negative power.
         """
         rules = self.solution_rules(expanded)
         cur = normalize(e)
@@ -233,7 +235,15 @@ class PdeProblem:
             a, rest, extra = match
             if len(extra) > MAX_PROLONGATION:
                 raise InconclusiveReduction(f"prolongation depth {len(extra)} exceeds bound {MAX_PROLONGATION}")
-            cur = substitute(cur, {a: total_derivative_chain(rest, extra)})
+            image = total_derivative_chain(rest, extra)
+            k = max(len(image), 1)  # a^n in a monomial makes C(|n|+k-1, k-1) terms
+            powers = (dict(mono_atoms(m)).get(a, 0) for m in as_poly(cur))
+            if sum(math.comb(abs(n) + k - 1, k - 1) for n in powers) > MAX_TERMS:
+                raise InconclusiveReduction(f"substituting {a!r} would make more than {MAX_TERMS} terms")
+            try:
+                cur = substitute(cur, {a: image})
+            except UnsupportedFormError as exc:
+                raise InconclusiveReduction(f"substituting {a!r}: {exc}") from exc
         raise InconclusiveReduction("rewriting did not settle within the round bound")
 
     def reduce_series_on_solutions(self, slots, method: str) -> list:
@@ -273,6 +283,12 @@ _SINGLE_KEYS = ("independent", "dependent", "parameters", "functions", "name", "
 # the hint.* keys, the flags of the ansatz that reproduces a file's laws, each
 # with its flag's default: a key a file omits reads as the flag left unset
 HINT_DEFAULTS = {"mult_deps": None, "mult_degree": 2, "mult_xdegree": None, "laurent": None}
+
+
+def hint_flags(hints: dict) -> list[str]:
+    """The CLI flags of the hint keys ``hints`` gives, ``["--mult-deps", value,
+    ...]``; a later flag overrides an earlier one, so callers append theirs."""
+    return [arg for key in HINT_DEFAULTS if key in hints for arg in ("--" + key.replace("_", "-"), hints[key])]
 
 ProblemFile = namedtuple("ProblemFile", "source problem method expected epsilon_shifts hints notes")
 

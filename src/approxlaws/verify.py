@@ -28,6 +28,8 @@ from .multipliers import certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
 
 DEFAULT_SEED = 2023
+# The spot-check trials of one law when a caller names no count
+DEFAULT_TRIALS = 5
 # The most spot-check trials the CLI accepts: at this bound the slowest
 # corpus verify (kaup-newell) takes about 1.4 s on a 2-core VM, while an
 # unbounded count could run for days
@@ -45,9 +47,6 @@ class CheckResult:
         self.passed = passed
         self.residual = residual
         self.witness = witness
-
-    def __bool__(self):
-        return self.passed
 
     def __eq__(self, other):
         return isinstance(other, CheckResult) and all(
@@ -148,7 +147,7 @@ def _sample_point(atoms, laurent, rng: random.Random):
     return point, fvals
 
 
-def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED) -> VerificationReport:
+def spot_check(targets, divs, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Evaluate both sides of the divergence identity, the contraction
     ``targets`` and the flux divergence ``divs``, at random rational jet
     points; exact equality required.  Seeded and reproducible; evaluation
@@ -191,7 +190,7 @@ def spot_check(targets, divs, trials: int = 20, seed: int = DEFAULT_SEED) -> Ver
     return VerificationReport(checks)
 
 
-def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = 5,
+def full_report(problem: PdeProblem, law: ConservationLaw, trials: int = DEFAULT_TRIALS,
                 seed: int = DEFAULT_SEED) -> dict:
     """All four checks; on-solution is attempted only when identity fails
     (identity success implies it).  Returns a dict of reports plus the

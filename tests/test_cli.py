@@ -7,9 +7,9 @@ from importlib import resources
 
 import pytest
 
-from approxlaws import corpus, normalize, parse
+from approxlaws import corpus, fluxes, normalize, parse
 from approxlaws.cli import main
-from approxlaws.problem import load_problem_file, parse_problem_text
+from approxlaws.problem import hint_flags, load_problem_file, parse_problem_text
 
 
 def fixture_path(entry_id):
@@ -184,12 +184,13 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 2 and "leading derivative of equation 1" in err
 
 
-def test_reconstruction_failure_exit_code(tmp_path, capsys):
+def test_reconstruction_failure_exit_code(tmp_path, capsys, monkeypatch):
     toy = tmp_path / "toy.prob"
     toy.write_text(open(fixture_path("diffusion-consistent")).read())
+    monkeypatch.setattr(fluxes, "MAX_ROUNDS", 0)
     code, out, _ = run_cli(
         capsys, "solve", str(toy), "--mult-deps", "t,x,u[0]", "--mult-degree", "2",
-        "--flux-degree", "0", "--format", "json", "--trials", "1",
+        "--format", "json", "--trials", "1",
     )
     assert code == 3
     data = json.loads(out)
@@ -436,11 +437,8 @@ def test_solved_laws_round_trip_through_a_problem_file(tmp_path, capsys, eid):
     # same law
     path = fixture_path(eid)
     pf = load_problem_file(path)
-    argv = ["solve", path, "--method", METHOD_FLAGS[pf.method], "--format", "json", "--trials", "1"]
-    for key in ("mult_deps", "mult_degree", "mult_xdegree", "laurent"):
-        if key in pf.hints:
-            value = str(min(int(pf.hints[key]), 1)) if key == "mult_degree" else pf.hints[key]
-            argv += ["--" + key.replace("_", "-"), value]
+    argv = ["solve", path, "--method", METHOD_FLAGS[pf.method], "--format", "json", "--trials", "1",
+            *hint_flags(pf.hints), "--mult-degree", "1"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     solved = json.loads(out)
@@ -463,3 +461,29 @@ def test_solved_laws_round_trip_through_a_problem_file(tmp_path, capsys, eid):
     code, out, _ = run_cli(capsys, "verify", str(written), "--format", "json", "--trials", "1")
     assert code == 0
     assert {law["label"]: law["achieved"] for law in json.loads(out)["laws"]} == statuses
+
+
+ON_SOLUTION_LAW = ("independent = t, x\ndependent = u\norder = 1\nequation = {}\nleading = u_t\n"
+                   "multiplier.1.0 = 0\nflux.1.x.0 = {}\n")
+
+
+def test_an_on_solution_reduction_outside_the_normal_forms_is_a_failed_check(tmp_path, capsys):
+    # the divergence holds u[0]_t^-2, and u[0]_t's image u[0]_xx + u[0]_x is a sum
+    bad = tmp_path / "bad.prob"
+    bad.write_text(ON_SOLUTION_LAW.format("u_t - u_xx - u_x", "u[0]_t^-1"))
+    code, out, err = run_cli(capsys, "verify", str(bad), "--format", "json", "--trials", "1")
+    assert (code, err) == (4, "")
+    assert [law["achieved"] for law in json.loads(out)["laws"]] == ["fail"]
+
+
+@pytest.mark.parametrize("flux", ["u[0]_t^1000", "u[0]_t^40*u[0]_tx^40"])
+def test_an_on_solution_reduction_past_the_term_bound_ends(tmp_path, flux):
+    # expanding (u_xx + u_x + u)^999, or 861 terms each to the 40th, would run
+    # for minutes: the substitution is counted first and refused.  In a
+    # process, so that a hang fails this test instead of stalling the suite
+    bad = tmp_path / "bad.prob"
+    bad.write_text(ON_SOLUTION_LAW.format("u_t - u_xx - u_x - u", flux))
+    res = subprocess.run([sys.executable, "-m", "approxlaws.cli", "verify", str(bad), "--trials", "1"],
+                         capture_output=True, check=False, timeout=20)
+    assert (res.returncode, res.stderr) == (4, b"")
+    assert b"achieved=fail" in res.stdout

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from approxlaws import corpus, normalize, parse
+from approxlaws import corpus, fluxes, normalize, parse
 from approxlaws.expr import NormalForm
 from approxlaws.fluxes import (
     ConservationLaw,
@@ -55,11 +55,12 @@ def test_non_multiplier_rejected(diffusion):
         reconstruct(diffusion, mult(diffusion, "u[0]_t", "0"))
 
 
-def test_reconstruction_ceiling_reached(diffusion):
-    # the unit multiplier needs the degree-1 flux u[0] in the t direction; a
-    # degree ceiling of zero cannot express it
+def test_reconstruction_ceiling_reached(diffusion, monkeypatch):
+    # the unit multiplier needs the flux u[0] in the t direction; with no
+    # rounds of the candidate closure no block has a candidate
+    monkeypatch.setattr(fluxes, "MAX_ROUNDS", 0)
     with pytest.raises(ReconstructionError):
-        reconstruct(diffusion, mult(diffusion, "1", "0"), degree=0)
+        reconstruct(diffusion, mult(diffusion, "1", "0"))
 
 
 def test_function_advection_flux_uses_time_weighting():

@@ -148,9 +148,9 @@ def test_repeated_generator_gives_the_same_basis(diffusion):
     ):
         once = solve_multipliers(diffusion, parse_ansatz(tab, once_text, 2, laurent=laurent), "consistent")
         twice = solve_multipliers(diffusion, parse_ansatz(tab, twice_text, 2, laurent=laurent), "consistent")
-        assert twice.unknowns == once.unknowns
+        assert twice.ansatz == once.ansatz
         assert twice.basis == once.basis
-    assert len(once.unknowns) == 48  # 24 monomials x 2 series slots
+    assert len(once.ansatz.basis) * (once.ansatz.p + 1) == 48  # 24 monomials x 2 series slots
 
 
 def test_enumerate_basis_merges_repeats_and_refuses_past_the_bound():
@@ -519,8 +519,10 @@ def test_consistent_ansatz_is_the_weighted_series_of_its_orders(eid, floor, p):
         for j in range(p + 1):
             for i in rng.sample(range(len(basis)), min(5, len(basis))):
                 values[(nu, j, i)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
-    unknowns = multipliers._unknowns(ansatz)
-    (mult,) = instantiate(ansatz, [tuple(values.get(s, 0) for s in unknowns)])
+    vec = [0] * (problem.q * (p + 1) * len(basis))
+    for (nu, j, i), c in values.items():
+        vec[multipliers._column(ansatz, nu, j, i)] = c
+    (mult,) = instantiate(ansatz, [vec])
     for nu, row in enumerate(mult.slots):
         parts = [{} for _ in range(p + 1)]
         for (eq, j, i), c in values.items():

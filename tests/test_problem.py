@@ -247,3 +247,27 @@ def test_problem_text_fuzz_raises_only_input_errors(header, lines):
         corpus.recorded_laws(parse_problem_text(text))
     except (ProblemError, ParseError):
         pass
+
+
+def _drift_problem(equation):
+    return parse_problem_text("independent = t, x\ndependent = u\norder = 1\n"
+                              f"equation = {equation}\nleading = u_t\n").problem
+
+
+def test_a_substitution_outside_the_normal_forms_is_inconclusive():
+    # u[0]_t -> u[0]_xx + u[0]_x cannot be raised to the -1
+    pb = _drift_problem("u_t - u_xx - u_x")
+    with pytest.raises(InconclusiveReduction, match="negative powers"):
+        pb.reduce_on_solutions(parse("u[0]_t^-1", pb.table))
+
+
+def test_a_substitution_is_counted_before_it_expands(monkeypatch):
+    # u[0]_t -> u[0]_xx + u[0]_x (k = 2) in u[0]_t^2 + u[0]_x makes at most
+    # C(2+1, 1) + 1 = 4 terms, the parser's power count; a bound of 3 refuses it
+    pb = _drift_problem("u_t - u_xx - u_x")
+    e = parse("u[0]_t^2 + u[0]_x", pb.table)
+    monkeypatch.setattr(problem, "MAX_TERMS", 3)
+    with pytest.raises(InconclusiveReduction, match="more than 3 terms"):
+        pb.reduce_on_solutions(e)
+    monkeypatch.setattr(problem, "MAX_TERMS", 4)
+    assert pb.reduce_on_solutions(e) == parse("(u[0]_xx + u[0]_x)^2 + u[0]_x", pb.table)

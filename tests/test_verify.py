@@ -4,7 +4,7 @@ import pytest
 
 from approxlaws import normalize, parse
 from approxlaws.expr import NormalForm
-from approxlaws.fluxes import ConservationLaw, reconstruct
+from approxlaws.fluxes import ConservationLaw, equivalent, reconstruct
 from approxlaws.multipliers import MultiplierSet, certified_contraction, contraction, euler_residuals
 from approxlaws.problem import parse_problem_text
 from approxlaws.verify import (
@@ -269,3 +269,19 @@ def test_on_solutions_carries_eps_terms_to_later_slots(method):
     (cl,) = corpus.recorded_laws(pf)
     assert verify_on_solutions(pf.problem, method, cl.law.divergence_slots()).passed
     assert full_report(pf.problem, cl.law, trials=1)["status"] == cl.expected_status
+
+
+def test_an_on_solution_reduction_outside_the_normal_forms_fails_the_check():
+    # identity fails, and eliminating u[0]_t would raise the sum
+    # u[0]_xx + u[0]_x to the -1: the check fails with the reason as its
+    # witness, and a flux difference that needs that reduction is distinct
+    # with a warning
+    pf = parse_problem_text("independent = t, x\ndependent = u\norder = 1\n"
+                            "equation = u_t - u_xx - u_x\nleading = u_t\n"
+                            "multiplier.1.0 = 0\nflux.1.x.0 = u[0]_t^-1\n")
+    (cl,) = corpus.recorded_laws(pf)
+    (check,) = verify_on_solutions(pf.problem, cl.law.method, cl.law.divergence_slots()).checks
+    assert not check.passed and "negative powers" in check.witness
+    assert full_report(pf.problem, cl.law, trials=1)["status"] == "fail"
+    zero = ConservationLaw(cl.law.mult, [[NormalForm({})] * 2] * 2)
+    assert equivalent(cl.law, zero, pf.problem) == "distinct-with-warning"
