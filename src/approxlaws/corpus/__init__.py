@@ -3,10 +3,8 @@ multiplier and flux sets, used as regression fixtures and format examples.
 
 Each entry is a problem file under ``data/``; the eps-multiple families
 ("the remaining multipliers are eps times the listed ones") are declared by
-an ``epsilon_shifts`` line and expanded at load time.  ``audit`` runs the
-full verifier over every law and reports the certification outcome; a law
-that fails both the identity and the on-solution check is surfaced as an
-erratum candidate, never silently accepted.
+an ``epsilon_shifts`` line and expanded at load time.  Each recorded law
+keeps the certification status its file expects.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from ..fluxes import ConservationLaw
 from ..multipliers import MultiplierSet, parse_ansatz
 from ..parser import ParseError, parse
 from ..problem import HINT_DEFAULTS, PdeProblem, ProblemError, ProblemFile, parse_problem_text
-from ..verify import DEFAULT_SEED, DEFAULT_TRIALS, full_report
 
 ENTRY_IDS = [
     "diffusion-consistent",
@@ -102,34 +99,3 @@ def load(entry_id: str) -> CorpusEntry:
         h = HINT_DEFAULTS | pf.hints
         hint = parse_ansatz(pf.problem.table, h["mult_deps"], h["mult_degree"], h["mult_xdegree"], h["laurent"])
     return CorpusEntry(entry_id, pf.problem, pf.method, recorded_laws(pf), hint, pf.notes)
-
-
-class LawAudit:
-    __slots__ = ("entry_id", "label", "expected", "achieved")
-
-    def __init__(self, entry_id: str, label: str, expected: str, achieved: str):
-        self.entry_id = entry_id
-        self.label = label
-        self.expected = expected
-        self.achieved = achieved
-
-    @property
-    def certified(self) -> bool:
-        return self.achieved in ("identity", "onsolution")
-
-    @property
-    def as_expected(self) -> bool:
-        return self.achieved == self.expected
-
-
-def audit(entry_ids=None, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> list:
-    """Run the full verifier over every expected law of the selected entries.
-    Returns one :class:`LawAudit` per law; non-identity outcomes are the
-    erratum-candidate ledger."""
-    out = []
-    for eid in entry_ids or ENTRY_IDS:
-        entry = load(eid)
-        for cl in entry.laws:
-            fr = full_report(entry.problem, cl.law, trials=trials, seed=seed)
-            out.append(LawAudit(eid, cl.label, cl.expected_status, fr["status"]))
-    return out

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from . import kernel, linalg
 from .atoms import FuncAtom, INDEP, Jet, atom_at, atom_key, intern, mono_sort_key
-from .expr import NormalForm, as_poly, atoms_of, normalize
-from .jets import check_slots, stripped_jet, total_derivative
+from .expr import NormalForm, as_poly, normalize
+from .jets import check_slots, max_jet_order, stripped_jet, total_derivative
 from .multipliers import MultiplierSet, certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
 
@@ -298,13 +298,7 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet) -> ConservationLaw:
             "multiplier set fails the Euler-annihilation check; "
             "fluxes exist only for multipliers"
         )
-    s = 0
-    for row in mult.slots:
-        for slot in row:
-            for a in atoms_of(slot):
-                if isinstance(a, Jet):
-                    s = max(s, len(a.deriv))
-    base_cap = max(s, problem.r - 1)
+    base_cap = max(max_jet_order(slot for row in mult.slots for slot in row), problem.r - 1)
     n = problem.table.n_indep
 
     flux_slots = [[] for _ in range(n)]

@@ -83,6 +83,18 @@ def total_derivative_chain(e: NormalForm, idxs) -> NormalForm:
     return e
 
 
+def max_jet_order(exprs) -> int:
+    """The highest derivative order of a jet coordinate in ``exprs``, 0 when
+    none holds one."""
+    r = 0
+    for e in exprs:
+        for aid in poly_atom_ids(as_poly(e)):
+            a = atom_at(aid)
+            if isinstance(a, Jet):
+                r = max(r, len(a.deriv))
+    return r
+
+
 # --- epsilon expansion ------------------------------------------------------
 
 

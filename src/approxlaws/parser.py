@@ -122,6 +122,14 @@ def _coeff_bits(p: dict) -> int:
     return bits - 1
 
 
+def power_passes_digits(base: dict, n: int) -> bool:
+    """Whether ``base`` to the ``n`` may hold a coefficient past
+    ``MAX_DIGITS`` digits, judged before it is expanded: the exponent times
+    the base's coefficient bit length, the bound a parsed power and an
+    on-solution substitution are both held to."""
+    return abs(n) > 1 and abs(n) * _coeff_bits(base) > _MAX_LOG2
+
+
 def _check_digits(p: dict, pos=None):
     for c in p.values():
         if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
@@ -199,7 +207,7 @@ class _Parser:
             n, k = self.exponent(), len(base)
             if n > 1 and k > 1 and math.comb(n + k - 1, k - 1) > MAX_TERMS:
                 raise ParseError(f"power exceeds {MAX_TERMS} terms", pos)
-            if abs(n) > 1 and abs(n) * _coeff_bits(base) > _MAX_LOG2:
+            if power_passes_digits(base, n):
                 raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos)
             return poly_pow(base, n)
         return base

@@ -1,10 +1,13 @@
 """Problem definition, the problem-file format, and on-solution reduction.
 
 On-solution reduction eliminates leading derivatives.  A series (the list
-of its eps-free slots, see :mod:`approxlaws.jets`) over expanded
-coordinates reduces slot by slot; an approach-A series over unexpanded
-ones reduces as the joined series, truncated at the problem order, since
-the eps terms an elimination brings into slot k belong to later slots.
+of its eps-free slots, see :mod:`approxlaws.jets`) reduces slot by slot
+over expanded coordinates; an approach-A series over unexpanded ones is
+expanded first.  That is exact: expansion is one-to-one on series truncated
+at the problem order, commutes with every total derivative, and maps the
+rule u_lead -> rest to the rules u[k]_lead -> slot k of rest's expansion,
+so the expanded slots reduce to zero exactly when the joined series does
+modulo eps^(p+1).
 
 A problem is a system of equations over unexpanded dependent variables,
 polynomial in the small parameter up to the truncation order, each solved
@@ -71,8 +74,9 @@ from .expr import (
     pow_int,
     substitute,
 )
-from .jets import collect_eps, expand_epsilon, expansion_state, join_eps, total_derivative_chain
-from .parser import MAX_TERMS, ParseError, parse, single_atom
+from .jets import (collect_eps, expand_epsilon, expansion_state, join_eps, max_jet_order,
+                   total_derivative_chain)
+from .parser import MAX_DIGITS, MAX_TERMS, ParseError, parse, power_passes_digits, single_atom
 
 MAX_ORDER = 3  # configuration cap on the truncation order
 # Bound on the substitution rounds of one on-solution reduction
@@ -88,7 +92,8 @@ class ProblemError(Exception):
 
 
 class InconclusiveReduction(Exception):
-    """On-solution reduction hit a bound (prolongation, rounds, parser.MAX_TERMS terms) or left the normal forms."""
+    """On-solution reduction hit a bound (prolongation, rounds, parser.MAX_TERMS terms, parser.MAX_DIGITS
+    digits) or left the normal forms."""
 
 
 def _extra_derivatives(jet: Jet, lead: Jet) -> tuple | None:
@@ -166,12 +171,7 @@ class PdeProblem:
     @property
     def r(self) -> int:
         """Maximum derivative order over all equations."""
-        r = 0
-        for eqn in self.eqns:
-            for a in atoms_of(eqn):
-                if isinstance(a, Jet):
-                    r = max(r, len(a.deriv))
-        return r
+        return max_jet_order(self.eqns)
 
     def leading_equation(self, jet: Jet) -> int | None:
         """Index of the first equation whose leading derivative ``jet`` is,
@@ -193,53 +193,50 @@ class PdeProblem:
 
     # -- on-solution reduction ----------------------------------------------
 
-    def solution_rules(self, expanded: bool):
-        """Leading-derivative elimination images.
-
-        Unexpanded: ``{leading jet: rest}``; expanded: per order k the slot
-        equation gives ``u_(k),J_lead -> rest slot k``.
-        """
+    def solution_rules(self):
+        """Leading-derivative elimination images over expanded coordinates:
+        per order k the slot equation gives ``u_(k),J_lead -> rest slot k``."""
         rules = []
         for nu in range(self.q):
-            if expanded:
-                rest_slots = expand_epsilon(self._rest[nu], self.p)
-                for k in range(self.p + 1):
-                    rules.append((self.leading[nu].with_order(k), rest_slots[k]))
-            else:
-                rules.append((self.leading[nu], self._rest[nu]))
+            rest_slots = expand_epsilon(self._rest[nu], self.p)
+            for k in range(self.p + 1):
+                rules.append((self.leading[nu].with_order(k), rest_slots[k]))
         return rules
 
-    def reduce_on_solutions(self, e, expanded: bool = True) -> NormalForm:
+    def reduce_on_solutions(self, e) -> NormalForm:
         """Substitute leading derivatives and their differential consequences
-        (prolongations up to ``MAX_PROLONGATION`` extra derivatives) until
-        none remain.
-        Unexpanded: ``e`` is a joined series, truncated at the problem order
-        before every round.
+        (prolongations up to ``MAX_PROLONGATION`` extra derivatives) in the
+        expression ``e`` over expanded coordinates until none remain.
 
-        Raises :class:`InconclusiveReduction` if a required prolongation
-        exceeds the bound, the rewriting does not settle within
+        Raises :class:`InconclusiveReduction` if every jet left to substitute
+        needs a prolongation past the bound, the rewriting does not settle within
         ``MAX_REDUCTION_ROUNDS`` substitutions, or a substitution would pass
-        ``MAX_TERMS`` terms (counted first) or raise a sum to a negative power.
+        ``MAX_TERMS`` terms (counted first), make a coefficient of more than
+        ``MAX_DIGITS`` digits (bounded first, as the parser bounds a power)
+        or raise a sum to a negative power.
         """
-        rules = self.solution_rules(expanded)
+        rules = self.solution_rules()
         cur = normalize(e)
         for _ in range(MAX_REDUCTION_ROUNDS):
-            if not expanded:
-                cur = join_eps(collect_eps(cur, self.p))
-            # the first leading-derived jet, with its rule and extra derivatives
+            # the first leading-derived jet within the prolongation bound, or
+            # else the first one, with its rule and extra derivatives: a jet
+            # past the bound may cancel once the others are substituted
             found = ((a, rest, extra) for a in atoms_of(cur) if isinstance(a, Jet) for lead, rest in rules
                      if a.order == lead.order and (extra := _extra_derivatives(a, lead)) is not None)
-            match = next(found, None)
+            match = min(found, key=lambda m: len(m[2]) > MAX_PROLONGATION, default=None)
             if match is None:
                 return cur
             a, rest, extra = match
             if len(extra) > MAX_PROLONGATION:
                 raise InconclusiveReduction(f"prolongation depth {len(extra)} exceeds bound {MAX_PROLONGATION}")
-            image = total_derivative_chain(rest, extra)
+            image = as_poly(total_derivative_chain(rest, extra))
             k = max(len(image), 1)  # a^n in a monomial makes C(|n|+k-1, k-1) terms
-            powers = (dict(mono_atoms(m)).get(a, 0) for m in as_poly(cur))
+            powers = [dict(mono_atoms(m)).get(a, 0) for m in as_poly(cur)]
             if sum(math.comb(abs(n) + k - 1, k - 1) for n in powers) > MAX_TERMS:
                 raise InconclusiveReduction(f"substituting {a!r} would make more than {MAX_TERMS} terms")
+            if any(power_passes_digits(image, n) for n in powers):
+                raise InconclusiveReduction(f"substituting {a!r} would make a coefficient of more than "
+                                            f"{MAX_DIGITS} digits")
             try:
                 cur = substitute(cur, {a: image})
             except UnsupportedFormError as exc:
@@ -248,16 +245,20 @@ class PdeProblem:
 
     def reduce_series_on_solutions(self, slots, method: str) -> list:
         """The slots of the series ``slots`` of a ``method`` law, reduced on
-        solutions.  Expanded coordinates reduce slot by slot; approach-A
-        slots reduce as the joined series truncated at the problem order, so
-        the eps^j terms an elimination brings into slot k land in slot k+j.
+        solutions slot by slot over expanded coordinates.  Approach-A slots,
+        over unexpanded coordinates, are expanded at the problem order
+        first; that is exact (see the module docstring), so their residuals
+        are the expanded slots' residuals.
 
-        Raises :class:`InconclusiveReduction` as :meth:`reduce_on_solutions`.
+        Raises :class:`InconclusiveReduction` as :meth:`reduce_on_solutions`,
+        and when an approach-A series does not expand.
         """
-        if method != "approach_a":
-            return [self.reduce_on_solutions(s) for s in slots]
-        red = self.reduce_on_solutions(join_eps(slots), expanded=False)
-        return [NormalForm(s) for s in collect_eps(red, self.p)]
+        if method == "approach_a":
+            try:
+                slots = expand_epsilon(join_eps(slots), self.p)
+            except UnsupportedFormError as exc:
+                raise InconclusiveReduction(f"expanding the series: {exc}") from exc
+        return [self.reduce_on_solutions(s) for s in slots]
 
 
 # --- problem-file format -----------------------------------------------------

@@ -2,8 +2,10 @@
 
 Four checks, in decreasing strength: the symbolic divergence identity, the
 Euler-annihilation conditions on the multipliers alone, on-solution
-vanishing of the divergence after leading-derivative elimination (an
-approach-A divergence is reduced as its joined eps-series), and exact
+vanishing of the divergence after leading-derivative elimination (slot by
+slot over expanded coordinates; an approach-A divergence is expanded first,
+which is exact since expansion is one-to-one on truncated series and
+commutes with total derivatives and the elimination), and exact
 numeric spot checks at random rational jet points, evaluated in integer
 arithmetic (:func:`~approxlaws.expr.eval_rational`).  Identity implies
 on-solution implies spot-check success.  The checks read a law's contraction
@@ -87,8 +89,8 @@ def verify_euler(residuals) -> VerificationReport:
 def verify_on_solutions(problem: PdeProblem, method: str, divs) -> VerificationReport:
     """The flux divergence ``divs`` of a ``method`` law vanishes after
     substituting the leading derivatives (and their differential
-    consequences up to the prolongation depth), slot by slot; approach-A
-    slots are reduced as their joined series
+    consequences up to the prolongation depth), slot by slot over expanded
+    coordinates; approach-A slots are expanded first
     (:meth:`~approxlaws.problem.PdeProblem.reduce_series_on_solutions`)."""
     try:
         reds = problem.reduce_series_on_solutions(divs, method)

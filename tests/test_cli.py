@@ -463,6 +463,16 @@ def test_solved_laws_round_trip_through_a_problem_file(tmp_path, capsys, eid):
     assert {law["label"]: law["achieved"] for law in json.loads(out)["laws"]} == statuses
 
 
+@pytest.mark.parametrize("eid", corpus.ENTRY_IDS)
+def test_audit_and_verify_agree_law_by_law(capsys, eid):
+    # audit is verify's loop over the corpus: the same laws achieve the same status
+    flags = ("--format", "json", "--trials", "1", "--seed", "7")
+    _, audited, _ = run_cli(capsys, "audit", eid, *flags)
+    _, verified, _ = run_cli(capsys, "verify", fixture_path(eid), *flags)
+    assert ([(row["law"], row["achieved"]) for row in json.loads(audited)["entries"][eid]]
+            == [(law["label"], law["achieved"]) for law in json.loads(verified)["laws"]])
+
+
 ON_SOLUTION_LAW = ("independent = t, x\ndependent = u\norder = 1\nequation = {}\nleading = u_t\n"
                    "multiplier.1.0 = 0\nflux.1.x.0 = {}\n")
 
@@ -476,13 +486,19 @@ def test_an_on_solution_reduction_outside_the_normal_forms_is_a_failed_check(tmp
     assert [law["achieved"] for law in json.loads(out)["laws"]] == ["fail"]
 
 
-@pytest.mark.parametrize("flux", ["u[0]_t^1000", "u[0]_t^40*u[0]_tx^40"])
-def test_an_on_solution_reduction_past_the_term_bound_ends(tmp_path, flux):
+@pytest.mark.parametrize("equation, flux", [
+    pytest.param("u_t - u_xx - u_x - u", "u[0]_t^1000", id="u[0]_t^1000"),
+    pytest.param("u_t - u_xx - u_x - u", "u[0]_t^40*u[0]_tx^40", id="u[0]_t^40*u[0]_tx^40"),
+    pytest.param("u_t - 10^3999*u_xx", "u[0]_t^1000*u[0]_tx^1000", id="10^3999*u_xx"),
+])
+def test_an_on_solution_reduction_past_the_term_bound_ends(tmp_path, equation, flux):
     # expanding (u_xx + u_x + u)^999, or 861 terms each to the 40th, would run
-    # for minutes: the substitution is counted first and refused.  In a
-    # process, so that a hang fails this test instead of stalling the suite
+    # for minutes, and so would raising 10^3999 to the 999th, one term with a
+    # coefficient of millions of digits: the substitution is bounded first, in
+    # terms and in digits, and refused.  In a process, so that a hang fails
+    # this test instead of stalling the suite
     bad = tmp_path / "bad.prob"
-    bad.write_text(ON_SOLUTION_LAW.format("u_t - u_xx - u_x - u", flux))
+    bad.write_text(ON_SOLUTION_LAW.format(equation, flux))
     res = subprocess.run([sys.executable, "-m", "approxlaws.cli", "verify", str(bad), "--trials", "1"],
                          capture_output=True, check=False, timeout=20)
     assert (res.returncode, res.stderr) == (4, b"")

@@ -1,9 +1,11 @@
 """Corpus fixtures: loading, completeness, and the audit."""
 
+import json
+
 import pytest
 
 from approxlaws import corpus, normalize, parse
-from approxlaws.cli import build_parser
+from approxlaws.cli import build_parser, main
 from approxlaws.expr import negate
 from approxlaws.multipliers import parse_ansatz
 from approxlaws.problem import ProblemError, parse_problem_text
@@ -87,20 +89,27 @@ def test_nls3_records_third_order_note():
     assert any("trivial" in n for n in entry.notes)
 
 
-def test_audit_all_entries_certify():
-    audits = corpus.audit(trials=1)
+def audit_rows(capsys, *entries, trials):
+    """The (entry id, row) pairs of the JSON report of ``audit`` over ``entries``."""
+    main(["audit", *entries, "--trials", str(trials), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    return [(eid, row) for eid, rows in report["entries"].items() for row in rows]
+
+
+def test_audit_all_entries_certify(capsys):
+    audits = audit_rows(capsys, trials=1)
     assert len(audits) == 53
-    for la in audits:
-        assert la.certified, (la.entry_id, la.label)
-        assert la.as_expected, (la.entry_id, la.label, la.achieved)
+    for eid, row in audits:
+        assert row["certified"], (eid, row["law"])
+        assert row["achieved"] == row["expected"], (eid, row["law"], row["achieved"])
     # the only non-identity outcome is the documented KdV factor-2 erratum
-    non_identity = [(la.entry_id, la.label) for la in audits if la.achieved != "identity"]
+    non_identity = [(eid, row["law"]) for eid, row in audits if row["achieved"] != "identity"]
     assert non_identity == [("kdv-burgers", "4")]
 
 
-def test_audit_stable_under_reruns():
-    a = [(la.entry_id, la.label, la.achieved) for la in corpus.audit(["wave"], trials=2)]
-    b = [(la.entry_id, la.label, la.achieved) for la in corpus.audit(["wave"], trials=2)]
+def test_audit_stable_under_reruns(capsys):
+    a = [(eid, row["law"], row["achieved"]) for eid, row in audit_rows(capsys, "wave", trials=2)]
+    b = [(eid, row["law"], row["achieved"]) for eid, row in audit_rows(capsys, "wave", trials=2)]
     assert a == b
 
 

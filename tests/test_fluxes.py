@@ -119,7 +119,8 @@ def test_equivalent_self_and_curl(diffusion):
 def test_fluxes_differing_by_the_equation_are_equivalent(method, t1, t2):
     # law 2's t flux adds the slots of the equation to law 1's zero fluxes;
     # in approach A the eps*u_x that eliminating u_t leaves in slot 0 cancels
-    # slot 1 only when the slots are reduced as one series
+    # slot 1 only when the slots are reduced as one series, as their
+    # expansion does
     pf = parse_problem_text(
         f"method = {method}\nindependent = t, x\ndependent = u\norder = 1\n"
         "equation = u_t - u_xx - eps*u_x\nleading = u_t\n"

@@ -544,3 +544,47 @@ def test_order_p_space_truncates_into_the_order_below(eid, p):
         vec = coefficient_vector(cut, lower.ansatz)
         assert vec is not None
         assert span_of_vectors(lower.basis, vec) is not None
+
+
+# --- approach B against the reversed consistent space --------------------------
+
+
+@pytest.mark.parametrize("eid, members", [("diffusion-consistent", 4), ("kdv-burgers", 7), ("wave", 4),
+                                          ("nls2", 6), ("nls3", 4), ("kaup-newell", 6)])
+def test_reversed_consistent_members_are_approach_b_multipliers(eid, members):
+    # the eps^p slot of a consistent contraction, sum over k of
+    # Lambda_(p-k) * Delta_k, is a divergence: so the reversal
+    # Lambda^B_k = Lambda_(p-k) of every member is an approach-B multiplier
+    entry = corpus.load(eid)
+    hint = entry.ansatz_hint
+    spec = AnsatzSpec(hint.generators, min(hint.degree, 2), hint.xdegree, hint.laurent)
+    result = solve_multipliers(entry.problem, spec, "consistent")
+    assert len(result.basis) == members
+    for cm in result.classified:
+        reversal = MultiplierSet("approach_b", [row[::-1] for row in cm.mult.slots])
+        assert all(res.is_zero() for _, _, res in euler_residuals(
+            entry.problem, "approach_b", contraction(entry.problem, reversal)))
+
+
+def test_approach_b_can_be_larger_than_the_reversed_consistent_space():
+    # for the eps-free u_t + u_x, every Lambda^B_k may depend on u[1]: B holds
+    # (u[1]^2, 2 u[0] u[1]), the multiplier of D_t(u[0] u[1]^2) + D_x(u[0] u[1]^2),
+    # whose reversal puts u[1] in slot 0, which no consistent member may
+    pb = parse_problem_text("independent = t, x\ndependent = u\norder = 1\n"
+                            "equation = u_t + u_x\nleading = u_t\n").problem
+    P = lambda s: normalize(parse(s, pb.table))
+    spec = spec_for(pb, ["u[0]"], 2, 0)
+    consistent = solve_multipliers(pb, spec, "consistent")
+    b = solve_multipliers(pb, spec, "approach_b")
+    assert (len(consistent.basis), len(b.basis)) == (6, 9)
+    member = MultiplierSet("approach_b", [(P("u[1]^2"), P("2*u[0]*u[1]"))])
+    assert span_of_vectors(b.basis, coefficient_vector(member, b.ansatz)) is not None
+    with pytest.raises(UnsupportedFormError):
+        MultiplierSet("consistent", [(P("2*u[0]*u[1]"), P("u[1]^2"))])
+    # with eps*u_x the order-1 equation couples u[1] to u[0], and the two agree
+    pb = parse_problem_text("independent = t, x\ndependent = u\norder = 1\n"
+                            "equation = u_t + u_x + eps*u_x\nleading = u_t\n").problem
+    for degree, dim in [(2, 6), (3, 8), (4, 10)]:
+        spec = spec_for(pb, ["u[0]"], degree, 0)
+        assert len(solve_multipliers(pb, spec, "consistent").basis) == dim
+        assert len(solve_multipliers(pb, spec, "approach_b").basis) == dim

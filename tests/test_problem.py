@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from approxlaws import corpus, normalize, parse, problem
 from approxlaws.parser import ParseError
-from approxlaws.jets import join_eps, total_derivative
+from approxlaws.atoms import FuncAtom, Jet
+from approxlaws.expr import NormalForm, atom_poly
+from approxlaws.jets import collect_eps, join_eps, total_derivative
 from approxlaws.problem import (
     InconclusiveReduction,
     PdeProblem,
@@ -104,20 +106,36 @@ def test_reduce_on_solutions_with_consequences(kdv):
 
 
 def test_reduce_depth_bound(kdv, monkeypatch):
-    # D_t of the equation needs the consequence u_txxx = D_xxx(rest): depth 3
-    d0 = kdv.expanded_slots(0)[0]
-    deep = total_derivative(d0, 0)
+    # u_txxx alone needs the consequence u_txxx = D_xxx(rest): depth 3
+    tab = kdv.table
+    deep = normalize(parse("u[0]_txxx", tab))
     monkeypatch.setattr(problem, "MAX_PROLONGATION", 2)
     with pytest.raises(InconclusiveReduction):
         kdv.reduce_on_solutions(deep)
     monkeypatch.setattr(problem, "MAX_PROLONGATION", 3)
-    assert kdv.reduce_on_solutions(deep).is_zero()
+    assert kdv.reduce_on_solutions(deep) == normalize(parse(
+        "-(u[0]*u[0]_xxxx + 4*u[0]_x*u[0]_xxx + 3*u[0]_xx^2) - u[0]_xxxxxx", tab))
+    # D_t of the equation holds u_txxx too, but substituting u_tt first
+    # cancels it: a jet past the bound is substituted only when no other is left
+    d0 = kdv.expanded_slots(0)[0]
+    dt = total_derivative(d0, 0)
+    monkeypatch.setattr(problem, "MAX_PROLONGATION", 2)
+    assert kdv.reduce_on_solutions(dt).is_zero()
 
 
 def test_unexpanded_reduction_truncates(diffusion):
-    # the unexpanded equation reduces to zero modulo eps^2
-    red = diffusion.reduce_on_solutions(diffusion.eqns[0], expanded=False)
-    assert red.is_zero()
+    # the unexpanded equation, as an approach-A series, reduces to zero modulo eps^2
+    slots = collect_eps(diffusion.eqns[0], diffusion.p)
+    assert all(red.is_zero() for red in diffusion.reduce_series_on_solutions(slots, "approach_a"))
+
+
+def test_an_approach_a_series_that_does_not_expand_is_inconclusive():
+    # f(u_x) has a derived argument, which the expansion refuses
+    pb = parse_problem_text("independent = t, x\ndependent = u\nfunctions = f(u)\norder = 1\n"
+                            "equation = u_t - u_xx\nleading = u_t\n").problem
+    fux = NormalForm(atom_poly(FuncAtom("f", 0, Jet(0, None, (1,)))))
+    with pytest.raises(InconclusiveReduction, match="expanding the series"):
+        pb.reduce_series_on_solutions([fux, NormalForm({})], "approach_a")
 
 
 def test_wave_leading_coefficient(wave):
@@ -271,3 +289,12 @@ def test_a_substitution_is_counted_before_it_expands(monkeypatch):
         pb.reduce_on_solutions(e)
     monkeypatch.setattr(problem, "MAX_TERMS", 4)
     assert pb.reduce_on_solutions(e) == parse("(u[0]_xx + u[0]_x)^2 + u[0]_x", pb.table)
+
+
+def test_a_substitution_is_bounded_in_digits_before_it_expands():
+    # u[0]_t -> 10^3999*u[0]_xx: squared, its coefficient would pass MAX_DIGITS,
+    # the bound a parsed power is held to; to the first power it substitutes
+    pb = _drift_problem("u_t - 10^3999*u_xx")
+    with pytest.raises(InconclusiveReduction, match="more than 4000 digits"):
+        pb.reduce_on_solutions(parse("u[0]_t^2", pb.table))
+    assert pb.reduce_on_solutions(parse("u[0]_t", pb.table)) == parse("10^3999*u[0]_xx", pb.table)

@@ -34,10 +34,10 @@ from conftest import expand_epsilon_substitution
 TABLE = SymbolTable(["t", "x"], ["u", "v"], ["c"], [("f", "u")])
 
 
-def _atom_pool(expanded: bool, with_func: bool = True):
+def _atom_pool(tagged: bool, with_func: bool = True):
     tab = TABLE
     pool = [tab.indep[0], tab.indep[1], tab.params[0]]
-    if expanded:
+    if tagged:
         for dep in ("u", "v"):
             for k in (0, 1):
                 pool += [tab.jet(dep, k), tab.jet(dep, k, ("x",)), tab.jet(dep, k, ("t",))]
@@ -54,8 +54,8 @@ def _atom_pool(expanded: bool, with_func: bool = True):
     return pool
 
 
-def rand_poly(rng, expanded=True, terms=4, max_exp=3, laurent_atoms=(), with_func=True):
-    pool = _atom_pool(expanded, with_func)
+def rand_poly(rng, tagged=True, terms=4, max_exp=3, laurent_atoms=(), with_func=True):
+    pool = _atom_pool(tagged, with_func)
     out = {}
     p = NormalForm(out)
     acc = NormalForm({})
@@ -282,9 +282,9 @@ def test_expansion_recursion_equals_substitution_200():
     rng = random.Random(23)
     u = TABLE.jet("u")
     for trial in range(200):
-        e = rand_poly(rng, expanded=False, laurent_atoms=(u,))
+        e = rand_poly(rng, tagged=False, laurent_atoms=(u,))
         if trial % 3 == 0:
-            e = e + normalize(TABLE.eps) * rand_poly(rng, expanded=False, with_func=False)
+            e = e + normalize(TABLE.eps) * rand_poly(rng, tagged=False, with_func=False)
         p = 1 + (trial % 2)
         rec = expand_epsilon(e, p)
         sub = expand_epsilon_substitution(e, p)
@@ -294,8 +294,8 @@ def test_expansion_recursion_equals_substitution_200():
 def test_expansion_cauchy_product():
     rng = random.Random(29)
     for _ in range(60):
-        a = rand_poly(rng, expanded=False)
-        b = rand_poly(rng, expanded=False)
+        a = rand_poly(rng, tagged=False)
+        b = rand_poly(rng, tagged=False)
         p = 2
         sa, sb, sab = (expand_epsilon(z, p) for z in (a, b, a * b))
         for k in range(p + 1):
@@ -312,8 +312,8 @@ def test_every_euler_kind_annihilates_divergences_200():
     per_order = 50
     for order, expanded in orders:
         for _ in range(per_order):
-            pt = rand_poly(rng, expanded=expanded)
-            px = rand_poly(rng, expanded=expanded)
+            pt = rand_poly(rng, tagged=expanded)
+            px = rand_poly(rng, tagged=expanded)
             dv = total_derivative(pt, 0) + total_derivative(px, 1)
             for alpha in (0, 1):
                 res = euler(dv, Jet(alpha, order, ()))

@@ -271,6 +271,27 @@ def test_on_solutions_carries_eps_terms_to_later_slots(method):
     assert full_report(pf.problem, cl.law, trials=1)["status"] == cl.expected_status
 
 
+# A t flux that is the KdV-Burgers equation itself, slot by slot: its
+# divergence D_t(equation) holds u_tt and u_txxx, and u_txxx, past the
+# prolongation bound, cancels once u_tt is substituted
+KDV_FLUX = {
+    "approach_a": ("u_t + u*u_x + u_xxx", "-u_xx"),
+    "consistent": ("u[0]_t + u[0]*u[0]_x + u[0]_xxx", "u[1]_t + u[0]*u[1]_x + u[1]*u[0]_x + u[1]_xxx - u[0]_xx"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(KDV_FLUX))
+def test_a_jet_past_the_prolongation_bound_that_cancels_leaves_the_check_conclusive(method):
+    t0, t1 = KDV_FLUX[method]
+    pf = parse_problem_text(
+        f"method = {method}\nindependent = t, x\ndependent = u\norder = 1\n"
+        "equation = u_t + u*u_x + u_xxx - eps*u_xx\nleading = u_t\n"
+        f"multiplier.1.0 = 0\nflux.1.t.0 = {t0}\nflux.1.t.1 = {t1}\n"
+    )
+    (cl,) = corpus.recorded_laws(pf)
+    assert full_report(pf.problem, cl.law, trials=1)["status"] == "onsolution"
+
+
 def test_an_on_solution_reduction_outside_the_normal_forms_fails_the_check():
     # identity fails, and eliminating u[0]_t would raise the sum
     # u[0]_xx + u[0]_x to the -1: the check fails with the reason as its
