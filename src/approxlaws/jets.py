@@ -8,6 +8,13 @@ divergences: v is u[k] at one perturbation order k, or u unexpanded.
 Equations and the consistent multiplier ansatz are expanded by one loop,
 :func:`recursion_series`, which takes a slot list of parts.
 
+The higher Euler operators E^L_v (:func:`higher_eulers`, E^() being
+:func:`euler`) factor the Euler operator over any factor free of the
+dependent variables, such as a monomial in the independent ones:
+E_v(P e) = sum over L of (-1)^|L| (d_L P) E^L_v(e).  Determining-system
+assembly runs them once per jet part of the ansatz.  Both operators share
+one partial-derivative step and one Horner fold of the total derivatives.
+
 A series truncated at order p is the list of its p+1 eps-free slots, slot k
 the coefficient of eps^k.  This module alone converts between slots and the
 eps atom: :func:`collect_eps` splits an expression into its slots and
@@ -20,6 +27,7 @@ above k (the order-k part depends on u[0]..u[k] only).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import kernel
@@ -275,23 +283,14 @@ def recursion_series(parts, p: int) -> list:
 # --- Euler operators --------------------------------------------------------
 
 
-def euler(e, v: Jet) -> NormalForm:
-    """E_v(e) = sum over multi-indices J of (-D)_J (de/dv_J) for the
-    underived dependent coordinate ``v``: u[k] at one perturbation order k,
-    or u unexpanded.  Total derivatives run over every order, so the
-    consistent method's operator E_u[0] is approach B's order-0 operator.
+def _partials(p, v: Jet) -> dict:
+    """{J: de/dv_J} for each multi-index J of the coordinate ``v`` in the
+    polynomial ``p``, each a fresh dict.
 
     One scan of the operand's atoms gives each partial d/dv_J its atom map
     (v_J -> 1 and each function application f^(n)(v_J) -> f^(n+1)(v_J)),
-    and one scan of its monomials splits off the part holding each
-    v_J, so each partial derivative reads only its part.  The total
-    derivatives are folded Horner-style over the prefix trie of the
-    multi-indices: A_J = de/dv_J - sum over children J+i of D_i A_(J+i),
-    and E = A_().  Each trie edge costs one D_i, where the sum as written
-    costs |J| per J.  The coefficients of ``e`` may be column vectors (see
-    :mod:`.kernel`), which determining-system assembly passes.
-    """
-    p = as_poly(e)
+    and one scan of its monomials splits off the part holding each v_J, so
+    each partial derivative reads only its part."""
     family = {}  # atom id -> multi-index J of the coordinate v_J it holds
     images = {}  # J -> the atom map of d/dv_J
     for aid in poly_atom_ids(p):
@@ -308,12 +307,76 @@ def euler(e, v: Jet) -> NormalForm:
             J = family.get(mono[j])
             if J is not None:
                 parts[J][mono] = c
-    acc = {J[:k]: {} for J in parts for k in range(len(J) + 1)}
+    return {J: kernel.derive(part, images[J]) for J, part in parts.items()}
+
+
+def _fold(terms: dict) -> dict:
+    """sum over K of (-D)_K terms[K], folded Horner-style over the prefix
+    trie of the multi-indices K: A_K = terms[K] - sum over children K+i of
+    D_i A_(K+i), and the sum is A_().  Each trie edge costs one D_i, where
+    the sum as written costs |K| per K.  The dicts of ``terms`` are
+    consumed: a term is added into in place."""
+    acc = {K[:k]: {} for K in terms for k in range(len(K) + 1)}
     acc[()] = {}
-    for J, part in parts.items():
-        acc[J] = kernel.derive(part, images[J])
-    # deepest first: each A_J is complete before it is folded into its parent
-    for J in sorted(acc, key=len, reverse=True):
-        if J:
-            kernel.poly_iadd(acc[J[:-1]], as_poly(total_derivative(acc.pop(J), J[-1])), -1)
-    return NormalForm(acc[()])
+    acc.update(terms)
+    # deepest first: each A_K is complete before it is folded into its parent
+    for K in sorted(acc, key=len, reverse=True):
+        if K:
+            kernel.poly_iadd(acc[K[:-1]], as_poly(total_derivative(acc.pop(K), K[-1])), -1)
+    return acc[()]
+
+
+def euler(e, v: Jet) -> NormalForm:
+    """E_v(e) = sum over multi-indices J of (-D)_J (de/dv_J) for the
+    underived dependent coordinate ``v``: u[k] at one perturbation order k,
+    or u unexpanded.  Total derivatives run over every order, so the
+    consistent method's operator E_u[0] is approach B's order-0 operator.
+
+    Each partial d/dv_J reads only the monomials holding v_J
+    (:func:`_partials`), and the total derivatives are folded Horner-style
+    over the prefix trie of the multi-indices (:func:`_fold`).  This is
+    :func:`higher_eulers` at L = () alone, without its bookkeeping; the
+    certification of every law calls it.  The coefficients of ``e`` may be
+    column vectors (see :mod:`.kernel`).
+    """
+    return NormalForm(_fold(_partials(as_poly(e), v)))
+
+
+def higher_eulers(e, v: Jet, multi_indices) -> dict:
+    """{L: E^L_v(e)} for each multi-index L (a sorted tuple of directions)
+    in ``multi_indices``: the higher Euler operators
+
+        E^L_v(e) = sum over J >= L of C(J, L) (-D)_(J-L) (de/dv_J),
+
+    with J - L the multiset difference and C(J, L) the product over the
+    directions of the binomials of their counts (Olver, Applications of Lie
+    Groups to Differential Equations, 2nd ed., 1993, section 5.4).  E^() is
+    :func:`euler`.  They factor the Euler operator over a factor P free of
+    the dependent variables and their derivatives:
+
+        E_v(P e) = sum over L of (-1)^|L| (d_L P) E^L_v(e),
+
+    which determining-system assembly uses to run the operators once per
+    jet part of the ansatz.  Each partial de/dv_J is taken once and shared
+    by every L, and each L gets its own Horner fold over J - L; an L that
+    no J contains gets the zero polynomial.  Coefficients may be column
+    vectors."""
+    partials = _partials(as_poly(e), v)
+    out = {}
+    for L in multi_indices:
+        if not L:
+            continue  # E^() comes last, as its fold may consume the partials
+        terms = {}
+        for J, d in partials.items():
+            K = list(J)
+            for i in L:
+                if i not in K:
+                    break
+                K.remove(i)
+            else:
+                c = math.prod(math.comb(J.count(i), L.count(i)) for i in set(L))
+                terms[tuple(K)] = kernel.poly_iadd({}, d, c)
+        out[L] = NormalForm(_fold(terms) if terms else {})
+    if () in multi_indices:
+        out[()] = NormalForm(_fold(partials))
+    return out

@@ -18,9 +18,9 @@ apart once per call from the first coefficient, and differ only in their
 innermost add: an inline scalar add, or ``_vec_iadd``, the one
 column-vector merge, which drops zero entries and empty vectors.
 :func:`poly_mul` is a :func:`poly_iadd` of ``p1`` shifted by each monomial
-of ``p2``.  So the ansatz's series, its contraction with the equations and
-their Euler residuals are built with the unknowns as columns, and each
-residual monomial's vector is a determining-system row.
+of ``p2``.  So the ansatz's series, its contraction with the equations,
+their higher Euler residuals and the determining-system rows mapped back
+from them are all built with column-vector coefficients.
 
 These functions are the hot inner loop of the whole engine.  Callers use
 them as ``kernel.<fn>(...)`` so that the module's bindings stay the single

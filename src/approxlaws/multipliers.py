@@ -10,12 +10,16 @@ unit columns ``{column: 1}`` it gives the ansatz's slots with column-vector
 coefficients.  A multiplier set is one whose truncated contraction with
 the equations the Euler operators of the method's coordinates
 (:func:`euler_coordinates`) annihilate.  The contraction of the vector
-slots is linear in the unknowns by construction, so the Euler operators run
-on it directly and each residual monomial's vector (with the Euler
-coordinate and slot) is a row of the determining system.  Its nullspace
-basis is the solution space.  The same contraction and Euler residuals
-certify a concrete multiplier set and give the targets of flux
-reconstruction.
+slots is linear in the unknowns by construction, and each monomial of its
+Euler residuals, keyed by the Euler coordinate and slot, has a vector that
+is a row of the determining system.  Its nullspace basis is the solution
+space.  Every basis monomial is an x-part (a monomial in the independent
+variables) times a jet part, and the x-part passes through the series and
+the contraction, so assembly (:func:`_determining_rows`) contracts the jet
+parts alone, runs the higher Euler operators on each slot once, and maps
+the residuals back to the unknowns through the x-parts.  The contraction
+and Euler residuals of a concrete multiplier set certify it and give the
+targets of flux reconstruction.
 
 The eps-series methods (consistent, approach A) solve that system order by
 order, as the multiplier splits into Lambda_0 + eps Lambda_1 + ...: the
@@ -36,11 +40,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from . import kernel, linalg
-from .atoms import INDEP, Jet, Sym, intern, mono_atoms, mono_sort_key
+from .atoms import INDEP, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
 from .expr import NormalForm, UnsupportedFormError, as_poly, normalize
-from .jets import check_slots, euler, recursion_series, series_mul
+from .jets import check_slots, euler, higher_eulers, max_jet_order, recursion_series, series_mul
 from .parser import parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
 
@@ -49,8 +54,8 @@ from .problem import METHODS, PdeProblem, ProblemError
 # series slots), checked as the basis is built: assembly and elimination
 # of the determining system grow with it, so an oversized ansatz would run
 # for hours instead of failing.  nls2 at order 3 has 11,088 unknowns from
-# its hint and solves in ~0.9 s, peaking at ~45 MB; at degree 6 and
-# x-degree 2 it has 44,352 and solves in ~4 s, peaking at ~150 MB (one
+# its hint and solves in ~0.8 s, peaking at ~40 MB; at degree 6 and
+# x-degree 2 it has 44,352 and solves in ~4 s, peaking at ~120 MB (one
 # core of a 2-core Intel Xeon VM, CPython 3.11).
 MAX_UNKNOWNS = 50000
 
@@ -397,24 +402,92 @@ def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:
 LinearSystem = namedtuple("LinearSystem", "unknowns rows")
 
 
+def _split(mono) -> tuple:
+    """A basis monomial as (x-part, jet part): its independent-variable
+    atoms and the rest, each a monomial key."""
+    x, jet = [], []
+    for j in range(0, len(mono), 2):
+        a = atom_at(mono[j])
+        (x if isinstance(a, Sym) else jet).extend(mono[j:j + 2])
+    return tuple(x), tuple(jet)
+
+
 def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: int | None = None,
                       first: int = 0) -> dict:
     """The Euler residuals of contraction slots ``first``..``upto`` (default
     p) of ``_series(ansatz, coefficient, upto)``, whose coefficients are
     column vectors: one row (column -> coefficient) per (Euler coordinate,
-    slot - first, monomial)."""
-    parts = _contract(problem, ansatz.method, _series(ansatz, coefficient, upto), upto, first)
-    return {(v, k, mono): row
-            for v, k, res in euler_residuals(problem, ansatz.method, parts)
-            for mono, row in as_poly(res).items()}
+    slot - first, monomial), the one assembly of every determining system.
+
+    Basis monomial i is x^alpha_i times a jet part.  The x-part is free of
+    the dependent variables and passes through the series and the
+    contraction, and the Euler operators factor over it through the higher
+    Euler operators (:func:`~approxlaws.jets.higher_eulers`):
+
+        E_v(x^alpha F) = sum over L of (-1)^|L| (alpha)_L x^(alpha-L) E^L_v(F),
+
+    with (alpha)_L the product of the falling factorials of the exponents.
+    So a reduced ansatz over the jet parts gets one unit column per (nu, k,
+    jet part) that ``coefficient`` reaches, each slot of its contraction
+    runs through every E^L_v once, and a residual term c m of E^L_v in
+    reduced column (nu, k, j) adds (-1)^|L| c m d_L P to the rows, where P =
+    sum over alpha of coefficient(nu, k, i) x^alpha over the basis monomials
+    x^alpha j.  E^L_v vanishes past the slots' derivative order, which
+    bounds L where a Laurent floor keeps every d_L x^alpha nonzero."""
+    p = ansatz.p if upto is None else upto
+    split = [_split(mono) for mono in ansatz.basis]
+    jet_parts = list(dict.fromkeys(jet for _, jet in split))
+    jet_index = {jet: j for j, jet in enumerate(jet_parts)}
+    columns: dict = {}  # (nu, k, jet part index) -> its column of the reduced ansatz
+    polys: list = []  # reduced column -> its P, with column-vector coefficients
+    for nu in range(ansatz.q):
+        for k in range(p + 1):
+            for i, (x, jet) in enumerate(split):
+                c = coefficient(nu, k, i)
+                if c:
+                    key = (nu, k, jet_index[jet])
+                    if key not in columns:
+                        columns[key] = len(polys)
+                        polys.append({})
+                    polys[columns[key]][x] = c
+    if not polys:
+        return {}
+    reduced = Ansatz(ansatz.method, tuple(jet_parts), ansatz.q, ansatz.p)
+    series = _series(reduced, lambda nu, k, j: {columns[nu, k, j]: 1} if (nu, k, j) in columns else None, upto)
+    parts = _contract(problem, ansatz.method, series, upto, first)
+    # derivs[L][column] = d_L P, along the prefix trie of L over the basis's
+    # independent variables
+    images = {atom_at(x[j]).pos: {x[j]: {(): 1}} for x, _ in split for j in range(0, len(x), 2)}
+    derivs = {(): polys}
+    for size in range(1, max_jet_order(parts) + 1):
+        for L in combinations_with_replacement(sorted(images), size):
+            derivs[L] = [kernel.derive(P, images[L[-1]]) if P else P for P in derivs[L[:-1]]]
+    multi_indices = [L for L, Ps in derivs.items() if any(Ps)]
+    rows = {}
+    for v in euler_coordinates(problem, ansatz.method):
+        for s, part in enumerate(parts):
+            acc: dict = {}
+            for L, res in higher_eulers(part, v, multi_indices).items():
+                Ps = derivs[L]
+                sign = -1 if len(L) % 2 else 1
+                for m, vec in as_poly(res).items():
+                    for col, c in vec.items():
+                        if Ps[col]:
+                            kernel.poly_iadd(acc, {kernel.mono_mul(x, m): w for x, w in Ps[col].items()}, sign * c)
+            for mono, row in acc.items():
+                rows[(v, s, mono)] = row
+    return rows
 
 
 def determining_system(problem: PdeProblem, ansatz: Ansatz) -> LinearSystem:
     """The homogeneous linear system whose solutions are the multiplier sets
     of the ansatz's method: the Euler residuals of the contraction of the
-    ansatz's vector slots (every unknown a unit column), one row per (Euler
-    coordinate, slot, monomial).  Approach B is solved from it; for the
-    eps-series methods it is the monolithic form of
+    ansatz's vector slots (every unknown a unit column), one row per key
+    (Euler coordinate v, slot s, monomial m), m a monomial of E_v(T_s).
+    :func:`_determining_rows` forms m as a residual monomial of a jet part's
+    higher Euler operator times a monomial of the independent variables,
+    and sums every product that gives the same key.  Approach B is solved
+    from it; for the eps-series methods it is the monolithic form of
     :func:`staged_nullspace`."""
     rows = _determining_rows(problem, ansatz, lambda nu, k, i: {_column(ansatz, nu, k, i): 1})
     n = len(ansatz.basis)

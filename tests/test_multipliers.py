@@ -34,6 +34,7 @@ from approxlaws.multipliers import (
     solve_multipliers,
     staged_nullspace,
 )
+from approxlaws.multipliers import _column, _contract, _determining_rows, _series
 from approxlaws.problem import PdeProblem, parse_problem_text
 
 from conftest import KDV, coefficient_vector, expand_epsilon_substitution, slot_coefficients
@@ -431,6 +432,95 @@ def test_parse_ansatz_text_forms(diffusion):
     ):
         with pytest.raises(AnsatzError):
             parse_ansatz(tab, **bad)
+
+
+# --- the factored assembly against the per-monomial Euler oracle ---------------
+
+
+def _determining_rows_per_monomial(problem, ansatz, coefficient, upto=None, first=0):
+    """The determining-system rows as one Euler pass over the full
+    column-vector contraction of the ansatz, every basis monomial carrying
+    its own columns through the operators: the assembly that
+    ``_determining_rows`` factors over the x-monomials."""
+    parts = _contract(problem, ansatz.method, _series(ansatz, coefficient, upto), upto, first)
+    return {(v, k, mono): row
+            for v, k, res in euler_residuals(problem, ansatz.method, parts)
+            for mono, row in as_poly(res).items()}
+
+
+def _assert_rows_match_per_monomial_oracle(problem, ansatz, coefficient, upto=None, first=0):
+    rows = _determining_rows(problem, ansatz, coefficient, upto, first)
+    oracle = _determining_rows_per_monomial(problem, ansatz, coefficient, upto, first)
+    # equal as dicts: the same row under the same (coordinate, slot, monomial)
+    # key, so also the same multiset of rows
+    assert rows == oracle
+
+
+def _unit_columns(ansatz):
+    return lambda nu, k, i: {_column(ansatz, nu, k, i): 1}
+
+
+def _lift_columns(ansatz, space):
+    """The staged lift's coefficients: each unknown's column vector over the
+    members of ``space``, vectors over the ansatz's columns."""
+    columns: dict = {}
+    for y, vec in enumerate(space):
+        for col, x in enumerate(vec):
+            if x:
+                columns.setdefault(col, {})[y] = x
+    return lambda nu, k, i: columns.get(_column(ansatz, nu, k, i))
+
+
+_CORPUS_ASSEMBLY_CASES = [(eid, corpus.load(eid).method) for eid in corpus.ENTRY_IDS] + [
+    ("kdv-burgers", "approach_a"), ("kdv-burgers", "approach_b"),
+    ("diffusion-consistent", "approach_a"), ("diffusion-consistent", "approach_b"),
+]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("eid, method", _CORPUS_ASSEMBLY_CASES)
+def test_factored_rows_match_per_monomial_euler_on_corpus(eid, method, p):
+    # the 8 entries with their own methods, kdv-burgers and diffusion under all
+    # three, hint degree capped at 2: the monolithic system's unit columns,
+    # and for the eps-series methods A_0 and an order-p lift of the solved space
+    entry = corpus.load(eid)
+    hint = entry.ansatz_hint
+    problem = _at_order(entry.problem, p)
+    ansatz = build_ansatz(problem, AnsatzSpec(hint.generators, min(hint.degree, 2), hint.xdegree, hint.laurent),
+                          method)
+    _assert_rows_match_per_monomial_oracle(problem, ansatz, _unit_columns(ansatz))
+    if method == "approach_b":
+        return
+    n = len(ansatz.basis)
+    _assert_rows_match_per_monomial_oracle(problem, ansatz, lambda nu, k, i: {nu * n + i: 1}, 0)
+    space = staged_nullspace(problem, ansatz)
+    assert space
+    _assert_rows_match_per_monomial_oracle(problem, ansatz, _lift_columns(ansatz, space), p, p)
+
+
+@pytest.mark.parametrize("method", ["consistent", "approach_a", "approach_b"])
+def test_factored_rows_match_per_monomial_euler_under_a_laurent_floor_on_x(diffusion, method):
+    # x^-1 in the basis: every (alpha)_L is nonzero, and only the slots'
+    # derivative order bounds L
+    spec = parse_ansatz(diffusion.table, "t,x,u[0]", 2, laurent="x:-1")
+    ansatz = build_ansatz(diffusion, spec, method)
+    assert any(e < 0 for mono in ansatz.basis for a, e in mono_atoms(mono) if a == diffusion.table.indep[1])
+    _assert_rows_match_per_monomial_oracle(diffusion, ansatz, _unit_columns(ansatz))
+
+
+@pytest.mark.parametrize("method", ["consistent", "approach_a", "approach_b"])
+def test_factored_rows_match_per_monomial_euler_with_explicit_t_and_x(method):
+    # the equation's own t and x (x^-1 among them) meet the x-parts of the
+    # basis in the residual monomials, where exponents add and may cancel
+    pb = parse_problem_text("independent = t, x\ndependent = u\norder = 2\nleading = u_t\n"
+                            "equation = u_t - x^2*u_xx - t*u*u_x + eps*(x^-1*u_x - t*x*u^2)\n").problem
+    ansatz = build_ansatz(pb, spec_for(pb, ["t", "x", "u[0]", "u[0]_x"], 2, laurent={"x": -1}), method)
+    _assert_rows_match_per_monomial_oracle(pb, ansatz, _unit_columns(ansatz))
+
+
+def test_factored_rows_of_an_empty_lift_are_empty(kdv):
+    ansatz = build_ansatz(kdv, spec_for(kdv, KDV_GENS, 1), "consistent")
+    assert _determining_rows(kdv, ansatz, lambda nu, k, i: None, 0, 0) == {}
 
 
 # --- the staged solve against the monolithic oracle ----------------------------

@@ -1,8 +1,10 @@
 """Algebraic identity properties: ring laws, Leibniz rules, commuting total
-derivatives, expansion equivalence, Euler annihilation, evaluation morphism."""
+derivatives, expansion equivalence, Euler annihilation, the factoring of the
+Euler operator by the higher Euler operators, evaluation morphism."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from approxlaws import kernel, verify
 from approxlaws.atoms import INDEP, FuncAtom, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
 from approxlaws.expr import EvalError, NormalForm, atoms_of, poly_atom_ids
 from approxlaws.fluxes import _antiderive_candidates, _mono_edit
+from approxlaws.jets import higher_eulers
 from approxlaws.verify import CheckResult, _rand_rational, _sample_atoms, spot_check
 
 from conftest import expand_epsilon_substitution
@@ -489,6 +492,67 @@ def test_horner_euler_matches_per_multi_index_sum():
             for alpha in (0, 1):
                 v = Jet(alpha, order, ())
                 assert euler(e, v) == _euler_per_multi_index(e, v), v
+
+
+# --- higher Euler operators factor the Euler operator over x-monomials --------
+
+_TABLES = {2: TABLE, 3: SymbolTable(["t", "x", "y"], ["u", "v"], ["c"], [("f", "u")])}
+
+
+def _multi_indices_up_to(n_indep, top):
+    return [L for k in range(top + 1) for L in combinations_with_replacement(range(n_indep), k)]
+
+
+@st.composite
+def _factored_euler_cases(draw):
+    """(table, P, F, v): P a polynomial over the independent variables with
+    exponents -1..2, F over jets of u and v up to derivative order 3 (with
+    f(u), a parameter, t and x), v an Euler coordinate of F's order."""
+    n = draw(st.sampled_from([2, 3]))
+    tab = _TABLES[n]
+    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+    P = NormalForm({})
+    for c, exps in draw(st.lists(st.tuples(coeff, st.lists(st.integers(-1, 2), min_size=n, max_size=n)),
+                                 min_size=1, max_size=4)):
+        term = normalize(c)
+        for a, e in zip(tab.indep, exps):
+            if e:
+                term = mul(term, pow_int(a, e))
+        P = P + term
+    order = draw(st.sampled_from([None, 0, 1]))
+    orders = (None,) if order is None else (0, 1)
+    derivs = [tuple(tab.indep[i].name for i in L) for L in _multi_indices_up_to(n, 3)]
+    pool = [tab.indep[0], tab.indep[1], tab.params[0], FuncAtom("f", 0, tab.jet("u", orders[0]))]
+    pool += [tab.jet(dep, k, d) for dep in ("u", "v") for k in orders for d in derivs]
+    F = NormalForm({})
+    for c, factors in draw(st.lists(st.tuples(coeff, st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=3)), min_size=1, max_size=4)):
+        term = normalize(c)
+        for a, e in factors:
+            term = mul(term, pow_int(a, e))
+        F = F + term
+    F = F + mul(normalize(draw(st.sampled_from([0, 1, 2]))), pow_int(tab.jet("u", orders[0]), -1))
+    v = Jet(draw(st.sampled_from([0, 1])), order if order is None else draw(st.sampled_from(orders)), ())
+    return tab, P, F, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factored_euler_cases())
+def test_higher_eulers_factor_the_euler_operator_over_x_monomials(case):
+    # E_v(P F) = sum over L of (-1)^|L| d_L P E^L_v(F), in 1+1 and 2+1
+    # dimensions, and E^() is the Euler operator
+    tab, P, F, v = case
+    Ls = _multi_indices_up_to(len(tab.indep), 3)
+    higher = higher_eulers(F, v, Ls)
+    assert higher[()] == euler(F, v)
+    rhs = NormalForm({})
+    for L in Ls:
+        dP = P
+        for i in L:
+            dP = partial(dP, tab.indep[i])
+        term = mul(dP, higher[L])
+        rhs = rhs + (-term if len(L) % 2 else term)
+    assert euler(mul(P, F), v) == rhs
 
 
 # --- oracles for the certification layer's shared work ------------------------
