@@ -357,6 +357,8 @@ def _render_text(report) -> str:
             f"  consistent law {note['consistent_index']} fluxes {rel} "
             f"approach-a law {note['approach_a_index']} fluxes"
         )
+    for error in report.get("reconstruction_failures", ()):
+        lines.append(f"  reconstruction failed: {error}")
     return "\n".join(lines) + "\n"
 
 

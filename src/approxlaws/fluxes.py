@@ -4,20 +4,25 @@ Reconstruction uses undetermined coefficients over a generated monomial
 basis.  Total derivatives respect several exact gradings (per-dependent jet
 counts, per-function-symbol counts, parameter exponents, jet perturbation
 weight, and derivative weight minus coordinate degree), so the target splits
-into independent blocks; within a block the candidate flux monomials are
-generated by saturating the inverse-single-derivative closure of the target
-monomials (strip one derivative letter, undo one chain-rule step, or raise
-one coordinate power).  The saturated set is complete: any flux supported on
-jets up to the order cap can be rewritten into it.
+into independent blocks.  :func:`_invert_block` inverts one block: its
+candidate flux monomials come from the inverse-single-derivative closure of
+the block's monomials (strip one derivative letter, undo one chain-rule
+step, or raise one coordinate power), bounded by what one scan of the block
+gives: the jet-order cap, Laurent floors one below the block's lowest jet
+exponents, its largest function-derivative count, and no negative
+coordinate power.  The saturated set is complete: any flux supported on
+jets up to the order cap can be rewritten into it.  When no flux lies
+within the bounds, an escalation widens the first three by one; of all the
+laws the corpus and its hint solves reconstruct, none escalates, and a flux
+that needs jets above the cap, like t*f(u)*u_t for u_t = f(u)*u_x, does.
 
 A problem inverts each block once.  ``PdeProblem.inverted_blocks`` keeps
 every solved block under the exact input of its inversion, the block and
-its jet-order cap (its other bounds follow from the block), so
-an eps-multiple's slot k+1 reads the block its source law solved in slot
-k.  No perturbation-order cap is needed: slot k of a consistent
-contraction holds coordinates of order <= k only (its multiplier set and
-the expanded equations are checked for that where they are made), and no
-step of the inversion raises an order.
+its jet-order cap, so an eps-multiple's slot k+1 reads the block its source
+law solved in slot k.  No perturbation-order cap is needed: slot k of a
+consistent contraction holds coordinates of order <= k only (its multiplier
+set and the expanded equations are checked for that where they are made),
+and no step of the inversion raises an order.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ class ReconstructionError(Exception):
     generated basis."""
 
 
-# How many times reconstruction may raise the jet-order cap of the flux basis
-# (default max(multiplier order, r - 1)) by one before it gives up.
+# How many times reconstruction may widen a block's flux-basis bounds by one
+# (the jet-order cap, default max(multiplier order, r - 1), the Laurent floors
+# and the function-derivative cap) before it gives up.
 ESCALATIONS = 1
 
 # How many generations of the candidate closure one block inversion grows,
@@ -164,41 +170,13 @@ def _antiderive_candidates(mono, problem: PdeProblem):
     return out
 
 
-class _Bounds:
-    """Finiteness bounds for the candidate closure, derived from the block:
-    without them the inverse closure runs away through Laurent descent
-    (u^-n), chain-rule ascent (f^(n)), or coordinate-degree growth."""
-
-    __slots__ = ("jet_cap", "laurent_floor", "nd_cap")
-
-    def __init__(self, jet_cap: int, laurent_floor: dict, nd_cap: int):
-        self.jet_cap = jet_cap
-        self.laurent_floor = laurent_floor
-        self.nd_cap = nd_cap
-
-    def admits(self, mono) -> bool:
-        for j in range(0, len(mono), 2):
-            a = atom_at(mono[j])
-            e = mono[j + 1]
-            if isinstance(a, Jet):
-                if len(a.deriv) > self.jet_cap:
-                    return False
-                if e < 0 and e < self.laurent_floor.get(mono[j], 0):
-                    return False
-            elif isinstance(a, FuncAtom):
-                if a.nd > self.nd_cap:
-                    return False
-            elif e < 0 and a.kind == INDEP:
-                return False
-        return True
-
-
-def _block_bounds(block, jet_cap: int, slack: int) -> _Bounds:
-    """A block's bounds from one scan of it, each widened by ``slack``: the
-    jet-order cap ``jet_cap``, Laurent floors one below its lowest jet
-    exponents, and its largest function-derivative count."""
+def _admissible(block, jet_cap: int):
+    """The bounds of the candidate closure of ``block``, read off one scan
+    of it, as a predicate ``admits(mono, slack)`` (see the module docstring):
+    without them the closure runs away through Laurent descent (u^-n),
+    chain-rule ascent (f^(n)), or coordinate-degree growth."""
     floors: dict = {}
-    nd = 0
+    nd_cap = 0
     for mono in block:
         for j in range(0, len(mono), 2):
             a = atom_at(mono[j])
@@ -206,79 +184,76 @@ def _block_bounds(block, jet_cap: int, slack: int) -> _Bounds:
             if isinstance(a, Jet) and e < 0:
                 floors[mono[j]] = min(floors.get(mono[j], 0), e)
             elif isinstance(a, FuncAtom):
-                nd = max(nd, a.nd)
-    return _Bounds(jet_cap + slack, {aid: e - 1 - slack for aid, e in floors.items()}, nd + slack)
+                nd_cap = max(nd_cap, a.nd)
+
+    def admits(mono, slack: int) -> bool:
+        for j in range(0, len(mono), 2):
+            a = atom_at(mono[j])
+            e = mono[j + 1]
+            if isinstance(a, Jet):
+                if len(a.deriv) > jet_cap + slack:
+                    return False
+                if e < 0 and (mono[j] not in floors or e < floors[mono[j]] - 1 - slack):
+                    return False
+            elif isinstance(a, FuncAtom):
+                if a.nd > nd_cap + slack:
+                    return False
+            elif e < 0 and a.kind == INDEP:
+                return False
+        return True
+
+    return admits
 
 
-def _invert_block(block, problem: PdeProblem, bounds: _Bounds):
-    """Find per-direction flux dicts whose total divergence equals the block,
-    or None.
+def _invert_block(block, problem: PdeProblem, jet_cap: int):
+    """Per-direction flux dicts whose total divergence equals the block, or
+    None.  A solved block is kept in ``problem.inverted_blocks`` and its
+    fluxes are shared, so callers only read them; a failure is not kept,
+    and the caller raises.
 
-    Candidates come from the inverse-single-derivative closure of the block's
-    monomials, grown one generation at a time with a solve attempt after each
-    round, for at most ``MAX_ROUNDS`` rounds: real fluxes live within a
-    couple of generations, while full saturation of a high-degree block can
-    run to tens of thousands of monomials.  Saturation (no new candidates)
-    is still the limit, so a solvable block within the bounds is always
-    solved.
+    Under the bounds of :func:`_admissible`, widened by one up to
+    ``ESCALATIONS`` times, the closure grows one generation at a time, for
+    at most ``MAX_ROUNDS`` generations, with a solve over the (direction,
+    candidate) unknowns after each: real fluxes live within a couple of
+    generations, while full saturation of a high-degree block can run to
+    tens of thousands of monomials.  Saturation (no new candidates) is still
+    the limit, so a solvable block within the bounds is always solved.
     """
-    n = problem.table.n_indep
-    cands = [set() for _ in range(n)]
-    images = {}
-    seen_block = set(block)
-    frontier = list(block)
-    for _ in range(MAX_ROUNDS):
-        new_cands = False
-        next_frontier = []
-        for m in frontier:
-            for i, cand in _antiderive_candidates(m, problem):
-                if cand in cands[i] or not bounds.admits(cand):
-                    continue
-                cands[i].add(cand)
-                new_cands = True
-                img = as_poly(total_derivative(NormalForm({cand: 1}), i))
-                images[(i, cand)] = img
-                for m2 in img:
-                    if m2 not in seen_block:
-                        seen_block.add(m2)
-                        next_frontier.append(m2)
-        if not new_cands:
-            return None
-        sol = _solve_block(block, cands, images)
-        if sol is not None:
-            return sol
-        frontier = next_frontier
-    return None
-
-
-def _solve_block(block, cands, images):
-    """Undetermined coefficients: sum_i D_i Phi^i = target on this block."""
-    unknowns = [(i, m) for i, cs in enumerate(cands) for m in sorted(cs, key=mono_sort_key)]
-    sol = linalg.in_span([images[u] for u in unknowns], block)
-    if sol is None:
-        return None
-    fluxes = [dict() for _ in cands]
-    for (i, m), v in zip(unknowns, sol):
-        if v:
-            fluxes[i][m] = v
-    return fluxes
-
-
-def _invert_block_once(block, problem: PdeProblem, jet_cap: int):
-    """The fluxes of :func:`_invert_block` under :func:`_block_bounds`,
-    escalated up to ``ESCALATIONS`` times, or None.  A solved block is kept
-    in ``problem.inverted_blocks`` and its fluxes are shared, so callers only
-    read them; a failure is not kept, and the caller raises."""
     key = (frozenset(block.items()), jet_cap)
-    memo = problem.inverted_blocks
-    solved = memo.get(key)
-    if solved is None:
-        for slack in range(ESCALATIONS + 1):
-            solved = _invert_block(block, problem, _block_bounds(block, jet_cap, slack))
-            if solved is not None:
-                memo[key] = solved
+    solved = problem.inverted_blocks.get(key)
+    if solved is not None:
+        return solved
+    admits = _admissible(block, jet_cap)
+    for slack in range(ESCALATIONS + 1):
+        images = {}
+        seen = set(block)
+        frontier = list(block)
+        for _ in range(MAX_ROUNDS):
+            before = len(images)
+            next_frontier = []
+            for m in frontier:
+                for i, cand in _antiderive_candidates(m, problem):
+                    if (i, cand) in images or not admits(cand, slack):
+                        continue
+                    img = as_poly(total_derivative(NormalForm({cand: 1}), i))
+                    images[(i, cand)] = img
+                    for m2 in img:
+                        if m2 not in seen:
+                            seen.add(m2)
+                            next_frontier.append(m2)
+            if len(images) == before:
                 break
-    return solved
+            unknowns = sorted(images, key=lambda u: (u[0], mono_sort_key(u[1])))
+            sol = linalg.in_span([images[u] for u in unknowns], block)
+            if sol is not None:
+                solved = [dict() for _ in range(problem.table.n_indep)]
+                for (i, m), v in zip(unknowns, sol):
+                    if v:
+                        solved[i][m] = v
+                problem.inverted_blocks[key] = solved
+                return solved
+            frontier = next_frontier
+    return None
 
 
 def reconstruct(problem: PdeProblem, mult: MultiplierSet) -> ConservationLaw:
@@ -306,7 +281,7 @@ def reconstruct(problem: PdeProblem, mult: MultiplierSet) -> ConservationLaw:
         acc = [dict() for _ in range(n)]
         blocks = _split_blocks(as_poly(tgt), problem.table.n_dep)
         for grade_key in sorted(blocks):
-            solved = _invert_block_once(blocks[grade_key], problem, base_cap)
+            solved = _invert_block(blocks[grade_key], problem, base_cap)
             if solved is None:
                 raise ReconstructionError(
                     f"no flux over jets of order <= {base_cap + ESCALATIONS} "

@@ -167,15 +167,8 @@ class MultiplierSet:
         self._certified = None
 
     @property
-    def q(self) -> int:
-        return len(self.slots)
-
-    @property
     def p(self) -> int:
         return len(self.slots[0]) - 1
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for row in self.slots for s in row)
 
     def eps_shifted(self) -> "MultiplierSet":
         """The multiplier multiplied by eps, re-truncated at the same order."""

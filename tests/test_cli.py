@@ -198,6 +198,18 @@ def test_reconstruction_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert data["multipliers"]  # multipliers still emitted
 
 
+def test_compare_text_reports_reconstruction_failure(capsys, monkeypatch):
+    monkeypatch.setattr(fluxes, "MAX_ROUNDS", 0)
+    code, out, _ = run_cli(
+        capsys, "compare", fixture_path("diffusion-consistent"),
+        "--mult-deps", "t,x,u[0]", "--mult-degree", "1", "--trials", "1",
+    )
+    assert code == 3
+    failures = [line for line in out.splitlines() if "reconstruction failed" in line]
+    assert failures == ["  reconstruction failed: no flux over jets of order <= 2 for series slot 0; "
+                        "the flux needs terms outside the generator set"]
+
+
 def test_json_expressions_roundtrip(capsys):
     # machine-style strings in the JSON report re-parse to equal normal forms
     code, out, _ = run_cli(

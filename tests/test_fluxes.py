@@ -63,15 +63,20 @@ def test_reconstruction_ceiling_reached(diffusion, monkeypatch):
         reconstruct(diffusion, mult(diffusion, "1", "0"))
 
 
-def test_function_advection_flux_uses_time_weighting():
+def test_function_advection_flux_uses_time_weighting(monkeypatch):
     # f(u) u_x has no antiderivative in the language, yet it is a divergence:
-    # D_t(-t f u_x) + D_x(t f u_t) = -f u_x on free jets
-    pb = parse_problem_text(
-        "independent = t, x\ndependent = u\nfunctions = f(u)\norder = 1\n"
-        "equation = u_t - f(u)*u_x\nleading = u_t\n"
-    ).problem
+    # D_t(-t f u_x) + D_x(t f u_t) = -f u_x on free jets.  Multiplier 1 caps
+    # the flux basis at jet order max(0, r - 1) = 0, but that flux needs
+    # order-1 jets: only the bounds widened by one escalation hold it
+    text = "independent = t, x\ndependent = u\nfunctions = f(u)\norder = 1\nequation = u_t - f(u)*u_x\nleading = u_t\n"
+    pb = parse_problem_text(text).problem
     law = reconstruct(pb, mult(pb, "1", "0"))
     assert all(r.is_zero() for r in identity_residuals(*law_slots(pb, law)))
+    assert [print_poly(row[0], pb.table) for row in law.fluxes] == ["u[0] - t*u[0]_x*f(u[0])", "t*u[0]_t*f(u[0])"]
+    monkeypatch.setattr(fluxes, "ESCALATIONS", 0)
+    pb = parse_problem_text(text).problem  # a fresh problem, with no solved block kept
+    with pytest.raises(ReconstructionError, match=r"order <= 0 "):
+        reconstruct(pb, mult(pb, "1", "0"))
 
 
 def test_kdv_unit_multiplier_equivalent_to_canonical(kdv):

@@ -15,7 +15,7 @@ from approxlaws import (
 )
 from approxlaws.atoms import intern, mono_atoms
 from approxlaws.expr import as_poly
-from approxlaws.linalg import in_span, nullspace
+from approxlaws.linalg import canonical_basis, in_span, nullspace
 from approxlaws.multipliers import (
     MAX_UNKNOWNS,
     AnsatzError,
@@ -371,7 +371,7 @@ def test_eps_closure_property(diffusion):
     res = solve_multipliers(diffusion, spec, "consistent")
     for cm in res.classified:
         shifted = cm.mult.eps_shifted()
-        if shifted.is_zero():
+        if all(s.is_zero() for row in shifted.slots for s in row):
             continue
         vec = coefficient_vector(shifted, res.ansatz)
         assert vec is not None
@@ -634,6 +634,35 @@ def test_order_p_space_truncates_into_the_order_below(eid, p):
         vec = coefficient_vector(cut, lower.ansatz)
         assert vec is not None
         assert span_of_vectors(lower.basis, vec) is not None
+
+
+# --- approach A against the consistent space ------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_approach_a_space_is_the_consistent_space(p):
+    # the consistent order-k unknown is k! times the approach-A one: the
+    # expansion u -> u[0] + eps u[1] + ... is one-to-one and commutes with
+    # every D_i, and E_u[j] of slot k is E_u[0] of slot k - j, so the two
+    # determining systems differ by that column scaling only.  Every corpus
+    # entry's hint ansatz, degree capped at 2
+    for eid in corpus.ENTRY_IDS:
+        entry = corpus.load(eid)
+        hint = entry.ansatz_hint
+        spec = AnsatzSpec(hint.generators, min(hint.degree, 2), hint.xdegree, hint.laurent)
+        problem = _at_order(entry.problem, p)
+        consistent = solve_multipliers(problem, spec, "consistent")
+        a = solve_multipliers(problem, spec, "approach_a")
+        n = len(a.ansatz.basis)
+        assert [_unexpanded(mono) for mono in consistent.ansatz.basis] == list(a.ansatz.basis), eid
+        scaled = [{col: math.factorial(col // n % (p + 1)) * x for col, x in enumerate(vec) if x}
+                  for vec in a.basis]
+        assert canonical_basis(scaled, n * problem.q * (p + 1)) == consistent.basis, eid
+        if p == 1:
+            assert a.basis == consistent.basis, eid
+        assert [(cm.trivial, cm.eps_shift, cm.stable) for cm in a.classified] == [
+            (cm.trivial, cm.eps_shift, cm.stable) for cm in consistent.classified
+        ], eid
 
 
 # --- approach B against the reversed consistent space --------------------------
