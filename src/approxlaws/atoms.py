@@ -88,8 +88,6 @@ class FuncAtom(namedtuple("FuncAtom", "fname nd arg")):
         return f"<{self.fname}{self.nd * chr(39)}({self.arg!r})>"
 
 
-Atom = Sym | Jet | FuncAtom
-
 # --- registry -------------------------------------------------------------
 
 _atoms: list = []

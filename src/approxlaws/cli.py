@@ -158,16 +158,11 @@ def run_compare(args) -> tuple[dict, int]:
         report["blocks"][method] = block
     # which consistent laws are expansions of approach-a laws
     try:
-        cons_laws = [
-            (i, reconstruct(problem, cm.mult))
-            for i, cm in enumerate(results["consistent"].classified, 1)
-            if not cm.trivial
-        ]
-        a_laws = [
-            (j, reconstruct(problem, cm.mult))
-            for j, cm in enumerate(results["approach_a"].classified, 1)
-            if not cm.trivial
-        ]
+        cons_laws, a_laws = (
+            [(i, reconstruct(problem, cm.mult))
+             for i, cm in enumerate(results[method].classified, 1) if not cm.trivial]
+            for method in ("consistent", "approach_a")
+        )
     except ReconstructionError as exc:
         report["reconstruction_failures"] = [str(exc)]
         return report, INCOMPLETE
@@ -392,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="spot-check trials")
 
     def ansatz(p):
-        p.add_argument("--method", choices=("consistent", "a", "b"), default="consistent")
+        p.add_argument("--method", choices=_METHOD_FLAGS, default="consistent")
         p.add_argument("--order", type=int, default=None, help="override the truncation order")
         p.add_argument("--mult-deps", default=HINT_DEFAULTS["mult_deps"],
                        help="comma-separated ansatz generators")

@@ -244,7 +244,7 @@ def substitute(e, bindings: dict) -> NormalForm:
                 plain.append(mono[j + 1])
             else:
                 factor = kernel.poly_mul(factor, poly_pow(img, mono[j + 1]))
-        kernel.poly_iadd(out, kernel.poly_mul(factor, {tuple(plain): 1}))
+        kernel.poly_iadd(out, factor, 1, tuple(plain))
     return NormalForm(out)
 
 

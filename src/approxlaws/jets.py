@@ -154,7 +154,7 @@ def join_eps(slots) -> NormalForm:
     out = {}
     eid = intern(EPS_SYM)
     for k, slot in enumerate(slots):
-        kernel.poly_iadd(out, kernel.poly_mul(as_poly(slot), {(eid, k) if k else (): 1}))
+        kernel.poly_iadd(out, as_poly(slot), 1, (eid, k) if k else ())
     return NormalForm(out)
 
 

@@ -6,8 +6,9 @@ exact rational coefficient (int where integral, fractions.Fraction
 otherwise).  A monomial key is a flat tuple ``(id0, e0, id1, e1, ...)`` of
 atom-id/exponent pairs sorted by atom id, with no zero exponents; the empty
 tuple is the constant monomial.  :func:`mono_mul` multiplies two keys.
-``c * p`` is ``poly_iadd({}, p, c)`` and ``c * mono * p`` is
-``poly_mul(p, {mono: c})``.
+``c * p`` is ``poly_iadd({}, p, c)``, and ``acc += c * mono * p`` is
+``poly_iadd(acc, p, c, mono)``: the one multiply-accumulate, which shifts
+each term of ``p`` by ``mono`` as it adds it.
 
 In a multiplier ansatz a coefficient may instead be a column vector: a
 dict mapping an unknown's column to its nonzero rational coefficient.
@@ -17,10 +18,10 @@ body for both kinds.  :func:`poly_iadd` and :func:`derive` tell the kinds
 apart once per call from the first coefficient, and differ only in their
 innermost add: an inline scalar add, or ``_vec_iadd``, the one
 column-vector merge, which drops zero entries and empty vectors.
-:func:`poly_mul` is a :func:`poly_iadd` of ``p1`` shifted by each monomial
-of ``p2``.  So the ansatz's series, its contraction with the equations,
-their higher Euler residuals and the determining-system rows mapped back
-from them are all built with column-vector coefficients.
+:func:`poly_mul` is one :func:`poly_iadd` of ``p1`` per term of ``p2``.
+So the ansatz's series, its contraction with the equations, their higher
+Euler residuals and the determining-system rows mapped back from them are
+all built with column-vector coefficients.
 
 These functions are the hot inner loop of the whole engine.  Callers use
 them as ``kernel.<fn>(...)`` so that the module's bindings stay the single
@@ -86,17 +87,20 @@ def _vec_iadd(acc, m, vec, c):
         del acc[m]
 
 
-def poly_iadd(acc, p, c=1):
-    """In-place ``acc += c * p``; drops cancelled terms.  Column-vector
-    coefficients are added entrywise (``c`` stays scalar)."""
+def poly_iadd(acc, p, c=1, mono=()):
+    """In-place ``acc += c * mono * p``, each term of ``p`` shifted by the
+    monomial key ``mono`` as it is added; drops cancelled terms.
+    Column-vector coefficients are added entrywise (``c`` stays scalar)."""
     if not c or not p:
         return acc
     if type(next(iter(p.values()))) is dict:
         for m, vec in p.items():
-            _vec_iadd(acc, m, vec, c)
+            _vec_iadd(acc, mono_mul(m, mono) if mono else m, vec, c)
         return acc
     scale = c != 1
     for m, v in p.items():
+        if mono:
+            m = mono_mul(m, mono)
         if scale:
             v = c * v
         w = acc.get(m)
@@ -112,14 +116,15 @@ def poly_iadd(acc, p, c=1):
 
 
 def poly_mul(p1, p2):
-    """``p1 * p2``; ``p1`` alone may have column-vector coefficients."""
+    """``p1 * p2``, one :func:`poly_iadd` of ``p1`` per term of ``p2``; ``p1``
+    alone may have column-vector coefficients."""
     if not p1 or not p2:
         return {}
     if len(p1) < len(p2) and type(next(iter(p1.values()))) is not dict:
         p1, p2 = p2, p1
     out = {}
     for m2, c2 in p2.items():
-        poly_iadd(out, {mono_mul(m1, m2): c1 for m1, c1 in p1.items()} if m2 else p1, c2)
+        poly_iadd(out, p1, c2, m2)
     return out
 
 

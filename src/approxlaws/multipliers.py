@@ -326,28 +326,25 @@ def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     its equation's slots, summed over the equations: T_k = sum over nu,
     l <= k of (multiplier slot l) * (equation slot k-l), k = 0..p.  Approach
     B: one exact contraction sum over nu, k of (multiplier slot k) *
-    (expanded equation slot k).  All slots are eps-free (the slot index
-    carries the power), so no further eps truncation is needed.
+    (expanded equation slot k), slot p of the Cauchy product of the row
+    reversed, so an approach-B row holds p + 1 slots, one per member.  All
+    slots are eps-free (the slot index carries the power), so no further
+    eps truncation is needed.
     """
     return _contract(problem, mult.method, mult.slots)
 
 
 def _contract(problem: PdeProblem, method: str, rows, upto: int | None = None, first: int = 0) -> list:
     """:func:`contraction` of the per-equation slot lists ``rows``, whose
-    coefficients may be column vectors: the eps-series slots T_first..T_upto
-    (default T_p), the lower ones never formed.  Approach B has the one
-    exact contraction, and ``first`` stays 0."""
+    coefficients may be column vectors: slots T_first..T_upto (default T_p),
+    the lower ones never formed.  Approach B reverses each row of p + 1
+    slots and forms slot p alone."""
     p = problem.p if upto is None else upto
     if method == "approach_b":
-        out = {}
-        for nu, row in enumerate(rows):
-            dsl = problem.expanded_slots(nu)
-            for k, a in enumerate(row):
-                kernel.poly_iadd(out, kernel.poly_mul(as_poly(a), as_poly(dsl[k])))
-        return [NormalForm(out)]
+        rows, first = [row[::-1] for row in rows], p
     parts = [{} for _ in range(first, p + 1)]
     for nu, row in enumerate(rows):
-        dsl = problem.expanded_slots(nu) if method == "consistent" else problem.unexpanded_slots(nu)
+        dsl = problem.unexpanded_slots(nu) if method == "approach_a" else problem.expanded_slots(nu)
         for part, term in zip(parts, series_mul([as_poly(a) for a in row], [as_poly(d) for d in dsl], p, first)):
             kernel.poly_iadd(part, term)
     return [NormalForm(part) for part in parts]
@@ -466,7 +463,7 @@ def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: in
                 for m, vec in as_poly(res).items():
                     for col, c in vec.items():
                         if Ps[col]:
-                            kernel.poly_iadd(acc, {kernel.mono_mul(x, m): w for x, w in Ps[col].items()}, sign * c)
+                            kernel.poly_iadd(acc, Ps[col], sign * c, m)
             for mono, row in acc.items():
                 rows[(v, s, mono)] = row
     return rows

@@ -36,8 +36,8 @@ MAX_EXPONENT = 1000
 
 # Bound on the terms one product or power may expand to, far above the
 # corpus's largest product (16 terms): a product of sums, or a power of a
-# k-term sum to the n with C(n+k-1, k-1) terms, grows so fast that an
-# unbounded one makes the parser hang.  Checked before the kernel expands.
+# k-term sum (:func:`power_terms`), grows so fast that an unbounded one
+# makes the parser hang.  Checked before the kernel expands.
 MAX_TERMS = 1000
 
 # Bound on the decimal digits of a coefficient's numerator or denominator,
@@ -120,6 +120,12 @@ def _coeff_bits(p: dict) -> int:
         if b > bits:
             bits = b
     return bits - 1
+
+
+def power_terms(k: int, n: int) -> int:
+    """C(|n|+k-1, k-1), the terms of a ``k``-term sum to the ``n``: the count
+    a parsed power and an on-solution substitution are both bounded by."""
+    return math.comb(abs(n) + k - 1, k - 1)
 
 
 def power_passes_digits(base: dict, n: int) -> bool:
@@ -205,7 +211,7 @@ class _Parser:
         if self.at_op("^"):
             pos = self.next()[2]
             n, k = self.exponent(), len(base)
-            if n > 1 and k > 1 and math.comb(n + k - 1, k - 1) > MAX_TERMS:
+            if n > 1 and k > 1 and power_terms(k, n) > MAX_TERMS:
                 raise ParseError(f"power exceeds {MAX_TERMS} terms", pos)
             if power_passes_digits(base, n):
                 raise ParseError(f"coefficient exceeds {MAX_DIGITS} digits", pos)
@@ -266,8 +272,6 @@ class _Parser:
             self.expect_op("(")
             arg = self.depref("function argument")
             self.expect_op(")")
-            if arg.deriv:
-                raise ParseError("function argument must be an underived dependent variable", pos)
             if arg.order not in (None, 0):
                 raise ParseError("function argument must be u or u[0]", pos)
             if arg.dep != t.funcs[name]:
@@ -321,7 +325,11 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != _NAME or self.table.dep_index(val) is None:
             raise ParseError(f"{what} must be a dependent variable", pos)
-        return self.table.jet(val, self.expansion_order(), ())
+        order = self.expansion_order()
+        kind, _, pos = self.peek()
+        if kind == _SUFFIX:
+            raise ParseError(f"{what} must be an underived dependent variable", pos)
+        return self.table.jet(val, order, ())
 
     def der(self, pos) -> dict:
         self.expect_op("(")

@@ -60,7 +60,6 @@ commands that never read the recorded laws do not pay for them.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .atoms import DeclarationError, Jet, Sym, SymbolTable, mono_atoms
@@ -76,7 +75,7 @@ from .expr import (
 )
 from .jets import (collect_eps, expand_epsilon, expansion_state, join_eps, max_jet_order,
                    total_derivative_chain)
-from .parser import MAX_DIGITS, MAX_TERMS, ParseError, parse, power_passes_digits, single_atom
+from .parser import MAX_DIGITS, MAX_TERMS, ParseError, parse, power_passes_digits, power_terms, single_atom
 
 MAX_ORDER = 3  # configuration cap on the truncation order
 # Bound on the substitution rounds of one on-solution reduction
@@ -230,9 +229,9 @@ class PdeProblem:
             if len(extra) > MAX_PROLONGATION:
                 raise InconclusiveReduction(f"prolongation depth {len(extra)} exceeds bound {MAX_PROLONGATION}")
             image = as_poly(total_derivative_chain(rest, extra))
-            k = max(len(image), 1)  # a^n in a monomial makes C(|n|+k-1, k-1) terms
+            k = max(len(image), 1)  # a^n in a monomial makes power_terms(k, n) terms
             powers = [dict(mono_atoms(m)).get(a, 0) for m in as_poly(cur)]
-            if sum(math.comb(abs(n) + k - 1, k - 1) for n in powers) > MAX_TERMS:
+            if sum(power_terms(k, n) for n in powers) > MAX_TERMS:
                 raise InconclusiveReduction(f"substituting {a!r} would make more than {MAX_TERMS} terms")
             if any(power_passes_digits(image, n) for n in powers):
                 raise InconclusiveReduction(f"substituting {a!r} would make a coefficient of more than "

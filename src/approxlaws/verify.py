@@ -21,10 +21,11 @@ both sides.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .atoms import FuncAtom, Jet, Sym, atom_at, atom_key
-from .expr import EvalError, NormalForm, as_poly, eval_rational
+from .expr import EvalError, as_poly, eval_rational
 from .fluxes import ConservationLaw, identity_residuals
 from .multipliers import certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
@@ -41,18 +42,7 @@ MAX_TRIALS = 1000
 MAX_RETRIES = 5
 
 
-class CheckResult:
-    __slots__ = ("name", "passed", "residual", "witness")
-
-    def __init__(self, name: str, passed: bool, residual: NormalForm | None = None, witness=None):
-        self.name = name
-        self.passed = passed
-        self.residual = residual
-        self.witness = witness
-
-    def __eq__(self, other):
-        return isinstance(other, CheckResult) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+CheckResult = namedtuple("CheckResult", "name passed residual witness", defaults=(None, None))
 
 
 class VerificationReport:

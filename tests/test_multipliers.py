@@ -683,6 +683,7 @@ def test_reversed_consistent_members_are_approach_b_multipliers(eid, members):
         reversal = MultiplierSet("approach_b", [row[::-1] for row in cm.mult.slots])
         assert all(res.is_zero() for _, _, res in euler_residuals(
             entry.problem, "approach_b", contraction(entry.problem, reversal)))
+        assert contraction(entry.problem, reversal) == [contraction(entry.problem, cm.mult)[entry.problem.p]]
 
 
 def test_approach_b_can_be_larger_than_the_reversed_consistent_space():

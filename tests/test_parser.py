@@ -80,8 +80,12 @@ def test_function_argument_validation(table):
         parse("f(v)", table)  # f was declared on u
     with pytest.raises(ParseError):
         parse("f(u[1])", table)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^function argument must be an underived dependent variable "
+                                         r"\(at position 3\)$"):
         parse("f(u_x)", table)
+    with pytest.raises(ParseError, match=r"^der\(\) subject must be an underived dependent variable "
+                                         r"\(at position 5\)$"):
+        parse("der(u_x, t)", table)
 
 
 @pytest.mark.parametrize("text, pos", [("u[x]", 2), ("der(u[x], x)", 6), ("f(u[x])", 4)])

@@ -170,19 +170,32 @@ def test_derive_on_column_vectors_matches_each_column(p, images):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_column_polys, _column_polys, st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
-def test_poly_iadd_on_column_vectors_matches_each_column(acc, p, c):
+@given(_column_polys, _column_polys, st.sampled_from([1, -1, 2, Fraction(-1, 2)]), st.sampled_from(_VEC_MONOS),
+       _scalar_polys, _scalar_polys)
+def test_poly_iadd_on_column_vectors_matches_each_column(acc, p, c, mono, scalar_acc, scalar_p):
     snapshot = {m: dict(vec) for m, vec in p.items()}
     expected = {}
     for j in range(4):
-        for m, x in kernel.poly_iadd(_column(acc, j), _column(p, j), c).items():
+        for m, x in kernel.poly_iadd(_column(acc, j), _column(p, j), c, mono).items():
             expected.setdefault(m, {})[j] = x
     out = {m: dict(vec) for m, vec in acc.items()}
-    kernel.poly_iadd(out, p, c)
+    kernel.poly_iadd(out, p, c, mono)
     assert out == expected
     assert _no_stored_zero(out)
+    # adding c * mono * p is adding c times the product of p with mono
+    assert out == kernel.poly_iadd({m: dict(vec) for m, vec in acc.items()}, kernel.poly_mul(p, {mono: 1}), c)
+    scalar_snapshot = dict(scalar_p)
+    scalar = kernel.poly_iadd(dict(scalar_acc), scalar_p, c, mono)
+    assert scalar == kernel.poly_iadd(dict(scalar_acc), kernel.poly_mul(scalar_p, {mono: 1}), c)
+    by_hand = dict(scalar_acc)
+    for m, v in scalar_p.items():
+        key = kernel.mono_mul(m, mono)
+        by_hand[key] = by_hand.get(key, 0) + c * v
+    assert scalar == {m: v for m, v in by_hand.items() if v}
+    assert all(scalar.values())
+    assert scalar_p == scalar_snapshot
     # the sum owns its vectors: adding again leaves p as it was
-    kernel.poly_iadd(out, p, c)
+    kernel.poly_iadd(out, p, c, mono)
     assert p == snapshot
     # and p minus itself leaves nothing behind
     assert kernel.poly_iadd({m: dict(vec) for m, vec in p.items()}, p, -1) == {}
