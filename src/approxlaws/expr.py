@@ -248,42 +248,88 @@ def substitute(e, bindings: dict) -> NormalForm:
     return NormalForm(out)
 
 
-def eval_rational(e, point: dict, fvals: dict | None = None, powers: dict | None = None) -> Fraction:
-    """Exact rational value of ``e``.
+def evaluation_plan(exprs) -> tuple:
+    """The integer evaluation plan of the polynomials ``exprs``, built once
+    for any number of points: ``(atoms, monos, polys)``, the atoms met,
+    each distinct monomial as a list of (atom index, exponent) pairs, and
+    each polynomial as a list of (monomial index, numerator, denominator)
+    terms."""
+    atom_index = {}  # atom id -> the index of its atom in atoms
+    mono_index = {}  # monomial key -> its index in monos
+    monos = []
+    polys = []
+    for e in exprs:
+        terms = []
+        for mono, c in as_poly(e).items():
+            k = mono_index.get(mono)
+            if k is None:
+                k = mono_index[mono] = len(monos)
+                monos.append([(atom_index.setdefault(mono[j], len(atom_index)), mono[j + 1])
+                              for j in range(0, len(mono), 2)])
+            if type(c) is int:
+                terms.append((k, c, 1))
+            else:
+                terms.append((k, c.numerator, c.denominator))
+        polys.append(terms)
+    return [atom_at(aid) for aid in atom_index], monos, polys
+
+
+def plan_values(plan, point: dict, fvals: dict | None = None):
+    """The value of each polynomial of the :func:`evaluation_plan` ``plan``
+    at one point, yielded in order as an integer pair (numerator, nonzero
+    denominator); ``point`` and ``fvals`` bind atoms as for
+    :func:`eval_rational`.
+
+    Evaluation is lazy: an atom's value is resolved, and a monomial's
+    integer pair formed, the first time a yielded polynomial needs it, and
+    shared by the later ones, so a consumer that stops early never meets a
+    singularity of a later polynomial.  Numerators are summed per distinct
+    denominator, with no gcd per term, and the sums meet over their least
+    common multiple; the pair is not reduced."""
+    atoms, monos, polys = plan
+    bases = [None] * len(atoms)  # atom index -> (numerator, denominator)
+    values = [None] * len(monos)  # monomial index -> (numerator, denominator)
+    for terms in polys:
+        # denominator -> sum of numerators over it; a negative base under a
+        # negative exponent leaves a negative denominator, which math.lcm absorbs
+        sums = {}
+        for k, cn, cd in terms:
+            v = values[k]
+            if v is None:
+                n = d = 1
+                for a, e in monos[k]:
+                    b = bases[a]
+                    if b is None:
+                        b = bases[a] = _atom_base(atoms[a], point, fvals)
+                    bn, bd = b
+                    if e == 1:
+                        n *= bn
+                        d *= bd
+                    elif e > 0:
+                        n *= bn**e
+                        d *= bd**e
+                    elif bn:
+                        n *= bd**-e
+                        d *= bn**-e
+                    else:
+                        raise EvalError(f"zero base for negative exponent on {atoms[a]!r}")
+                v = values[k] = (n, d)
+            d = cd * v[1]
+            sums[d] = sums.get(d, 0) + cn * v[0]
+        den = math.lcm(*sums)
+        yield sum(n * (den // d) for d, n in sums.items()), den
+
+
+def eval_rational(e, point: dict, fvals: dict | None = None) -> Fraction:
+    """Exact rational value of ``e``: the one-polynomial case of
+    :func:`plan_values`, so one ``Fraction`` (one gcd) is built per call.
 
     ``point`` binds every symbol/jet atom to a rational; ``fvals`` binds
     ``(function-name, derivative-count, argument-value)`` triples.  Laurent
     exponents require nonzero base values.
-
-    The arithmetic is on integers: each (atom, exponent) power occurring in
-    ``e`` is resolved once to a (numerator, denominator) pair, into
-    ``powers`` when given (evaluations at one point may share the table),
-    and every monomial contributes an integer numerator over an integer
-    denominator.  Numerators are summed per distinct denominator, and the
-    sums meet over their least common multiple, so one ``Fraction`` (one
-    gcd) is built per call.
     """
-    p = as_poly(e)
-    if powers is None:
-        powers = {}  # (atom id, exponent) -> (numerator, denominator)
-    # denominator -> sum of numerators over it; a negative base under a
-    # negative exponent leaves a negative denominator, which math.lcm absorbs
-    sums = {}
-    for mono, c in p.items():
-        if type(c) is int:
-            n, d = c, 1
-        else:
-            n, d = c.numerator, c.denominator
-        for j in range(0, len(mono), 2):
-            key = mono[j : j + 2]
-            pw = powers.get(key)
-            if pw is None:
-                pw = powers[key] = _atom_power(atom_at(mono[j]), mono[j + 1], point, fvals)
-            n *= pw[0]
-            d *= pw[1]
-        sums[d] = sums.get(d, 0) + n
-    den = math.lcm(*sums)
-    return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
+    ((n, d),) = plan_values(evaluation_plan([e]), point, fvals)
+    return Fraction(n, d)
 
 
 def _rational(v):
@@ -291,8 +337,8 @@ def _rational(v):
     return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
-def _atom_power(a, exp, point, fvals):
-    """``value(a)**exp`` as an integer pair (numerator, nonzero denominator)."""
+def _atom_base(a, point, fvals):
+    """The value of atom ``a`` as an integer pair (numerator, denominator)."""
     if isinstance(a, FuncAtom):
         if a.arg not in point:
             raise EvalError(f"unbound atom {a.arg!r}")
@@ -304,9 +350,4 @@ def _atom_power(a, exp, point, fvals):
         if a not in point:
             raise EvalError(f"unbound atom {a!r}")
         base = _rational(point[a])
-    n, d = base.numerator, base.denominator
-    if exp < 0:
-        if n == 0:
-            raise EvalError(f"zero base for negative exponent on {a!r}")
-        n, d, exp = d, n, -exp
-    return n**exp, d**exp
+    return base.numerator, base.denominator

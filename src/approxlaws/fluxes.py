@@ -53,8 +53,10 @@ MAX_ROUNDS = 12
 class ConservationLaw:
     """A multiplier set with per-direction flux components.
 
-    ``fluxes[i]`` is the tuple of series slots for direction i (a single
-    entry for approach-b laws, whose fluxes are exact).
+    ``fluxes[i]`` is the tuple of series slots for direction i: p + 1 of
+    them, one per slot of the multiplier's series, or a single entry for
+    approach-b laws, whose fluxes are exact.  Any other count raises
+    ValueError, since the checks pair flux and contraction slots one to one.
     """
 
     __slots__ = ("mult", "fluxes", "_divs")
@@ -62,6 +64,10 @@ class ConservationLaw:
     def __init__(self, mult: MultiplierSet, fluxes):
         self.mult = mult
         self.fluxes = tuple(tuple(normalize(f) for f in row) for row in fluxes)
+        nslots = 1 if mult.method == "approach_b" else mult.p + 1
+        if any(len(row) != nslots for row in self.fluxes):
+            raise ValueError(f"each flux row of a {mult.method} law of order {mult.p} needs {nslots} slots, "
+                             f"not {[len(row) for row in self.fluxes]}")
         # a flux slot may carry curl terms of any perturbation order
         for row in self.fluxes:
             check_slots(row, mult.method == "approach_a", False)
@@ -226,6 +232,7 @@ def _invert_block(block, problem: PdeProblem, jet_cap: int):
     admits = _admissible(block, jet_cap)
     for slack in range(ESCALATIONS + 1):
         images = {}
+        order = {}  # (direction, candidate) -> its unknown's sort key
         seen = set(block)
         frontier = list(block)
         for _ in range(MAX_ROUNDS):
@@ -237,13 +244,14 @@ def _invert_block(block, problem: PdeProblem, jet_cap: int):
                         continue
                     img = as_poly(total_derivative(NormalForm({cand: 1}), i))
                     images[(i, cand)] = img
+                    order[(i, cand)] = (i, mono_sort_key(cand))
                     for m2 in img:
                         if m2 not in seen:
                             seen.add(m2)
                             next_frontier.append(m2)
             if len(images) == before:
                 break
-            unknowns = sorted(images, key=lambda u: (u[0], mono_sort_key(u[1])))
+            unknowns = sorted(images, key=order.__getitem__)
             sol = linalg.in_span([images[u] for u in unknowns], block)
             if sol is not None:
                 solved = [dict() for _ in range(problem.table.n_indep)]

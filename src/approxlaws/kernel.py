@@ -23,6 +23,12 @@ So the ansatz's series, its contraction with the equations, their higher
 Euler residuals and the determining-system rows mapped back from them are
 all built with column-vector coefficients.
 
+Neither :func:`poly_iadd` nor :func:`derive` builds a product that cannot
+change its factor: a scale ``c`` of 1 is skipped and one of -1 negates, and
+:func:`derive` skips an exponent or an image coefficient of 1.  A one-atom
+image monomial, which every total-derivative image of a jet is, is spliced
+into the sorted key by :func:`derive` without :func:`mono_mul`.
+
 These functions are the hot inner loop of the whole engine.  Callers use
 them as ``kernel.<fn>(...)`` so that the module's bindings stay the single
 place to instrument them.
@@ -67,12 +73,14 @@ def mono_mul(m1, m2):
 def _vec_iadd(acc, m, vec, c):
     """``acc[m] += c * vec`` for a column vector ``vec``; drops cancelled
     entries, and ``m`` once its vector is empty.  ``vec`` is never stored."""
+    if c == -1:
+        vec = {j: -x for j, x in vec.items()}
+    elif c != 1:
+        vec = {j: c * x for j, x in vec.items()}
     w = acc.get(m)
     if w is None:
-        acc[m] = dict(vec) if c == 1 else {j: c * x for j, x in vec.items()}
+        acc[m] = dict(vec) if c == 1 else vec
         return
-    if c != 1:
-        vec = {j: c * x for j, x in vec.items()}
     for j, x in vec.items():
         y = w.get(j)
         if y is None:
@@ -97,11 +105,14 @@ def poly_iadd(acc, p, c=1, mono=()):
         for m, vec in p.items():
             _vec_iadd(acc, mono_mul(m, mono) if mono else m, vec, c)
         return acc
-    scale = c != 1
+    negate = c == -1
+    scale = c != 1 and not negate
     for m, v in p.items():
         if mono:
             m = mono_mul(m, mono)
-        if scale:
+        if negate:
+            v = -v
+        elif scale:
             v = c * v
         w = acc.get(m)
         if w is None:
@@ -133,7 +144,11 @@ def derive(p, images):
     derivation of the whole algebra by the Leibniz rule and apply it to
     ``p``.  Atoms absent from ``images`` derive to zero.  Total derivatives,
     formal partials and the series recursion operator are all instances.
-    Column-vector coefficients of ``p`` are scaled and added entrywise."""
+    Column-vector coefficients of ``p`` are scaled and added entrywise.
+
+    No product is formed by an exponent or an image coefficient of 1, and a
+    one-atom image monomial (every total-derivative image of a jet) is
+    spliced into the sorted key where :func:`mono_mul` would merge it."""
     out = {}
     vector = bool(p) and type(next(iter(p.values()))) is dict
     for mono, c in p.items():
@@ -147,19 +162,33 @@ def derive(p, images):
                 rest = mono[:i] + mono[i + 2:]
             else:
                 rest = mono[:i] + (mono[i], e - 1) + mono[i + 2:]
-            ce = e if vector else c * e
+            ce = e if vector else c if e == 1 else c * e
             for m2, c2 in img.items():
-                key = mono_mul(rest, m2)
-                if vector:
-                    _vec_iadd(out, key, c, ce * c2)
-                    continue
-                v = out.get(key)
-                if v is None:
-                    out[key] = ce * c2
+                if len(m2) == 2:
+                    # splice the image atom a^ea into the sorted key
+                    a = m2[0]
+                    j = 0
+                    nr = len(rest)
+                    while j < nr and rest[j] < a:
+                        j += 2
+                    if j < nr and rest[j] == a:
+                        ea = rest[j + 1] + m2[1]
+                        key = rest[:j] + (a, ea) + rest[j + 2:] if ea else rest[:j] + rest[j + 2:]
+                    else:
+                        key = rest[:j] + m2 + rest[j:]
                 else:
-                    v = v + ce * c2
-                    if v:
-                        out[key] = v
+                    key = mono_mul(rest, m2)
+                v = ce if c2 == 1 else ce * c2
+                if vector:
+                    _vec_iadd(out, key, c, v)
+                    continue
+                w = out.get(key)
+                if w is None:
+                    out[key] = v
+                else:
+                    w = w + v
+                    if w:
+                        out[key] = w
                     else:
                         del out[key]
     return out

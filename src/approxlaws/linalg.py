@@ -130,15 +130,16 @@ def nullspace(rows, ncols: int) -> list[tuple]:
 def solve_particular(rows, rhs: dict, ncols: int):
     """One exact solution of ``A x = b`` with free unknowns set to zero, or
     ``None`` if inconsistent.  ``rows`` index equations; ``rhs`` maps an
-    equation index to its right-hand side."""
+    equation index to its right-hand side.  Only the rows that take a
+    right-hand side are copied: :func:`rref` never mutates its input."""
     aug = []
     for i, r in enumerate(rows):
-        row = dict(r)
         b = rhs.get(i, 0)
         if b:
-            row[ncols] = -b
-        if row:
-            aug.append(row)
+            r = dict(r)
+            r[ncols] = -b
+        if r:
+            aug.append(r)
     pivots = rref(aug)
     if ncols in pivots:
         return None

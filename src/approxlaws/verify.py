@@ -7,15 +7,16 @@ slot over expanded coordinates; an approach-A divergence is expanded first,
 which is exact since expansion is one-to-one on truncated series and
 commutes with total derivatives and the elimination), and exact
 numeric spot checks at random rational jet points, evaluated in integer
-arithmetic (:func:`~approxlaws.expr.eval_rational`).  Identity implies
+arithmetic (:func:`~approxlaws.expr.plan_values`).  Identity implies
 on-solution implies spot-check success.  The checks read a law's contraction
 targets, their Euler residuals and the flux divergence, and each is computed
 once per law: the contraction and residuals once per multiplier set
 (:func:`~approxlaws.multipliers.certified_contraction`, shared with flux
 reconstruction), the divergence once per law
 (:meth:`~approxlaws.fluxes.ConservationLaw.divergence_slots`).  A spot
-check resolves each atom power once per sample point, for every slot of
-both sides.
+check makes one evaluation plan of the slots of both sides per call and, at
+each sample point, evaluates each distinct monomial of the plan once, as an
+integer pair; a ``Fraction`` is built only for a witness.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .atoms import FuncAtom, Jet, Sym, atom_at, atom_key
-from .expr import EvalError, as_poly, eval_rational
+from .expr import EvalError, as_poly, evaluation_plan, plan_values
 from .fluxes import ConservationLaw, identity_residuals
 from .multipliers import certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
@@ -143,14 +144,23 @@ def spot_check(targets, divs, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_
     """Evaluate both sides of the divergence identity, the contraction
     ``targets`` and the flux divergence ``divs``, at random rational jet
     points; exact equality required.  Seeded and reproducible; evaluation
-    singularities are resampled up to ``MAX_RETRIES`` times.  The atoms to
-    sample are collected once per call; every trial draws their values in
-    canonical atom order and evaluates with :func:`eval_rational`'s integer
-    arithmetic, all slots of both sides sharing one table of the point's
-    atom powers."""
+    singularities are resampled up to ``MAX_RETRIES`` times.  The two slot
+    lists must be equally long (ValueError otherwise).
+
+    The atoms to sample and one :func:`~approxlaws.expr.evaluation_plan`
+    of the slots of both sides are made once per call.  Every trial draws
+    the atoms' values in canonical atom order, and
+    :func:`~approxlaws.expr.plan_values` evaluates each distinct monomial
+    once per point, lazily in slot order, so a singularity in a later slot
+    never overrides a mismatch in an earlier one.  Each side is an integer
+    pair, compared with the other by cross-multiplication; a ``Fraction``
+    is built only for a witness."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(targets) != len(divs):
+        raise ValueError(f"{len(targets)} contraction slots against {len(divs)} divergence slots")
     atoms, laurent = _sample_atoms(list(targets) + list(divs))
+    plan = evaluation_plan([e for pair in zip(targets, divs) for e in pair])
     checks = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
@@ -159,16 +169,15 @@ def spot_check(targets, divs, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_
         for attempt in range(MAX_RETRIES):
             try:
                 point, fvals = _sample_point(atoms, laurent, rng)
-                powers = {}
-                for k, (t, d) in enumerate(zip(targets, divs)):
-                    lhs = eval_rational(t, point, fvals, powers)
-                    rhs = eval_rational(d, point, fvals, powers)
-                    if lhs != rhs:
+                values = plan_values(plan, point, fvals)
+                # the values alternate: slot k's lhs, then its rhs
+                for k, ((ln, ld), (rn, rd)) in enumerate(zip(values, values)):
+                    if ln * rd != rn * ld:
                         ok = False
                         witness = {
                             "slot": k,
-                            "lhs": lhs,
-                            "rhs": rhs,
+                            "lhs": Fraction(ln, ld),
+                            "rhs": Fraction(rn, rd),
                             "point": {repr(a): v for a, v in sorted(point.items(), key=lambda av: av[0].sort_key())},
                         }
                         break

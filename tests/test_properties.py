@@ -3,6 +3,7 @@ derivatives, expansion equivalence, Euler annihilation, the factoring of the
 Euler operator by the higher Euler operators, evaluation morphism."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -219,6 +220,86 @@ def test_poly_mul_on_column_vectors_matches_each_column(p1, p2):
     # the product owns its vectors: adding to it leaves both factors as they were
     kernel.poly_iadd(out, p1)
     assert (p1, p2) == snapshots
+
+
+# --- the kernel's fast paths against the products written out -----------------
+
+
+def _without_zeros(p):
+    """``p`` with its zero coefficients, zero vector entries and empty vectors dropped."""
+    out = {}
+    for m, v in p.items():
+        if type(v) is dict:
+            v = {j: x for j, x in v.items() if x}
+        if v:
+            out[m] = v
+    return out
+
+
+def _add_term(acc, key, v, scale):
+    """``acc[key] += scale * v`` for a scalar or column-vector ``v``, always
+    multiplying."""
+    if type(v) is dict:
+        w = acc.setdefault(key, {})
+        for j, x in v.items():
+            w[j] = w.get(j, 0) + scale * x
+    else:
+        acc[key] = acc.get(key, 0) + scale * v
+
+
+def _derive_by_products(p, images):
+    """kernel.derive as the Leibniz rule written out: every key merged by
+    mono_mul, every coefficient multiplied by its exponent and its image
+    coefficient."""
+    out = {}
+    for mono, c in p.items():
+        for i in range(0, len(mono), 2):
+            rest = kernel.mono_mul(mono, (mono[i], -1))
+            for m2, c2 in images.get(mono[i], {}).items():
+                _add_term(out, kernel.mono_mul(rest, m2), c, mono[i + 1] * c2)
+    return _without_zeros(out)
+
+
+# one-atom images with exponents -1, 1 and 2: an image atom may be absent
+# from the key it lands in, present in it, or cancel there to exponent 0
+_one_atom_images = st.dictionaries(
+    st.sampled_from(_VEC_ATOMS),
+    st.dictionaries(st.sampled_from([(a, e) for a in _VEC_ATOMS for e in (-1, 1, 2)]), _vec_coeffs,
+                    min_size=1, max_size=2),
+    max_size=4,
+)
+_C = _VEC_ATOMS[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_scalar_polys, _column_polys), _one_atom_images)
+# the image atom b is absent from the key: a^2 -> 2 a b, coefficient 1
+@example({(_A, 2): 1}, {_A: {(_B, 1): 1}})
+# present in it: a^2 b -> 2 a b^2 * 3/2 and b -> c^-1 * -1, coefficient 1/2
+@example({kernel.mono_mul((_A, 2), (_B, 1)): Fraction(1, 2)}, {_A: {(_B, 1): Fraction(3, 2)}, _B: {(_C, -1): -1}})
+# cancelled to exponent 0: a b^-1 -> b b^-1 = 1, and a column vector
+@example({kernel.mono_mul((_A, 1), (_B, -1)): {0: Fraction(1, 2), 3: -2}}, {_A: {(_B, 1): 1}})
+# images that meet on one key: a c + b c -> (1 - 1) c^2 cancels
+@example({kernel.mono_mul((_A, 1), (_C, 1)): 1, kernel.mono_mul((_B, 1), (_C, 1)): 1},
+         {_A: {(_C, 1): 1}, _B: {(_C, 1): -1}})
+def test_derive_matches_the_leibniz_rule_written_out(p, images):
+    snapshot = {m: dict(v) if type(v) is dict else v for m, v in p.items()}
+    # the reference drops zeros, so a stored zero fails the comparison too
+    assert kernel.derive(p, images) == _derive_by_products(p, images)
+    assert p == snapshot
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalar_polys, _scalar_polys, _column_polys, _column_polys, st.sampled_from(_VEC_MONOS))
+# a - a and a * (1/2) - a * (1/2) cancel, vector entries too
+@example({(_A, 1): 2}, {(_A, 1): 2}, {(_A, 1): {0: Fraction(1, 2), 1: 1}}, {(_A, 1): {0: Fraction(1, 2)}}, ())
+def test_poly_iadd_negates_as_minus_one_times(scalar_acc, scalar_p, acc, p, mono):
+    for acc0, p0 in ((scalar_acc, scalar_p), (acc, p)):
+        expected = {m: dict(v) if type(v) is dict else v for m, v in acc0.items()}
+        for m, v in p0.items():
+            _add_term(expected, kernel.mono_mul(m, mono), v, -1)
+        out = kernel.poly_iadd({m: dict(v) if type(v) is dict else v for m, v in acc0.items()}, p0, -1, mono)
+        assert out == _without_zeros(expected)
 
 
 # --- seeded bulk properties ---------------------------------------------------
@@ -674,6 +755,62 @@ def test_spot_check_matches_per_call_evaluation(monkeypatch):
             witnessed += sum(isinstance(c.witness, dict) for c in got)
     # Laurent bases, function samples included, are drawn nonzero: no retries
     assert not retries and not persisted and witnessed
+
+    # draws from -1, 0 and 1 that ignore ``nonzero`` half of the time, made by
+    # both loops: arguments often draw equal values, and Laurent bases zero
+    def coarse(rng, nonzero):
+        return Fraction(rng.choice((-1, 0, 1) if not nonzero or rng.random() < 0.5 else (-1, 1)))
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(verify, "_rand_rational", coarse)
+    monkeypatch.setattr(module, "_rand_rational", coarse)
+    draw, shared = _sample_point_per_call, []
+
+    def counting(atoms, laurent, rng):
+        point, fvals = draw(atoms, laurent, rng)
+        shared.append(len(fvals) < sum(isinstance(a, FuncAtom) for a in atoms))
+        return point, fvals
+
+    monkeypatch.setattr(module, "_sample_point_per_call", counting)
+    u0, u1 = intern(TABLE.jet("u", 0)), intern(TABLE.jet("u", 1))
+    f0, f1 = intern(FuncAtom("f", 0, TABLE.jet("u", 0))), intern(FuncAtom("f", 0, TABLE.jet("u", 1)))
+
+    def mono(*pairs, c=1):
+        """c times the monomial of the (atom id, exponent) pairs."""
+        key = ()
+        for pair in pairs:
+            key = kernel.mono_mul(key, pair)
+        return NormalForm({key: c})
+
+    zero = NormalForm({})
+    cases = [
+        # slot 0 never matches; slot 1 is singular at u[0] = 0, which the
+        # mismatch must not let through
+        ([mono((u0, 1)) + mono(), mono((u0, -1))], [mono((u0, 1)), mono((u0, -1))]),
+        # slot 0 matches at u[0] = 0 and 1 only, and slot 1 is singular at 0
+        ([mono((u0, 2)), mono((f0, 1), (u0, -2))], [mono((u0, 1)), mono((f0, 1), (u0, -2))]),
+        # f(u[0]) and f(u[1]) share one sample where u[0] and u[1] draw equal
+        # values, a sample asked to be nonzero, as f(u[0]) is a Laurent base
+        ([mono((f0, 1)) + mono((f1, 1), c=-1), mono((f0, -1), (f1, 1))], [zero, mono((f0, -1), (f1, 1))]),
+        # empty slots, on both sides and on one
+        ([zero, mono((u0, 1))], [zero, mono((u0, 1))]),
+        ([zero], [mono((u1, 1), (f1, 1))]),
+    ]
+    retries.clear()
+    outcomes = set()
+    for n, (targets, divs) in enumerate(cases):
+        for seed in range(20):
+            for max_retries in (1, 5):
+                monkeypatch.setattr(verify, "MAX_RETRIES", max_retries)
+                got = spot_check(targets, divs, trials=3, seed=seed).checks
+                assert got == _spot_check_per_call(targets, divs, 3, seed, max_retries, retries), (n, seed)
+                outcomes.update((n, c.passed, type(c.witness).__name__) for c in got)
+    assert retries and any(shared)
+    # case 0 fails on its slot-0 mismatch alone, never on its singular slot 1;
+    # case 1 meets both; the empty slots of case 3 match
+    assert {o for o in outcomes if o[0] == 0} == {(0, False, "dict")}
+    assert {(1, False, "dict"), (1, False, "str"), (2, True, "NoneType"), (4, False, "dict")} <= outcomes
+    assert {o for o in outcomes if o[0] == 3} == {(3, True, "NoneType")}
 
 
 def _antiderive_candidates_as_built(mono, problem):

@@ -94,6 +94,23 @@ def test_on_solutions_not_conserved(kdv):
     assert not verify_on_solutions(kdv, law.method, law.divergence_slots()).passed
 
 
+def test_a_law_or_a_spot_check_with_missing_flux_slots_is_refused():
+    # kdv-burgers law 2 with every flux row cut to slot 0: paired by zip with
+    # the two contraction slots, the unmatched slot 1 would drop out of every
+    # check and the law would certify as an identity
+    pb, law = law_of("kdv-burgers", "2")
+    cut = tuple(row[:1] for row in law.fluxes)
+    with pytest.raises(ValueError, match="needs 2 slots"):
+        ConservationLaw(law.mult, cut)
+    targets, divs = law_slots(pb, law)
+    with pytest.raises(ValueError, match="2 contraction slots against 1 divergence slots"):
+        spot_check(targets, divs[:1])
+    # an approach-B law holds one exact flux slot per direction
+    pb, law = law_of("diffusion-approach-b", "1")
+    with pytest.raises(ValueError, match="needs 1 slots"):
+        ConservationLaw(law.mult, tuple(row * 2 for row in law.fluxes))
+
+
 def test_spot_check_exact_zeros():
     pb, law = law_of("diffusion-consistent", "1")
     rep = spot_check(*law_slots(pb, law), trials=20, seed=11)
