@@ -232,7 +232,6 @@ def _invert_block(block, problem: PdeProblem, jet_cap: int):
     admits = _admissible(block, jet_cap)
     for slack in range(ESCALATIONS + 1):
         images = {}
-        order = {}  # (direction, candidate) -> its unknown's sort key
         seen = set(block)
         frontier = list(block)
         for _ in range(MAX_ROUNDS):
@@ -244,14 +243,13 @@ def _invert_block(block, problem: PdeProblem, jet_cap: int):
                         continue
                     img = as_poly(total_derivative(NormalForm({cand: 1}), i))
                     images[(i, cand)] = img
-                    order[(i, cand)] = (i, mono_sort_key(cand))
                     for m2 in img:
                         if m2 not in seen:
                             seen.add(m2)
                             next_frontier.append(m2)
             if len(images) == before:
                 break
-            unknowns = sorted(images, key=order.__getitem__)
+            unknowns = sorted(images, key=lambda u: (u[0], mono_sort_key(u[1])))
             sol = linalg.in_span([images[u] for u in unknowns], block)
             if sol is not None:
                 solved = [dict() for _ in range(problem.table.n_indep)]

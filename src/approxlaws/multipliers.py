@@ -75,7 +75,8 @@ class AnsatzSpec:
     ``degree`` bounds the total degree of the jet part and ``xdegree`` (default
     ``degree``) that of the independent-variable part.  ``laurent`` maps a
     generator to its minimum (negative) exponent; Laurent exponents count by
-    absolute value towards the jet degree.
+    absolute value towards the jet degree.  A floor on an atom that is not a
+    generator, jets compared at order 0, raises AnsatzError.
     """
 
     __slots__ = ("generators", "degree", "xdegree", "laurent")
@@ -91,10 +92,11 @@ class AnsatzSpec:
         laurent = laurent or {}
         if any(v > 0 for v in laurent.values()):
             raise AnsatzError("Laurent floors must be nonpositive")
-        self.laurent = {
-            (k.with_order(0) if isinstance(k, Jet) else k): v
-            for k, v in laurent.items()
-        }
+        self.laurent = {(k.with_order(0) if isinstance(k, Jet) else k): v for k, v in laurent.items()}
+        gens = {g.with_order(0) if isinstance(g, Jet) else g for g in self.generators}
+        for k, v in self.laurent.items():
+            if k not in gens:
+                raise AnsatzError(f"the Laurent floor {k!r}:{v} is not on an ansatz generator")
 
     @property
     def xdeg(self) -> int:
@@ -334,12 +336,13 @@ def contraction(problem: PdeProblem, mult: MultiplierSet) -> list:
     return _contract(problem, mult.method, mult.slots)
 
 
-def _contract(problem: PdeProblem, method: str, rows, upto: int | None = None, first: int = 0) -> list:
+def _contract(problem: PdeProblem, method: str, rows, only: int | None = None) -> list:
     """:func:`contraction` of the per-equation slot lists ``rows``, whose
-    coefficients may be column vectors: slots T_first..T_upto (default T_p),
-    the lower ones never formed.  Approach B reverses each row of p + 1
-    slots and forms slot p alone."""
-    p = problem.p if upto is None else upto
+    coefficients may be column vectors: slot T_only alone, the others never
+    formed, or every slot T_0..T_p when ``only`` is None.  Approach B
+    reverses each row of p + 1 slots and forms slot p alone."""
+    p = problem.p if only is None else only
+    first = 0 if only is None else p
     if method == "approach_b":
         rows, first = [row[::-1] for row in rows], p
     parts = [{} for _ in range(first, p + 1)]
@@ -402,12 +405,12 @@ def _split(mono) -> tuple:
     return tuple(x), tuple(jet)
 
 
-def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: int | None = None,
-                      first: int = 0) -> dict:
-    """The Euler residuals of contraction slots ``first``..``upto`` (default
-    p) of ``_series(ansatz, coefficient, upto)``, whose coefficients are
-    column vectors: one row (column -> coefficient) per (Euler coordinate,
-    slot - first, monomial), the one assembly of every determining system.
+def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, only: int | None = None) -> dict:
+    """The Euler residuals of contraction slot ``only``, or of every slot
+    when it is None, of ``_series(ansatz, coefficient, only)``, whose
+    coefficients are column vectors: one row (column -> coefficient) per
+    (Euler coordinate, slot index among those formed, monomial), the one
+    assembly of every determining system.
 
     Basis monomial i is x^alpha_i times a jet part.  The x-part is free of
     the dependent variables and passes through the series and the
@@ -424,7 +427,7 @@ def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: in
     sum over alpha of coefficient(nu, k, i) x^alpha over the basis monomials
     x^alpha j.  E^L_v vanishes past the slots' derivative order, which
     bounds L where a Laurent floor keeps every d_L x^alpha nonzero."""
-    p = ansatz.p if upto is None else upto
+    p = ansatz.p if only is None else only
     split = [_split(mono) for mono in ansatz.basis]
     jet_parts = list(dict.fromkeys(jet for _, jet in split))
     jet_index = {jet: j for j, jet in enumerate(jet_parts)}
@@ -443,8 +446,8 @@ def _determining_rows(problem: PdeProblem, ansatz: Ansatz, coefficient, upto: in
     if not polys:
         return {}
     reduced = Ansatz(ansatz.method, tuple(jet_parts), ansatz.q, ansatz.p)
-    series = _series(reduced, lambda nu, k, j: {columns[nu, k, j]: 1} if (nu, k, j) in columns else None, upto)
-    parts = _contract(problem, ansatz.method, series, upto, first)
+    series = _series(reduced, lambda nu, k, j: {columns[nu, k, j]: 1} if (nu, k, j) in columns else None, only)
+    parts = _contract(problem, ansatz.method, series, only)
     # derivs[L][column] = d_L P, along the prefix trie of L over the basis's
     # independent variables
     images = {atom_at(x[j]).pos: {x[j]: {(): 1}} for x, _ in split for j in range(0, len(x), 2)}
@@ -513,7 +516,7 @@ def staged_nullspace(problem: PdeProblem, ansatz: Ansatz) -> list[tuple]:
             for col, x in vec.items():
                 columns.setdefault(col, {})[y] = x
         # keyed as a0's rows: slot k is slot 0 of [T_k]
-        lifted = _determining_rows(problem, ansatz, lambda nu, j, i: columns.get(_column(ansatz, nu, j, i)), k, k)
+        lifted = _determining_rows(problem, ansatz, lambda nu, j, i: columns.get(_column(ansatz, nu, j, i)), k)
         rows = [row | lifted.pop(key) if key in lifted else row for key, row in a0.items()]
         rows.extend(lifted.values())
         # the c_k rows are a0/k!; a0 itself, shared unscaled, solves

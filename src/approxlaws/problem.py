@@ -13,7 +13,8 @@ A problem is a system of equations over unexpanded dependent variables,
 polynomial in the small parameter up to the truncation order, each solved
 with respect to a declared leading derivative (Cauchy-Kovalevskaya form):
 the remainder must be free of every equation's leading derivative and of
-their further derivatives.
+their further derivatives, and no equation's leading derivative may be
+another's or a derivative of it.
 
 Problem files are line-oriented ``key = value`` text.  Declarations::
 
@@ -110,8 +111,7 @@ def _extra_derivatives(jet: Jet, lead: Jet) -> tuple | None:
 
 
 class PdeProblem:
-    __slots__ = ("table", "eqns", "leading", "p", "name", "_rest", "_eps_slots", "_exp_cache",
-                 "inverted_blocks")
+    __slots__ = ("table", "eqns", "leading", "p", "name", "_rest", "_exp_cache", "inverted_blocks")
 
     def __init__(self, table: SymbolTable, eqns: list, leading: list, p: int, name: str = ""):
         if not (1 <= p <= MAX_ORDER):
@@ -131,6 +131,10 @@ class PdeProblem:
         for nu, (eqn, lead) in enumerate(zip(self.eqns, self.leading)):
             if not isinstance(lead, Jet) or lead.order is not None:
                 raise ProblemError("leading derivatives are unexpanded jet coordinates")
+            for mu, other in enumerate(self.leading[:nu]):
+                if _extra_derivatives(lead, other) is not None or _extra_derivatives(other, lead) is not None:
+                    raise ProblemError(f"equations {mu + 1} and {nu + 1}: one leading derivative is the other's "
+                                       "or a derivative of it")
             if expansion_state(eqn)[1]:
                 raise ProblemError("equations are written over unexpanded variables")
             q = partial(eqn, lead)
@@ -154,12 +158,9 @@ class PdeProblem:
                         f"equation {nu + 1} is not in Cauchy-Kovalevskaya form: "
                         f"remainder contains a leading-derived coordinate"
                     )
-        self._eps_slots = []
         for nu, eqn in enumerate(self.eqns):
-            slots = [NormalForm(s) for s in collect_eps(eqn)]
-            if len(slots) - 1 > self.p:
+            if len(collect_eps(eqn)) - 1 > self.p:
                 raise ProblemError(f"equation {nu + 1} has eps-degree above the truncation order")
-            self._eps_slots.append(slots + [NormalForm({})] * (self.p + 1 - len(slots)))
 
     # -- basic facts -------------------------------------------------------
 
@@ -173,8 +174,9 @@ class PdeProblem:
         return max_jet_order(self.eqns)
 
     def leading_equation(self, jet: Jet) -> int | None:
-        """Index of the first equation whose leading derivative ``jet`` is,
-        or is a derivative of; None if there is none."""
+        """Index of the equation whose leading derivative ``jet`` is, or is
+        a derivative of; None if there is none.  There is at most one, since
+        no leading derivative is another's or a derivative of it."""
         for nu, lead in enumerate(self.leading):
             if _extra_derivatives(jet, lead) is not None:
                 return nu
@@ -187,8 +189,9 @@ class PdeProblem:
         return self._exp_cache[nu]
 
     def unexpanded_slots(self, nu: int) -> list:
-        """eps-power slots of equation ``nu`` without expanding variables."""
-        return self._eps_slots[nu]
+        """The eps-power slots 0..p of equation ``nu`` without expanding
+        variables, read off the equation when approach A's contraction asks."""
+        return [NormalForm(s) for s in collect_eps(self.eqns[nu], self.p)]
 
     # -- on-solution reduction ----------------------------------------------
 

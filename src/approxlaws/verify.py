@@ -25,8 +25,8 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .atoms import FuncAtom, Jet, Sym, atom_at, atom_key
-from .expr import EvalError, as_poly, evaluation_plan, plan_values
+from .atoms import FuncAtom, Jet, Sym
+from .expr import EvalError, evaluation_plan, plan_values
 from .fluxes import ConservationLaw, identity_residuals
 from .multipliers import certified_contraction
 from .problem import InconclusiveReduction, PdeProblem
@@ -102,20 +102,6 @@ def _rand_rational(rng: random.Random, nonzero: bool) -> Fraction:
     return Fraction(num, den)
 
 
-def _sample_atoms(exprs):
-    """The atoms across ``exprs`` in canonical order, and the set of those
-    that occur under a negative exponent (Laurent bases)."""
-    ids = set()
-    laurent = set()
-    for e in exprs:
-        for mono in as_poly(e):
-            for j in range(0, len(mono), 2):
-                ids.add(mono[j])
-                if mono[j + 1] < 0:
-                    laurent.add(atom_at(mono[j]))
-    return [atom_at(i) for i in sorted(ids, key=atom_key)], laurent
-
-
 def _sample_point(atoms, laurent, rng: random.Random):
     """Random rational values for ``atoms`` (canonically ordered); Laurent
     bases and function arguments get nonzero values; function samples are
@@ -147,9 +133,10 @@ def spot_check(targets, divs, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_
     singularities are resampled up to ``MAX_RETRIES`` times.  The two slot
     lists must be equally long (ValueError otherwise).
 
-    The atoms to sample and one :func:`~approxlaws.expr.evaluation_plan`
-    of the slots of both sides are made once per call.  Every trial draws
-    the atoms' values in canonical atom order, and
+    One :func:`~approxlaws.expr.evaluation_plan` of the slots of both
+    sides is made per call, and the atoms to draw are read off it: its
+    atoms, drawn in canonical atom order by every trial, and as Laurent
+    bases those under a negative exponent in its distinct monomials.
     :func:`~approxlaws.expr.plan_values` evaluates each distinct monomial
     once per point, lazily in slot order, so a singularity in a later slot
     never overrides a mismatch in an earlier one.  Each side is an integer
@@ -159,8 +146,9 @@ def spot_check(targets, divs, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_
         raise ValueError("trials must be >= 1")
     if len(targets) != len(divs):
         raise ValueError(f"{len(targets)} contraction slots against {len(divs)} divergence slots")
-    atoms, laurent = _sample_atoms(list(targets) + list(divs))
     plan = evaluation_plan([e for pair in zip(targets, divs) for e in pair])
+    atoms = sorted(plan[0], key=lambda a: a.sort_key())
+    laurent = {plan[0][a] for mono in plan[1] for a, e in mono if e < 0}
     checks = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")

@@ -182,6 +182,15 @@ def test_input_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", fixture_path("kdv-burgers"),
                            "--mult-deps", "u[0],u[0]_t", "--mult-degree", "1")
     assert code == 2 and "leading derivative of equation 1" in err
+    # two equations solved for u_t, and a Laurent floor on x where x is no generator
+    shared = tmp_path / "shared.prob"
+    shared.write_text("independent = t, x\ndependent = u, v\norder = 1\nequation = u_t - u_xx - eps*v\n"
+                      "leading = u_t\nequation = u_t - v_x\nleading = u_t\n")
+    code, out, err = run_cli(capsys, "solve", str(shared), "--mult-degree", "1")
+    assert code == 2 and out == "" and "equations 1 and 2: one leading derivative" in err
+    code, out, err = run_cli(capsys, "solve", fixture_path("diffusion-consistent"),
+                             "--mult-deps", "t,u[0]", "--mult-degree", "1", "--laurent", "x:-1")
+    assert code == 2 and out == "" and "Laurent floor x:-1" in err
 
 
 def test_reconstruction_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -421,6 +421,9 @@ def test_parse_ansatz_text_forms(diffusion):
     assert spec.degree == 2 and spec.laurent == {tab.jet("u", 0): -1, tab.indep[1]: -2}
     default = parse_ansatz(tab, None, 1)
     assert default.generators == spec.generators
+    # generators and Laurent floors meet at order 0
+    for gen, floor in (("u", "u[0]"), ("u[0]", "u"), ("u", "u[1]")):
+        assert parse_ansatz(tab, f"t, {gen}", 1, laurent=f"{floor}:-1").laurent == {tab.jet("u", 0): -1}
     for bad in (
         dict(mult_deps="t, 2*x", degree=1),
         dict(mult_deps="u[0]^2", degree=1),
@@ -429,28 +432,33 @@ def test_parse_ansatz_text_forms(diffusion):
         dict(mult_deps="t", degree=1, xdegree="1.5"),
         dict(mult_deps="t", degree=1, laurent="u[0]:x"),
         dict(mult_deps="t", degree=1, laurent="t + x:-1"),
+        # a floor on an atom no basis monomial holds would bound nothing
+        dict(mult_deps="t, u[0]", degree=1, laurent="x:-1"),
+        dict(mult_deps="t, u[0]", degree=1, laurent="u[0]_x:-1"),
     ):
         with pytest.raises(AnsatzError):
             parse_ansatz(tab, **bad)
+    with pytest.raises(AnsatzError, match="the Laurent floor x:-1 is not on an ansatz generator"):
+        spec_for(diffusion, ["t", "u[0]"], 1, laurent={"x": -1})
 
 
 # --- the factored assembly against the per-monomial Euler oracle ---------------
 
 
-def _determining_rows_per_monomial(problem, ansatz, coefficient, upto=None, first=0):
+def _determining_rows_per_monomial(problem, ansatz, coefficient, only=None):
     """The determining-system rows as one Euler pass over the full
     column-vector contraction of the ansatz, every basis monomial carrying
     its own columns through the operators: the assembly that
     ``_determining_rows`` factors over the x-monomials."""
-    parts = _contract(problem, ansatz.method, _series(ansatz, coefficient, upto), upto, first)
+    parts = _contract(problem, ansatz.method, _series(ansatz, coefficient, only), only)
     return {(v, k, mono): row
             for v, k, res in euler_residuals(problem, ansatz.method, parts)
             for mono, row in as_poly(res).items()}
 
 
-def _assert_rows_match_per_monomial_oracle(problem, ansatz, coefficient, upto=None, first=0):
-    rows = _determining_rows(problem, ansatz, coefficient, upto, first)
-    oracle = _determining_rows_per_monomial(problem, ansatz, coefficient, upto, first)
+def _assert_rows_match_per_monomial_oracle(problem, ansatz, coefficient, only=None):
+    rows = _determining_rows(problem, ansatz, coefficient, only)
+    oracle = _determining_rows_per_monomial(problem, ansatz, coefficient, only)
     # equal as dicts: the same row under the same (coordinate, slot, monomial)
     # key, so also the same multiset of rows
     assert rows == oracle
@@ -495,7 +503,27 @@ def test_factored_rows_match_per_monomial_euler_on_corpus(eid, method, p):
     _assert_rows_match_per_monomial_oracle(problem, ansatz, lambda nu, k, i: {nu * n + i: 1}, 0)
     space = staged_nullspace(problem, ansatz)
     assert space
-    _assert_rows_match_per_monomial_oracle(problem, ansatz, _lift_columns(ansatz, space), p, p)
+    _assert_rows_match_per_monomial_oracle(problem, ansatz, _lift_columns(ansatz, space), p)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("eid", corpus.ENTRY_IDS)
+def test_one_slot_of_the_contraction_is_that_slot_of_the_full_one(eid, p):
+    # the window the staged solve assembles through, on the vector slots of
+    # both eps-series methods, hint degree capped at 2: slot k formed alone,
+    # from the full series or from the series cut at slot k
+    entry = corpus.load(eid)
+    hint = entry.ansatz_hint
+    problem = _at_order(entry.problem, p)
+    spec = AnsatzSpec(hint.generators, min(hint.degree, 2), hint.xdegree, hint.laurent)
+    for method in ("consistent", "approach_a"):
+        ansatz = build_ansatz(problem, spec, method)
+        series = _series(ansatz, _unit_columns(ansatz))
+        full = _contract(problem, method, series)
+        assert len(full) == p + 1 and any(full)
+        for k in range(p + 1):
+            assert _contract(problem, method, series, only=k) == [full[k]]
+            assert _contract(problem, method, _series(ansatz, _unit_columns(ansatz), k), only=k) == [full[k]]
 
 
 @pytest.mark.parametrize("method", ["consistent", "approach_a", "approach_b"])
@@ -520,7 +548,7 @@ def test_factored_rows_match_per_monomial_euler_with_explicit_t_and_x(method):
 
 def test_factored_rows_of_an_empty_lift_are_empty(kdv):
     ansatz = build_ansatz(kdv, spec_for(kdv, KDV_GENS, 1), "consistent")
-    assert _determining_rows(kdv, ansatz, lambda nu, k, i: None, 0, 0) == {}
+    assert _determining_rows(kdv, ansatz, lambda nu, k, i: None, 0) == {}
 
 
 # --- the staged solve against the monolithic oracle ----------------------------

@@ -66,6 +66,16 @@ def test_cauchy_kovalevskaya_violation():
         )
 
 
+@pytest.mark.parametrize("lead1, lead2", [("u_t", "u_t"), ("u_t", "u_tx"), ("u_tx", "u_t")])
+def test_a_leading_derivative_shared_or_derived_by_another_equation_is_rejected(lead1, lead2):
+    # the reduction substitutes one equation per leading-derived jet, so one
+    # of the two equations would never be used
+    text = ("independent = t, x\ndependent = u, v\norder = 1\n"
+            f"equation = {lead1} - u_xx - eps*v\nleading = {lead1}\nequation = {lead2} - v_x\nleading = {lead2}\n")
+    with pytest.raises(ProblemError, match="equations 1 and 2: one leading derivative is the other"):
+        parse_problem_text(text)
+
+
 def test_eps_degree_above_order_rejected():
     with pytest.raises(ProblemError):
         parse_problem_text(

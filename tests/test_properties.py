@@ -27,11 +27,11 @@ from approxlaws import (
     total_derivative,
 )
 from approxlaws import kernel, verify
-from approxlaws.atoms import INDEP, FuncAtom, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
-from approxlaws.expr import EvalError, NormalForm, atoms_of, poly_atom_ids
+from approxlaws.atoms import INDEP, FuncAtom, Jet, Sym, atom_at, atom_key, intern, mono_atoms, mono_sort_key
+from approxlaws.expr import EvalError, NormalForm, as_poly, atoms_of, poly_atom_ids
 from approxlaws.fluxes import _antiderive_candidates, _mono_edit
 from approxlaws.jets import higher_eulers
-from approxlaws.verify import CheckResult, _rand_rational, _sample_atoms, spot_check
+from approxlaws.verify import CheckResult, _rand_rational, spot_check
 
 from conftest import expand_epsilon_substitution
 
@@ -652,6 +652,21 @@ def test_higher_eulers_factor_the_euler_operator_over_x_monomials(case):
 # --- oracles for the certification layer's shared work ------------------------
 
 
+def _sample_atoms_per_scan(exprs):
+    """The atoms to draw as spot_check found them before it read them off its
+    evaluation plan: a scan of every monomial of ``exprs`` for the atoms in
+    canonical order, and the set of those under a negative exponent."""
+    ids = set()
+    laurent = set()
+    for e in exprs:
+        for mono in as_poly(e):
+            for j in range(0, len(mono), 2):
+                ids.add(mono[j])
+                if mono[j + 1] < 0:
+                    laurent.add(atom_at(mono[j]))
+    return [atom_at(i) for i in sorted(ids, key=atom_key)], laurent
+
+
 def _sample_point_per_call(atoms, laurent, rng):
     """verify._sample_point as it was: every function-sample key wraps the
     argument's value in a new Fraction.  A key's sample is nonzero when a
@@ -679,7 +694,7 @@ def _spot_check_per_call(targets, divs, trials, seed, max_retries, retries):
     """spot_check as the loop it replaces: each slot of each side evaluated
     by its own eval_rational call, which resolves its own atom powers.
     Counts the evaluation singularities in ``retries``."""
-    atoms, laurent = _sample_atoms(list(targets) + list(divs))
+    atoms, laurent = _sample_atoms_per_scan(list(targets) + list(divs))
     checks = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
