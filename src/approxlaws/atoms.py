@@ -75,6 +75,17 @@ class Jet(namedtuple("Jet", "dep order deriv")):
         return f"<jet d{self.dep}{o}{d}>"
 
 
+def deriv_minus(J: tuple, L: tuple) -> tuple | None:
+    """The multiset difference J - L of two multi-indices (sorted tuples of
+    directions), itself sorted; None when L is not contained in J."""
+    rest = list(J)
+    for i in L:
+        if i not in rest:
+            return None
+        rest.remove(i)
+    return tuple(rest)
+
+
 class FuncAtom(namedtuple("FuncAtom", "fname nd arg")):
     """``nd``-th formal derivative of function symbol ``fname`` applied to a
     plain (underived) dependent-variable coordinate."""
@@ -172,6 +183,8 @@ class SymbolTable:
                  + [(s.name, "parameters") for s in self.params] + [(f, "functions") for f, _ in funcs])
         seen = {}  # name -> its declaration list
         for n, decl in names:
+            if not (n.isalnum() and n[0].isalpha()):  # the tokenizer's identifier rule
+                raise DeclarationError(f"{n!r} is not a name: a letter, then letters and digits", decl)
             if n in _RESERVED:
                 raise DeclarationError(f"{n!r} is a reserved word", decl)
             if n in seen:

@@ -238,8 +238,9 @@ def run_expand(args) -> tuple[dict, int]:
 
 
 def run_audit(args) -> tuple[dict, int]:
-    """``verify`` of every law the selected corpus entries record."""
-    ids = args.entries or corpus.ENTRY_IDS
+    """``verify`` of every law the selected corpus entries record, an entry
+    named twice counted once."""
+    ids = dict.fromkeys(args.entries or corpus.ENTRY_IDS)
     for eid in ids:
         if eid not in corpus.ENTRY_IDS:
             raise CliError(f"unknown corpus entry {eid!r}")

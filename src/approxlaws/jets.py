@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 
 from . import kernel
-from .atoms import EPS, EPS_SYM, FuncAtom, INDEP, Jet, Sym, atom_at, intern
+from .atoms import EPS, EPS_SYM, FuncAtom, INDEP, Jet, Sym, atom_at, deriv_minus, intern
 from .expr import NormalForm, UnsupportedFormError, as_poly, atom_poly, poly_atom_ids
 
 
@@ -83,12 +83,6 @@ def total_derivative(e, i: int) -> NormalForm:
             if mono[j] not in images:
                 images[mono[j]] = _total_image(mono[j], i)
     return NormalForm(kernel.derive(p, images))
-
-
-def total_derivative_chain(e: NormalForm, idxs) -> NormalForm:
-    for i in idxs:
-        e = total_derivative(e, i)
-    return e
 
 
 def max_jet_order(exprs) -> int:
@@ -368,14 +362,10 @@ def higher_eulers(e, v: Jet, multi_indices) -> dict:
             continue  # E^() comes last, as its fold may consume the partials
         terms = {}
         for J, d in partials.items():
-            K = list(J)
-            for i in L:
-                if i not in K:
-                    break
-                K.remove(i)
-            else:
+            K = deriv_minus(J, L)
+            if K is not None:
                 c = math.prod(math.comb(J.count(i), L.count(i)) for i in set(L))
-                terms[tuple(K)] = kernel.poly_iadd({}, d, c)
+                terms[K] = kernel.poly_iadd({}, d, c)
         out[L] = NormalForm(_fold(terms) if terms else {})
     if () in multi_indices:
         out[()] = NormalForm(_fold(partials))

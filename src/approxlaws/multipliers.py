@@ -46,7 +46,7 @@ from . import kernel, linalg
 from .atoms import INDEP, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
 from .expr import NormalForm, UnsupportedFormError, as_poly, normalize
 from .jets import check_slots, euler, higher_eulers, max_jet_order, recursion_series, series_mul
-from .parser import parse, single_atom
+from .parser import ParseError, parse, single_atom
 from .problem import METHODS, PdeProblem, ProblemError
 
 
@@ -92,8 +92,8 @@ class AnsatzSpec:
         laurent = laurent or {}
         if any(v > 0 for v in laurent.values()):
             raise AnsatzError("Laurent floors must be nonpositive")
-        self.laurent = {(k.with_order(0) if isinstance(k, Jet) else k): v for k, v in laurent.items()}
-        gens = {g.with_order(0) if isinstance(g, Jet) else g for g in self.generators}
+        self.laurent = {_order0(k): v for k, v in laurent.items()}
+        gens = {_order0(g) for g in self.generators}
         for k, v in self.laurent.items():
             if k not in gens:
                 raise AnsatzError(f"the Laurent floor {k!r}:{v} is not on an ansatz generator")
@@ -101,6 +101,12 @@ class AnsatzSpec:
     @property
     def xdeg(self) -> int:
         return self.degree if self.xdegree is None else self.xdegree
+
+
+def _order0(a):
+    """Atom ``a`` at perturbation order 0 if it is a jet: generators and
+    Laurent floors are compared there."""
+    return a.with_order(0) if isinstance(a, Jet) else a
 
 
 def _ansatz_int(text, what: str) -> int:
@@ -111,10 +117,11 @@ def _ansatz_int(text, what: str) -> int:
 
 
 def _generator_atom(text: str, table):
+    """The one atom ``text`` names; an AnsatzError names the text."""
     text = text.strip()
     try:
         atom = single_atom(parse(text, table))
-    except UnsupportedFormError as exc:
+    except (ParseError, UnsupportedFormError) as exc:
         raise AnsatzError(f"{text!r}: {exc}") from exc
     if atom is None:
         raise AnsatzError(f"{text!r} is not a single generator atom")
@@ -126,16 +133,26 @@ def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
     """An ansatz from its text form, as the CLI flags and the problem-file
     hints write it: comma-separated generator atoms (default: every
     independent variable and order-0 dependent coordinate) and Laurent items
-    ``atom:min`` (``min`` defaults to -2).  Degree bounds may be text."""
+    ``atom:min`` (``min`` defaults to -2).  Degree bounds may be text.  An
+    error names the generator or floor as the text writes it."""
     if mult_deps:
-        gens = [_generator_atom(g, table) for g in mult_deps.split(",")]
+        texts = mult_deps.split(",")
+        gens = [_generator_atom(g, table) for g in texts]
+        for text, g in zip(texts, gens):
+            if not (isinstance(g, Jet) or isinstance(g, Sym) and g.kind == INDEP):
+                raise AnsatzError(f"unsupported ansatz generator {text.strip()!r}")
     else:
         gens = list(table.indep) + [table.jet(name, 0) for name in table.dep_names]
+    floored = {_order0(g) for g in gens}  # the atoms a Laurent floor may bound
     bounds = {}
     for item in (laurent or "").split(","):
         atom_txt, _, lo = item.strip().partition(":")
         if atom_txt:
-            bounds[_generator_atom(atom_txt, table)] = _ansatz_int(lo, "a Laurent bound") if lo else -2
+            atom = _generator_atom(atom_txt, table)
+            bounds[atom] = _ansatz_int(lo, "a Laurent bound") if lo else -2
+            if _order0(atom) not in floored:
+                raise AnsatzError(f"the Laurent floor {atom_txt.strip()}:{bounds[atom]} "
+                                  "is not on an ansatz generator")
     return AnsatzSpec(
         tuple(gens),
         _ansatz_int(degree, "the multiplier degree"),

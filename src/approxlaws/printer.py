@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .atoms import EPS_SYM, FuncAtom, Jet, Sym, SymbolTable
+from .atoms import FuncAtom, Jet, Sym, SymbolTable
 from .expr import NormalForm, as_poly
 from .jets import eps_powers
 
@@ -26,8 +26,6 @@ def _sup(n: int) -> str:
 
 def _atom_str(atom, table: SymbolTable, human: bool) -> str:
     if isinstance(atom, Sym):
-        if atom is EPS_SYM or atom.name == "eps":
-            return "ε" if human else "eps"
         return atom.name
     if isinstance(atom, Jet):
         dep = table.dep_names[atom.dep]

@@ -1,13 +1,14 @@
 """Problem definition, the problem-file format, and on-solution reduction.
 
-On-solution reduction eliminates leading derivatives.  A series (the list
-of its eps-free slots, see :mod:`approxlaws.jets`) reduces slot by slot
-over expanded coordinates; an approach-A series over unexpanded ones is
+On-solution reduction eliminates leading derivatives by rules read off the
+one expansion of the equations, which the contraction reads too.  A series
+(the list of its eps-free slots, see :mod:`approxlaws.jets`) reduces slot by
+slot over expanded coordinates; an approach-A series over unexpanded ones is
 expanded first.  That is exact: expansion is one-to-one on series truncated
 at the problem order, commutes with every total derivative, and maps the
 rule u_lead -> rest to the rules u[k]_lead -> slot k of rest's expansion,
-so the expanded slots reduce to zero exactly when the joined series does
-modulo eps^(p+1).
+which slot k of the equation's expansion gives; so the expanded slots reduce
+to zero exactly when the joined series does modulo eps^(p+1).
 
 A problem is a system of equations over unexpanded dependent variables,
 polynomial in the small parameter up to the truncation order, each solved
@@ -62,8 +63,9 @@ commands that never read the recorded laws do not pay for them.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 
-from .atoms import DeclarationError, Jet, Sym, SymbolTable, mono_atoms
+from .atoms import DeclarationError, Jet, Sym, SymbolTable, deriv_minus, mono_atoms
 from .expr import (
     NormalForm,
     UnsupportedFormError,
@@ -74,8 +76,7 @@ from .expr import (
     pow_int,
     substitute,
 )
-from .jets import (collect_eps, expand_epsilon, expansion_state, join_eps, max_jet_order,
-                   total_derivative_chain)
+from .jets import collect_eps, expand_epsilon, expansion_state, join_eps, max_jet_order, total_derivative
 from .parser import MAX_DIGITS, MAX_TERMS, ParseError, parse, power_passes_digits, power_terms, single_atom
 
 MAX_ORDER = 3  # configuration cap on the truncation order
@@ -100,18 +101,11 @@ def _extra_derivatives(jet: Jet, lead: Jet) -> tuple | None:
     """The multi-index of the derivatives ``jet`` takes beyond ``lead`` when
     it is ``lead`` or a derivative of it, at any perturbation order; None
     otherwise."""
-    if jet.dep != lead.dep:
-        return None
-    rest = list(jet.deriv)
-    for i in lead.deriv:
-        if i not in rest:
-            return None
-        rest.remove(i)
-    return tuple(rest)
+    return deriv_minus(jet.deriv, lead.deriv) if jet.dep == lead.dep else None
 
 
 class PdeProblem:
-    __slots__ = ("table", "eqns", "leading", "p", "name", "_rest", "_exp_cache", "inverted_blocks")
+    __slots__ = ("table", "eqns", "leading", "p", "name", "_exp_cache", "inverted_blocks")
 
     def __init__(self, table: SymbolTable, eqns: list, leading: list, p: int, name: str = ""):
         if not (1 <= p <= MAX_ORDER):
@@ -127,7 +121,6 @@ class PdeProblem:
         # flux blocks inverted by approxlaws.fluxes.reconstruct, keyed by the
         # exact input of their inversion; they die with the problem
         self.inverted_blocks = {}
-        self._rest = []
         for nu, (eqn, lead) in enumerate(zip(self.eqns, self.leading)):
             if not isinstance(lead, Jet) or lead.order is not None:
                 raise ProblemError("leading derivatives are unexpanded jet coordinates")
@@ -148,16 +141,12 @@ class PdeProblem:
                     )
             if len(as_poly(q)) != 1:
                 raise ProblemError(f"equation {nu + 1}: leading coefficient must be a monomial")
-            rest = (q * lead - eqn) * pow_int(q, -1)
-            self._rest.append(rest)
-        # Cauchy-Kovalevskaya: every rest free of all leading jets and their derivatives
-        for nu, rest in enumerate(self._rest):
-            for a in atoms_of(rest):
-                if isinstance(a, Jet) and self.leading_equation(a) is not None:
-                    raise ProblemError(
-                        f"equation {nu + 1} is not in Cauchy-Kovalevskaya form: "
-                        f"remainder contains a leading-derived coordinate"
-                    )
+        # Cauchy-Kovalevskaya: past its leading derivative, which it holds linearly, an
+        # equation holds no leading derivative nor a derivative of one
+        for nu, (eqn, lead) in enumerate(zip(self.eqns, self.leading)):
+            if any(isinstance(a, Jet) and self.leading_equation(a) is not None for a in atoms_of(eqn) - {lead}):
+                raise ProblemError(f"equation {nu + 1} is not in Cauchy-Kovalevskaya form: "
+                                   "remainder contains a leading-derived coordinate")
         for nu, eqn in enumerate(self.eqns):
             if len(collect_eps(eqn)) - 1 > self.p:
                 raise ProblemError(f"equation {nu + 1} has eps-degree above the truncation order")
@@ -196,13 +185,15 @@ class PdeProblem:
     # -- on-solution reduction ----------------------------------------------
 
     def solution_rules(self):
-        """Leading-derivative elimination images over expanded coordinates:
-        per order k the slot equation gives ``u_(k),J_lead -> rest slot k``."""
+        """Leading-derivative elimination images over expanded coordinates,
+        read off each equation's expansion (:meth:`expanded_slots`): slot k is
+        q*(u[k]_lead - image), q the eps-free parameter monomial multiplying
+        u[0]_lead in slot 0, so the rule is ``u[k]_lead -> u[k]_lead - slot k/q``."""
         rules = []
-        for nu in range(self.q):
-            rest_slots = expand_epsilon(self._rest[nu], self.p)
-            for k in range(self.p + 1):
-                rules.append((self.leading[nu].with_order(k), rest_slots[k]))
+        for nu, lead in enumerate(self.leading):
+            slots = self.expanded_slots(nu)
+            inv = pow_int(partial(slots[0], lead.with_order(0)), -1)
+            rules += [(lead.with_order(k), lead.with_order(k) - slot * inv) for k, slot in enumerate(slots)]
         return rules
 
     def reduce_on_solutions(self, e) -> NormalForm:
@@ -231,7 +222,7 @@ class PdeProblem:
             a, rest, extra = match
             if len(extra) > MAX_PROLONGATION:
                 raise InconclusiveReduction(f"prolongation depth {len(extra)} exceeds bound {MAX_PROLONGATION}")
-            image = as_poly(total_derivative_chain(rest, extra))
+            image = as_poly(reduce(total_derivative, extra, rest))
             k = max(len(image), 1)  # a^n in a monomial makes power_terms(k, n) terms
             powers = [dict(mono_atoms(m)).get(a, 0) for m in as_poly(cur)]
             if sum(power_terms(k, n) for n in powers) > MAX_TERMS:

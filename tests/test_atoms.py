@@ -4,12 +4,16 @@ generates no class code; the package's public names."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import approxlaws
-from approxlaws.atoms import EPS, INDEP, PARAM, FuncAtom, Jet, Sym, intern
+from approxlaws import parse
+from approxlaws.atoms import EPS, INDEP, PARAM, DeclarationError, FuncAtom, Jet, Sym, SymbolTable, deriv_minus, intern
 
 U = Jet(0, None, ())
 ATOMS = [
@@ -73,3 +77,37 @@ def test_atoms_of_different_types_differ():
         for j, b in enumerate(ATOMS):
             assert (a == b) == (i == j)
     assert len({intern(a) for a in ATOMS}) == len(ATOMS)
+
+
+_MULTI_INDICES = st.lists(st.integers(0, 2), max_size=4).map(lambda d: tuple(sorted(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MULTI_INDICES, _MULTI_INDICES)
+@example((0, 1, 1), (1,))
+@example((0, 1), (1, 1))
+def test_deriv_minus_is_the_multiset_difference(J, L):
+    diff = deriv_minus(J, L)
+    if Counter(L) - Counter(J):  # L takes some direction more often than J
+        assert diff is None
+    else:
+        assert diff == tuple(sorted((Counter(J) - Counter(L)).elements()))
+
+
+@pytest.mark.parametrize("name", ["a b", "a-b", "u[0]", "2x", "x_1", "f'", ""])
+@pytest.mark.parametrize("decl", ["independent", "dependent", "parameters", "functions"])
+def test_a_declared_name_is_one_identifier(name, decl):
+    decls = {"independent": ["t", "x"], "dependent": ["u"], "parameters": ["c"], "functions": []}
+    if decl == "functions":
+        decls[decl] = [(name, "u")]
+    else:
+        decls[decl] = decls[decl] + [name]
+    with pytest.raises(DeclarationError, match="is not a name") as info:
+        SymbolTable(decls["independent"], decls["dependent"], decls["parameters"], decls["functions"])
+    assert info.value.decls == (decl,)
+
+
+@pytest.mark.parametrize("name", ["c", "b1", "tau", "\u03bb", "k2x"])
+def test_a_declared_name_parses_back(name):
+    table = SymbolTable(["t", "x"], ["u"], [name])
+    assert parse(name, table) == table.params[0]

@@ -147,6 +147,34 @@ def test_audit_lists_errata(capsys):
     ]
 
 
+def test_audit_text_lists_errata(capsys):
+    code, out, _ = run_cli(capsys, "audit", "kdv-burgers", "--trials", "1")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["  non-identity outcomes (documented errata):", "    kdv-burgers law 4: onsolution"]
+
+
+def test_audit_counts_an_entry_named_twice_once(capsys):
+    flags = ("--format", "json", "--trials", "1")
+    _, once, _ = run_cli(capsys, "audit", "kdv-burgers", "diffusion-consistent", *flags)
+    code, twice, _ = run_cli(capsys, "audit", "kdv-burgers", "diffusion-consistent", "kdv-burgers",
+                             "diffusion-consistent", *flags)
+    assert code == 0 and twice == once
+    data = json.loads(twice)
+    assert sorted(data["entries"]) == ["diffusion-consistent", "kdv-burgers"]
+    assert [row["law"] for row in data["entries"]["diffusion-consistent"]] == ["1", "2", "1*eps", "2*eps"]
+    assert len(data["errata"]) == 1
+
+
+def test_out_writes_the_bytes_stdout_would(tmp_path, capsys):
+    for fmt in ("text", "json"):
+        argv = ("solve", fixture_path("diffusion-consistent"), "--mult-degree", "1", "--trials", "1", "--format", fmt)
+        code, printed, _ = run_cli(capsys, *argv)
+        path = tmp_path / f"report.{fmt}"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_bytes() == printed.encode("utf-8")
+        assert ("\u039b" in printed) == (fmt == "text")  # the text report is not ASCII
+
+
 def test_singular_generator_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "solve", fixture_path("kdv-burgers"),
@@ -191,6 +219,21 @@ def test_input_error_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", fixture_path("diffusion-consistent"),
                              "--mult-deps", "t,u[0]", "--mult-degree", "1", "--laurent", "x:-1")
     assert code == 2 and out == "" and "Laurent floor x:-1" in err
+    # an ansatz error names the floor or generator as the flags write it
+    for eid, flags, message in (
+        ("diffusion-consistent", ("--mult-deps", "t,x", "--laurent", "u[0]:-1"),
+         "the Laurent floor u[0]:-1 is not on an ansatz generator"),
+        ("wave", ("--mult-deps", "t,f(u)"), "unsupported ansatz generator 'f(u)'"),
+        ("wave", ("--mult-deps", "t,,x"), "'': unexpected end of input (at position 0)"),
+    ):
+        code, out, err = run_cli(capsys, "solve", fixture_path(eid), *flags, "--mult-degree", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # a declared name the parser could never read back
+    bad_name = tmp_path / "bad-name.prob"
+    bad_name.write_text("independent = t, x\ndependent = u\nparameters = a b\norder = 1\n"
+                        "equation = u_t - u_xx\nleading = u_t\n")
+    code, out, err = run_cli(capsys, "solve", str(bad_name))
+    assert (code, out, err) == (2, "", f"error: {bad_name}:3: 'a b' is not a name: a letter, then letters and digits\n")
 
 
 def test_reconstruction_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -205,6 +248,21 @@ def test_reconstruction_failure_exit_code(tmp_path, capsys, monkeypatch):
     data = json.loads(out)
     assert data["reconstruction_failures"]
     assert data["multipliers"]  # multipliers still emitted
+
+
+def test_solve_text_reports_reconstruction_failure(tmp_path, capsys, monkeypatch):
+    # f(u) u_x needs the order-1 flux jets that only an escalation reaches
+    # (see test_fluxes::test_function_advection_flux_uses_time_weighting)
+    advection = tmp_path / "advection.prob"
+    advection.write_text("independent = t, x\ndependent = u\nfunctions = f(u)\norder = 1\n"
+                         "equation = u_t - f(u)*u_x\nleading = u_t\n")
+    monkeypatch.setattr(fluxes, "ESCALATIONS", 0)
+    code, out, _ = run_cli(capsys, "solve", str(advection), "--mult-deps", "t,x", "--mult-degree", "0",
+                           "--trials", "1")
+    assert code == 3
+    assert [line for line in out.splitlines() if "reconstruction failed" in line] == [
+        f"  reconstruction failed for multiplier {i}: no flux over jets of order <= 0 for series slot {k}; "
+        "the flux needs terms outside the generator set" for i, k in ((1, 0), (2, 1))]
 
 
 def test_compare_text_reports_reconstruction_failure(capsys, monkeypatch):
@@ -394,7 +452,7 @@ _JET_SUM_PRODUCT = (
     "argv, message",
     [
         (["solve", fixture_path("wave"), "--mult-deps", "u +"],
-         "error: unexpected end of input (at position 3)\n"),
+         "error: 'u +': unexpected end of input (at position 3)\n"),
         (["solve", fixture_path("kdv-burgers"), "--mult-deps", "x/0"],
          "error: 'x/0': division by zero\n"),
         (["expand", fixture_path("wave"), "--expr", "(" * 3000 + "u" + ")" * 3000],

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -414,7 +415,7 @@ def test_determinism(diffusion):
     assert [cm.mult.slots for cm in a.classified] == [cm.mult.slots for cm in b.classified]
 
 
-def test_parse_ansatz_text_forms(diffusion):
+def test_parse_ansatz_text_forms(diffusion, table):
     tab = diffusion.table
     spec = parse_ansatz(tab, "t, x, u[0]", "2", None, "u[0]:-1, x")
     assert spec.generators == (tab.indep[0], tab.indep[1], tab.jet("u", 0))
@@ -440,6 +441,18 @@ def test_parse_ansatz_text_forms(diffusion):
             parse_ansatz(tab, **bad)
     with pytest.raises(AnsatzError, match="the Laurent floor x:-1 is not on an ansatz generator"):
         spec_for(diffusion, ["t", "u[0]"], 1, laurent={"x": -1})
+    # an error names the generator or floor as the text writes it
+    for bad, message in (
+        (dict(mult_deps="t, x", degree=1, laurent="u[0]:-1"), "the Laurent floor u[0]:-1 is not on"),
+        (dict(mult_deps="t, x", degree=1, laurent=" u_x "), "the Laurent floor u_x:-2 is not on"),
+        (dict(mult_deps="t, f(u)", degree=1), "unsupported ansatz generator 'f(u)'"),
+        (dict(mult_deps="t, c", degree=1), "unsupported ansatz generator 'c'"),
+        (dict(mult_deps="t,,x", degree=1), "'': unexpected end of input"),
+        (dict(mult_deps="t, x)", degree=1), "'x)': "),
+        (dict(mult_deps="t", degree=1, laurent="t:-1, (:-1"), "'(': "),
+    ):
+        with pytest.raises(AnsatzError, match=re.escape(message)):
+            parse_ansatz(table, **bad)  # t, x; u, v; c; f(u)
 
 
 # --- the factored assembly against the per-monomial Euler oracle ---------------

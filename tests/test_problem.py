@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from approxlaws import corpus, normalize, parse, problem
 from approxlaws.parser import ParseError
 from approxlaws.atoms import FuncAtom, Jet
-from approxlaws.expr import NormalForm, atom_poly
-from approxlaws.jets import collect_eps, join_eps, total_derivative
+from approxlaws.expr import NormalForm, atom_poly, partial, pow_int
+from approxlaws.jets import collect_eps, expand_epsilon, join_eps, total_derivative
 from approxlaws.problem import (
     InconclusiveReduction,
     PdeProblem,
@@ -149,10 +149,26 @@ def test_an_approach_a_series_that_does_not_expand_is_inconclusive():
 
 
 def test_wave_leading_coefficient(wave):
-    # leading u_tt carries coefficient -1/c^2; remainder is parameter-exact
+    # leading u_tt carries coefficient -1/c^2; the rules are parameter-exact
     tab = wave.table
     P = lambda s: normalize(parse(s, tab))
-    assert wave._rest[0] == P("c^2*(u_xx - lambda*u^3 - eps*f(u))")
+    rest = expand_epsilon(P("c^2*(u_xx - lambda*u^3 - eps*f(u))"), wave.p)
+    assert wave.solution_rules() == [(tab.jet("u", k, "tt"), rest[k]) for k in range(wave.p + 1)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("entry_id", corpus.ENTRY_IDS)
+def test_solution_rules_are_the_expanded_remainders(entry_id, p):
+    # the rules read off the equations' expansion are the slots of the
+    # expanded remainder (q*lead - eqn)/q, q the leading coefficient
+    pb = load_problem_file(f"{corpus.__path__[0]}/data/{entry_id}.prob").problem
+    pb = PdeProblem(pb.table, pb.eqns, pb.leading, p)
+    expected = []
+    for eqn, lead in zip(pb.eqns, pb.leading):
+        q = partial(eqn, lead)
+        rest = expand_epsilon((q * lead - eqn) * pow_int(q, -1), p)
+        expected += [(lead.with_order(k), rest[k]) for k in range(p + 1)]
+    assert pb.solution_rules() == expected
 
 
 def test_multi_equation_expected_blocks():
@@ -227,6 +243,12 @@ _DECLS = ("name = d\nindependent = t, x\ndependent = u\nparameters = c\nfunction
         ("parameters = c", "parameters = x", "<problem>:4: duplicate symbol name 'x'"),
         ("functions = f(u)", "functions = f(u), f(u)", "<problem>:5: duplicate symbol name 'f'"),
         ("functions = f(u)", "functions = c(u)", "<problem>:5: duplicate symbol name 'c'"),
+        # a declared name the parser could never read back
+        ("parameters = c", "parameters = a b", "<problem>:4: 'a b' is not a name"),
+        ("parameters = c", "parameters = a-b", "<problem>:4: 'a-b' is not a name"),
+        ("dependent = u", "dependent = u, v[0]", "<problem>:3: 'v[0]' is not a name"),
+        ("independent = t, x", "independent = t, 2x", "<problem>:2: '2x' is not a name"),
+        ("functions = f(u)", "functions = f_1(u)", "<problem>:5: 'f_1' is not a name"),
     ],
 )
 def test_declaration_errors_name_their_line(old, new, message):
