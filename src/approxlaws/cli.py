@@ -41,7 +41,7 @@ def _check_args(args):
     order = getattr(args, "order", None)
     if order is not None and not 1 <= order <= MAX_ORDER:
         raise CliError(f"--order must be in 1..{MAX_ORDER}")
-    if not 1 <= args.trials <= MAX_TRIALS:
+    if not 1 <= getattr(args, "trials", 1) <= MAX_TRIALS:
         raise CliError(f"--trials must be in 1..{MAX_TRIALS}")
 
 
@@ -380,16 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, spot_checks=True):
         if with_input:
             p.add_argument("input", help="problem file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="spot-check trials")
+        if spot_checks:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="spot-check trials")
 
     def ansatz(p):
-        p.add_argument("--method", choices=_METHOD_FLAGS, default="consistent")
         p.add_argument("--order", type=int, default=None, help="override the truncation order")
         p.add_argument("--mult-deps", default=HINT_DEFAULTS["mult_deps"],
                        help="comma-separated ansatz generators")
@@ -400,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find multipliers and reconstruct fluxes")
     common(p)
+    p.add_argument("--method", choices=_METHOD_FLAGS, default="consistent")
     ansatz(p)
     p.set_defaults(func=run_solve)
 
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("expand", help="epsilon-expand one expression")
-    common(p)
+    common(p, spot_checks=False)
     p.add_argument("--expr", required=True)
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(func=run_expand)

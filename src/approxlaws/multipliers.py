@@ -47,6 +47,7 @@ from .atoms import INDEP, Jet, Sym, atom_at, intern, mono_atoms, mono_sort_key
 from .expr import NormalForm, UnsupportedFormError, as_poly, normalize
 from .jets import check_slots, euler, higher_eulers, max_jet_order, recursion_series, series_mul
 from .parser import ParseError, parse, single_atom
+from .printer import print_poly
 from .problem import METHODS, PdeProblem, ProblemError
 
 
@@ -71,12 +72,12 @@ class SingularAnsatzError(AnsatzError):
 class AnsatzSpec:
     """Polynomial multiplier ansatz shape.
 
-    ``generators`` are independent variables and order-0 jet coordinates;
-    ``degree`` bounds the total degree of the jet part and ``xdegree`` (default
-    ``degree``) that of the independent-variable part.  ``laurent`` maps a
-    generator to its minimum (negative) exponent; Laurent exponents count by
-    absolute value towards the jet degree.  A floor on an atom that is not a
-    generator, jets compared at order 0, raises AnsatzError.
+    ``generators`` are independent variables and jets at order 0 or
+    unexpanded; ``degree`` bounds the total degree of the jet part and
+    ``xdegree`` (default ``degree``) that of the independent-variable part.
+    ``laurent`` maps an atom, as written, to its minimum (negative) exponent;
+    Laurent exponents count by absolute value towards the jet degree.
+    :func:`build_ansatz` checks both.
     """
 
     __slots__ = ("generators", "degree", "xdegree", "laurent")
@@ -85,18 +86,13 @@ class AnsatzSpec:
         self.generators = tuple(generators)
         self.degree = degree
         self.xdegree = xdegree
+        self.laurent = dict(laurent or {})
         if degree < 0 or (xdegree is not None and xdegree < 0):
             raise AnsatzError("degree bounds must be nonnegative")
         if not self.generators and degree > 0:
             raise AnsatzError("empty generator set with a positive degree bound")
-        laurent = laurent or {}
-        if any(v > 0 for v in laurent.values()):
+        if any(v > 0 for v in self.laurent.values()):
             raise AnsatzError("Laurent floors must be nonpositive")
-        self.laurent = {_order0(k): v for k, v in laurent.items()}
-        gens = {_order0(g) for g in self.generators}
-        for k, v in self.laurent.items():
-            if k not in gens:
-                raise AnsatzError(f"the Laurent floor {k!r}:{v} is not on an ansatz generator")
 
     @property
     def xdeg(self) -> int:
@@ -107,6 +103,11 @@ def _order0(a):
     """Atom ``a`` at perturbation order 0 if it is a jet: generators and
     Laurent floors are compared there."""
     return a.with_order(0) if isinstance(a, Jet) else a
+
+
+def _orders(method: str, p: int):
+    """The perturbation orders of the method's coordinates (None: unexpanded)."""
+    return {"consistent": (0,), "approach_a": (None,)}.get(method, range(p + 1))
 
 
 def _ansatz_int(text, what: str) -> int:
@@ -133,26 +134,20 @@ def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
     """An ansatz from its text form, as the CLI flags and the problem-file
     hints write it: comma-separated generator atoms (default: every
     independent variable and order-0 dependent coordinate) and Laurent items
-    ``atom:min`` (``min`` defaults to -2).  Degree bounds may be text.  An
-    error names the generator or floor as the text writes it."""
+    ``atom:min`` (``min`` defaults to -2).  Degree bounds may be text.  Only
+    the text is checked here: an item that is not one atom or integer, or an
+    atom floored twice, raises an AnsatzError that quotes it."""
     if mult_deps:
-        texts = mult_deps.split(",")
-        gens = [_generator_atom(g, table) for g in texts]
-        for text, g in zip(texts, gens):
-            if not (isinstance(g, Jet) or isinstance(g, Sym) and g.kind == INDEP):
-                raise AnsatzError(f"unsupported ansatz generator {text.strip()!r}")
+        gens = [_generator_atom(g, table) for g in mult_deps.split(",")]
     else:
         gens = list(table.indep) + [table.jet(name, 0) for name in table.dep_names]
-    floored = {_order0(g) for g in gens}  # the atoms a Laurent floor may bound
     bounds = {}
-    for item in (laurent or "").split(","):
+    for item in laurent.split(",") if laurent else ():
         atom_txt, _, lo = item.strip().partition(":")
-        if atom_txt:
-            atom = _generator_atom(atom_txt, table)
-            bounds[atom] = _ansatz_int(lo, "a Laurent bound") if lo else -2
-            if _order0(atom) not in floored:
-                raise AnsatzError(f"the Laurent floor {atom_txt.strip()}:{bounds[atom]} "
-                                  "is not on an ansatz generator")
+        atom = _generator_atom(atom_txt, table)
+        if atom in bounds:
+            raise AnsatzError(f"the Laurent floor on {atom_txt.strip()!r} is given twice")
+        bounds[atom] = _ansatz_int(lo, "a Laurent bound") if lo else -2
     return AnsatzSpec(
         tuple(gens),
         _ansatz_int(degree, "the multiplier degree"),
@@ -199,27 +194,6 @@ class MultiplierSet:
         return MultiplierSet(self.method, rows)
 
 
-def shape_generators(generators, method: str, p: int):
-    """Adapt order-0 generators to the method's variable set: approach A uses
-    unexpanded jets, approach B per-order copies of every jet generator."""
-    gens = []
-    for g in generators:
-        if isinstance(g, Jet):
-            if g.order not in (0, None):
-                raise AnsatzError("ansatz jet generators must be order-0 coordinates")
-            if method == "approach_a":
-                gens.append(g.with_order(None))
-            elif method == "approach_b":
-                gens.extend(g.with_order(k) for k in range(p + 1))
-            else:
-                gens.append(g.with_order(0))
-        elif isinstance(g, Sym) and g.kind == INDEP:
-            gens.append(g)
-        else:
-            raise AnsatzError(f"unsupported ansatz generator {g!r}")
-    return tuple(gens)
-
-
 def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict, per_monomial: int) -> list:
     """Deterministic monomial basis over the generators ``gens``, a repeated
     generator counted once: jet-part total degree <= degree (Laurent
@@ -240,7 +214,7 @@ def enumerate_basis(gens, degree: int, xdegree: int, laurent: dict, per_monomial
     def powers(gen_list, bound):
         out = [()]
         for g in gen_list:
-            lo = laurent.get(g.with_order(0) if isinstance(g, Jet) else g, 0)
+            lo = laurent.get(_order0(g), 0)
             new = []
             for combo in out:
                 used = sum(abs(e) for _, e in combo)
@@ -272,14 +246,32 @@ Ansatz = namedtuple("Ansatz", "method basis q p")
 def build_ansatz(problem: PdeProblem, spec: AnsatzSpec, method: str = "consistent") -> Ansatz:
     """The multiplier ansatz of ``method``: the monomial basis over the
     generators shaped to the method's variables, with one unknown per
-    equation, series slot and basis monomial.  Raises SingularAnsatzError,
-    before any assembly, if the basis depends on a declared leading
-    derivative."""
+    equation, series slot and basis monomial.  The one check of an ansatz's
+    generators and floors, its errors naming atoms in the flags' syntax: a
+    jet generator stands at each order of the method's coordinates, and a
+    floor bounds the generator at its order-0 coordinate.  Raises
+    SingularAnsatzError, before any assembly, if the basis depends on a
+    declared leading derivative."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    p = problem.p
-    gens = shape_generators(spec.generators, method, p)
-    basis = enumerate_basis(gens, spec.degree, spec.xdeg, spec.laurent, problem.q * (p + 1))
+    p, table = problem.p, problem.table
+    gens = []
+    for g in spec.generators:
+        if isinstance(g, Jet) and g.order in (0, None):
+            gens.extend(g.with_order(k) for k in _orders(method, p))
+        elif isinstance(g, Sym) and g.kind == INDEP:
+            gens.append(g)
+        else:
+            raise AnsatzError(f"unsupported ansatz generator {print_poly(g, table)!r}")
+    floors, written = {}, {}  # order-0 generator -> its floor, and that floor as written
+    for a, lo in spec.laurent.items():
+        g, text = _order0(a), f"{print_poly(a, table)}:{lo}"
+        if g not in {_order0(x) for x in gens}:
+            raise AnsatzError(f"the Laurent floor {text} is not on an ansatz generator")
+        if g in written:
+            raise AnsatzError(f"the Laurent floors {written[g]} and {text} bound one generator")
+        floors[g], written[g] = lo, text
+    basis = enumerate_basis(gens, spec.degree, spec.xdeg, floors, problem.q * (p + 1))
     for mono in basis:
         for a, _ in mono_atoms(mono):
             nu = problem.leading_equation(a) if isinstance(a, Jet) else None
@@ -391,8 +383,7 @@ def euler_coordinates(problem: PdeProblem, method: str) -> list[Jet]:
     must satisfy, dependent variable by dependent variable: u[0] for the
     consistent method, u unexpanded for approach A, u[0]..u[p] for approach
     B."""
-    orders = {"consistent": (0,), "approach_a": (None,)}.get(method, range(problem.p + 1))
-    return [Jet(a, k, ()) for a in range(problem.table.n_dep) for k in orders]
+    return [Jet(a, k, ()) for a in range(problem.table.n_dep) for k in _orders(method, problem.p)]
 
 
 def euler_residuals(problem: PdeProblem, method: str, parts: list) -> list:

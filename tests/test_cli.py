@@ -225,15 +225,38 @@ def test_input_error_exit_code(tmp_path, capsys):
          "the Laurent floor u[0]:-1 is not on an ansatz generator"),
         ("wave", ("--mult-deps", "t,f(u)"), "unsupported ansatz generator 'f(u)'"),
         ("wave", ("--mult-deps", "t,,x"), "'': unexpected end of input (at position 0)"),
+        ("wave", ("--mult-deps", "t,x,u[1]"), "unsupported ansatz generator 'u[1]'"),
+        # a Laurent item with no atom, and a generator floored twice
+        ("diffusion-consistent", ("--laurent", ":-1"), "'': unexpected end of input (at position 0)"),
+        ("diffusion-consistent", ("--laurent", "u[0]:-1,u[0]:-3"), "the Laurent floor on 'u[0]' is given twice"),
+        ("diffusion-consistent", ("--laurent", "u:-1,u[0]:-2"),
+         "the Laurent floors u:-1 and u[0]:-2 bound one generator"),
     ):
         code, out, err = run_cli(capsys, "solve", fixture_path(eid), *flags, "--mult-degree", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+    # compare raises its ansatz error in its first solve, before any output
+    code, out, err = run_cli(capsys, "compare", fixture_path("wave"), "--mult-deps", "t,f(u)", "--mult-degree", "1")
+    assert (code, out, err) == (2, "", "error: unsupported ansatz generator 'f(u)'\n")
     # a declared name the parser could never read back
     bad_name = tmp_path / "bad-name.prob"
     bad_name.write_text("independent = t, x\ndependent = u\nparameters = a b\norder = 1\n"
                         "equation = u_t - u_xx\nleading = u_t\n")
     code, out, err = run_cli(capsys, "solve", str(bad_name))
     assert (code, out, err) == (2, "", f"error: {bad_name}:3: 'a b' is not a name: a letter, then letters and digits\n")
+
+
+def test_options_no_command_reads_are_refused(capsys):
+    # compare always runs all three methods, and expand makes no spot check
+    for argv in (
+        ["compare", fixture_path("wave"), "--method", "b"],
+        ["expand", fixture_path("wave"), "--expr", "u", "--seed", "1"],
+        ["expand", fixture_path("wave"), "--expr", "u", "--trials", "1"],
+        ["expand", fixture_path("wave"), "--expr", "u", "--trials", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 def test_reconstruction_failure_exit_code(tmp_path, capsys, monkeypatch):

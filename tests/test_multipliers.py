@@ -36,6 +36,7 @@ from approxlaws.multipliers import (
     staged_nullspace,
 )
 from approxlaws.multipliers import _column, _contract, _determining_rows, _series
+from approxlaws.parser import single_atom
 from approxlaws.problem import PdeProblem, parse_problem_text
 
 from conftest import KDV, coefficient_vector, expand_epsilon_substitution, slot_coefficients
@@ -415,44 +416,79 @@ def test_determinism(diffusion):
     assert [cm.mult.slots for cm in a.classified] == [cm.mult.slots for cm in b.classified]
 
 
-def test_parse_ansatz_text_forms(diffusion, table):
+def test_parse_ansatz_text_forms(diffusion, wave, table):
     tab = diffusion.table
     spec = parse_ansatz(tab, "t, x, u[0]", "2", None, "u[0]:-1, x")
     assert spec.generators == (tab.indep[0], tab.indep[1], tab.jet("u", 0))
     assert spec.degree == 2 and spec.laurent == {tab.jet("u", 0): -1, tab.indep[1]: -2}
     default = parse_ansatz(tab, None, 1)
     assert default.generators == spec.generators
-    # generators and Laurent floors meet at order 0
+    # floors are kept as written; generators and Laurent floors meet at
+    # order 0 where the ansatz is built
+    floored = build_ansatz(diffusion, parse_ansatz(tab, "t, u[0]", 1, laurent="u[0]:-1"))
+    assert floored != build_ansatz(diffusion, parse_ansatz(tab, "t, u[0]", 1))
     for gen, floor in (("u", "u[0]"), ("u[0]", "u"), ("u", "u[1]")):
-        assert parse_ansatz(tab, f"t, {gen}", 1, laurent=f"{floor}:-1").laurent == {tab.jet("u", 0): -1}
-    for bad in (
-        dict(mult_deps="t, 2*x", degree=1),
-        dict(mult_deps="u[0]^2", degree=1),
-        dict(mult_deps="1/(u+1)", degree=1),
-        dict(mult_deps="t", degree="two"),
-        dict(mult_deps="t", degree=1, xdegree="1.5"),
-        dict(mult_deps="t", degree=1, laurent="u[0]:x"),
-        dict(mult_deps="t", degree=1, laurent="t + x:-1"),
-        # a floor on an atom no basis monomial holds would bound nothing
-        dict(mult_deps="t, u[0]", degree=1, laurent="x:-1"),
-        dict(mult_deps="t, u[0]", degree=1, laurent="u[0]_x:-1"),
-    ):
-        with pytest.raises(AnsatzError):
-            parse_ansatz(tab, **bad)
-    with pytest.raises(AnsatzError, match="the Laurent floor x:-1 is not on an ansatz generator"):
-        spec_for(diffusion, ["t", "u[0]"], 1, laurent={"x": -1})
-    # an error names the generator or floor as the text writes it
+        spec = parse_ansatz(tab, f"t, {gen}", 1, laurent=f"{floor}:-1")
+        assert spec.laurent == {single_atom(parse(floor, tab)): -1}
+        assert build_ansatz(diffusion, spec) == floored
+    # the text is checked where it is parsed
     for bad, message in (
-        (dict(mult_deps="t, x", degree=1, laurent="u[0]:-1"), "the Laurent floor u[0]:-1 is not on"),
-        (dict(mult_deps="t, x", degree=1, laurent=" u_x "), "the Laurent floor u_x:-2 is not on"),
-        (dict(mult_deps="t, f(u)", degree=1), "unsupported ansatz generator 'f(u)'"),
-        (dict(mult_deps="t, c", degree=1), "unsupported ansatz generator 'c'"),
+        (dict(mult_deps="t, 2*x", degree=1), "'2*x' is not a single generator atom"),
+        (dict(mult_deps="u[0]^2", degree=1), "'u[0]^2' is not a single generator atom"),
+        (dict(mult_deps="1/(u+1)", degree=1), "'1/(u+1)': "),
+        (dict(mult_deps="t", degree="two"), "the multiplier degree must be an integer"),
+        (dict(mult_deps="t", degree=1, xdegree="1.5"), "the multiplier x-degree must be an integer"),
+        (dict(mult_deps="t", degree=1, laurent="u[0]:x"), "a Laurent bound must be an integer"),
+        (dict(mult_deps="t", degree=1, laurent="t + x:-1"), "'t + x' is not a single generator atom"),
         (dict(mult_deps="t,,x", degree=1), "'': unexpected end of input"),
         (dict(mult_deps="t, x)", degree=1), "'x)': "),
         (dict(mult_deps="t", degree=1, laurent="t:-1, (:-1"), "'(': "),
+        # a Laurent item with no atom, and one atom floored twice
+        (dict(mult_deps="t", degree=1, laurent=":-1"), "'': unexpected end of input (at position 0)"),
+        (dict(mult_deps="u[0]", degree=1, laurent="u[0]:-1, u[0]:-3"),
+         "the Laurent floor on 'u[0]' is given twice"),
     ):
         with pytest.raises(AnsatzError, match=re.escape(message)):
             parse_ansatz(table, **bad)  # t, x; u, v; c; f(u)
+    # which generators and floors an ansatz admits is checked where it is
+    # built, and an error names each atom as the text writes it
+    for problem, bad, message in (
+        # a floor on an atom no basis monomial holds would bound nothing
+        (diffusion, dict(mult_deps="t, u[0]", degree=1, laurent="x:-1"),
+         "the Laurent floor x:-1 is not on an ansatz generator"),
+        (diffusion, dict(mult_deps="t, u[0]", degree=1, laurent="u[0]_x:-1"), "the Laurent floor u[0]_x:-1 is not on"),
+        (diffusion, dict(mult_deps="t, x", degree=1, laurent="u[0]:-1"), "the Laurent floor u[0]:-1 is not on"),
+        (diffusion, dict(mult_deps="t, x", degree=1, laurent=" u_x "), "the Laurent floor u_x:-2 is not on"),
+        # two floors that meet at order 0
+        (diffusion, dict(mult_deps="t, u", degree=1, laurent="u:-1, u[0]:-2"),
+         "the Laurent floors u:-1 and u[0]:-2 bound one generator"),
+        (diffusion, dict(mult_deps="t, x, u[1]", degree=1), "unsupported ansatz generator 'u[1]'"),
+        (wave, dict(mult_deps="t, f(u)", degree=1), "unsupported ansatz generator 'f(u)'"),
+        (wave, dict(mult_deps="t, c", degree=1), "unsupported ansatz generator 'c'"),
+    ):
+        spec = parse_ansatz(problem.table, **bad)
+        with pytest.raises(AnsatzError, match=re.escape(message)):
+            build_ansatz(problem, spec)
+    with pytest.raises(AnsatzError, match="the Laurent floor x:-1 is not on an ansatz generator"):
+        build_ansatz(diffusion, spec_for(diffusion, ["t", "u[0]"], 1, laurent={"x": -1}))
+
+
+def test_ansatz_errors_name_atoms_for_library_callers(diffusion):
+    # an AnsatzSpec of atoms, which no flag text wrote, is checked where it
+    # is built, under every method, and its errors read as the flags would
+    tab = diffusion.table
+    t, x = tab.indep
+    u0 = tab.jet("u", 0)
+    for spec, message in (
+        (AnsatzSpec((t, x), 1, laurent={u0: -1}), "the Laurent floor u[0]:-1 is not on an ansatz generator"),
+        (AnsatzSpec((t, tab.jet("u", 1)), 1), "unsupported ansatz generator 'u[1]'"),
+        (AnsatzSpec((t, tab.eps), 1), "unsupported ansatz generator 'eps'"),
+        (AnsatzSpec((t, u0), 1, laurent={tab.jet("u"): -1, u0: -2}),
+         "the Laurent floors u:-1 and u[0]:-2 bound one generator"),
+    ):
+        for method in ("consistent", "approach_a", "approach_b"):
+            with pytest.raises(AnsatzError, match=f"^{re.escape(message)}$"):
+                build_ansatz(diffusion, spec, method)
 
 
 # --- the factored assembly against the per-monomial Euler oracle ---------------
