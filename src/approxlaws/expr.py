@@ -50,11 +50,13 @@ class NormalForm:
 
     __rmul__ = __mul__
 
+    # one pass over the subtrahend; dict() copies no column vector, which
+    # poly_iadd would change in place, so ``-`` takes scalar coefficients
     def __sub__(self, other):
-        return add(self, negate(other))
+        return NormalForm(kernel.poly_iadd(dict(self._p), as_poly(other), -1))
 
     def __rsub__(self, other):
-        return add(other, negate(self))
+        return NormalForm(kernel.poly_iadd(dict(as_poly(other)), self._p, -1))
 
     def __neg__(self):
         return negate(self)

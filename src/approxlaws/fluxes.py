@@ -308,8 +308,7 @@ def identity_residuals(targets, divs) -> list:
     """Per-slot residual of the divergence identity, a law's contraction
     ``targets`` minus its divergence ``divs``; all-zero means the law is
     identity-verified."""
-    return [NormalForm(kernel.poly_iadd(dict(as_poly(t)), as_poly(d), -1))
-            for t, d in zip(targets, divs)]
+    return [t - d for t, d in zip(targets, divs)]
 
 
 def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem) -> str:
@@ -323,8 +322,7 @@ def equivalent(a: ConservationLaw, b: ConservationLaw, problem: PdeProblem) -> s
         raise ValueError("laws use different methods")
     if len(a.fluxes) != len(b.fluxes) or len(a.fluxes[0]) != len(b.fluxes[0]):
         raise ValueError("laws have different flux shapes")
-    diff = [[NormalForm(kernel.poly_iadd(dict(as_poly(fa)), as_poly(fb), -1)) for fa, fb in zip(ra, rb)]
-            for ra, rb in zip(a.fluxes, b.fluxes)]
+    diff = [[fa - fb for fa, fb in zip(ra, rb)] for ra, rb in zip(a.fluxes, b.fluxes)]
     if all(d.is_zero() for d in _divergence(diff)):
         return "equivalent"
     try:

@@ -27,6 +27,7 @@ above k (the order-k part depends on u[0]..u[k] only).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -40,22 +41,17 @@ from .expr import NormalForm, UnsupportedFormError, as_poly, atom_poly, poly_ato
 # entry per atom and independent variable.
 _total_images: dict = {}
 
-# (atom id, i) -> id of the jet with one derivative in direction i fewer:
-# the jet whose D_i image is the given one, which flux inversion asks for
-# once per candidate.
-_stripped_jets: dict = {}
 
-
+@functools.cache
 def stripped_jet(aid: int, i: int) -> int:
     """The id of jet ``aid`` with one derivative in direction ``i`` taken
-    off; raises ValueError if it has none in that direction."""
-    sid = _stripped_jets.get((aid, i))
-    if sid is None:
-        a = atom_at(aid)
-        deriv = list(a.deriv)
-        deriv.remove(i)
-        sid = _stripped_jets[(aid, i)] = intern(Jet(a.dep, a.order, tuple(deriv)))
-    return sid
+    off, the jet whose D_i image it is; raises ValueError if it has none in
+    that direction.  Memoized, since flux inversion asks once per candidate
+    and atoms are interned for the life of the process."""
+    a = atom_at(aid)
+    deriv = list(a.deriv)
+    deriv.remove(i)
+    return intern(Jet(a.dep, a.order, tuple(deriv)))
 
 
 def _total_image(aid: int, i: int) -> dict:

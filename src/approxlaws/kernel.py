@@ -25,9 +25,7 @@ all built with column-vector coefficients.
 
 Neither :func:`poly_iadd` nor :func:`derive` builds a product that cannot
 change its factor: a scale ``c`` of 1 is skipped and one of -1 negates, and
-:func:`derive` skips an exponent or an image coefficient of 1.  A one-atom
-image monomial, which every total-derivative image of a jet is, is spliced
-into the sorted key by :func:`derive` without :func:`mono_mul`.
+:func:`derive` skips an exponent or an image coefficient of 1.
 
 These functions are the hot inner loop of the whole engine.  Callers use
 them as ``kernel.<fn>(...)`` so that the module's bindings stay the single
@@ -146,9 +144,7 @@ def derive(p, images):
     formal partials and the series recursion operator are all instances.
     Column-vector coefficients of ``p`` are scaled and added entrywise.
 
-    No product is formed by an exponent or an image coefficient of 1, and a
-    one-atom image monomial (every total-derivative image of a jet) is
-    spliced into the sorted key where :func:`mono_mul` would merge it."""
+    No product is formed by an exponent or an image coefficient of 1."""
     out = {}
     vector = bool(p) and type(next(iter(p.values()))) is dict
     for mono, c in p.items():
@@ -164,20 +160,7 @@ def derive(p, images):
                 rest = mono[:i] + (mono[i], e - 1) + mono[i + 2:]
             ce = e if vector else c if e == 1 else c * e
             for m2, c2 in img.items():
-                if len(m2) == 2:
-                    # splice the image atom a^ea into the sorted key
-                    a = m2[0]
-                    j = 0
-                    nr = len(rest)
-                    while j < nr and rest[j] < a:
-                        j += 2
-                    if j < nr and rest[j] == a:
-                        ea = rest[j + 1] + m2[1]
-                        key = rest[:j] + (a, ea) + rest[j + 2:] if ea else rest[:j] + rest[j + 2:]
-                    else:
-                        key = rest[:j] + m2 + rest[j:]
-                else:
-                    key = mono_mul(rest, m2)
+                key = mono_mul(rest, m2)
                 v = ce if c2 == 1 else ce * c2
                 if vector:
                     _vec_iadd(out, key, c, v)

@@ -134,20 +134,20 @@ def parse_ansatz(table, mult_deps: str | None, degree, xdegree=None,
     """An ansatz from its text form, as the CLI flags and the problem-file
     hints write it: comma-separated generator atoms (default: every
     independent variable and order-0 dependent coordinate) and Laurent items
-    ``atom:min`` (``min`` defaults to -2).  Degree bounds may be text.  Only
-    the text is checked here: an item that is not one atom or integer, or an
-    atom floored twice, raises an AnsatzError that quotes it."""
+    ``atom:min``, or a bare ``atom`` for ``atom:-2``.  Degree bounds may be
+    text.  Only the text is checked here: an item that is not one atom or
+    integer, or an atom floored twice, raises an AnsatzError that quotes it."""
     if mult_deps:
         gens = [_generator_atom(g, table) for g in mult_deps.split(",")]
     else:
         gens = list(table.indep) + [table.jet(name, 0) for name in table.dep_names]
     bounds = {}
     for item in laurent.split(",") if laurent else ():
-        atom_txt, _, lo = item.strip().partition(":")
+        atom_txt, colon, lo = item.strip().partition(":")
         atom = _generator_atom(atom_txt, table)
         if atom in bounds:
             raise AnsatzError(f"the Laurent floor on {atom_txt.strip()!r} is given twice")
-        bounds[atom] = _ansatz_int(lo, "a Laurent bound") if lo else -2
+        bounds[atom] = _ansatz_int(lo, "a Laurent bound") if colon else -2
     return AnsatzSpec(
         tuple(gens),
         _ansatz_int(degree, "the multiplier degree"),

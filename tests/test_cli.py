@@ -229,6 +229,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         # a Laurent item with no atom, and a generator floored twice
         ("diffusion-consistent", ("--laurent", ":-1"), "'': unexpected end of input (at position 0)"),
         ("diffusion-consistent", ("--laurent", "u[0]:-1,u[0]:-3"), "the Laurent floor on 'u[0]' is given twice"),
+        # a colon with no bound after it
+        ("diffusion-consistent", ("--laurent", "u[0]:"), "a Laurent bound must be an integer, got ''"),
+        ("diffusion-consistent", ("--laurent", "u[0]: "), "a Laurent bound must be an integer, got ''"),
         ("diffusion-consistent", ("--laurent", "u:-1,u[0]:-2"),
          "the Laurent floors u:-1 and u[0]:-2 bound one generator"),
     ):

@@ -447,6 +447,9 @@ def test_parse_ansatz_text_forms(diffusion, wave, table):
         (dict(mult_deps="t", degree=1, laurent=":-1"), "'': unexpected end of input (at position 0)"),
         (dict(mult_deps="u[0]", degree=1, laurent="u[0]:-1, u[0]:-3"),
          "the Laurent floor on 'u[0]' is given twice"),
+        # a colon with no bound after it (a bare atom means its default -2)
+        (dict(mult_deps="u[0]", degree=1, laurent="u[0]:"), "a Laurent bound must be an integer, got ''"),
+        (dict(mult_deps="u[0]", degree=1, laurent="u[0]: , x"), "a Laurent bound must be an integer, got ''"),
     ):
         with pytest.raises(AnsatzError, match=re.escape(message)):
             parse_ansatz(table, **bad)  # t, x; u, v; c; f(u)

@@ -17,6 +17,7 @@ from approxlaws import (
     euler,
     expand_epsilon,
     mul,
+    negate,
     normalize,
     parse,
     partial,
@@ -98,13 +99,17 @@ def exprs(draw, depth=3):
 
 
 @settings(max_examples=120, deadline=None)
-@given(exprs(), exprs(), exprs())
-def test_ring_laws(a, b, c):
+@given(exprs(), exprs(), exprs(), _atoms_st)
+def test_ring_laws(a, b, c, atom):
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    # the one subtraction, and an atom minus a normal form (NormalForm.__rsub__)
+    assert a - b == a + negate(b)
+    assert (a - b) + b == a
+    assert atom - a == normalize(atom) + negate(a)
 
 
 @settings(max_examples=80, deadline=None)
